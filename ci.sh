@@ -16,9 +16,14 @@ cargo test -q -p rsr-integration --test packed_equivalence
 # bit-identical to the sequential engine at every (threads, depth).
 cargo test -q -p rsr-integration --test pipeline_equivalence
 # The partitioned-reconstruction suite, by name: index-driven per-set
-# reverse scans must stay bit-identical to the sequential full scan at
-# every reconstruction worker count.
+# reverse scans and the indexed demand scan must stay bit-identical to the
+# tests-crate oracles (tests/src/oracle/: the sequential full scan and the
+# hash-map counter inference) at every reconstruction worker count.
 cargo test -q -p rsr-integration --test recon_partition
+# The golden digests, by name: est_ipc bits, log_records, every
+# reconstruction counter, and a per-cluster CPI hash for all nine
+# workloads under None, S$BP, and R$BP 20%/100% must never drift.
+cargo test -q -p rsr-integration --test golden
 # The sweep-engine suite, by name: every config of a one-cold-pass sweep
 # must stay bit-identical to its standalone run, and supervision must
 # compose unchanged through the capture pass.
@@ -34,9 +39,9 @@ cargo test -q -p rsr-integration --test serve_robustness
 cargo test -q -p rsr-integration --test func_equivalence
 # The detailed-window kernel equivalence suite, by name: the SoA cache,
 # packed gshare, bitset BTB, and inline RAS must stay bit-identical to
-# their retained reference implementations over random access streams,
-# reverse reconstruction with budget cuts, and real skip-log replays
-# (ext-spill records, over-budget truncation).
+# the tests-crate reference structures (tests/src/oracle/) over random
+# access streams, reverse reconstruction with budget cuts, and real
+# skip-log replays (ext-spill records, over-budget truncation).
 cargo test -q -p rsr-integration --test timing_equivalence
 cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
@@ -98,8 +103,8 @@ if ./target/release/rsr bench --scale 0.05 --out target/BENCH_sample.smoke.json;
 
   # PHT-reconstruction guard: like recon_ns_per_record, the per-record
   # cost is scale-free, so the smoke run compares to the full-scale
-  # reference. The last-writer index dropped this >3x; a >25% regression
-  # means the indexed fast path fell back to the legacy HashMap walk.
+  # reference. The sealed last-writer verdicts dropped this >3x; a >25%
+  # regression means the demand scan stopped hopping them.
   # Timing, so advisory on starved <= 2-core hosts.
   smoke_pht=$(grep -m1 '"recon_pht_ns_per_record"' target/BENCH_sample.smoke.json \
     | sed 's/[^0-9.]//g')

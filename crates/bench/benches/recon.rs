@@ -5,7 +5,8 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rsr_cache::{HierAccess, HierarchyConfig, MemHierarchy};
 use rsr_core::{
-    reconstruct_caches, MachineConfig, Pct, RunSpec, SamplingRegimen, SkipLog, WarmupPolicy,
+    reconstruct_caches_partitioned, MachineConfig, Pct, ReconGeometry, RunSpec, SamplingRegimen,
+    SkipLog, WarmupPolicy,
 };
 use rsr_func::Cpu;
 use rsr_workloads::{Benchmark, WorkloadParams};
@@ -20,6 +21,9 @@ fn logged_region() -> SkipLog {
         let r = cpu.step().expect("runs");
         log.record(&r);
     }
+    // Sealed once up front, as the sampler seals each region before its
+    // cluster: the timed loop is the reverse scan alone.
+    log.seal_mem_index(&ReconGeometry::of_machine(&MachineConfig::paper()));
     log
 }
 
@@ -61,7 +65,7 @@ fn bench_region_warmup(c: &mut Criterion) {
             b.iter_batched(
                 || MemHierarchy::new(HierarchyConfig::paper()),
                 |mut hier| {
-                    reconstruct_caches(&mut hier, &log, Pct::new(pct));
+                    reconstruct_caches_partitioned(&mut hier, &log, Pct::new(pct), 1);
                     hier
                 },
                 BatchSize::LargeInput,

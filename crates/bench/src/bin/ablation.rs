@@ -14,8 +14,8 @@ use rsr_bench::{fmt_secs, print_table, Experiment};
 use rsr_branch::Predictor;
 use rsr_cache::MemHierarchy;
 use rsr_core::{
-    reconstruct_caches, BpReconstructor, Pct, RunSpec, SampleOutcome, Schedule, SkipLog,
-    WarmupPolicy,
+    reconstruct_caches_partitioned, BpReconstructor, Pct, RunSpec, SampleOutcome, Schedule,
+    SkipLog, WarmupPolicy,
 };
 use rsr_func::Cpu;
 use rsr_stats::relative_error;
@@ -96,7 +96,7 @@ fn main() {
         for w in schedule.windows() {
             log.reset(true, true, pred.gshare.ghr());
             log.record_region(&mut cpu, w.start - pos).expect("skip");
-            reconstruct_caches(&mut hier, &log, Pct::new(20));
+            reconstruct_caches_partitioned(&mut hier, &log, Pct::new(20), 1);
             let mut recon = BpReconstructor::new(&mut pred, &log, Pct::new(20));
             recon.exhaust(&mut pred);
             scanned += recon.stats().branch_scanned;

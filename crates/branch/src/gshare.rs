@@ -26,8 +26,8 @@ const WEAK_NT_WORD: u64 = 0x5555_5555_5555_5555;
 /// and the per-entry *reconstructed* bits as a bitset, so the fused
 /// index/predict/update path of the detailed window touches one word per
 /// probe and [`Gshare::begin_reconstruction`] clears an eighth of the bytes
-/// the previous `Vec<bool>` did. The unpacked layout survives as
-/// [`crate::RefGshare`], the equivalence oracle.
+/// the previous `Vec<bool>` did. The unpacked layout survives as an
+/// equivalence oracle in the integration tests (`rsr_integration::oracle`).
 ///
 /// Reconstruction support mirrors the cache: each entry carries a
 /// *reconstructed* bit cleared by [`Gshare::begin_reconstruction`]; the RSR

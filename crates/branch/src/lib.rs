@@ -31,7 +31,6 @@ mod direction;
 mod gshare;
 mod predictor;
 mod ras;
-mod reference;
 
 /// A byte address (mirrors `rsr_isa::Addr` without the dependency).
 pub type Addr = u64;
@@ -46,4 +45,3 @@ pub use predictor::{
     Checkpoint, PredCtrlKind, Prediction, Predictor, PredictorConfig, PredictorStats,
 };
 pub use ras::{Ras, RasOp};
-pub use reference::{RefBtb, RefGshare, RefRas};

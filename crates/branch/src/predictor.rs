@@ -320,12 +320,12 @@ mod tests {
     fn recover_restores_ghr_and_ras() {
         let mut pr = p();
         pr.ras.push(0xaa);
-        let ghr_before = pr.gshare.ghr();
+        let ghr_prev = pr.gshare.ghr();
         let pred = pr.predict(0x1000, PredCtrlKind::CondBranch);
         pr.ras.push(0xbb); // wrong-path push
         pr.recover(&pred.checkpoint, Some(true));
         assert_eq!(pr.ras.pop(), 0xaa);
-        assert_eq!(pr.gshare.ghr(), ((ghr_before << 1) | 1) & pr.gshare.ghr_mask());
+        assert_eq!(pr.gshare.ghr(), ((ghr_prev << 1) | 1) & pr.gshare.ghr_mask());
     }
 
     #[test]

@@ -11,8 +11,8 @@ use crate::Addr;
 /// Storage is an inline array (capacity [`Ras::MAX_ENTRIES`]), making the
 /// stack `Copy`: the per-prediction checkpoint taken by the combined
 /// predictor is a register-friendly memcpy instead of a heap `Vec` clone.
-/// The heap-backed original survives as [`crate::RefRas`], the equivalence
-/// oracle.
+/// The heap-backed original survives as an equivalence oracle in the
+/// integration tests (`rsr_integration::oracle`).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct Ras {
     slots: [Addr; Ras::MAX_ENTRIES],

@@ -8,7 +8,8 @@
 //! walks only its set bits over adjacent tags (one bounds check via a
 //! subslice); victim selection is a popcount/shift affair on the mask
 //! instead of a struct scan. The previous array-of-structs layout survives
-//! as [`crate::RefCache`], the equivalence oracle.
+//! as an equivalence oracle in the integration tests
+//! (`rsr_integration::oracle`).
 
 use crate::{CacheConfig, WritePolicy};
 

@@ -25,7 +25,6 @@ mod bus;
 mod cache;
 mod config;
 mod hierarchy;
-mod reference;
 mod sampling;
 
 pub use bus::{Bus, BusConfig, BusStats};
@@ -34,5 +33,4 @@ pub use cache::{
 };
 pub use config::{CacheConfig, WritePolicy};
 pub use hierarchy::{HierAccess, HierarchyConfig, HierarchyStats, MemHierarchy};
-pub use reference::RefCache;
 pub use sampling::{SetSampleStats, SetSampledCache};

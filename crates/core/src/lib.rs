@@ -66,7 +66,7 @@ pub use crate::policy::{Pct, WarmupPolicy};
 pub use crate::profiled::{profile_reuse, ReusePolicy, ReuseProfile};
 pub use crate::regimen::{ClusterWindow, SamplingRegimen, Schedule};
 pub use crate::reverse::{
-    reconstruct_caches, reconstruct_caches_partitioned, BpReconstructor, ReconStats, ReconTiming,
+    reconstruct_caches_partitioned, BpReconstructor, ReconStats, ReconTiming,
 };
 pub use crate::sampler::{
     skip_with, skip_with_smarts_warming, FullOutcome, MachineConfig, PhaseTimes, SampleOutcome,

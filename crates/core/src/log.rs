@@ -34,19 +34,19 @@
 //! spill their full `pc`/`next_pc` into small side tables, so the packing
 //! is lossless for *any* record stream. Consumers materialize full
 //! [`MemRecord`]/[`BranchRecord`] values through [`SkipLog::mem_records`],
-//! [`SkipLog::branch_records`], and the indexed accessors; the reverse
-//! cache scan uses [`SkipLog::mem_refs_rev`], which touches only the
-//! address and tag columns.
+//! [`SkipLog::branch_records`], and the indexed accessors;
+//! [`SkipLog::mem_refs_rev`] is the newest-first reference view, which
+//! touches only the address and tag columns.
 //!
 //! Byte accounting ([`SkipLog::approx_bytes`], the budget check, and
 //! [`SkipLog::peak_bytes`]) is maintained incrementally — O(1) per append,
 //! nothing recomputed.
 
-use std::io::{self, Read, Write};
-
 use rsr_branch::{PACKED_IDENTITY, PACKED_PREPEND};
 use rsr_func::{Cpu, ExecError, RetireSink, Retired};
 use rsr_isa::{Addr, CtrlKind};
+
+use crate::{Schedule, SimError};
 
 /// One logged memory reference (materialized view; storage is packed).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -184,10 +184,9 @@ pub struct SkipLog {
     appended: u64,
     /// Partitioned reconstruction index: per-(structure, set) newest-first
     /// record-index spans sealed over the SoA columns (see [`ReconIndex`]).
-    /// Never serialized; unsealed by [`SkipLog::reset`] and budget
-    /// truncation, and ignored by its accessors unless the sealed lengths
-    /// still match the columns. Boxed so an unindexed log stays one
-    /// pointer wider.
+    /// Unsealed by [`SkipLog::reset`] and budget truncation, and ignored
+    /// by its accessors unless the sealed lengths still match the columns.
+    /// Boxed so an unindexed log stays one pointer wider.
     index: Option<Box<ReconIndex>>,
 }
 
@@ -315,17 +314,45 @@ impl<const MEM: bool, const BR: bool> RetireSink for FastSink<'_, MEM, BR> {
 
 /// "Not a conditional branch" marker in the [`ReconIndex`] PHT key column
 /// (real PHT keys fit because gshare history is capped at 26 bits), and
-/// the record-count ceiling above which sealing is skipped — every sealed
-/// record index must fit in a u32.
+/// the per-column record-count ceiling of a sealable region — every sealed
+/// record index must fit below it in a u32.
 pub(crate) const CHAIN_NONE: u32 = u32::MAX;
+
+/// Most memory records one skipped instruction can log: a fetch-line
+/// record plus a data record. (Branch records are at most one.)
+const MEM_RECORDS_PER_INST: u64 = 2;
+
+/// Rejects a schedule for a logging policy when one of its skip regions
+/// could log more records than a sealed index can address, so the run
+/// fails typed before any instruction executes instead of mid-run. The
+/// bound is conservative: it assumes every skipped instruction logs
+/// [`MEM_RECORDS_PER_INST`] memory records. Shard boundaries only ever
+/// shorten a region, so the gaps between windows bound every region.
+pub(crate) fn check_indexable(schedule: &Schedule) -> Result<(), SimError> {
+    let mut prev_end = 0u64;
+    for w in schedule.windows() {
+        let skip = w.start.saturating_sub(prev_end);
+        if skip.saturating_mul(MEM_RECORDS_PER_INST) >= u64::from(CHAIN_NONE) {
+            return Err(SimError::Spec(
+                "a skip region is too long to log: its records could overflow a u32 index",
+            ));
+        }
+        prev_end = w.end();
+    }
+    Ok(())
+}
+
+/// Per-level `(sets, line shift)` of L1I, L1D, and L2: everything a
+/// memory-side index depends on ([`ReconGeometry::mem_key`]).
+pub(crate) type MemKey = (usize, u32, usize, u32, usize, u32);
 
 /// The structure geometry a [`ReconIndex`] was sealed for.
 ///
 /// Derivable from configuration alone — the pipeline *leader* seals the
 /// memory-side chains without ever holding a cache or predictor instance —
 /// and stored with the index so consumers can verify the chains match
-/// their structures before trusting them (a mismatch silently falls back
-/// to the full reverse scan).
+/// their structures before trusting them (on a mismatch they seal their
+/// own index on the spot).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct ReconGeometry {
     /// L1I set count (power of two).
@@ -360,6 +387,19 @@ impl ReconGeometry {
             btb_entries: machine.pred.btb_entries,
         }
     }
+
+    /// The memory-side fields: two geometries with equal keys can share
+    /// one memory-side index regardless of their predictors.
+    pub(crate) fn mem_key(&self) -> MemKey {
+        (
+            self.l1i_sets,
+            self.l1i_line_shift,
+            self.l1d_sets,
+            self.l1d_line_shift,
+            self.l2_sets,
+            self.l2_line_shift,
+        )
+    }
 }
 
 /// The partitioned reconstruction index (paper §3.1/§3.2 exploited
@@ -389,8 +429,9 @@ impl ReconGeometry {
 /// unusable. What *can* move to seal time is the GHR forward pass: the
 /// per-record PHT keys and the region-final GHR.
 ///
-/// A record index ≥ `u32::MAX` cannot be indexed; sealing is skipped then
-/// and consumers fall back to the full scan.
+/// A region with `u32::MAX` or more records in a column cannot be
+/// indexed; run specs reject schedules that could produce one
+/// ([`check_indexable`]).
 #[derive(Clone, Debug)]
 pub(crate) struct ReconIndex {
     /// Geometry the spans were keyed by.
@@ -441,7 +482,7 @@ pub(crate) struct ReconIndex {
     pub(crate) ghr_final: u64,
     /// `ghr_at_start` value the PHT keys were hashed under — every key
     /// depends on it, so a changed start GHR invalidates the seal.
-    ghr_start: u64,
+    pub(crate) ghr_start: u64,
     /// Counting-sort cursor scratch, kept so pooled logs re-seal without
     /// reallocating.
     scratch: Vec<u32>,
@@ -489,8 +530,8 @@ pub(crate) const BR_F_PHT_RESOLVE: u8 = 1 << 4;
 /// other unresolved conditional's bookkeeping write is provably
 /// overwritten before it can be observed, so the scan skips it. Valid
 /// only for the budget the index was sealed under
-/// ([`ReconIndex::br_pct`]); a different runtime budget falls back to
-/// the unindexed scan.
+/// ([`ReconIndex::br_pct`]); a reconstructor running a different budget
+/// seals its own index.
 pub(crate) const BR_F_PHT_FLUSH_LW: u8 = 1 << 5;
 
 impl ReconIndex {
@@ -560,8 +601,8 @@ impl SkipLog {
         }
     }
 
-    /// Builds a log directly from materialized records (tests, offline
-    /// tooling, and the v1 deserializer). Both streams are marked enabled.
+    /// Builds a log directly from materialized records (tests and offline
+    /// tooling). Both streams are marked enabled.
     pub fn from_records<M, B>(mem: M, branches: B, ghr_at_start: u64) -> SkipLog
     where
         M: IntoIterator<Item = MemRecord>,
@@ -1038,13 +1079,16 @@ impl SkipLog {
     /// Seals the memory-side spans (L1I / L1D / L2) over the current
     /// columns: a counting sort bucketing every record index by set, each
     /// set's span filled newest-first. Idempotent for an unchanged log and
-    /// geometry. A truncated region or one with ≥ `u32::MAX` records is
-    /// left unsealed — its consumers fall back to the full reverse scan.
+    /// geometry. A truncated region holds no records, so its spans are
+    /// empty.
+    ///
+    /// # Panics
+    ///
+    /// If the log holds `u32::MAX` or more memory records — more than a
+    /// u32 span index can address. Run specs reject schedules that could
+    /// log that many up front.
     pub fn seal_mem_index(&mut self, geom: &ReconGeometry) {
         let n = self.mem_addr.len();
-        if self.truncated || n >= CHAIN_NONE as usize {
-            return;
-        }
         if self.index.as_deref().is_some_and(|ix| ix.geom == *geom && ix.mem_sealed == Some(n)) {
             return;
         }
@@ -1056,17 +1100,12 @@ impl SkipLog {
     /// [`SkipLog::seal_mem_index`]'s body over an *external* index — the
     /// per-configuration scratch a sweep replay owns, so N detailed
     /// configurations can each key the same shared, immutable log without
-    /// touching it. Returns whether the memory side sealed (`false` for a
-    /// truncated region or one with ≥ `u32::MAX` records, whose consumers
-    /// fall back to the full reverse scan). `ix` must already be keyed for
-    /// `geom` (see [`ReconIndex::retarget`]).
-    pub(crate) fn build_mem_index_into(&self, geom: &ReconGeometry, ix: &mut ReconIndex) -> bool {
+    /// touching it. `ix` must already be keyed for `geom` (see
+    /// [`ReconIndex::retarget`]).
+    pub(crate) fn build_mem_index_into(&self, geom: &ReconGeometry, ix: &mut ReconIndex) {
         debug_assert_eq!(ix.geom, *geom, "retarget the index before building");
         let n = self.mem_addr.len();
-        if self.truncated || n >= CHAIN_NONE as usize {
-            ix.mem_sealed = None;
-            return false;
-        }
+        assert!(n < CHAIN_NONE as usize, "{n} memory records overflow a u32 span index");
         let (l1i_mask, l1d_mask, l2_mask) =
             (geom.l1i_sets - 1, geom.l1d_sets - 1, geom.l2_sets - 1);
 
@@ -1129,7 +1168,6 @@ impl SkipLog {
             ix.l2_idx[l2_cnt[s] as usize] = i as u32;
         }
         ix.mem_sealed = Some(n);
-        true
     }
 
     /// Seals the branch-side columns: the GHR forward pass (§3.2's "last
@@ -1140,12 +1178,13 @@ impl SkipLog {
     /// sequential path, so it could never skip along them (see
     /// [`ReconIndex`]). [`SkipLog::ghr_at_start`] must already hold its
     /// final value — every PHT key hashes the running GHR seeded from it.
-    /// Same idempotence and fallback rules as [`SkipLog::seal_mem_index`].
+    /// Same idempotence rules as [`SkipLog::seal_mem_index`].
+    ///
+    /// # Panics
+    ///
+    /// If the log holds `u32::MAX` or more branch records.
     pub fn seal_branch_index(&mut self, geom: &ReconGeometry, pct: crate::policy::Pct) {
         let n = self.branches.len();
-        if self.truncated || n >= CHAIN_NONE as usize {
-            return;
-        }
         if self.index.as_deref().is_some_and(|ix| {
             ix.geom == *geom
                 && ix.br_sealed == Some(n)
@@ -1162,22 +1201,18 @@ impl SkipLog {
     /// [`SkipLog::seal_branch_index`]'s body over an *external* index,
     /// with the start GHR passed explicitly instead of read from
     /// [`SkipLog::ghr_at_start`] — a sweep replay computes it from its own
-    /// predictor while the shared log stays immutable. Returns whether the
-    /// branch side sealed; `ix` must already be keyed for `geom`.
+    /// predictor while the shared log stays immutable. `ix` must already
+    /// be keyed for `geom`.
     pub(crate) fn build_branch_index_into(
         &self,
         geom: &ReconGeometry,
         ghr_at_start: u64,
         pct: crate::policy::Pct,
         ix: &mut ReconIndex,
-    ) -> bool {
+    ) {
         debug_assert_eq!(ix.geom, *geom, "retarget the index before building");
         let n = self.branches.len();
-        if self.truncated || n >= CHAIN_NONE as usize {
-            ix.br_sealed = None;
-            ix.br_pct = None;
-            return false;
-        }
+        assert!(n < CHAIN_NONE as usize, "{n} branch records overflow a u32 record index");
         ix.pht_key.clear();
         ix.pht_key.reserve(n);
         let mask = (1u64 << geom.ghr_bits) - 1;
@@ -1294,7 +1329,6 @@ impl SkipLog {
         ix.ghr_start = ghr_at_start;
         ix.br_sealed = Some(n);
         ix.br_pct = Some(pct);
-        true
     }
 
     /// The sealed memory-side spans, if they still describe the current
@@ -1306,108 +1340,11 @@ impl SkipLog {
     }
 
     /// The sealed branch-side columns, if they still describe the current
-    /// columns and start GHR.
+    /// columns. Consumers must additionally verify the geometry, budget,
+    /// and [`ReconIndex::ghr_start`] before scanning.
     pub(crate) fn branch_index(&self) -> Option<&ReconIndex> {
         let ix = self.index.as_deref()?;
-        (ix.br_sealed == Some(self.branches.len()) && ix.ghr_start == self.ghr_at_start)
-            .then_some(ix)
-    }
-
-    /// Serializes the log to a compact binary stream (magic `RSRL`,
-    /// version 2): a fixed header carrying the stream flags, truncation
-    /// state, and accounting, then delta/varint-encoded records. Useful
-    /// for snapshotting skip regions to disk and reconstructing offline.
-    ///
-    /// Version 1 streams (fixed-width little-endian records) are still
-    /// readable by [`SkipLog::read_from`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the writer.
-    pub fn write_to<W: Write>(&self, mut w: W) -> io::Result<()> {
-        w.write_all(b"RSRL")?;
-        w.write_all(&2u16.to_le_bytes())?;
-        w.write_all(&[self.log_mem as u8, self.log_branches as u8, self.truncated as u8])?;
-        w.write_all(&self.ghr_at_start.to_le_bytes())?;
-        write_uv(&mut w, self.appended)?;
-        write_uv(&mut w, self.peak_bytes as u64)?;
-
-        write_uv(&mut w, self.mem_addr.len() as u64)?;
-        // Per-class previous addresses: fetch and data streams delta
-        // separately (each is far more local than their interleaving).
-        let mut prev_addr = [0u64; 2];
-        let mut prev_pc = 0u64;
-        for rec in self.mem_records() {
-            let cls = rec.is_inst as usize;
-            let ext = if rec.is_inst {
-                rec.pc != rec.addr
-            } else {
-                rec.next_pc != rec.pc.wrapping_add(4)
-            };
-            let flags = (rec.is_inst as u8) | ((rec.is_store as u8) << 1) | ((ext as u8) << 2);
-            w.write_all(&[flags])?;
-            write_uv(&mut w, zigzag(rec.addr.wrapping_sub(prev_addr[cls]) as i64))?;
-            prev_addr[cls] = rec.addr;
-            if ext {
-                write_uv(&mut w, rec.pc)?;
-                write_uv(&mut w, rec.next_pc)?;
-            } else if rec.is_inst {
-                // Usually sequential: next_pc == addr + 4 encodes as 0.
-                write_uv(
-                    &mut w,
-                    zigzag(rec.next_pc.wrapping_sub(rec.addr.wrapping_add(4)) as i64),
-                )?;
-            } else {
-                write_uv(&mut w, zigzag(rec.pc.wrapping_sub(prev_pc) as i64))?;
-            }
-            if !rec.is_inst {
-                prev_pc = rec.pc;
-            }
-        }
-
-        write_uv(&mut w, self.branches.len() as u64)?;
-        let mut prev_br_pc = 0u64;
-        for rec in self.branch_records() {
-            let derived = if rec.taken { rec.target } else { rec.pc.wrapping_add(4) };
-            let ext = rec.next_pc != derived;
-            let flags = (rec.taken as u8) | (kind_to_u8(rec.kind) << 1) | ((ext as u8) << 4);
-            w.write_all(&[flags])?;
-            write_uv(&mut w, zigzag(rec.pc.wrapping_sub(prev_br_pc) as i64))?;
-            write_uv(&mut w, zigzag(rec.target.wrapping_sub(rec.pc) as i64))?;
-            if ext {
-                write_uv(&mut w, rec.next_pc)?;
-            }
-            prev_br_pc = rec.pc;
-        }
-        Ok(())
-    }
-
-    /// Deserializes a log written by [`SkipLog::write_to`] — version 2
-    /// streams round-trip exactly (records, flags, truncation state,
-    /// [`SkipLog::appended`], and [`SkipLog::peak_bytes`]); version 1
-    /// streams are still accepted, with `appended` and `peak_bytes`
-    /// derived from the records (v1 carried neither) and truncation
-    /// cleared (a v1 writer never serialized a truncated log's state).
-    /// The budget is not serialized: it is a property of the run, so a
-    /// deserialized log is unbounded until [`SkipLog::set_budget`].
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidData` on a bad magic/version/enum byte, a flag
-    /// byte outside {0, 1}, or a truncated log that claims resident
-    /// records; propagates reader errors (including stream truncation).
-    pub fn read_from<R: Read>(mut r: R) -> io::Result<SkipLog> {
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)?;
-        if &magic != b"RSRL" {
-            return Err(invalid("bad skip-log magic"));
-        }
-        let version = read_u16(&mut r)?;
-        match version {
-            1 => read_v1(r),
-            2 => read_v2(r),
-            _ => Err(invalid(format!("unsupported skip-log version {version}"))),
-        }
+        (ix.br_sealed == Some(self.branches.len())).then_some(ix)
     }
 }
 
@@ -1491,179 +1428,6 @@ impl LogPool {
     }
 }
 
-fn invalid(msg: impl Into<Box<dyn std::error::Error + Send + Sync>>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
-}
-
-/// Validates a serialized boolean: flag bytes must be exactly 0 or 1.
-fn read_flag(byte: u8, what: &str) -> io::Result<bool> {
-    match byte {
-        0 => Ok(false),
-        1 => Ok(true),
-        other => Err(invalid(format!("bad {what} flag byte {other}"))),
-    }
-}
-
-fn read_v1<R: Read>(mut r: R) -> io::Result<SkipLog> {
-    let mut flags = [0u8; 2];
-    r.read_exact(&mut flags)?;
-    let log_mem = read_flag(flags[0], "log_mem")?;
-    let log_branches = read_flag(flags[1], "log_branches")?;
-    let ghr_at_start = read_u64(&mut r)?;
-    let mut log = SkipLog::new(log_mem, log_branches, ghr_at_start);
-    let n_mem = read_u64(&mut r)? as usize;
-    for _ in 0..n_mem {
-        let pc = read_u64(&mut r)?;
-        let next_pc = read_u64(&mut r)?;
-        let addr = read_u64(&mut r)?;
-        let mut fl = [0u8; 1];
-        r.read_exact(&mut fl)?;
-        if fl[0] > 3 {
-            return Err(invalid(format!("bad memory-record flag byte {}", fl[0])));
-        }
-        log.push_mem(pc, next_pc, addr, fl[0] & 1 != 0, fl[0] & 2 != 0);
-    }
-    let n_br = read_u64(&mut r)? as usize;
-    for _ in 0..n_br {
-        let pc = read_u64(&mut r)?;
-        let next_pc = read_u64(&mut r)?;
-        let target = read_u64(&mut r)?;
-        let mut kt = [0u8; 2];
-        r.read_exact(&mut kt)?;
-        let taken = read_flag(kt[1], "branch-taken")?;
-        log.push_branch(pc, next_pc, target, kind_from_u8(kt[0])?, taken);
-    }
-    // v1 carried no accounting: derive it from what was read (the peak of
-    // a freshly materialized, untruncated log is its resident size).
-    log.peak_bytes = log.bytes;
-    debug_assert_eq!(log.appended, (n_mem + n_br) as u64);
-    Ok(log)
-}
-
-fn read_v2<R: Read>(mut r: R) -> io::Result<SkipLog> {
-    let mut flags = [0u8; 3];
-    r.read_exact(&mut flags)?;
-    let log_mem = read_flag(flags[0], "log_mem")?;
-    let log_branches = read_flag(flags[1], "log_branches")?;
-    let truncated = read_flag(flags[2], "truncated")?;
-    let ghr_at_start = read_u64(&mut r)?;
-    let appended = read_uv(&mut r)?;
-    let peak_bytes = read_uv(&mut r)? as usize;
-    let mut log = SkipLog::new(log_mem, log_branches, ghr_at_start);
-
-    let n_mem = read_uv(&mut r)? as usize;
-    let mut prev_addr = [0u64; 2];
-    let mut prev_pc = 0u64;
-    for _ in 0..n_mem {
-        let mut fl = [0u8; 1];
-        r.read_exact(&mut fl)?;
-        if fl[0] > 7 {
-            return Err(invalid(format!("bad memory-record flag byte {}", fl[0])));
-        }
-        let is_inst = fl[0] & 1 != 0;
-        let is_store = fl[0] & 2 != 0;
-        let ext = fl[0] & 4 != 0;
-        let cls = is_inst as usize;
-        let addr = prev_addr[cls].wrapping_add(unzigzag(read_uv(&mut r)?) as u64);
-        prev_addr[cls] = addr;
-        let (pc, next_pc) = if ext {
-            (read_uv(&mut r)?, read_uv(&mut r)?)
-        } else if is_inst {
-            (addr, addr.wrapping_add(4).wrapping_add(unzigzag(read_uv(&mut r)?) as u64))
-        } else {
-            let pc = prev_pc.wrapping_add(unzigzag(read_uv(&mut r)?) as u64);
-            (pc, pc.wrapping_add(4))
-        };
-        if !is_inst {
-            prev_pc = pc;
-        }
-        log.push_mem(pc, next_pc, addr, is_inst, is_store);
-    }
-
-    let n_br = read_uv(&mut r)? as usize;
-    let mut prev_br_pc = 0u64;
-    for _ in 0..n_br {
-        let mut fl = [0u8; 1];
-        r.read_exact(&mut fl)?;
-        if fl[0] & !0x1f != 0 {
-            return Err(invalid(format!("bad branch-record flag byte {}", fl[0])));
-        }
-        let taken = fl[0] & 1 != 0;
-        let kind = kind_from_u8((fl[0] >> 1) & 7)?;
-        let ext = fl[0] & 0x10 != 0;
-        let pc = prev_br_pc.wrapping_add(unzigzag(read_uv(&mut r)?) as u64);
-        prev_br_pc = pc;
-        let target = pc.wrapping_add(unzigzag(read_uv(&mut r)?) as u64);
-        let next_pc = if ext {
-            read_uv(&mut r)?
-        } else if taken {
-            target
-        } else {
-            pc.wrapping_add(4)
-        };
-        log.push_branch(pc, next_pc, target, kind, taken);
-    }
-
-    if truncated && (n_mem != 0 || n_br != 0) {
-        return Err(invalid("truncated skip-log stream claims resident records"));
-    }
-    log.truncated = truncated;
-    log.appended = appended.max(log.appended);
-    log.peak_bytes = peak_bytes.max(log.bytes);
-    Ok(log)
-}
-
-fn read_u16<R: Read>(r: &mut R) -> io::Result<u16> {
-    let mut b = [0u8; 2];
-    r.read_exact(&mut b)?;
-    Ok(u16::from_le_bytes(b))
-}
-
-fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-/// LEB128 unsigned varint.
-fn write_uv<W: Write>(w: &mut W, mut v: u64) -> io::Result<()> {
-    loop {
-        let b = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            return w.write_all(&[b]);
-        }
-        w.write_all(&[b | 0x80])?;
-    }
-}
-
-fn read_uv<R: Read>(r: &mut R) -> io::Result<u64> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let mut b = [0u8; 1];
-        r.read_exact(&mut b)?;
-        let low = (b[0] & 0x7f) as u64;
-        if shift > 63 || (shift == 63 && low > 1) {
-            return Err(invalid("varint overflows u64"));
-        }
-        v |= low << shift;
-        if b[0] & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-    }
-}
-
-/// Zigzag encoding maps small signed deltas to small unsigned varints.
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
 fn kind_to_u8(kind: CtrlKind) -> u8 {
     match kind {
         CtrlKind::CondBranch => 0,
@@ -1673,18 +1437,6 @@ fn kind_to_u8(kind: CtrlKind) -> u8 {
         CtrlKind::Return => 4,
         CtrlKind::IndirectJump => 5,
     }
-}
-
-fn kind_from_u8(v: u8) -> io::Result<CtrlKind> {
-    Ok(match v {
-        0 => CtrlKind::CondBranch,
-        1 => CtrlKind::Jump,
-        2 => CtrlKind::Call,
-        3 => CtrlKind::IndirectCall,
-        4 => CtrlKind::Return,
-        5 => CtrlKind::IndirectJump,
-        other => return Err(invalid(format!("bad control-kind byte {other}"))),
-    })
 }
 
 /// Decodes the kind bits of an in-memory meta byte (always valid: they
@@ -1889,152 +1641,6 @@ mod tests {
         let log = SkipLog::from_records(mem.clone(), branches.clone(), 7);
         assert_eq!(log.mem_records().collect::<Vec<_>>(), mem);
         assert_eq!(log.branch_records().collect::<Vec<_>>(), branches);
-        // And the v2 serialization of these still round-trips exactly.
-        let mut bytes = Vec::new();
-        log.write_to(&mut bytes).unwrap();
-        let back = SkipLog::read_from(bytes.as_slice()).unwrap();
-        assert_eq!(back.mem_records().collect::<Vec<_>>(), mem);
-        assert_eq!(back.branch_records().collect::<Vec<_>>(), branches);
-    }
-
-    #[test]
-    fn serialization_roundtrips() {
-        let log = run_logged(
-            |a| {
-                let buf = a.data_zeros(128);
-                a.la(Reg::S0, buf);
-                a.li(Reg::T0, 5);
-                let top = a.bind_new("top");
-                a.sd(Reg::T0, 0, Reg::S0);
-                a.ld(Reg::T1, 0, Reg::S0);
-                a.addi(Reg::T0, Reg::T0, -1);
-                a.bne(Reg::T0, Reg::ZERO, top);
-                a.halt();
-            },
-            200,
-        );
-        let mut bytes = Vec::new();
-        log.write_to(&mut bytes).unwrap();
-        // The delta/varint stream undercuts even the packed resident size.
-        assert!(bytes.len() < log.approx_bytes());
-        let back = SkipLog::read_from(bytes.as_slice()).unwrap();
-        assert_eq!(back.mem_records().collect::<Vec<_>>(), log.mem_records().collect::<Vec<_>>());
-        assert_eq!(
-            back.branch_records().collect::<Vec<_>>(),
-            log.branch_records().collect::<Vec<_>>()
-        );
-        assert_eq!(back.ghr_at_start, log.ghr_at_start);
-        // Accounting survives the round-trip (the v1 reader lost it).
-        assert_eq!(back.appended(), log.appended());
-        assert_eq!(back.peak_bytes(), log.peak_bytes());
-        assert!(!back.truncated());
-    }
-
-    #[test]
-    fn truncated_log_roundtrips_its_accounting() {
-        let mut a = Asm::new();
-        let buf = a.data_zeros(4096);
-        a.la(Reg::S0, buf);
-        a.li(Reg::T0, 200);
-        let top = a.bind_new("top");
-        a.sd(Reg::T0, 0, Reg::S0);
-        a.addi(Reg::S0, Reg::S0, 8);
-        a.addi(Reg::T0, Reg::T0, -1);
-        a.bne(Reg::T0, Reg::ZERO, top);
-        a.halt();
-        let p = a.finish().unwrap();
-        let mut cpu = Cpu::new(&p).unwrap();
-        let mut log = SkipLog::new(true, true, 0);
-        log.set_budget(Some(256));
-        while !cpu.halted() {
-            let r = cpu.step().unwrap();
-            log.record(&r);
-        }
-        assert!(log.truncated());
-        let mut bytes = Vec::new();
-        log.write_to(&mut bytes).unwrap();
-        let back = SkipLog::read_from(bytes.as_slice()).unwrap();
-        assert!(back.truncated());
-        assert!(back.is_empty());
-        assert_eq!(back.appended(), log.appended());
-        assert_eq!(back.peak_bytes(), log.peak_bytes());
-    }
-
-    #[test]
-    fn v1_streams_still_readable() {
-        // Hand-encode the version-1 fixed-width layout and check the
-        // reader accepts it, including deriving the accounting v1 never
-        // carried.
-        let mem = [
-            MemRecord { pc: 0x1000, next_pc: 0x1004, addr: 0x1000, is_inst: true, is_store: false },
-            MemRecord { pc: 0x1004, next_pc: 0x1008, addr: 0x8000, is_inst: false, is_store: true },
-        ];
-        let branches = [BranchRecord {
-            pc: 0x1008,
-            next_pc: 0x2000,
-            target: 0x2000,
-            kind: CtrlKind::Jump,
-            taken: true,
-        }];
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(b"RSRL");
-        bytes.extend_from_slice(&1u16.to_le_bytes());
-        bytes.extend_from_slice(&[1u8, 1u8]);
-        bytes.extend_from_slice(&0xabcdu64.to_le_bytes());
-        bytes.extend_from_slice(&(mem.len() as u64).to_le_bytes());
-        for m in &mem {
-            bytes.extend_from_slice(&m.pc.to_le_bytes());
-            bytes.extend_from_slice(&m.next_pc.to_le_bytes());
-            bytes.extend_from_slice(&m.addr.to_le_bytes());
-            bytes.push((m.is_inst as u8) | ((m.is_store as u8) << 1));
-        }
-        bytes.extend_from_slice(&(branches.len() as u64).to_le_bytes());
-        for b in &branches {
-            bytes.extend_from_slice(&b.pc.to_le_bytes());
-            bytes.extend_from_slice(&b.next_pc.to_le_bytes());
-            bytes.extend_from_slice(&b.target.to_le_bytes());
-            bytes.push(kind_to_u8(b.kind));
-            bytes.push(b.taken as u8);
-        }
-        let log = SkipLog::read_from(bytes.as_slice()).unwrap();
-        assert_eq!(log.mem_records().collect::<Vec<_>>(), mem);
-        assert_eq!(log.branch_records().collect::<Vec<_>>(), branches);
-        assert_eq!(log.ghr_at_start, 0xabcd);
-        assert_eq!(log.appended(), 3);
-        assert_eq!(log.peak_bytes(), log.approx_bytes());
-        assert!(!log.truncated());
-
-        // Flag bytes outside {0, 1} are data corruption, not booleans.
-        let mut bad = bytes.clone();
-        bad[6] = 2;
-        assert!(SkipLog::read_from(bad.as_slice()).is_err());
-    }
-
-    #[test]
-    fn bad_inputs_rejected() {
-        assert!(SkipLog::read_from(&b"NOPE"[..]).is_err());
-        assert!(SkipLog::read_from(&b"RSRL"[..]).is_err(), "truncated header");
-        // Valid header, truncated body.
-        let log = run_logged(
-            |a| {
-                let buf = a.data_zeros(16);
-                a.la(Reg::S0, buf);
-                a.ld(Reg::T0, 0, Reg::S0);
-                a.halt();
-            },
-            10,
-        );
-        let mut bytes = Vec::new();
-        log.write_to(&mut bytes).unwrap();
-        assert!(SkipLog::read_from(&bytes[..bytes.len() - 3]).is_err());
-        // A v2 flag byte outside {0, 1} is rejected, not reinterpreted.
-        let mut bad = bytes.clone();
-        bad[6] = 0xff;
-        assert!(SkipLog::read_from(bad.as_slice()).is_err());
-        // A "truncated" stream that still claims records is inconsistent.
-        let mut lying = bytes.clone();
-        lying[8] = 1;
-        assert!(SkipLog::read_from(lying.as_slice()).is_err());
     }
 
     #[test]

@@ -1,33 +1,34 @@
 //! Reverse State Reconstruction — the paper's contribution (§3).
 //!
-//! * [`reconstruct_caches`]: §3.1 — scan the logged reference stream
-//!   newest-first and repair L1I/L1D/L2 state, skipping references whose
-//!   set is already complete (ineffectual instructions isolated with no
-//!   profiling).
-//! * [`reconstruct_caches_partitioned`]: the same scan through the log's
-//!   sealed per-set index spans ([`crate::ReconGeometry`]) — per-set early
-//!   exit, optionally parallel over set ranges, bit-identical counters
-//!   and state.
+//! * [`reconstruct_caches_partitioned`]: §3.1 — scan the logged reference
+//!   stream newest-first and repair L1I/L1D/L2 state, skipping references
+//!   whose set is already complete (ineffectual instructions isolated with
+//!   no profiling). The scan walks the log's sealed per-set index spans
+//!   ([`crate::ReconGeometry`]) with per-set early exit, optionally
+//!   parallel over set ranges.
 //! * [`BpReconstructor`]: §3.2 — rebuild the global history register and
 //!   the return address stack eagerly, then reconstruct PHT counters (via
 //!   reverse-history inference) and BTB entries *on demand* as the next
 //!   cluster's branches probe them, resuming one shared reverse cursor so
 //!   the log is never rescanned from the start.
+//!
+//! Both run through a sealed index only. A log that is unsealed, stale, or
+//! sealed for another geometry is sealed into local scratch first, so
+//! there is exactly one reconstruction path; the sequential full scan it
+//! must reproduce lives with the tests as an oracle.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
 use std::time::Instant;
 
-use rsr_branch::{
-    Counter2, CounterInference, PredCtrlKind, Predictor, RasOp, StateMap, PACKED_IDENTITY,
-};
-use rsr_cache::{Cache, MemHierarchy, ReconOutcome, ReconSetSlice};
+use rsr_branch::{Counter2, PredCtrlKind, Predictor, RasOp, StateMap, PACKED_IDENTITY};
+use rsr_cache::{Cache, MemHierarchy, ReconSetSlice};
 use rsr_isa::{Addr, CtrlKind};
 use rsr_timing::PredictHook;
 
 use crate::log::{
     ReconIndex, BR_F_BTB_LW, BR_F_COND, BR_F_PHT_DEAD, BR_F_PHT_FLUSH_LW, BR_F_PHT_RESOLVE,
 };
-use crate::{Pct, SkipLog};
+use crate::{Pct, ReconGeometry, SkipLog};
 
 /// Counters describing one region's reconstruction work (for the paper's
 /// storage-for-speed accounting and the ablation benches).
@@ -81,8 +82,7 @@ impl ReconStats {
 /// regressions can be attributed.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct ReconTiming {
-    /// Reverse scan time repairing the L1I + L1D (for the fused
-    /// sequential fallback, the whole interleaved scan lands here).
+    /// Reverse scan time repairing the L1I + L1D.
     pub l1_ns: u64,
     /// Reverse scan time repairing the unified L2.
     pub l2_ns: u64,
@@ -100,46 +100,6 @@ impl ReconTiming {
         self.pht_ns += other.pht_ns;
         self.btb_ns += other.btb_ns;
     }
-}
-
-/// Reverse cache reconstruction (§3.1) over the last `pct` of the logged
-/// reference stream. Instruction records repair the L1I, data records the
-/// L1D, and both repair the unified L2; the scan stops early once every
-/// set of every level is reconstructed.
-pub fn reconstruct_caches(hier: &mut MemHierarchy, log: &SkipLog, pct: Pct) -> ReconStats {
-    let mut stats = ReconStats::default();
-    hier.begin_reconstruction();
-    let budget = pct.of(log.mem_len());
-    // Completion flags per level: once a level is fully reconstructed,
-    // further probes of it are pure no-ops (`SetComplete`), so they are
-    // counted as ignored without touching the cache at all.
-    let mut l1i_done = hier.l1i.fully_reconstructed();
-    let mut l1d_done = hier.l1d.fully_reconstructed();
-    let mut l2_done = hier.l2.fully_reconstructed();
-    for (addr, is_inst) in log.mem_refs_rev().take(budget) {
-        if l1i_done && l1d_done && l2_done {
-            break;
-        }
-        stats.mem_scanned += 1;
-        let (l1, l1_done) =
-            if is_inst { (&mut hier.l1i, &mut l1i_done) } else { (&mut hier.l1d, &mut l1d_done) };
-        // Per the paper, WTNA caches allocate logged writes exactly like
-        // reads ("the block is allocated even if the access is a write").
-        for (cache, done) in [(l1, l1_done), (&mut hier.l2, &mut l2_done)] {
-            if *done {
-                stats.cache_ignored += 1;
-                continue;
-            }
-            match cache.reconstruct_ref(addr) {
-                ReconOutcome::Inserted => stats.cache_inserted += 1,
-                ReconOutcome::MarkedPresent => stats.cache_marked += 1,
-                ReconOutcome::Redundant | ReconOutcome::SetComplete => stats.cache_ignored += 1,
-            }
-            *done = cache.fully_reconstructed();
-        }
-    }
-    hier.finish_reconstruction();
-    stats
 }
 
 /// Scanned-record budget below which the partitioned walk stays
@@ -231,14 +191,20 @@ fn walk_cache(
     })
 }
 
-fn geom_matches_hier(ix: &ReconIndex, hier: &MemHierarchy) -> bool {
-    let g = &ix.geom;
-    g.l1i_sets == hier.l1i.num_sets()
-        && g.l1i_line_shift == hier.l1i.line_shift()
-        && g.l1d_sets == hier.l1d.num_sets()
-        && g.l1d_line_shift == hier.l1d.line_shift()
-        && g.l2_sets == hier.l2.num_sets()
-        && g.l2_line_shift == hier.l2.line_shift()
+/// The memory-side geometry of `hier`: the key its index must be sealed
+/// under. The branch fields stay zero, since a memory-side build never
+/// reads them.
+fn hier_geometry(hier: &MemHierarchy) -> ReconGeometry {
+    ReconGeometry {
+        l1i_sets: hier.l1i.num_sets(),
+        l1i_line_shift: hier.l1i.line_shift(),
+        l1d_sets: hier.l1d.num_sets(),
+        l1d_line_shift: hier.l1d.line_shift(),
+        l2_sets: hier.l2.num_sets(),
+        l2_line_shift: hier.l2.line_shift(),
+        ghr_bits: 0,
+        btb_entries: 0,
+    }
 }
 
 /// Reverse cache reconstruction (§3.1) through the log's sealed
@@ -248,16 +214,21 @@ fn geom_matches_hier(ix: &ReconIndex, hier: &MemHierarchy) -> bool {
 /// the shared core budget so shard, pipeline, and reconstruction threads
 /// never oversubscribe).
 ///
-/// Counters and final cache state are **bit-identical** to
-/// [`reconstruct_caches`]: span order per set equals the sequential
-/// scan's per-set subsequence, mutations only ever happen before the
-/// sequential scan's stopping point, and the scan-length accounting is
-/// reconstructed from the per-set completion offsets (see DESIGN.md §11
-/// for the argument). A log without a usable index — unsealed, stale,
-/// truncated, geometry mismatch, or ≥ `u32::MAX` records — falls back to
-/// the sequential scan.
+/// Counters and final cache state are **bit-identical** to the sequential
+/// newest-first full scan the paper describes: span order per set equals
+/// that scan's per-set subsequence, mutations only ever happen before its
+/// stopping point, and the scan-length accounting is reconstructed from
+/// the per-set completion offsets (see DESIGN.md §11 for the argument).
+/// A log whose memory-side seal is missing, stale, or keyed for another
+/// geometry is sealed into local scratch first.
 ///
-/// Returns per-structure wall time alongside the counters.
+/// Returns per-structure wall time alongside the counters (sealing is not
+/// counted).
+///
+/// # Panics
+///
+/// If the log holds `u32::MAX` or more memory records (see
+/// [`SkipLog::seal_mem_index`]).
 pub fn reconstruct_caches_partitioned(
     hier: &mut MemHierarchy,
     log: &SkipLog,
@@ -271,7 +242,7 @@ pub fn reconstruct_caches_partitioned(
 /// the sweep engine's entry point, where the sealed log is shared
 /// (immutable) across configurations and each replay builds its own
 /// per-geometry index into external scratch. The geometry check and the
-/// no-index fallback are applied here, so both entry points run the exact
+/// on-the-spot seal are applied here, so both entry points run the exact
 /// same code on the exact same inputs.
 pub(crate) fn reconstruct_caches_partitioned_with(
     hier: &mut MemHierarchy,
@@ -280,13 +251,18 @@ pub(crate) fn reconstruct_caches_partitioned_with(
     pct: Pct,
     recon_threads: usize,
 ) -> (ReconStats, ReconTiming) {
-    let mut timing = ReconTiming::default();
-    let Some(ix) = index.filter(|ix| geom_matches_hier(ix, hier)) else {
-        let t = Instant::now();
-        let stats = reconstruct_caches(hier, log, pct);
-        timing.l1_ns = t.elapsed().as_nanos() as u64;
-        return (stats, timing);
+    let geom = hier_geometry(hier);
+    let local;
+    let ix = match index.filter(|ix| ix.geom.mem_key() == geom.mem_key()) {
+        Some(ix) => ix,
+        None => {
+            let mut ix = ReconIndex::new(geom);
+            log.build_mem_index_into(&geom, &mut ix);
+            local = ix;
+            &local
+        }
     };
+    let mut timing = ReconTiming::default();
     let n = log.mem_len();
     let budget = pct.of(n);
     let cut = n - budget;
@@ -340,43 +316,58 @@ pub struct BpReconstructor<'log> {
     /// The region's log (packed branch records are materialized only as
     /// the scan demands them).
     log: &'log SkipLog,
-    /// The log's sealed branch-side index, when one exists for this
-    /// predictor's geometry: the per-record PHT keys and the final GHR
-    /// were then computed at seal time, replacing the per-reconstructor
-    /// forward pass (and its 8-bytes-per-record `ghr_before` column).
-    index: Option<&'log ReconIndex>,
-    /// GHR value seen by record *i* (used for its PHT index) — legacy
-    /// unindexed mode only; empty when `index` is set.
-    ghr_before: Vec<u64>,
+    /// The branch-side index the scan runs over: the per-record PHT keys,
+    /// scan flags and inference states, and the final GHR. Borrowed from
+    /// the caller when its seal matches this predictor, budget, and start
+    /// GHR; otherwise built on the spot and owned here.
+    index: Cow<'log, ReconIndex>,
     /// Reverse records consumed so far.
     consumed: usize,
     /// Maximum reverse records the scan may consume.
     budget: usize,
-    /// In-progress counter inferences keyed by PHT index — legacy
-    /// unindexed mode only; the indexed scan carries them in `pht_live`.
-    inferences: HashMap<usize, CounterInference>,
-    /// Indexed mode: per-key packed inference state, stored XOR
-    /// [`PACKED_IDENTITY`] so zero means "no in-progress inference". The
-    /// sealed `pht_state` column supplies each feed's composed state
-    /// directly (marks are monotonic, so the incremental state at any
-    /// performed feed is the pure log-suffix composition sealed there) —
-    /// this array only remembers the *latest* fed state per key for the
-    /// exhaustion flush.
+    /// Per-key packed inference state, stored XOR [`PACKED_IDENTITY`] so
+    /// zero means "no in-progress inference". The sealed `pht_state`
+    /// column supplies each feed's composed state directly (marks are
+    /// monotonic, so the incremental state at any performed feed is the
+    /// pure log-suffix composition sealed there) — this array only
+    /// remembers the *latest* fed state per key for the exhaustion flush.
     pht_live: Vec<u8>,
     /// Keys with a `pht_live` entry, in first-fed order (flush worklist).
     touched: Vec<u32>,
     /// Cursor into the sealed hot worklist (`ReconIndex::br_hot`):
-    /// position of the newest flagged record not yet consumed. Indexed
-    /// mode only.
+    /// position of the newest flagged record not yet consumed.
     hot_pos: usize,
     exhausted: bool,
     stats: ReconStats,
     timing: ReconTiming,
 }
 
+/// The branch-side geometry of `pred`: the key its index must be sealed
+/// under. The cache fields stay zero, since a branch-side build never
+/// reads them.
+fn pred_geometry(pred: &Predictor) -> ReconGeometry {
+    ReconGeometry {
+        l1i_sets: 0,
+        l1i_line_shift: 0,
+        l1d_sets: 0,
+        l1d_line_shift: 0,
+        l2_sets: 0,
+        l2_line_shift: 0,
+        ghr_bits: pred.gshare.hist_bits(),
+        btb_entries: pred.btb.num_entries(),
+    }
+}
+
 impl<'log> BpReconstructor<'log> {
     /// Prepares on-demand reconstruction for one skip region: clears
-    /// reconstructed bits, rebuilds the GHR and the RAS.
+    /// reconstructed bits, rebuilds the GHR and the RAS. A log whose
+    /// branch-side seal is missing, stale, or keyed for another geometry,
+    /// budget, or start GHR is sealed into owned scratch first.
+    ///
+    /// # Panics
+    ///
+    /// If the log holds `u32::MAX` or more branch records (see
+    /// [`SkipLog::seal_branch_index`]).
     pub fn new(pred: &mut Predictor, log: &'log SkipLog, pct: Pct) -> BpReconstructor<'log> {
         BpReconstructor::with_index(pred, log, log.branch_index(), log.ghr_at_start, pct)
     }
@@ -386,8 +377,8 @@ impl<'log> BpReconstructor<'log> {
     /// shared (immutable) across configurations, each replay builds its
     /// branch index into external scratch, and the start GHR comes from
     /// the replay's own predictor instead of the log's `ghr_at_start`
-    /// field. The geometry filter and the unindexed forward-pass fallback
-    /// are applied here, identically for both entry points.
+    /// field. The seal check and the on-the-spot seal are applied here,
+    /// identically for both entry points.
     pub(crate) fn with_index(
         pred: &mut Predictor,
         log: &'log SkipLog,
@@ -401,39 +392,27 @@ impl<'log> BpReconstructor<'log> {
         let n = log.branch_len();
         let budget = pct.of(n);
 
-        // A sealed index keyed for this exact predictor geometry *and*
-        // scan budget already holds the GHR forward pass; anything else
-        // recomputes it here. (The budget must match because the sealed
-        // flush last-writer bits are placed relative to the budget
-        // window; see `BR_F_PHT_FLUSH_LW`.)
-        let index = index.filter(|ix| {
-            ix.geom.ghr_bits == pred.gshare.hist_bits()
-                && ix.geom.btb_entries == pred.btb.num_entries()
+        // The seal is usable only for this exact predictor geometry, scan
+        // budget, and start GHR: every PHT key hashes the running GHR, and
+        // the flush last-writer bits are placed relative to the budget
+        // window (see `BR_F_PHT_FLUSH_LW`).
+        let geom = pred_geometry(pred);
+        let index = match index.filter(|ix| {
+            ix.geom.ghr_bits == geom.ghr_bits
+                && ix.geom.btb_entries == geom.btb_entries
                 && ix.br_pct == Some(pct)
-        });
-        let mut ghr_before = Vec::new();
-        let ghr = match index {
-            Some(ix) => ix.ghr_final,
+                && ix.ghr_start == ghr_at_start
+        }) {
+            Some(ix) => Cow::Borrowed(ix),
             None => {
-                // GHR evolution through the region (conditional outcomes
-                // only). This forward pass reads only the packed meta
-                // column.
-                ghr_before.reserve(n);
-                let mut ghr = ghr_at_start;
-                let mask = pred.gshare.ghr_mask();
-                for i in 0..n {
-                    ghr_before.push(ghr);
-                    let (kind, taken) = log.branch_kind_taken(i);
-                    if kind == CtrlKind::CondBranch {
-                        ghr = ((ghr << 1) | taken as u64) & mask;
-                    }
-                }
-                ghr
+                let mut ix = ReconIndex::new(geom);
+                log.build_branch_index_into(&geom, ghr_at_start, pct, &mut ix);
+                Cow::Owned(ix)
             }
         };
         // "The global history register must first be reconstructed using
         // the last n branches of the skip-region trace."
-        pred.gshare.set_ghr(ghr);
+        pred.gshare.set_ghr(index.ghr_final);
 
         // RAS reconstruction (Figure 4), newest-first within the budget.
         let ras_ops = (0..n).rev().take(budget).filter_map(|i| match log.branch_kind_taken(i).0 {
@@ -446,17 +425,11 @@ impl<'log> BpReconstructor<'log> {
         BpReconstructor {
             log,
             index,
-            ghr_before,
             consumed: 0,
             budget,
-            inferences: HashMap::new(),
             // One zeroed byte per PHT entry (a fresh `vec!` of zeros is a
             // calloc — the kernel hands back zero pages, no memset walk).
-            pht_live: if index.is_some() {
-                vec![0u8; pred.gshare.num_entries()]
-            } else {
-                Vec::new()
-            },
+            pht_live: vec![0u8; pred.gshare.num_entries()],
             touched: Vec::new(),
             hot_pos: 0,
             exhausted: false,
@@ -496,10 +469,7 @@ impl<'log> BpReconstructor<'log> {
         let i = self.log.branch_len() - 1 - self.consumed;
         self.consumed += 1;
         self.stats.branch_scanned += 1;
-        match self.index {
-            Some(ix) => self.step_indexed(pred, ix, i),
-            None => self.step_legacy(pred, i),
-        }
+        self.step_indexed(pred, i);
         true
     }
 
@@ -508,7 +478,8 @@ impl<'log> BpReconstructor<'log> {
     /// per-feed composition (the sealed `pht_state` already holds it), and
     /// the BTB probed only at last-writer records (every other taken
     /// record is a proven no-op; see `BR_F_BTB_LW`).
-    fn step_indexed(&mut self, pred: &mut Predictor, ix: &ReconIndex, i: usize) {
+    fn step_indexed(&mut self, pred: &mut Predictor, i: usize) {
+        let ix = &*self.index;
         let flags = ix.br_flags[i];
         if flags & (BR_F_COND | BR_F_PHT_DEAD) == BR_F_COND {
             let idx = ix.pht_key[i] as usize;
@@ -537,80 +508,42 @@ impl<'log> BpReconstructor<'log> {
         }
     }
 
-    /// One scan step of the unindexed fallback: decode the meta column and
-    /// run the incremental inference (the reference semantics the indexed
-    /// path must reproduce bit-for-bit).
-    fn step_legacy(&mut self, pred: &mut Predictor, i: usize) {
-        let (kind, taken) = self.log.branch_kind_taken(i);
-        if kind == CtrlKind::CondBranch {
-            let idx = pred.gshare.index_with(self.log.branch_pc(i), self.ghr_before[i]);
-            if !pred.gshare.is_reconstructed(idx) {
-                let inf = self.inferences.entry(idx).or_default();
-                inf.prepend(taken);
-                if let Some(c) = inf.resolved() {
-                    pred.gshare.set_counter(idx, c);
-                    pred.gshare.mark_reconstructed(idx);
-                    self.inferences.remove(&idx);
-                    self.stats.pht_exact += 1;
-                }
-            }
-        }
-        if taken && pred.btb.reconstruct(self.log.branch_pc(i), self.log.branch_target(i)) {
-            self.stats.btb_reconstructed += 1;
-        }
-    }
-
     /// Budget exhausted: every in-progress inference flushes its best
     /// guess. Deliberately bug-compatible with the original drain: keys
     /// the cluster marked *after* their last feed are overwritten anyway
     /// (the flushed guess wins over the committed counter), because the
     /// committed baselines pin that behavior.
     fn flush_inferences(&mut self, pred: &mut Predictor) {
-        if self.index.is_some() {
-            // `resolve()` over a range is a pure function of the packed
-            // state byte — a one-time 256-entry table turns the per-key
-            // unpack/compose/resolve chain into a single L1 load on this
-            // hot flush path (one lookup per guessed entry, ~40 % of all
-            // logged conditionals). Encoding: 0 = stale, else counter+1.
-            static RESOLVE_LUT: std::sync::LazyLock<[u8; 256]> = std::sync::LazyLock::new(|| {
-                std::array::from_fn(|raw| {
-                    match StateMap::from_packed(raw as u8).range().resolve() {
-                        Some(c) => c.value() + 1,
-                        None => 0,
-                    }
-                })
-            });
-            let lut = &*RESOLVE_LUT;
-            let touched = std::mem::take(&mut self.touched);
-            for &k in &touched {
-                let raw = self.pht_live[k as usize];
-                if raw == 0 {
-                    continue; // resolved exactly mid-scan
-                }
-                match lut[(raw ^ PACKED_IDENTITY) as usize] {
-                    0 => self.stats.pht_stale += 1,
-                    c => {
-                        pred.gshare.set_counter(k as usize, Counter2::new(c - 1));
-                        self.stats.pht_guessed += 1;
-                    }
-                }
-                pred.gshare.mark_reconstructed(k as usize);
+        // `resolve()` over a range is a pure function of the packed state
+        // byte — a one-time 256-entry table turns the per-key
+        // unpack/compose/resolve chain into a single L1 load on this hot
+        // flush path (one lookup per guessed entry, ~40 % of all logged
+        // conditionals). Encoding: 0 = stale, else counter+1.
+        static RESOLVE_LUT: std::sync::LazyLock<[u8; 256]> = std::sync::LazyLock::new(|| {
+            std::array::from_fn(|raw| match StateMap::from_packed(raw as u8).range().resolve() {
+                Some(c) => c.value() + 1,
+                None => 0,
+            })
+        });
+        let lut = &*RESOLVE_LUT;
+        let touched = std::mem::take(&mut self.touched);
+        for &k in &touched {
+            let raw = self.pht_live[k as usize];
+            if raw == 0 {
+                continue; // resolved exactly mid-scan
             }
-        } else {
-            for (idx, inf) in self.inferences.drain() {
-                match inf.best_guess() {
-                    Some(c) => {
-                        pred.gshare.set_counter(idx, c);
-                        self.stats.pht_guessed += 1;
-                    }
-                    None => self.stats.pht_stale += 1,
+            match lut[(raw ^ PACKED_IDENTITY) as usize] {
+                0 => self.stats.pht_stale += 1,
+                c => {
+                    pred.gshare.set_counter(k as usize, Counter2::new(c - 1));
+                    self.stats.pht_guessed += 1;
                 }
-                pred.gshare.mark_reconstructed(idx);
             }
+            pred.gshare.mark_reconstructed(k as usize);
         }
     }
 
-    /// Runs the indexed demand scan by hopping the sealed hot worklist
+    /// Runs the demand scan by hopping the sealed hot worklist
     /// ([`ReconIndex::br_hot`]): the seal proved every unlisted record in
     /// the window is a no-op at scan time (dead conditionals find their
     /// key already marked; unresolved feeds other than the per-key flush
@@ -624,12 +557,8 @@ impl<'log> BpReconstructor<'log> {
     /// stops, exactly as the per-record loop did), and the jump
     /// accounting sums to the same consumed/scanned totals.
     /// Returns whether `done` held before the budget ran out.
-    fn scan_indexed(
-        &mut self,
-        pred: &mut Predictor,
-        ix: &'log ReconIndex,
-        done: &impl Fn(&Predictor) -> bool,
-    ) -> bool {
+    fn scan_indexed(&mut self, pred: &mut Predictor, done: &impl Fn(&Predictor) -> bool) -> bool {
+        let ix = &*self.index;
         let len = self.log.branch_len();
         let keys = ix.pht_key.as_slice();
         let states = ix.pht_state.as_slice();
@@ -701,24 +630,11 @@ impl<'log> BpReconstructor<'log> {
         }
         self.stats.demand_scans += 1;
         let t = Instant::now();
-        let finished = match self.index {
-            Some(ix) => {
-                let finished = self.scan_indexed(pred, ix, &done);
-                if !finished && !self.exhausted {
-                    self.exhausted = true;
-                    self.flush_inferences(pred);
-                }
-                finished
-            }
-            None => loop {
-                if !self.step_scan(pred) {
-                    break false;
-                }
-                if done(pred) {
-                    break true;
-                }
-            },
-        };
+        let finished = self.scan_indexed(pred, &done);
+        if !finished && !self.exhausted {
+            self.exhausted = true;
+            self.flush_inferences(pred);
+        }
         if !finished {
             // Budget exhausted without evidence: the entry keeps its
             // stale content, marked so it is never demanded again.
@@ -807,7 +723,7 @@ mod tests {
         for k in 0..200u64 {
             log.record(&mem_retired(k, 0x1_0000 + (k % 4) * 4, 0x40_0000 + k * 64, false));
         }
-        let stats = reconstruct_caches(&mut hier, &log, Pct::new(100));
+        let (stats, _) = reconstruct_caches_partitioned(&mut hier, &log, Pct::new(100), 1);
         assert!(stats.cache_inserted > 0);
         // The touched lines must now be present in L1D and L2.
         assert!(hier.l1d.probe(0x40_0000 + 199 * 64));
@@ -824,7 +740,7 @@ mod tests {
             log.record(&mem_retired(k, 0x1_0000, 0x40_0000 + k * 64, false));
         }
         let n_mem = log.mem_len();
-        let stats = reconstruct_caches(&mut hier, &log, Pct::new(20));
+        let (stats, _) = reconstruct_caches_partitioned(&mut hier, &log, Pct::new(20), 1);
         assert!(stats.mem_scanned <= Pct::new(20).of(n_mem) as u64);
         // Newest references are reconstructed, oldest are not.
         assert!(hier.l1d.probe(0x40_0000 + 999 * 64));
@@ -838,7 +754,7 @@ mod tests {
         let mut hier = MemHierarchy::new(HierarchyConfig::paper());
         let mut log = SkipLog::new(true, false, 0);
         log.record(&mem_retired(0, 0x1_0000, 0x7000, true));
-        reconstruct_caches(&mut hier, &log, Pct::new(100));
+        reconstruct_caches_partitioned(&mut hier, &log, Pct::new(100), 1);
         assert!(hier.l1d.probe(0x7000));
     }
 

@@ -19,7 +19,7 @@ use rsr_cache::{HierAccess, HierarchyConfig, MemHierarchy};
 use rsr_func::{Cpu, ExecError, LoadError, Retired};
 use rsr_isa::{CtrlKind, Program};
 use rsr_stats::ClusterSample;
-use rsr_timing::{simulate_cluster, simulate_cluster_hooked, CoreConfig, HotStats, NoHook};
+use rsr_timing::{simulate_cluster, simulate_cluster_hooked, CoreConfig, HotStats};
 
 use crate::fault::FaultInjector;
 use crate::log::{LogPool, ReconGeometry, ReconIndex};
@@ -432,8 +432,9 @@ pub(crate) fn policy_decouples(policy: WarmupPolicy) -> bool {
 /// [`SkipLog::branch_index`]); the sweep engine builds it into external
 /// per-task scratch because the shared `Arc<SkipLog>` is immutable and its
 /// index is geometry-keyed while each sweep config has its own geometry.
-/// `ghr_at_start` is the global history the predictor held when the skip
-/// region began — the branch-key seed (§3.2).
+/// A `None` side carries no prebuilt index, and reconstruction seals one
+/// on the spot. `ghr_at_start` is the global history the predictor held
+/// when the skip region began — the branch-key seed (§3.2).
 pub(crate) struct WindowIndex<'l> {
     pub mem: Option<&'l ReconIndex>,
     pub br: Option<&'l ReconIndex>,
@@ -479,8 +480,8 @@ pub(crate) fn detailed_window(
             outcome.clusters_degraded += 1;
         } else {
             // Eager reconstruction immediately before the cluster, through
-            // the partitioned index (or the sequential full-scan fallback
-            // when the view carries no index for a side).
+            // the view's index (sealed on the spot when the view carries
+            // none for a side).
             let t = Instant::now();
             if cache {
                 let (stats, timing) =
@@ -982,13 +983,6 @@ pub fn skip_with_smarts_warming(
     n: u64,
 ) -> Result<(), ExecError> {
     cpu.step_n(n, |r| warm_one(r, hier, pred, true, true))
-}
-
-// NoHook is re-exported through rsr-timing; keep the import used even when
-// the compiler specializes away the non-hooked path.
-#[allow(unused)]
-fn _assert_nohook_exists() {
-    let _ = NoHook;
 }
 
 #[cfg(test)]

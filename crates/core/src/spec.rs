@@ -22,6 +22,7 @@ use std::time::{Duration, Instant};
 use rsr_isa::Program;
 
 use crate::fault::{FaultInjector, FaultPlan};
+use crate::log::check_indexable;
 use crate::sampler::{policy_decouples, run_full_once};
 use crate::shard::{run_sharded, RunGuards};
 use crate::{
@@ -688,14 +689,18 @@ impl<'a> RunSpec<'a> {
     /// # Errors
     ///
     /// [`SimError::Spec`] for degenerate specs (see
-    /// [`ColdSpec::validate`] and [`RunSpec::build_schedule`]);
-    /// [`SimError::DeadlineExceeded`] when a [`RunSpec::deadline`]
+    /// [`ColdSpec::validate`] and [`RunSpec::build_schedule`]), and for a
+    /// logging policy whose skip regions could log more records than a
+    /// u32 index addresses; [`SimError::DeadlineExceeded`] when a [`RunSpec::deadline`]
     /// expires; otherwise as the underlying engine: load failures,
     /// execution faults, a program halting before the schedule's last
     /// cluster, or a shard fault (lost worker, panic, corrupt checkpoint)
     /// that outlives [`RunSpec::max_shard_retries`].
     pub fn run(&self) -> Result<SampleOutcome, SimError> {
         let schedule = self.cold.build_schedule()?;
+        if self.detail.policy.needs_log() {
+            check_indexable(&schedule)?;
+        }
         let injector = self.cold.fault_plan.as_ref().map(FaultInjector::new);
         let guards = RunGuards {
             log_budget: self.cold.resolved_log_budget(),
@@ -876,6 +881,28 @@ mod tests {
         let schedule = from_regimen.build_schedule().unwrap();
         let explicit = RunSpec::new(&p, &machine).schedule(schedule);
         assert_eq!(from_regimen.content_hash().unwrap(), explicit.content_hash().unwrap());
+    }
+
+    #[test]
+    fn unindexable_skip_regions_fail_typed_before_running() {
+        // Four clusters over 20 billion instructions leave ~5 billion-
+        // instruction skip regions: up to ~10 billion memory records, past
+        // what a u32 record index addresses. The program halts at once, so
+        // any run that started executing would fail `Exec`, not `Spec`.
+        let mut a = Asm::new();
+        a.halt();
+        let p = a.finish().unwrap();
+        let machine = MachineConfig::paper();
+        let schedule = Schedule::systematic(SamplingRegimen::new(4, 1000), 20_000_000_000, 1);
+        let reverse = WarmupPolicy::Reverse { cache: true, bp: true, pct: Pct::new(20) };
+        let run =
+            |policy| RunSpec::new(&p, &machine).schedule(schedule.clone()).policy(policy).run();
+        assert!(matches!(run(reverse), Err(SimError::Spec(_))));
+        // Only logging policies are limited: a non-logging run starts.
+        assert!(matches!(run(WarmupPolicy::None), Err(SimError::Exec(_))));
+        let sweep = crate::SweepSpec::new(ColdSpec::new(&p).schedule(schedule.clone()))
+            .config("rsr", DetailSpec::new(&machine).policy(reverse));
+        assert!(matches!(sweep.run(), Err(SimError::Spec(_))));
     }
 
     #[test]

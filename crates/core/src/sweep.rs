@@ -19,7 +19,7 @@
 //! L1D×GHR grid therefore builds ~5 memory and ~4 branch indexes per
 //! window instead of 20 of each. The sharing is sound because each
 //! consumer checks only its own side's geometry (see
-//! `reverse::geom_matches_hier` and `BpReconstructor::with_index`), and
+//! `reconstruct_caches_partitioned` and `BpReconstructor::with_index`), and
 //! because the GHR entering a window is a shift register of *functional*
 //! branch outcomes — configs with equal history width hold bit-equal GHRs
 //! at every window boundary.
@@ -67,7 +67,9 @@ use rsr_cache::MemHierarchy;
 use rsr_func::Cpu;
 
 use crate::fault::FaultInjector;
-use crate::log::{pool_bound, LogPool, ReconGeometry, ReconIndex, SkipLog};
+use crate::log::{
+    check_indexable, pool_bound, LogPool, MemKey, ReconGeometry, ReconIndex, SkipLog,
+};
 use crate::policy::Pct;
 use crate::sampler::{detailed_window, policy_decouples, WindowIndex};
 use crate::shard::{check_deadline, run_sharded_with, GroupCtx, RunGuards};
@@ -312,8 +314,9 @@ impl<'a> SweepSpec<'a> {
     ///
     /// # Errors
     ///
-    /// [`SimError::Spec`] from [`SweepSpec::validate`];
-    /// [`SimError::DeadlineExceeded`] when the cold half's deadline
+    /// [`SimError::Spec`] from [`SweepSpec::validate`], and for logging
+    /// configs whose skip regions could log more records than a u32 index
+    /// addresses; [`SimError::DeadlineExceeded`] when the cold half's deadline
     /// expires (checked at every shard boundary); otherwise as the
     /// underlying engines.
     pub fn run(&self) -> Result<SweepOutcome, SimError> {
@@ -321,6 +324,9 @@ impl<'a> SweepSpec<'a> {
         let t_total = Instant::now();
         let schedule = self.cold.build_schedule()?;
         let (log_cache, log_bp) = logging_signature(self.configs[0].1.policy);
+        if log_cache || log_bp {
+            check_indexable(&schedule)?;
+        }
         let cold_threads = self.resolved_cold_threads();
         let replay_workers = self.resolved_replay_threads();
         let injector = self.cold.fault_plan.as_ref().map(FaultInjector::new);
@@ -487,24 +493,12 @@ fn reverse_pct(policy: WarmupPolicy) -> Pct {
     }
 }
 
-/// The memory-side memo key: exactly the fields
-/// `reverse::geom_matches_hier` checks before walking a sealed index, so
-/// two configs with equal keys can share one build regardless of their
-/// predictor geometry.
-type MemKey = (usize, u32, usize, u32, usize, u32);
-
-/// The branch-side memo key: the fields `BpReconstructor::with_index`
-/// checks (PHT width, BTB entries, scan budget) plus the GHR entering the
-/// window. The GHR is config-independent for a given history width — it
+/// The branch-side memo key: exactly the fields `BpReconstructor::with_index`
+/// checks (PHT width, BTB entries, scan budget, and the GHR entering the
+/// window). The GHR is config-independent for a given history width — it
 /// is a shift register of the *functional* stream's branch outcomes — so
-/// the key collapses across every config sharing `ghr_bits`; carrying the
-/// value keeps the memo sound by construction rather than by that
-/// argument alone.
+/// the key collapses across every config sharing `ghr_bits`.
 type BrKey = (u32, usize, Pct, u64);
-
-fn mem_key(g: &ReconGeometry) -> MemKey {
-    (g.l1i_sets, g.l1i_line_shift, g.l1d_sets, g.l1d_line_shift, g.l2_sets, g.l2_line_shift)
-}
 
 /// One config's per-window index assignment, produced by [`plan_window`]:
 /// arena slots for the sides this config reconstructs, plus the GHR its
@@ -543,8 +537,8 @@ impl IndexArena {
 /// fewer distinct keys.
 #[derive(Default)]
 struct MemoScratch {
-    mem: Vec<(MemKey, u32, bool)>,
-    br: Vec<(BrKey, u32, bool)>,
+    mem: Vec<(MemKey, u32)>,
+    br: Vec<(BrKey, u32)>,
     plans: Vec<WindowPlan>,
 }
 
@@ -633,36 +627,36 @@ fn plan_window(
             let ghr = st.pred.gshare.ghr();
             let mut plan = WindowPlan { mem: None, br: None, ghr };
             if st.want_cache {
-                let key = mem_key(&st.geom);
-                plan.mem = match memo.mem.iter().find(|(k, _, _)| *k == key) {
-                    Some(&(_, slot, ok)) => {
+                let key = st.geom.mem_key();
+                plan.mem = Some(match memo.mem.iter().find(|(k, _)| *k == key) {
+                    Some(&(_, slot)) => {
                         *shared += 1;
-                        ok.then_some(slot)
+                        slot
                     }
                     None => {
                         let slot = used as u32;
                         used += 1;
                         let t = Instant::now();
-                        let ok = log.build_mem_index_into(&st.geom, arena.slot(used - 1, st.geom));
+                        log.build_mem_index_into(&st.geom, arena.slot(used - 1, st.geom));
                         st.outcome.phases.warm += t.elapsed();
                         *builds += 1;
-                        memo.mem.push((key, slot, ok));
-                        ok.then_some(slot)
+                        memo.mem.push((key, slot));
+                        slot
                     }
-                };
+                });
             }
             if st.want_bp {
                 let key = (st.geom.ghr_bits, st.geom.btb_entries, st.pct, ghr);
-                plan.br = match memo.br.iter().find(|(k, _, _)| *k == key) {
-                    Some(&(_, slot, ok)) => {
+                plan.br = Some(match memo.br.iter().find(|(k, _)| *k == key) {
+                    Some(&(_, slot)) => {
                         *shared += 1;
-                        ok.then_some(slot)
+                        slot
                     }
                     None => {
                         let slot = used as u32;
                         used += 1;
                         let t = Instant::now();
-                        let ok = log.build_branch_index_into(
+                        log.build_branch_index_into(
                             &st.geom,
                             ghr,
                             st.pct,
@@ -670,10 +664,10 @@ fn plan_window(
                         );
                         st.outcome.phases.warm += t.elapsed();
                         *builds += 1;
-                        memo.br.push((key, slot, ok));
-                        ok.then_some(slot)
+                        memo.br.push((key, slot));
+                        slot
                     }
-                };
+                });
             }
             memo.plans[c] = plan;
             c += 1;

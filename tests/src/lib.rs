@@ -1,4 +1,8 @@
-//! Shared helpers for the cross-crate integration tests.
+//! Shared helpers for the cross-crate integration tests, and the
+//! reference implementations ([`oracle`]) the suites check the library
+//! against.
+
+pub mod oracle;
 
 use rsr_core::{MachineConfig, RunSpec, SampleOutcome, SamplingRegimen, SimError, WarmupPolicy};
 use rsr_isa::Program;

@@ -3,7 +3,8 @@
 use rsr_branch::{Predictor, PredictorConfig};
 use rsr_cache::{HierarchyConfig, MemHierarchy};
 use rsr_core::{
-    reconstruct_caches, BpReconstructor, Pct, SamplingRegimen, SimError, SkipLog, WarmupPolicy,
+    reconstruct_caches_partitioned, BpReconstructor, Pct, SamplingRegimen, SimError, SkipLog,
+    WarmupPolicy,
 };
 use rsr_func::Cpu;
 use rsr_integration::{sample, tiny};
@@ -18,7 +19,7 @@ fn empty_log_reconstruction_is_a_noop() {
     let log = SkipLog::new(true, true, 0xabcd);
     let mut hier = MemHierarchy::new(HierarchyConfig::paper());
     hier.warm_access(0x4000, rsr_cache::HierAccess::Load);
-    let stats = reconstruct_caches(&mut hier, &log, Pct::new(100));
+    let (stats, _) = reconstruct_caches_partitioned(&mut hier, &log, Pct::new(100), 1);
     assert_eq!(stats.mem_scanned, 0);
     assert!(hier.l1d.probe(0x4000), "stale content must survive");
 
@@ -108,13 +109,13 @@ fn reconstruction_bits_isolate_regions() {
     for _ in 0..20_000 {
         log.record(&cpu.step().unwrap());
     }
-    let s1 = reconstruct_caches(&mut hier, &log, Pct::new(100));
+    let (s1, _) = reconstruct_caches_partitioned(&mut hier, &log, Pct::new(100), 1);
     // Second region with a fresh log over different instructions.
     log.reset(true, false, 0);
     for _ in 0..20_000 {
         log.record(&cpu.step().unwrap());
     }
-    let s2 = reconstruct_caches(&mut hier, &log, Pct::new(100));
+    let (s2, _) = reconstruct_caches_partitioned(&mut hier, &log, Pct::new(100), 1);
     assert!(s1.cache_inserted > 0 && s2.cache_inserted > 0);
     // The second pass must have re-marked from scratch (its counters are
     // not cumulative with the first).

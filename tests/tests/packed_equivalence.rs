@@ -7,7 +7,8 @@
 use rsr_branch::{Predictor, PredictorConfig};
 use rsr_cache::{HierarchyConfig, MemHierarchy};
 use rsr_core::{
-    reconstruct_caches, BpReconstructor, BranchRecord, MemRecord, Pct, ReconStats, SkipLog,
+    reconstruct_caches_partitioned, BpReconstructor, BranchRecord, MemRecord, Pct, ReconStats,
+    SkipLog,
 };
 use rsr_func::{BranchRec, Cpu, MemAccess, Retired};
 use rsr_integration::tiny;
@@ -155,7 +156,7 @@ fn packed_replay(stream: &[Retired], budget: Option<usize>) -> SkipLog {
 /// after an eager BP pass.
 fn reconstruct_all(log: &SkipLog, pct: Pct) -> (ReconStats, Vec<Vec<u64>>, u64, ReconStats) {
     let mut hier = MemHierarchy::new(HierarchyConfig::paper());
-    let cache_stats = reconstruct_caches(&mut hier, log, pct);
+    let (cache_stats, _) = reconstruct_caches_partitioned(&mut hier, log, pct, 1);
     let mut tags = Vec::new();
     for cache in [&hier.l1i, &hier.l1d, &hier.l2] {
         for set in 0..cache.num_sets() {

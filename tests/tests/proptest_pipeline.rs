@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use rsr_branch::{Predictor, PredictorConfig};
 use rsr_cache::{AccessKind, Cache, CacheConfig, HierarchyConfig, MemHierarchy, WritePolicy};
-use rsr_core::{reconstruct_caches, Pct, SkipLog};
+use rsr_core::{reconstruct_caches_partitioned, Pct, SkipLog};
 use rsr_func::Cpu;
 use rsr_isa::{Asm, Inst, Reg};
 use rsr_timing::{simulate_cluster, CoreConfig};
@@ -158,7 +158,7 @@ proptest! {
             log.record(&r);
         }
         let mut hier = MemHierarchy::new(HierarchyConfig::paper());
-        reconstruct_caches(&mut hier, &log, Pct::new(100));
+        reconstruct_caches_partitioned(&mut hier, &log, Pct::new(100), 1);
         // The newest data reference of the log must be resident.
         if let Some(last) = log.mem_refs_rev().find(|&(_, is_inst)| !is_inst) {
             prop_assert!(hier.l1d.probe(last.0) || hier.l1d.probe(last.0 & !63));

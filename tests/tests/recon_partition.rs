@@ -1,19 +1,22 @@
 //! Set-partitioned reconstruction-index equivalence: the index-driven
-//! reverse scan (`reconstruct_caches_partitioned`, and the indexed
-//! `BpReconstructor` fast path) must be bit-identical to the sequential
-//! full reverse scan — same `ReconStats`, same cache contents in MRU
-//! order, same reconstructed predictor state — for arbitrary record
+//! reverse scan (`reconstruct_caches_partitioned` and `BpReconstructor`)
+//! must be bit-identical to the tests-crate oracles — the sequential full
+//! reverse scan and the demand-driven hash-map inference — with the same
+//! `ReconStats`, the same cache contents in MRU order, and the same
+//! reconstructed predictor state. This holds for arbitrary record
 //! streams, including ext-spill records, over-budget truncated logs, and
-//! logs mutated after sealing, at every reconstruction worker count.
+//! logs that are unsealed, mutated after sealing, or sealed for another
+//! geometry or budget, at every reconstruction worker count.
 
 use proptest::prelude::*;
 use rsr_branch::{PredCtrlKind, Predictor};
 use rsr_cache::MemHierarchy;
 use rsr_core::{
-    reconstruct_caches, reconstruct_caches_partitioned, BpReconstructor, MachineConfig, Pct,
-    ReconGeometry, RunSpec, SampleOutcome, SamplingRegimen, SkipLog, WarmupPolicy,
+    reconstruct_caches_partitioned, BpReconstructor, MachineConfig, Pct, ReconGeometry, RunSpec,
+    SampleOutcome, SamplingRegimen, SkipLog, WarmupPolicy,
 };
 use rsr_func::{BranchRec, Cpu, MemAccess, Retired};
+use rsr_integration::oracle::{reconstruct_caches, RefBpReconstructor};
 use rsr_integration::{machine, tiny};
 use rsr_isa::{CtrlKind, Inst, MemWidth, Op};
 use rsr_workloads::Benchmark;
@@ -88,41 +91,56 @@ fn workload_stream(bench: Benchmark, n: u64) -> Vec<Retired> {
     (0..n).map(|_| cpu.step().unwrap()).collect()
 }
 
-/// Asserts that sealing the log and walking its per-set chains — at 1 and
-/// 4 reconstruction workers — reproduces the sequential full scan exactly.
+/// Asserts that walking the log's per-set spans — sealed here for the
+/// machine, or whatever seal `log` carries, which reconstruction replaces
+/// when it does not fit — at 1 and 4 reconstruction workers reproduces
+/// the oracle's sequential full scan exactly.
 fn assert_cache_equivalence(machine: &MachineConfig, log: &SkipLog, pct: Pct, what: &str) {
     let mut sealed = log.clone();
     sealed.seal_mem_index(&ReconGeometry::of_machine(machine));
     let mut ref_hier = MemHierarchy::new(machine.hier.clone());
     let ref_stats = reconstruct_caches(&mut ref_hier, log, pct);
     let ref_tags = all_set_tags(&ref_hier);
-    for recon_threads in [1usize, 4] {
-        let mut hier = MemHierarchy::new(machine.hier.clone());
-        let (stats, _) = reconstruct_caches_partitioned(&mut hier, &sealed, pct, recon_threads);
-        assert_eq!(stats, ref_stats, "{what}: ReconStats at {recon_threads} workers, {pct:?}");
-        assert_eq!(
-            all_set_tags(&hier),
-            ref_tags,
-            "{what}: cache tags at {recon_threads} workers, {pct:?}"
-        );
+    for (seal, log) in [("sealed", &sealed), ("as given", log)] {
+        for recon_threads in [1usize, 4] {
+            let mut hier = MemHierarchy::new(machine.hier.clone());
+            let (stats, _) = reconstruct_caches_partitioned(&mut hier, log, pct, recon_threads);
+            let at = format!("{what} ({seal}): at {recon_threads} workers, {pct:?}");
+            assert_eq!(stats, ref_stats, "{at}: ReconStats");
+            assert_eq!(all_set_tags(&hier), ref_tags, "{at}: cache tags");
+        }
     }
 }
 
 /// Asserts that the indexed branch-predictor reconstruction (sealed
-/// pht-key column + final GHR) matches the legacy forward-pass path on
-/// every observable: stats, GHR, full PHT contents, and BTB targets.
+/// pht-key column + final GHR), over a fresh seal and over whatever seal
+/// `log` carries, matches the oracle's forward-pass, hash-map inference
+/// on every observable: stats, GHR, full PHT contents, and BTB targets.
 fn assert_bp_equivalence(machine: &MachineConfig, log: &SkipLog, pct: Pct, what: &str) {
     let mut sealed = log.clone();
     sealed.seal_branch_index(&ReconGeometry::of_machine(machine), pct);
 
     let mut ref_pred = Predictor::new(machine.pred);
-    let mut ref_bp = BpReconstructor::new(&mut ref_pred, log, pct);
+    let mut ref_bp = RefBpReconstructor::new(&mut ref_pred, log, pct);
     ref_bp.exhaust(&mut ref_pred);
 
-    let mut pred = Predictor::new(machine.pred);
-    let mut bp = BpReconstructor::new(&mut pred, &sealed, pct);
-    bp.exhaust(&mut pred);
+    for (seal, log) in [("sealed", &sealed), ("as given", log)] {
+        let mut pred = Predictor::new(machine.pred);
+        let mut bp = BpReconstructor::new(&mut pred, log, pct);
+        bp.exhaust(&mut pred);
+        assert_bp_state_equal(&pred, &bp, &ref_pred, &ref_bp, &format!("{what} ({seal})"), pct);
+    }
+}
 
+/// Every observable of a reconstructed predictor against the oracle's.
+fn assert_bp_state_equal(
+    pred: &Predictor,
+    bp: &BpReconstructor<'_>,
+    ref_pred: &Predictor,
+    ref_bp: &RefBpReconstructor<'_>,
+    what: &str,
+    pct: Pct,
+) {
     assert_eq!(bp.stats(), ref_bp.stats(), "{what}: BP ReconStats, {pct:?}");
     assert_eq!(pred.gshare.ghr(), ref_pred.gshare.ghr(), "{what}: GHR, {pct:?}");
     for i in 0..pred.gshare.num_entries() {
@@ -140,7 +158,7 @@ fn assert_bp_equivalence(machine: &MachineConfig, log: &SkipLog, pct: Pct, what:
 
 /// Asserts that the *demand-driven* indexed scan — hot-worklist hops,
 /// sealed flush last-writer bits, mid-sequence exhaustion flush — matches
-/// the legacy per-record demand scan on every observable. This is the
+/// the oracle's per-record demand scan on every observable. This is the
 /// path the sampler actually exercises; `exhaust` above shares the flush
 /// but not the scan loop, so only a demand sequence pins the sealed
 /// `BR_F_PHT_FLUSH_LW` placement (which feed survives to the flush, and
@@ -174,7 +192,7 @@ fn assert_bp_demand_equivalence(
         .collect();
 
     let mut ref_pred = Predictor::new(machine.pred);
-    let mut ref_bp = BpReconstructor::new(&mut ref_pred, log, pct);
+    let mut ref_bp = RefBpReconstructor::new(&mut ref_pred, log, pct);
     for &(pc, kind) in &probes {
         ref_bp.before_predict(&mut ref_pred, pc, kind);
     }
@@ -184,24 +202,7 @@ fn assert_bp_demand_equivalence(
     for &(pc, kind) in &probes {
         bp.before_predict(&mut pred, pc, kind);
     }
-
-    assert_eq!(bp.stats(), ref_bp.stats(), "{what}: demand BP ReconStats, {pct:?}");
-    assert_eq!(pred.gshare.ghr(), ref_pred.gshare.ghr(), "{what}: demand GHR, {pct:?}");
-    for i in 0..pred.gshare.num_entries() {
-        assert_eq!(
-            pred.gshare.counter_at(i),
-            ref_pred.gshare.counter_at(i),
-            "{what}: demand PHT entry {i}, {pct:?}"
-        );
-    }
-    for i in 0..pred.btb.num_entries() {
-        let pc = (i as u64) << 2;
-        assert_eq!(
-            pred.btb.peek(pc),
-            ref_pred.btb.peek(pc),
-            "{what}: demand BTB entry {i}, {pct:?}"
-        );
-    }
+    assert_bp_state_equal(&pred, &bp, &ref_pred, &ref_bp, &format!("{what} (demand)"), pct);
 }
 
 proptest! {
@@ -257,21 +258,33 @@ fn workload_streams_reconstruct_identically_with_real_thread_fanout() {
 }
 
 #[test]
-fn stale_seal_falls_back_to_the_full_scan() {
+fn stale_or_mismatched_seals_are_resealed_and_match_the_oracle() {
     // Records appended after sealing invalidate the index (sealed lengths
-    // no longer match); reconstruction must silently take the sequential
-    // path and still agree with the reference.
+    // no longer match), and a seal for another cache geometry, history
+    // width, or budget does not fit either: reconstruction must seal its
+    // own index and still agree with the oracle.
     let machine = machine();
     let stream = workload_stream(Benchmark::Twolf, 20_000);
+    let pct = Pct::new(20);
     let mut log = log_from(&stream[..15_000], None);
     log.seal_mem_index(&ReconGeometry::of_machine(&machine));
-    log.seal_branch_index(&ReconGeometry::of_machine(&machine), Pct::new(20));
+    log.seal_branch_index(&ReconGeometry::of_machine(&machine), pct);
     for r in &stream[15_000..] {
         log.record(r);
     }
-    let pct = Pct::new(20);
     assert_cache_equivalence(&machine, &log, pct, "stale seal");
     assert_bp_equivalence(&machine, &log, pct, "stale seal");
+
+    let mut other = machine.clone();
+    other.hier.l1d.size_bytes /= 2;
+    other.pred.ghr_bits -= 2;
+    let mut log = log_from(&stream, None);
+    log.seal_mem_index(&ReconGeometry::of_machine(&other));
+    log.seal_branch_index(&ReconGeometry::of_machine(&other), pct);
+    assert_cache_equivalence(&machine, &log, pct, "other geometry");
+    assert_bp_equivalence(&machine, &log, pct, "other geometry");
+    log.seal_branch_index(&ReconGeometry::of_machine(&machine), Pct::new(100));
+    assert_bp_equivalence(&machine, &log, pct, "other budget");
 }
 
 /// Everything deterministic two equivalent runs must agree on (timing

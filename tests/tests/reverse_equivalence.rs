@@ -3,10 +3,28 @@
 
 use rsr_branch::{Predictor, PredictorConfig};
 use rsr_cache::{HierAccess, HierarchyConfig, MemHierarchy};
-use rsr_core::{reconstruct_caches, Pct, SkipLog};
+use rsr_core::{reconstruct_caches_partitioned, Pct, SkipLog};
 use rsr_func::Cpu;
+use rsr_integration::oracle::reconstruct_caches;
 use rsr_integration::tiny;
 use rsr_workloads::Benchmark;
+
+/// Reconstructs `hier` from the whole log through the library's indexed
+/// path, checking counters and every set's contents against the
+/// full-scan oracle on the way.
+fn reconstruct(hier: &mut MemHierarchy, log: &SkipLog) {
+    let mut oracle = hier.clone();
+    let expect = reconstruct_caches(&mut oracle, log, Pct::new(100));
+    let (stats, _) = reconstruct_caches_partitioned(hier, log, Pct::new(100), 1);
+    assert_eq!(stats, expect, "indexed reconstruction diverged from the oracle");
+    for (cache, reference) in
+        [(&hier.l1i, &oracle.l1i), (&hier.l1d, &oracle.l1d), (&hier.l2, &oracle.l2)]
+    {
+        for set in 0..cache.num_sets() {
+            assert_eq!(cache.set_tags_mru_order(set), reference.set_tags_mru_order(set));
+        }
+    }
+}
 
 /// Forward-warm a hierarchy and log the same stream; reconstruct a second
 /// hierarchy from the log.
@@ -27,7 +45,7 @@ fn warm_and_reconstruct(bench: Benchmark, insts: u64) -> (MemHierarchy, MemHiera
         assert_eq!(r.pc, r2.pc, "functional simulation must be deterministic");
         log.record(&r2);
     }
-    reconstruct_caches(&mut rev, &log, Pct::new(100));
+    reconstruct(&mut rev, &log);
     (fwd, rev)
 }
 
@@ -111,7 +129,7 @@ fn loads_only_l1d_reverse_equals_forward() {
         }
         log.record(&r);
     }
-    reconstruct_caches(&mut rev, &log, Pct::new(100));
+    reconstruct(&mut rev, &log);
     for set in 0..fwd.l1d.num_sets() {
         assert_eq!(
             fwd.l1d.set_tags_mru_order(set),

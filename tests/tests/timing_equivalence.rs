@@ -1,18 +1,19 @@
 //! SoA hot-path kernel equivalence: the rebuilt detailed-window structures
 //! — the flat tag/rank/bitmask [`Cache`], the packed-counter [`Gshare`],
 //! the bitset [`Btb`], and the inline-array [`Ras`] — must be bit-identical
-//! to their retained reference implementations ([`RefCache`], [`RefGshare`],
-//! [`RefBtb`], [`RefRas`]) on every observable: per-access outcomes,
+//! to the reference implementations in `rsr_integration::oracle`
+//! ([`RefCache`], [`RefGshare`], [`RefBtb`], [`RefRas`]) on every observable: per-access outcomes,
 //! statistics, per-set dumps, predictions, counters, and reconstructed
 //! state. Streams include random access/branch mixes, reverse
 //! reconstruction with budget cuts, and real [`SkipLog`] replays with
 //! ext-spill records and over-budget truncation.
 
 use proptest::prelude::*;
-use rsr_branch::{Btb, Counter2, Gshare, Ras, RasOp, RefBtb, RefGshare, RefRas};
-use rsr_cache::{AccessKind, Cache, CacheConfig, RefCache, WritePolicy};
+use rsr_branch::{Btb, Counter2, Gshare, Ras, RasOp};
+use rsr_cache::{AccessKind, Cache, CacheConfig, WritePolicy};
 use rsr_core::SkipLog;
 use rsr_func::{BranchRec, MemAccess, Retired};
+use rsr_integration::oracle::{RefBtb, RefCache, RefGshare, RefRas};
 use rsr_isa::{CtrlKind, Inst, MemWidth, Op};
 
 fn cache_cfg(assoc: usize, sets: u64, policy: WritePolicy) -> CacheConfig {
