@@ -42,6 +42,7 @@ use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::PathBuf;
 
+mod row;
 mod sample_bench;
 mod serve_bench;
 mod sweep_bench;

@@ -15,6 +15,8 @@ use rsr_core::{
 use rsr_func::Cpu;
 use rsr_workloads::{Benchmark, WorkloadParams};
 
+use crate::row::Row;
+
 /// Metrics from one benchmark emission (see [`run_bench_sample`]).
 #[derive(Clone, Debug)]
 pub struct BenchSample {
@@ -28,8 +30,6 @@ pub struct BenchSample {
     pub threads: usize,
     /// Resolved intra-shard pipeline depth (1 = sequential engine).
     pub pipeline_depth: usize,
-    /// Resolved reconstruction worker threads (1 = sequential set walk).
-    pub recon_threads: usize,
     /// Total instructions in the sampled run.
     pub total_insts: u64,
     /// Cluster count and length of the regimen.
@@ -85,59 +85,42 @@ pub struct BenchSample {
 impl BenchSample {
     /// Serializes with a stable key order (no external JSON dependency).
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        let mut field = |key: &str, value: String| {
-            s.push_str(&format!("  \"{key}\": {value},\n"));
-        };
-        field("bench", format!("\"{}\"", self.bench));
-        field("scale", fmt_f64(self.scale));
-        field("seed", self.seed.to_string());
-        field("threads", self.threads.to_string());
-        field("pipeline_depth", self.pipeline_depth.to_string());
-        field("recon_threads", self.recon_threads.to_string());
-        field("total_insts", self.total_insts.to_string());
-        field("clusters", self.clusters.to_string());
-        field("cluster_len", self.cluster_len.to_string());
-        field("est_ipc", fmt_f64(self.est_ipc));
-        field("cold_mips", fmt_f64(self.cold_mips));
-        field("hot_mips", fmt_f64(self.hot_mips));
-        field("recon_ns_per_record", fmt_f64(self.recon_ns_per_record));
-        field("recon_l1_ns_per_record", fmt_f64(self.recon_l1_ns_per_record));
-        field("recon_l2_ns_per_record", fmt_f64(self.recon_l2_ns_per_record));
-        field("recon_pht_ns_per_record", fmt_f64(self.recon_pht_ns_per_record));
-        field("recon_btb_ns_per_record", fmt_f64(self.recon_btb_ns_per_record));
-        field("log_bytes_peak", self.log_bytes_peak.to_string());
-        field("log_records", self.log_records.to_string());
-        field("cold_seconds", fmt_f64(self.cold_seconds));
-        field("hot_seconds", fmt_f64(self.hot_seconds));
-        field("wall_seconds", fmt_f64(self.wall_seconds));
-        s.push_str(&format!(
-            "  \"overlap_efficiency\": {}\n}}\n",
-            self.overlap_efficiency.map_or_else(|| "null".into(), fmt_f64)
-        ));
-        s
-    }
-}
-
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".into()
+        Row::new()
+            .str("bench", self.bench)
+            .f64("scale", self.scale)
+            .raw("seed", self.seed)
+            .raw("threads", self.threads)
+            .raw("pipeline_depth", self.pipeline_depth)
+            .raw("total_insts", self.total_insts)
+            .raw("clusters", self.clusters)
+            .raw("cluster_len", self.cluster_len)
+            .f64("est_ipc", self.est_ipc)
+            .f64("cold_mips", self.cold_mips)
+            .f64("hot_mips", self.hot_mips)
+            .f64("recon_ns_per_record", self.recon_ns_per_record)
+            .f64("recon_l1_ns_per_record", self.recon_l1_ns_per_record)
+            .f64("recon_l2_ns_per_record", self.recon_l2_ns_per_record)
+            .f64("recon_pht_ns_per_record", self.recon_pht_ns_per_record)
+            .f64("recon_btb_ns_per_record", self.recon_btb_ns_per_record)
+            .raw("log_bytes_peak", self.log_bytes_peak)
+            .raw("log_records", self.log_records)
+            .f64("cold_seconds", self.cold_seconds)
+            .f64("hot_seconds", self.hot_seconds)
+            .f64("wall_seconds", self.wall_seconds)
+            .opt_f64("overlap_efficiency", self.overlap_efficiency)
+            .finish()
     }
 }
 
 /// Runs the benchmark trajectory: an mcf sampled run under R$BP 20% at the
 /// given scale, plus a standalone reconstruction micro-pass, and returns
 /// the derived metrics. Deterministic for fixed `(scale, seed)` except the
-/// timing fields; `pipeline_depth` and `recon_threads` 0 mean auto
-/// (hardware-aware).
+/// timing fields; `pipeline_depth` 0 means auto (hardware-aware).
 pub fn run_bench_sample(
     scale: f64,
     seed: u64,
     threads: usize,
     pipeline_depth: usize,
-    recon_threads: usize,
 ) -> BenchSample {
     let bench = Benchmark::Mcf;
     let scale = scale.clamp(0.001, 100.0);
@@ -156,10 +139,8 @@ pub fn run_bench_sample(
         .policy(WarmupPolicy::Reverse { cache: true, bp: true, pct })
         .seed(seed)
         .threads(threads)
-        .pipeline_depth(pipeline_depth)
-        .recon_threads(recon_threads);
+        .pipeline_depth(pipeline_depth);
     let resolved_depth = run_spec.resolved_pipeline_depth();
-    let resolved_recon = run_spec.resolved_recon_threads();
     let outcome = run_spec.run().expect("bench-sample run");
 
     let cold_secs = outcome.phases.cold.as_secs_f64();
@@ -182,8 +163,7 @@ pub fn run_bench_sample(
     let t = Instant::now();
     while iters < 100 && (iters < 3 || t.elapsed().as_millis() < 200) {
         let mut hier = MemHierarchy::new(machine.hier.clone());
-        scanned +=
-            reconstruct_caches_partitioned(&mut hier, &log, pct, resolved_recon).0.mem_scanned;
+        scanned += reconstruct_caches_partitioned(&mut hier, &log, pct, 1).0.mem_scanned;
         iters += 1;
     }
     let recon_ns_per_record = t.elapsed().as_nanos() as f64 / scanned.max(1) as f64;
@@ -198,7 +178,6 @@ pub fn run_bench_sample(
         seed,
         threads,
         pipeline_depth: resolved_depth,
-        recon_threads: resolved_recon,
         total_insts: total,
         clusters: n_clusters,
         cluster_len: spec.cluster_len,
@@ -228,17 +207,12 @@ pub fn run_bench_sample(
 /// — on a single-core host, where auto resolves to 1, the matrix is one
 /// row. Estimates are bit-identical across rows; only the timing-derived
 /// fields vary.
-pub fn run_bench_matrix(
-    scale: f64,
-    seed: u64,
-    threads: usize,
-    recon_threads: usize,
-) -> Vec<BenchSample> {
-    let auto = run_bench_sample(scale, seed, threads, 0, recon_threads);
+pub fn run_bench_matrix(scale: f64, seed: u64, threads: usize) -> Vec<BenchSample> {
+    let auto = run_bench_sample(scale, seed, threads, 0);
     if auto.pipeline_depth == 1 {
         return vec![auto];
     }
-    let depth1 = run_bench_sample(scale, seed, threads, 1, recon_threads);
+    let depth1 = run_bench_sample(scale, seed, threads, 1);
     vec![depth1, auto]
 }
 
@@ -260,10 +234,9 @@ mod tests {
 
     #[test]
     fn smoke_scale_emission_has_sane_metrics() {
-        let s = run_bench_sample(0.01, 42, 1, 1, 1);
+        let s = run_bench_sample(0.01, 42, 1, 1);
         assert_eq!(s.bench, "mcf");
         assert_eq!(s.pipeline_depth, 1);
-        assert_eq!(s.recon_threads, 1);
         assert!(s.est_ipc > 0.0);
         assert!(s.cold_mips > 0.0);
         assert!(s.hot_mips > 0.0);
@@ -288,7 +261,6 @@ mod tests {
             seed: 42,
             threads: 4,
             pipeline_depth: 2,
-            recon_threads: 4,
             total_insts: 1_000_000,
             clusters: 30,
             cluster_len: 3000,
@@ -309,7 +281,7 @@ mod tests {
         };
         let json = s.to_json();
         // Shape checks a strict parser would also enforce: one object,
-        // all twenty-three keys, no trailing comma before the brace.
+        // all twenty-two keys, no trailing comma before the brace.
         assert!(json.starts_with("{\n") && json.ends_with("}\n"));
         assert!(!json.contains(",\n}"));
         for key in [
@@ -318,7 +290,6 @@ mod tests {
             "seed",
             "threads",
             "pipeline_depth",
-            "recon_threads",
             "total_insts",
             "clusters",
             "cluster_len",
@@ -345,7 +316,7 @@ mod tests {
 
     #[test]
     fn json_array_wraps_objects_without_breaking_shape() {
-        let s = run_bench_sample(0.01, 42, 1, 1, 1);
+        let s = run_bench_sample(0.01, 42, 1, 1);
         let arr = to_json_array(&[s.clone(), s]);
         assert!(arr.starts_with("[\n{") && arr.ends_with("}\n]\n"));
         assert_eq!(arr.matches("\"bench\":").count(), 2);
@@ -356,20 +327,16 @@ mod tests {
     #[test]
     fn ipc_matches_direct_runspec_at_any_thread_count() {
         // The emitter must not perturb the sampled result: same spec, same
-        // estimate, and neither thread count, pipeline depth, nor recon
-        // worker count may move it.
-        let one = run_bench_sample(0.01, 7, 1, 1, 1);
-        let four = run_bench_sample(0.01, 7, 4, 1, 1);
-        let piped = run_bench_sample(0.01, 7, 1, 2, 1);
-        let recon4 = run_bench_sample(0.01, 7, 1, 1, 4);
+        // estimate, and neither thread count nor pipeline depth may move
+        // it.
+        let one = run_bench_sample(0.01, 7, 1, 1);
+        let four = run_bench_sample(0.01, 7, 4, 1);
+        let piped = run_bench_sample(0.01, 7, 1, 2);
         assert_eq!(one.est_ipc, four.est_ipc);
         assert_eq!(one.log_records, four.log_records);
         assert_eq!(one.log_bytes_peak, four.log_bytes_peak);
         assert_eq!(one.est_ipc, piped.est_ipc);
         assert_eq!(one.log_records, piped.log_records);
         assert_eq!(piped.pipeline_depth, 2);
-        assert_eq!(one.est_ipc, recon4.est_ipc);
-        assert_eq!(one.log_records, recon4.log_records);
-        assert_eq!(recon4.recon_threads, 4);
     }
 }

@@ -12,6 +12,8 @@ use rsr_core::{Pct, WarmupPolicy};
 use rsr_serve::{request, Daemon, JobSpec, Request, Response, ResultSource, ServeConfig};
 use rsr_workloads::{Benchmark, WorkloadParams};
 
+use crate::row::Row;
+
 /// Metrics from one service emission (see [`run_serve_sample`]).
 #[derive(Clone, Debug)]
 pub struct ServeSample {
@@ -44,31 +46,20 @@ pub struct ServeSample {
 impl ServeSample {
     /// Serializes with a stable key order (no external JSON dependency).
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        let mut field = |key: &str, value: String| {
-            s.push_str(&format!("  \"{key}\": {value},\n"));
-        };
-        field("bench", format!("\"{}\"", self.bench));
-        field("scale", fmt_f64(self.scale));
-        field("seed", self.seed.to_string());
-        field("serve_jobs", self.jobs.to_string());
-        field("serve_workers", self.workers.to_string());
-        field("cold_wall_seconds", fmt_f64(self.cold_wall_seconds));
-        field("cached_wall_seconds", fmt_f64(self.cached_wall_seconds));
-        field("cached_speedup", fmt_f64(self.cached_speedup));
-        field("hit_rate", fmt_f64(self.hit_rate));
-        field("completed", self.completed.to_string());
-        field("cache_hits", self.cache_hits.to_string());
-        s.push_str(&format!("  \"bit_identical\": {}\n}}\n", self.bit_identical));
-        s
-    }
-}
-
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".into()
+        Row::new()
+            .str("bench", self.bench)
+            .f64("scale", self.scale)
+            .raw("seed", self.seed)
+            .raw("serve_jobs", self.jobs)
+            .raw("serve_workers", self.workers)
+            .f64("cold_wall_seconds", self.cold_wall_seconds)
+            .f64("cached_wall_seconds", self.cached_wall_seconds)
+            .f64("cached_speedup", self.cached_speedup)
+            .f64("hit_rate", self.hit_rate)
+            .raw("completed", self.completed)
+            .raw("cache_hits", self.cache_hits)
+            .raw("bit_identical", self.bit_identical)
+            .finish()
     }
 }
 

@@ -12,6 +12,8 @@ use rsr_core::{
 };
 use rsr_workloads::{Benchmark, WorkloadParams};
 
+use crate::row::Row;
+
 /// One point of the sweep grid: a named machine variant.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SweepPoint {
@@ -65,8 +67,6 @@ pub struct SweepSample {
     pub sweep_configs: usize,
     /// Worker threads (cold capture and per-config replay).
     pub threads: usize,
-    /// Reconstruction worker threads per replayed window.
-    pub recon_threads: usize,
     /// Configs replayed concurrently per captured window (resolved).
     pub replay_threads: usize,
     /// Total instructions in the sampled run.
@@ -113,42 +113,30 @@ pub struct SweepSample {
 impl SweepSample {
     /// Serializes with a stable key order (no external JSON dependency).
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        let mut field = |key: &str, value: String| {
-            s.push_str(&format!("  \"{key}\": {value},\n"));
-        };
-        field("bench", format!("\"{}\"", self.bench));
-        field("scale", fmt_f64(self.scale));
-        field("seed", self.seed.to_string());
-        field("sweep_configs", self.sweep_configs.to_string());
-        field("threads", self.threads.to_string());
-        field("recon_threads", self.recon_threads.to_string());
-        field("replay_threads", self.replay_threads.to_string());
-        field("total_insts", self.total_insts.to_string());
-        field("clusters", self.clusters.to_string());
-        field("cluster_len", self.cluster_len.to_string());
-        field("est_ipc", fmt_f64(self.est_ipc));
-        field("est_ipc_min", fmt_f64(self.est_ipc_min));
-        field("est_ipc_max", fmt_f64(self.est_ipc_max));
-        field("log_records", self.log_records.to_string());
-        field("cold_seconds", fmt_f64(self.cold_seconds));
-        field("detail_seconds_per_config", fmt_f64(self.detail_seconds_per_config));
-        field("sweep_wall_seconds", fmt_f64(self.sweep_wall_seconds));
-        field("standalone_wall_seconds", fmt_f64(self.standalone_wall_seconds));
-        field("wall_ratio", fmt_f64(self.wall_ratio));
-        field("amortization", fmt_f64(self.amortization));
-        field("index_builds_shared", self.index_builds_shared.to_string());
-        field("restore_bytes_per_config", self.restore_bytes_per_config.to_string());
-        s.push_str(&format!("  \"bit_identical\": {}\n}}\n", self.bit_identical));
-        s
-    }
-}
-
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".into()
+        Row::new()
+            .str("bench", self.bench)
+            .f64("scale", self.scale)
+            .raw("seed", self.seed)
+            .raw("sweep_configs", self.sweep_configs)
+            .raw("threads", self.threads)
+            .raw("replay_threads", self.replay_threads)
+            .raw("total_insts", self.total_insts)
+            .raw("clusters", self.clusters)
+            .raw("cluster_len", self.cluster_len)
+            .f64("est_ipc", self.est_ipc)
+            .f64("est_ipc_min", self.est_ipc_min)
+            .f64("est_ipc_max", self.est_ipc_max)
+            .raw("log_records", self.log_records)
+            .f64("cold_seconds", self.cold_seconds)
+            .f64("detail_seconds_per_config", self.detail_seconds_per_config)
+            .f64("sweep_wall_seconds", self.sweep_wall_seconds)
+            .f64("standalone_wall_seconds", self.standalone_wall_seconds)
+            .f64("wall_ratio", self.wall_ratio)
+            .f64("amortization", self.amortization)
+            .raw("index_builds_shared", self.index_builds_shared)
+            .raw("restore_bytes_per_config", self.restore_bytes_per_config)
+            .raw("bit_identical", self.bit_identical)
+            .finish()
     }
 }
 
@@ -167,7 +155,6 @@ pub fn run_sweep_sample(
     seed: u64,
     n_configs: usize,
     threads: usize,
-    recon_threads: usize,
     replay_threads: usize,
 ) -> SweepSample {
     let bench = Benchmark::Mcf;
@@ -182,15 +169,11 @@ pub fn run_sweep_sample(
 
     let mut sweep =
         SweepSpec::new(ColdSpec::new(&program).regimen(regimen).total_insts(total).seed(seed))
-            .cold_threads(threads)
             .replay_threads(replay_threads);
     for point in &grid {
         sweep = sweep.config(
             point.name.clone(),
-            DetailSpec::new(&point.machine())
-                .policy(sweep_policy())
-                .threads(threads)
-                .recon_threads(recon_threads),
+            DetailSpec::new(&point.machine()).policy(sweep_policy()).threads(threads),
         );
     }
     let out: SweepOutcome = sweep.run().expect("sweep run");
@@ -207,7 +190,6 @@ pub fn run_sweep_sample(
             .policy(sweep_policy())
             .seed(seed)
             .threads(threads)
-            .recon_threads(recon_threads)
             .run()
             .expect("standalone reference run");
         standalone_wall += alone.wall.as_secs_f64();
@@ -224,7 +206,6 @@ pub fn run_sweep_sample(
         seed,
         sweep_configs: grid.len(),
         threads,
-        recon_threads,
         replay_threads: out.replay_threads,
         total_insts: total,
         clusters: n_clusters,
@@ -282,7 +263,7 @@ mod tests {
 
     #[test]
     fn smoke_scale_sweep_is_bit_identical_and_amortized() {
-        let s = run_sweep_sample(0.01, 42, 3, 1, 1, 1);
+        let s = run_sweep_sample(0.01, 42, 3, 1, 1);
         assert_eq!(s.bench, "mcf");
         assert_eq!(s.sweep_configs, 3);
         assert_eq!(s.replay_threads, 1);
@@ -305,7 +286,6 @@ mod tests {
             seed: 42,
             sweep_configs: 20,
             threads: 4,
-            recon_threads: 4,
             replay_threads: 2,
             total_insts: 8_000_000,
             clusters: 60,
@@ -333,7 +313,6 @@ mod tests {
             "seed",
             "sweep_configs",
             "threads",
-            "recon_threads",
             "replay_threads",
             "total_insts",
             "clusters",

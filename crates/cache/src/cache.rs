@@ -119,7 +119,8 @@ fn find_valid_tag(tags: &[u64], vmask: u64, tag: u64) -> Option<usize> {
 /// 1. [`Cache::begin_reconstruction`] clears all *reconstructed* bits;
 /// 2. the reverse scan calls [`Cache::reconstruct_ref`] per logged reference
 ///    (younger references first) until [`Cache::fully_reconstructed`] or the
-///    log budget runs out;
+///    log budget runs out — or [`Cache::reconstruct_span`] once per set
+///    over that set's newest-first references;
 /// 3. [`Cache::finish_reconstruction`] normalizes LRU ranks so that
 ///    reconstructed blocks are younger than surviving stale blocks, in
 ///    reconstruction order (first reconstructed = MRU), exactly as Figure 2
@@ -451,62 +452,103 @@ impl Cache {
         ReconOutcome::Inserted
     }
 
-    /// Checks out `parts` disjoint, contiguous set ranges for a
-    /// partitioned reverse scan: each [`ReconSetSlice`] owns its sets'
-    /// lines and reconstruction counts exclusively, so the slices can
-    /// reconstruct concurrently (the reverse scan is per-set independent —
-    /// paper §3.1). Call [`Cache::begin_reconstruction`] first and
-    /// [`Cache::resync_complete_sets`] after the workers join; the slices
-    /// do not maintain the cache-level completeness counter.
-    pub fn recon_partitions(&mut self, parts: usize) -> Vec<ReconSetSlice<'_>> {
-        let parts = parts.clamp(1, self.num_sets);
+    /// Replays one set's whole logged span — record indices into `addrs`,
+    /// newest first, descending — stopping at the budget `cut` or when the
+    /// set completes. Semantically identical to presenting each in-budget
+    /// address to [`Cache::reconstruct_ref`] in span order, but batched:
+    /// the stale-victim priority order (invalid ways first, then valid
+    /// stale ways oldest-rank first) is computed once per set instead of
+    /// per reference, and the per-reference work collapses to one tag
+    /// compare loop. Victim priority only depends on the set's pre-scan
+    /// (valid, rank) state — reconstruction never changes a surviving stale
+    /// way's rank or validity — so hoisting it is exact.
+    pub fn reconstruct_span(
+        &mut self,
+        set: usize,
+        span: &[u32],
+        addrs: &[u64],
+        cut: u32,
+    ) -> SpanOutcome {
+        // Victim priority as a stack: `(!valid, rank)` descending, i.e.
+        // exactly the argmax sequence `reconstruct_ref` would produce.
+        // Ranks are a permutation within a set, so the order is unique.
+        const MAX_FAST_ASSOC: usize = 32;
         let assoc = self.cfg.assoc;
-        let stride = self.mask_stride;
-        let mut out = Vec::with_capacity(parts);
-        let mut tags = &mut self.tags[..];
-        let mut ranks = &mut self.ranks[..];
-        let mut recon_seq = &mut self.recon_seq[..];
-        let mut valid = &mut self.valid[..];
-        let mut dirty = &mut self.dirty[..];
-        let mut counts = &mut self.recon_counts[..];
-        let mut first = 0usize;
-        for p in 0..parts {
-            let n_sets = (self.num_sets - first).div_ceil(parts - p);
-            let (t, tags_rest) = tags.split_at_mut(n_sets * assoc);
-            let (r, ranks_rest) = ranks.split_at_mut(n_sets * assoc);
-            let (q, recon_rest) = recon_seq.split_at_mut(n_sets * assoc);
-            let (v, valid_rest) = valid.split_at_mut(n_sets * stride);
-            let (d, dirty_rest) = dirty.split_at_mut(n_sets * stride);
-            let (c, counts_rest) = counts.split_at_mut(n_sets);
-            out.push(ReconSetSlice {
-                tags: t,
-                ranks: r,
-                recon_seq: q,
-                valid: v,
-                dirty: d,
-                recon_counts: c,
-                first_set: first,
-                assoc,
-                mask_stride: stride,
-            });
-            tags = tags_rest;
-            ranks = ranks_rest;
-            recon_seq = recon_rest;
-            valid = valid_rest;
-            dirty = dirty_rest;
-            counts = counts_rest;
-            first += n_sets;
+        let mut out = SpanOutcome::default();
+        let mut seq = self.recon_counts[set];
+        if seq as usize >= assoc {
+            return out;
         }
-        out
-    }
+        if assoc > MAX_FAST_ASSOC {
+            // Wide geometry: take the per-reference path.
+            for &i in span {
+                if i < cut {
+                    break;
+                }
+                match self.reconstruct_ref(addrs[i as usize]) {
+                    ReconOutcome::Inserted => out.inserted += 1,
+                    ReconOutcome::MarkedPresent => out.marked += 1,
+                    ReconOutcome::Redundant | ReconOutcome::SetComplete => {}
+                }
+                if self.recon_counts[set] as usize >= assoc {
+                    out.completed_at = Some(i);
+                    break;
+                }
+            }
+            return out;
+        }
 
-    /// Recomputes the complete-set counter from the per-set reconstruction
-    /// counts. Partitioned workers update only their slice's counts, so
-    /// this must run once after they join to restore the invariant behind
-    /// [`Cache::fully_reconstructed`].
-    pub fn resync_complete_sets(&mut self) {
-        let assoc = self.cfg.assoc as u8;
-        self.complete_sets = self.recon_counts.iter().filter(|&&c| c >= assoc).count();
+        let tag_shift = self.line_shift + self.num_sets.trailing_zeros();
+        let base = set * assoc;
+        let mut order = [0u8; MAX_FAST_ASSOC];
+        for (w, slot) in order.iter_mut().take(assoc).enumerate() {
+            *slot = w as u8;
+        }
+        order[..assoc].sort_unstable_by_key(|&w| {
+            (
+                bit_get(&self.valid, self.mask_stride, set, w as usize),
+                std::cmp::Reverse(self.ranks[base + w as usize]),
+            )
+        });
+        let mut next_victim = 0usize;
+
+        for &i in span {
+            if i < cut {
+                break;
+            }
+            let tag = addrs[i as usize] >> tag_shift;
+            match self.find_way(set, tag) {
+                Some(way) => {
+                    if self.recon_seq[base + way] != NOT_RECON {
+                        continue;
+                    }
+                    self.recon_seq[base + way] = seq;
+                    out.marked += 1;
+                }
+                None => {
+                    // Pop the stalest way not yet reconstructed (a marked
+                    // way keeps its position in `order`; skip it here).
+                    while self.recon_seq[base + order[next_victim] as usize] != NOT_RECON {
+                        next_victim += 1;
+                    }
+                    let v = order[next_victim] as usize;
+                    next_victim += 1;
+                    self.tags[base + v] = tag;
+                    bit_set(&mut self.valid, self.mask_stride, set, v);
+                    bit_clear(&mut self.dirty, self.mask_stride, set, v);
+                    self.recon_seq[base + v] = seq;
+                    out.inserted += 1;
+                }
+            }
+            seq += 1;
+            if seq as usize >= assoc {
+                self.complete_sets += 1;
+                out.completed_at = Some(i);
+                break;
+            }
+        }
+        self.recon_counts[set] = seq;
+        out
     }
 
     /// Whether every set has been fully reconstructed (early-exit test for
@@ -637,7 +679,7 @@ fn ones(n: usize) -> u64 {
 }
 
 /// Result of replaying one set's logged references through
-/// [`ReconSetSlice::reconstruct_span`].
+/// [`Cache::reconstruct_span`].
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct SpanOutcome {
     /// References inserted into stale ways.
@@ -647,195 +689,6 @@ pub struct SpanOutcome {
     /// The record index at which the set became fully reconstructed, if it
     /// did within the span.
     pub completed_at: Option<u32>,
-}
-
-/// A contiguous range of sets checked out of a [`Cache`] by
-/// [`Cache::recon_partitions`] for one partitioned-reconstruction worker.
-///
-/// Within the slice, [`ReconSetSlice::reconstruct_tag`] is
-/// [`Cache::reconstruct_ref`] restricted to the owned sets: identical
-/// outcomes, identical line state, identical reconstruction-order
-/// (`recon_seq`) assignment — only the cache-level complete-set counter is
-/// deferred to [`Cache::resync_complete_sets`].
-/// [`ReconSetSlice::reconstruct_span`] is the batched equivalent for a
-/// whole set at once.
-#[derive(Debug)]
-pub struct ReconSetSlice<'a> {
-    tags: &'a mut [u64],
-    ranks: &'a mut [u8],
-    recon_seq: &'a mut [u8],
-    valid: &'a mut [u64],
-    dirty: &'a mut [u64],
-    recon_counts: &'a mut [u8],
-    first_set: usize,
-    assoc: usize,
-    mask_stride: usize,
-}
-
-impl ReconSetSlice<'_> {
-    /// Global indices of the sets this slice owns.
-    pub fn set_range(&self) -> std::ops::Range<usize> {
-        self.first_set..self.first_set + self.recon_counts.len()
-    }
-
-    /// Whether `set` (a global set index) has every way reconstructed.
-    pub fn set_complete(&self, set: usize) -> bool {
-        self.recon_counts[set - self.first_set] as usize >= self.assoc
-    }
-
-    /// First valid way of local set `local` holding `tag`.
-    #[inline]
-    fn find_way(&self, local: usize, tag: u64) -> Option<usize> {
-        let base = local * self.assoc;
-        if self.mask_stride == 1 {
-            find_valid_tag(&self.tags[base..base + self.assoc], self.valid[local], tag)
-        } else {
-            (0..self.assoc).find(|&w| {
-                bit_get(self.valid, self.mask_stride, local, w) && self.tags[base + w] == tag
-            })
-        }
-    }
-
-    /// Applies one logged reference to `set` (a global set index) whose
-    /// address tag is `tag`; younger references must be presented first.
-    /// See [`Cache::reconstruct_ref`] for the rules.
-    pub fn reconstruct_tag(&mut self, set: usize, tag: u64) -> ReconOutcome {
-        let local = set - self.first_set;
-        let assoc = self.assoc;
-        if self.recon_counts[local] as usize >= assoc {
-            return ReconOutcome::SetComplete;
-        }
-        let seq = self.recon_counts[local];
-        let base = local * assoc;
-
-        if let Some(way) = self.find_way(local, tag) {
-            if self.recon_seq[base + way] != NOT_RECON {
-                return ReconOutcome::Redundant;
-            }
-            self.recon_seq[base + way] = seq;
-            self.recon_counts[local] += 1;
-            return ReconOutcome::MarkedPresent;
-        }
-
-        let mut victim = None;
-        let mut best = (false, 0u8);
-        for w in 0..assoc {
-            if self.recon_seq[base + w] != NOT_RECON {
-                continue;
-            }
-            let key = (!bit_get(self.valid, self.mask_stride, local, w), self.ranks[base + w]);
-            if victim.is_none() || key > best {
-                victim = Some(w);
-                best = key;
-            }
-        }
-        let Some(victim) = victim else { unreachable!("incomplete set has a stale way") };
-        self.tags[base + victim] = tag;
-        bit_set(self.valid, self.mask_stride, local, victim);
-        bit_clear(self.dirty, self.mask_stride, local, victim);
-        self.recon_seq[base + victim] = seq;
-        self.recon_counts[local] += 1;
-        ReconOutcome::Inserted
-    }
-
-    /// Replays one set's whole logged span — record indices into `addrs`,
-    /// newest first, descending — stopping at the budget `cut` or when the
-    /// set completes. Semantically identical to presenting each in-budget
-    /// reference to [`ReconSetSlice::reconstruct_tag`] in span order, but
-    /// batched: the stale-victim priority order (invalid ways first, then
-    /// valid stale ways oldest-rank first) is computed once per set instead
-    /// of per reference, and the per-reference work collapses to one tag
-    /// compare loop. Victim priority only depends on the set's pre-scan
-    /// (valid, rank) state — reconstruction never changes a surviving stale
-    /// way's rank or validity — so hoisting it is exact.
-    pub fn reconstruct_span(
-        &mut self,
-        set: usize,
-        span: &[u32],
-        addrs: &[u64],
-        cut: u32,
-        tag_shift: u32,
-    ) -> SpanOutcome {
-        // Victim priority as a stack: `(!valid, rank)` descending, i.e.
-        // exactly the argmax sequence `reconstruct_tag` would produce.
-        // Ranks are a permutation within a set, so the order is unique.
-        const MAX_FAST_ASSOC: usize = 32;
-        let mut order = [0u8; MAX_FAST_ASSOC];
-        let assoc = self.assoc;
-        let mut out = SpanOutcome::default();
-        if assoc > MAX_FAST_ASSOC {
-            // Degenerate geometry: take the per-reference path.
-            for &i in span {
-                if i < cut {
-                    break;
-                }
-                match self.reconstruct_tag(set, addrs[i as usize] >> tag_shift) {
-                    ReconOutcome::Inserted => out.inserted += 1,
-                    ReconOutcome::MarkedPresent => out.marked += 1,
-                    ReconOutcome::Redundant | ReconOutcome::SetComplete => {}
-                }
-                if self.set_complete(set) {
-                    out.completed_at = Some(i);
-                    break;
-                }
-            }
-            return out;
-        }
-
-        let local = set - self.first_set;
-        let mut seq = self.recon_counts[local];
-        if seq as usize >= assoc {
-            return out;
-        }
-        let base = local * assoc;
-        for (w, slot) in order.iter_mut().take(assoc).enumerate() {
-            *slot = w as u8;
-        }
-        order[..assoc].sort_unstable_by_key(|&w| {
-            (
-                bit_get(self.valid, self.mask_stride, local, w as usize),
-                std::cmp::Reverse(self.ranks[base + w as usize]),
-            )
-        });
-        let mut next_victim = 0usize;
-
-        for &i in span {
-            if i < cut {
-                break;
-            }
-            let tag = addrs[i as usize] >> tag_shift;
-            match self.find_way(local, tag) {
-                Some(way) => {
-                    if self.recon_seq[base + way] != NOT_RECON {
-                        continue;
-                    }
-                    self.recon_seq[base + way] = seq;
-                    out.marked += 1;
-                }
-                None => {
-                    // Pop the stalest way not yet reconstructed (a marked
-                    // way keeps its position in `order`; skip it here).
-                    while self.recon_seq[base + order[next_victim] as usize] != NOT_RECON {
-                        next_victim += 1;
-                    }
-                    let v = order[next_victim] as usize;
-                    next_victim += 1;
-                    self.tags[base + v] = tag;
-                    bit_set(self.valid, self.mask_stride, local, v);
-                    bit_clear(self.dirty, self.mask_stride, local, v);
-                    self.recon_seq[base + v] = seq;
-                    out.inserted += 1;
-                }
-            }
-            seq += 1;
-            if seq as usize >= assoc {
-                out.completed_at = Some(i);
-                break;
-            }
-        }
-        self.recon_counts[local] = seq;
-        out
-    }
 }
 
 #[cfg(test)]
@@ -1042,54 +895,6 @@ mod tests {
                     fwd.set_tags_mru_order(set),
                     "stream {stream:?} set {set}"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn partitioned_slices_match_sequential_reconstruction() {
-        // For any partition count, replaying each set's references through
-        // its owning slice (younger first) must reproduce the sequential
-        // reverse scan exactly: same outcomes, same lines, same
-        // completeness. In the 4-set/64B geometry of `addr`, set and tag
-        // are the tuple components directly.
-        use rand::prelude::*;
-        let mut rng = StdRng::seed_from_u64(11);
-        for parts in [1usize, 2, 3, 4] {
-            let stream: Vec<(u64, u64)> =
-                (0..60).map(|_| (rng.gen_range(0..4u64), rng.gen_range(0..10u64))).collect();
-            let mut seq = tiny_cache(2);
-            let mut par = tiny_cache(2);
-            // Shared stale content so marked-present paths are exercised.
-            for &(s, t) in stream.iter().take(10) {
-                seq.access(addr(s, t), AccessKind::Read);
-                par.access(addr(s, t), AccessKind::Read);
-            }
-
-            seq.begin_reconstruction();
-            let mut seq_outcomes = vec![None; stream.len()];
-            for (k, &(s, t)) in stream.iter().enumerate().rev() {
-                seq_outcomes[k] = Some(seq.reconstruct_ref(addr(s, t)));
-            }
-            seq.finish_reconstruction();
-
-            par.begin_reconstruction();
-            let mut par_outcomes = vec![None; stream.len()];
-            for slice in &mut par.recon_partitions(parts) {
-                let range = slice.set_range();
-                for (k, &(s, t)) in stream.iter().enumerate().rev() {
-                    if range.contains(&(s as usize)) {
-                        par_outcomes[k] = Some(slice.reconstruct_tag(s as usize, t));
-                    }
-                }
-            }
-            par.resync_complete_sets();
-            par.finish_reconstruction();
-
-            assert_eq!(par_outcomes, seq_outcomes, "parts {parts}");
-            assert_eq!(par.complete_sets(), seq.complete_sets(), "parts {parts}");
-            for set in 0..4 {
-                assert_eq!(par.dump_set(set), seq.dump_set(set), "parts {parts} set {set}");
             }
         }
     }

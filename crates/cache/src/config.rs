@@ -9,6 +9,9 @@ pub enum WritePolicy {
     WriteBackAllocate,
 }
 
+/// Largest supported associativity (see [`CacheConfig::validate`]).
+const MAX_ASSOC: usize = u8::MAX as usize;
+
 /// Geometry and policy of a single cache.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CacheConfig {
@@ -75,8 +78,12 @@ impl CacheConfig {
         (self.size_bytes / (self.assoc as u64 * self.line_bytes)) as usize
     }
 
-    /// Checks the geometry: power-of-two line size and set count, nonzero
-    /// associativity, capacity divisible by `assoc * line_bytes`.
+    /// Checks the geometry: power-of-two line size and set count,
+    /// associativity in `1..=255`, capacity divisible by `assoc * line_bytes`.
+    ///
+    /// The associativity bound is the cache's per-line state width: LRU
+    /// ranks, reconstruction order and per-set reconstruction counts are
+    /// `u8`, and 255 is the "not reconstructed" sentinel.
     ///
     /// # Errors
     ///
@@ -84,6 +91,12 @@ impl CacheConfig {
     pub fn validate(&self) -> Result<(), String> {
         if self.assoc == 0 {
             return Err(format!("{}: associativity must be nonzero", self.name));
+        }
+        if self.assoc > MAX_ASSOC {
+            return Err(format!(
+                "{}: associativity {} exceeds the supported maximum {MAX_ASSOC}",
+                self.name, self.assoc
+            ));
         }
         if !self.line_bytes.is_power_of_two() {
             return Err(format!("{}: line size must be a power of two", self.name));
@@ -129,5 +142,20 @@ mod tests {
         assert!(c.validate().is_err());
 
         assert!(CacheConfig::paper_l2().validate().is_ok());
+    }
+
+    #[test]
+    fn associativity_is_bounded_by_the_u8_line_state() {
+        let ways = |assoc: usize| CacheConfig {
+            name: "W".into(),
+            size_bytes: assoc as u64 * 64,
+            assoc,
+            line_bytes: 64,
+            write_policy: WritePolicy::WriteBackAllocate,
+            hit_latency: 1,
+        };
+        assert!(ways(255).validate().is_ok());
+        let e = ways(256).validate().unwrap_err();
+        assert!(e.contains("associativity 256 exceeds the supported maximum 255"), "{e}");
     }
 }

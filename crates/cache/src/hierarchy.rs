@@ -152,17 +152,6 @@ impl MemHierarchy {
         self.l2.finish_reconstruction();
     }
 
-    /// Closes a *partitioned* reverse-reconstruction pass: partitioned
-    /// workers (see [`Cache::recon_partitions`]) only update their slice's
-    /// per-set counts, so each level's complete-set counter must be
-    /// resynchronized before the LRU-rank normalization runs.
-    pub fn finish_partitioned_reconstruction(&mut self) {
-        self.l1i.resync_complete_sets();
-        self.l1d.resync_complete_sets();
-        self.l2.resync_complete_sets();
-        self.finish_reconstruction();
-    }
-
     /// Resets the bus arbitration clocks. Call when restarting the cycle
     /// counter (e.g. at the start of each measured cluster) — cache *state*
     /// is untouched.

@@ -28,9 +28,7 @@ mod hierarchy;
 mod sampling;
 
 pub use bus::{Bus, BusConfig, BusStats};
-pub use cache::{
-    AccessKind, AccessOutcome, Addr, Cache, CacheStats, ReconOutcome, ReconSetSlice, SpanOutcome,
-};
+pub use cache::{AccessKind, AccessOutcome, Addr, Cache, CacheStats, ReconOutcome, SpanOutcome};
 pub use config::{CacheConfig, WritePolicy};
 pub use hierarchy::{HierAccess, HierarchyConfig, HierarchyStats, MemHierarchy};
 pub use sampling::{SetSampleStats, SetSampledCache};

@@ -48,7 +48,7 @@ pub enum Command {
         /// Instructions to simulate.
         n: u64,
     },
-    /// `rsr sample <bench> [--policy P] [--pct N] [--clusters N] [--len N] [-n INSTS] [--seed S] [--threads T] [--pipeline-depth D] [--recon-threads R] [--max-shard-retries R] [--log-budget BYTES] [--deadline-secs S]`
+    /// `rsr sample <bench> [--policy P] [--pct N] [--clusters N] [--len N] [-n INSTS] [--seed S] [--threads T] [--pipeline-depth D] [--max-shard-retries R] [--log-budget BYTES] [--deadline-secs S]`
     Sample {
         /// Workload to sample.
         bench: Benchmark,
@@ -67,9 +67,6 @@ pub enum Command {
         /// Intra-shard leader/follower pipeline depth (0 = auto; results
         /// are identical at any depth).
         pipeline_depth: usize,
-        /// Per-window reconstruction worker threads (0 = auto; results
-        /// are identical at any count).
-        recon_threads: usize,
         /// Shard-fault retry budget (`None` = engine default).
         max_shard_retries: Option<u32>,
         /// Per-region RSR log cap in bytes (`None` = unbounded).
@@ -90,7 +87,7 @@ pub enum Command {
         /// Replay count.
         replays: usize,
     },
-    /// `rsr sweep <bench> [--configs N] [--policy P] [--pct N] [--clusters N] [--len N] [-n INSTS] [--seed S] [--threads T] [--recon-threads R] [--replay-threads W] [--out PATH]`
+    /// `rsr sweep <bench> [--configs N] [--policy P] [--pct N] [--clusters N] [--len N] [-n INSTS] [--seed S] [--threads T] [--replay-threads W] [--out PATH]`
     Sweep {
         /// Workload to sweep.
         bench: Benchmark,
@@ -110,14 +107,12 @@ pub enum Command {
         seed: u64,
         /// Worker threads for the cold capture and each config's replay.
         threads: usize,
-        /// Per-window reconstruction worker threads (0 = auto).
-        recon_threads: usize,
         /// Configs replayed concurrently per captured window (0 = auto).
         replay_threads: usize,
         /// Destination for the JSON rows (`None` = stdout).
         out: Option<String>,
     },
-    /// `rsr bench [--scale S] [--seed N] [--threads T] [--pipeline-depth D] [--recon-threads R] [--replay-threads W] [--sweep-configs N] [--sweep-smoke] [--out PATH]`
+    /// `rsr bench [--scale S] [--seed N] [--threads T] [--pipeline-depth D] [--replay-threads W] [--sweep-configs N] [--sweep-smoke] [--out PATH]`
     Bench {
         /// Run-length scale factor relative to the default regimen.
         scale: f64,
@@ -128,8 +123,6 @@ pub enum Command {
         /// Intra-shard leader/follower pipeline depth (0 = auto; 0 also
         /// emits a depth-1 + auto-depth matrix instead of one object).
         pipeline_depth: usize,
-        /// Per-window reconstruction worker threads (0 = auto).
-        recon_threads: usize,
         /// Configs replayed concurrently per captured window in the
         /// sweep rows (0 = auto).
         replay_threads: usize,
@@ -395,18 +388,16 @@ commands:
   trace  <bench> [-n N]         print the first N retired instructions (default 20)
   run    <bench> [-n INSTS]     full cycle-accurate run (default 1000000)
   sample <bench> [--policy P] [--pct N] [--clusters N] [--len N] [-n INSTS] [--seed S]
-         [--threads T] [--pipeline-depth D] [--recon-threads R] [--max-shard-retries R]
-         [--log-budget BYTES] [--deadline-secs S]
+         [--threads T] [--pipeline-depth D] [--max-shard-retries R] [--log-budget BYTES]
+         [--deadline-secs S]
                                 sampled simulation (defaults: r$bp 20%, 30x1000, 2M, seed 42,
                                 1 thread; --threads shards the schedule, results identical;
                                 --pipeline-depth overlaps cold fast-forward with recon+hot
                                 inside each shard, 0 = auto, results identical at any depth;
-                                --recon-threads parallelizes reverse cache reconstruction
-                                over set partitions, 0 = auto, results identical at any count;
                                 retries heal shard faults, --log-budget degrades over-budget
                                 clusters to stale-state warmup, --deadline-secs aborts cleanly)
   sweep  <bench> [--configs N] [--policy P] [--pct N] [--clusters N] [--len N] [-n INSTS]
-         [--seed S] [--threads T] [--recon-threads R] [--replay-threads W] [--out PATH]
+         [--seed S] [--threads T] [--replay-threads W] [--out PATH]
                                 design-space sweep: one functional cold pass fanned
                                 across N machine variants (L1D capacity x gshare history
                                 grid around the paper geometry); emits one JSON row per
@@ -416,8 +407,8 @@ commands:
                                 --replay-threads replays W configs concurrently per
                                 captured window, 0 = auto; per-config results are
                                 bit-identical to standalone runs at any worker count)
-  bench  [--scale S] [--seed N] [--threads T] [--pipeline-depth D] [--recon-threads R]
-         [--replay-threads W] [--sweep-configs N] [--sweep-smoke] [--serve-smoke] [--out PATH]
+  bench  [--scale S] [--seed N] [--threads T] [--pipeline-depth D] [--replay-threads W]
+         [--sweep-configs N] [--sweep-smoke] [--serve-smoke] [--out PATH]
                                 reproducible perf trajectory: runs mcf under r$bp 20%
                                 and emits BENCH_sample.json-shaped metrics (cold-phase
                                 MIPS, recon ns/record per structure, peak log bytes, wall
@@ -571,7 +562,6 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
                 seed: flags.parsed("--seed", 42)?,
                 threads: flags.parsed("--threads", 1)?,
                 pipeline_depth: flags.parsed("--pipeline-depth", 0)?,
-                recon_threads: flags.parsed("--recon-threads", 0)?,
                 max_shard_retries: flags.parsed_opt("--max-shard-retries")?,
                 log_budget: flags.parsed_opt("--log-budget")?,
                 deadline_secs: flags.parsed_opt("--deadline-secs")?,
@@ -594,7 +584,6 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
                 n: flags.parsed("-n", 2_000_000)?,
                 seed: flags.parsed("--seed", 42)?,
                 threads: flags.parsed("--threads", 1)?,
-                recon_threads: flags.parsed("--recon-threads", 0)?,
                 replay_threads: flags.parsed("--replay-threads", 0)?,
                 out: flags.value("--out").map(str::to_string),
             }
@@ -604,7 +593,6 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
             seed: flags.parsed("--seed", 42)?,
             threads: flags.parsed("--threads", 1)?,
             pipeline_depth: flags.parsed("--pipeline-depth", 0)?,
-            recon_threads: flags.parsed("--recon-threads", 0)?,
             replay_threads: flags.parsed("--replay-threads", 0)?,
             sweep_configs: flags.parsed("--sweep-configs", 0)?,
             sweep_smoke: flags.present("--sweep-smoke"),
@@ -838,7 +826,6 @@ mod tests {
                 seed: 42,
                 threads: 1,
                 pipeline_depth: 0,
-                recon_threads: 0,
                 replay_threads: 0,
                 sweep_configs: 0,
                 sweep_smoke: false,
@@ -848,7 +835,7 @@ mod tests {
         );
         assert_eq!(
             parse(&argv(
-                "bench --scale 0.05 --seed 7 --threads 4 --pipeline-depth 2 --recon-threads 4 \
+                "bench --scale 0.05 --seed 7 --threads 4 --pipeline-depth 2 \
                  --replay-threads 2 --sweep-configs 20 --out BENCH_sample.json"
             ))
             .unwrap(),
@@ -857,7 +844,6 @@ mod tests {
                 seed: 7,
                 threads: 4,
                 pipeline_depth: 2,
-                recon_threads: 4,
                 replay_threads: 2,
                 sweep_configs: 20,
                 sweep_smoke: false,
@@ -896,20 +882,17 @@ mod tests {
         }
         match parse(&argv(
             "sweep twolf --configs 20 --policy r$ --pct 40 --clusters 12 --len 500 -n 100000 \
-             --seed 7 --threads 4 --recon-threads 2 --replay-threads 4 --out rows.json",
+             --seed 7 --threads 4 --replay-threads 4 --out rows.json",
         ))
         .unwrap()
         {
-            Command::Sweep {
-                bench, configs, policy, recon_threads, replay_threads, out, ..
-            } => {
+            Command::Sweep { bench, configs, policy, replay_threads, out, .. } => {
                 assert_eq!(bench, Benchmark::Twolf);
                 assert_eq!(configs, 20);
                 assert_eq!(
                     policy,
                     WarmupPolicy::Reverse { cache: true, bp: false, pct: Pct::new(40) }
                 );
-                assert_eq!(recon_threads, 2);
                 assert_eq!(replay_threads, 4);
                 assert_eq!(out, Some("rows.json".into()));
             }
@@ -932,20 +915,6 @@ mod tests {
             other => panic!("parsed {other:?}"),
         }
         let e = parse(&argv("sample mcf --pipeline-depth deep")).unwrap_err();
-        assert!(e.0.contains("bad value"));
-    }
-
-    #[test]
-    fn recon_threads_flag_parses_and_defaults_to_auto() {
-        match parse(&argv("sample mcf --recon-threads 4")).unwrap() {
-            Command::Sample { recon_threads, .. } => assert_eq!(recon_threads, 4),
-            other => panic!("parsed {other:?}"),
-        }
-        match parse(&argv("sample mcf")).unwrap() {
-            Command::Sample { recon_threads, .. } => assert_eq!(recon_threads, 0, "0 = auto"),
-            other => panic!("parsed {other:?}"),
-        }
-        let e = parse(&argv("sample mcf --recon-threads many")).unwrap_err();
         assert!(e.0.contains("bad value"));
     }
 

@@ -198,7 +198,6 @@ fn execute(cmd: Command) -> Result<(), CliError> {
             seed,
             threads,
             pipeline_depth,
-            recon_threads,
             max_shard_retries,
             log_budget,
             deadline_secs,
@@ -212,10 +211,8 @@ fn execute(cmd: Command) -> Result<(), CliError> {
                 .policy(policy)
                 .seed(seed)
                 .threads(threads)
-                .pipeline_depth(pipeline_depth)
-                .recon_threads(recon_threads);
+                .pipeline_depth(pipeline_depth);
             let depth = spec.resolved_pipeline_depth();
-            let recon_workers = spec.resolved_recon_threads();
             if let Some(r) = max_shard_retries {
                 spec = spec.max_shard_retries(r);
             }
@@ -250,12 +247,11 @@ fn execute(cmd: Command) -> Result<(), CliError> {
                 out.log_bytes_peak / 1024
             );
             outln!(
-                "wall: {:.3}s on {} thread{}, pipeline depth {}, recon threads {}{}",
+                "wall: {:.3}s on {} thread{}, pipeline depth {}{}",
                 out.wall.as_secs_f64(),
                 threads,
                 if threads == 1 { "" } else { "s" },
                 depth,
-                recon_workers,
                 if threads > 1 || depth > 1 {
                     format!(" ({:.0}% of busy time overlapped)", 100.0 * out.overlap_efficiency())
                 } else {
@@ -272,7 +268,6 @@ fn execute(cmd: Command) -> Result<(), CliError> {
             n,
             seed,
             threads,
-            recon_threads,
             replay_threads,
             out,
         } => {
@@ -285,15 +280,11 @@ fn execute(cmd: Command) -> Result<(), CliError> {
                     .total_insts(n)
                     .seed(seed),
             )
-            .cold_threads(threads)
             .replay_threads(replay_threads);
             for point in &grid {
                 sweep = sweep.config(
                     point.name.clone(),
-                    DetailSpec::new(&point.machine())
-                        .policy(policy)
-                        .threads(threads)
-                        .recon_threads(recon_threads),
+                    DetailSpec::new(&point.machine()).policy(policy).threads(threads),
                 );
             }
             let outcome = sweep.run()?;
@@ -358,7 +349,6 @@ fn execute(cmd: Command) -> Result<(), CliError> {
             seed,
             threads,
             pipeline_depth,
-            recon_threads,
             replay_threads,
             sweep_configs,
             sweep_smoke,
@@ -371,15 +361,9 @@ fn execute(cmd: Command) -> Result<(), CliError> {
             // single object (the pre-matrix shape). Requested sweep and
             // service rows ride along at the end of the array.
             let samples = if pipeline_depth == 0 {
-                rsr_bench::run_bench_matrix(scale, seed, threads, recon_threads)
+                rsr_bench::run_bench_matrix(scale, seed, threads)
             } else {
-                vec![rsr_bench::run_bench_sample(
-                    scale,
-                    seed,
-                    threads,
-                    pipeline_depth,
-                    recon_threads,
-                )]
+                vec![rsr_bench::run_bench_sample(scale, seed, threads, pipeline_depth)]
             };
             let sweep_n = if sweep_configs > 0 {
                 sweep_configs
@@ -389,14 +373,7 @@ fn execute(cmd: Command) -> Result<(), CliError> {
                 0
             };
             let sweep_row = (sweep_n > 0).then(|| {
-                rsr_bench::run_sweep_sample(
-                    scale,
-                    seed,
-                    sweep_n,
-                    threads,
-                    recon_threads,
-                    replay_threads,
-                )
+                rsr_bench::run_sweep_sample(scale, seed, sweep_n, threads, replay_threads)
             });
             let serve_row = serve_smoke.then(|| rsr_bench::run_serve_sample(scale, seed, 2));
             let extras: Vec<String> = sweep_row

@@ -4,8 +4,7 @@
 //!   stream newest-first and repair L1I/L1D/L2 state, skipping references
 //!   whose set is already complete (ineffectual instructions isolated with
 //!   no profiling). The scan walks the log's sealed per-set index spans
-//!   ([`crate::ReconGeometry`]) with per-set early exit, optionally
-//!   parallel over set ranges.
+//!   ([`crate::ReconGeometry`]) set by set with per-set early exit.
 //! * [`BpReconstructor`]: §3.2 — rebuild the global history register and
 //!   the return address stack eagerly, then reconstruct PHT counters (via
 //!   reverse-history inference) and BTB entries *on demand* as the next
@@ -21,7 +20,7 @@ use std::borrow::Cow;
 use std::time::Instant;
 
 use rsr_branch::{Counter2, PredCtrlKind, Predictor, RasOp, StateMap, PACKED_IDENTITY};
-use rsr_cache::{Cache, MemHierarchy, ReconSetSlice};
+use rsr_cache::{Cache, MemHierarchy};
 use rsr_isa::{Addr, CtrlKind};
 use rsr_timing::PredictHook;
 
@@ -102,12 +101,7 @@ impl ReconTiming {
     }
 }
 
-/// Scanned-record budget below which the partitioned walk stays
-/// single-threaded: test-scale regions complete in microseconds, so
-/// thread spawn/join would dominate.
-const PAR_MIN_BUDGET: usize = 8192;
-
-/// One level's aggregate over a partitioned set walk.
+/// One level's aggregate over its set walk.
 #[derive(Copy, Clone, Default)]
 struct LevelAgg {
     inserted: u64,
@@ -120,36 +114,19 @@ struct LevelAgg {
     t_level: usize,
 }
 
-impl LevelAgg {
-    fn merge(mut self, other: LevelAgg) -> LevelAgg {
-        self.inserted += other.inserted;
-        self.marked += other.marked;
-        self.complete &= other.complete;
-        self.t_level = self.t_level.max(other.t_level);
-        self
-    }
-}
-
-/// Walks every set a slice owns: newest-first along the set's contiguous
-/// index span, stopping at the budget cut (`record index < cut` — spans
-/// are sorted descending, so the first record past the cut ends the set)
-/// or as soon as the set completes — the per-set early exit the paper's
-/// §3.1 ordering permits, because a complete set ignores all older
-/// references anyway.
-fn walk_slice(
-    slice: &mut ReconSetSlice<'_>,
-    off: &[u32],
-    idx: &[u32],
-    addrs: &[u64],
-    cut: usize,
-    tag_shift: u32,
-) -> LevelAgg {
+/// Reverse scan of one cache level: each set is walked newest-first along
+/// its contiguous index span, stopping at the budget cut (`record index <
+/// cut` — spans are sorted descending, so the first record past the cut
+/// ends the set) or as soon as the set completes — the per-set early exit
+/// the paper's §3.1 ordering permits, because a complete set ignores all
+/// older references anyway.
+fn walk_cache(cache: &mut Cache, off: &[u32], idx: &[u32], addrs: &[u64], cut: usize) -> LevelAgg {
     let n = addrs.len();
     let cut = cut as u32;
     let mut agg = LevelAgg { complete: true, ..LevelAgg::default() };
-    for set in slice.set_range() {
+    for set in 0..cache.num_sets() {
         let span = &idx[off[set] as usize..off[set + 1] as usize];
-        let out = slice.reconstruct_span(set, span, addrs, cut, tag_shift);
+        let out = cache.reconstruct_span(set, span, addrs, cut);
         agg.inserted += u64::from(out.inserted);
         agg.marked += u64::from(out.marked);
         match out.completed_at {
@@ -158,37 +135,6 @@ fn walk_slice(
         }
     }
     agg
-}
-
-/// Partitioned reverse scan of one cache level over its per-set spans,
-/// fanned out over `parts` contiguous set ranges (inline when 1).
-fn walk_cache(
-    cache: &mut Cache,
-    off: &[u32],
-    idx: &[u32],
-    addrs: &[u64],
-    cut: usize,
-    parts: usize,
-) -> LevelAgg {
-    let tag_shift = cache.line_shift() + cache.num_sets().trailing_zeros();
-    let mut slices = cache.recon_partitions(parts);
-    if slices.len() <= 1 {
-        return walk_slice(&mut slices[0], off, idx, addrs, cut, tag_shift);
-    }
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = slices
-            .iter_mut()
-            .map(|slice| scope.spawn(move || walk_slice(slice, off, idx, addrs, cut, tag_shift)))
-            .collect();
-        workers
-            .into_iter()
-            .map(|w| match w.join() {
-                Ok(agg) => agg,
-                // Re-raise with the worker's own payload intact.
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .fold(LevelAgg { complete: true, ..LevelAgg::default() }, LevelAgg::merge)
-    })
 }
 
 /// The memory-side geometry of `hier`: the key its index must be sealed
@@ -208,11 +154,8 @@ fn hier_geometry(hier: &MemHierarchy) -> ReconGeometry {
 }
 
 /// Reverse cache reconstruction (§3.1) through the log's sealed
-/// partitioned index: each set's newest-first index span is walked
-/// independently with per-set early exit, optionally parallel over
-/// disjoint set ranges (`recon_threads` workers — resolved upstream from
-/// the shared core budget so shard, pipeline, and reconstruction threads
-/// never oversubscribe).
+/// partitioned index: each set's newest-first index span is walked with
+/// per-set early exit, one set after another on the calling thread.
 ///
 /// Counters and final cache state are **bit-identical** to the sequential
 /// newest-first full scan the paper describes: span order per set equals
@@ -225,6 +168,10 @@ fn hier_geometry(hier: &MemHierarchy) -> ReconGeometry {
 /// Returns per-structure wall time alongside the counters (sealing is not
 /// counted).
 ///
+/// Reconstruction is sequential: `_workers` is ignored. It remains only so
+/// that existing four-argument callers, such as the benchmark replica in
+/// `crates/bench/src/bin/benchmark`, keep compiling.
+///
 /// # Panics
 ///
 /// If the log holds `u32::MAX` or more memory records (see
@@ -233,9 +180,9 @@ pub fn reconstruct_caches_partitioned(
     hier: &mut MemHierarchy,
     log: &SkipLog,
     pct: Pct,
-    recon_threads: usize,
+    _workers: usize,
 ) -> (ReconStats, ReconTiming) {
-    reconstruct_caches_partitioned_with(hier, log, log.mem_index(), pct, recon_threads)
+    reconstruct_caches_partitioned_with(hier, log, log.mem_index(), pct)
 }
 
 /// [`reconstruct_caches_partitioned`] over an explicitly supplied index —
@@ -249,7 +196,6 @@ pub(crate) fn reconstruct_caches_partitioned_with(
     log: &SkipLog,
     index: Option<&ReconIndex>,
     pct: Pct,
-    recon_threads: usize,
 ) -> (ReconStats, ReconTiming) {
     let geom = hier_geometry(hier);
     let local;
@@ -266,18 +212,17 @@ pub(crate) fn reconstruct_caches_partitioned_with(
     let n = log.mem_len();
     let budget = pct.of(n);
     let cut = n - budget;
-    let parts = if budget < PAR_MIN_BUDGET { 1 } else { recon_threads.max(1) };
     let addrs = log.mem_addrs();
     hier.begin_reconstruction();
 
     let t = Instant::now();
-    let l1i = walk_cache(&mut hier.l1i, &ix.l1i_off, &ix.l1i_idx, addrs, cut, parts);
-    let l1d = walk_cache(&mut hier.l1d, &ix.l1d_off, &ix.l1d_idx, addrs, cut, parts);
+    let l1i = walk_cache(&mut hier.l1i, &ix.l1i_off, &ix.l1i_idx, addrs, cut);
+    let l1d = walk_cache(&mut hier.l1d, &ix.l1d_off, &ix.l1d_idx, addrs, cut);
     timing.l1_ns = t.elapsed().as_nanos() as u64;
     let t = Instant::now();
-    let l2 = walk_cache(&mut hier.l2, &ix.l2_off, &ix.l2_idx, addrs, cut, parts);
+    let l2 = walk_cache(&mut hier.l2, &ix.l2_off, &ix.l2_idx, addrs, cut);
     timing.l2_ns = t.elapsed().as_nanos() as u64;
-    hier.finish_partitioned_reconstruction();
+    hier.finish_reconstruction();
 
     // The sequential scan stops one record past the last level-completing
     // probe (its break runs at the top of the next iteration), or at the

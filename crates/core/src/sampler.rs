@@ -461,7 +461,6 @@ pub(crate) fn detailed_window(
     cpu: &mut Cpu,
     len: u64,
     log: Option<(&SkipLog, WindowIndex<'_>)>,
-    recon_threads: usize,
     outcome: &mut SampleOutcome,
 ) -> Result<(), SimError> {
     let mut hook: Option<BpReconstructor> = None;
@@ -484,8 +483,7 @@ pub(crate) fn detailed_window(
             // none for a side).
             let t = Instant::now();
             if cache {
-                let (stats, timing) =
-                    reconstruct_caches_partitioned_with(hier, log, ix.mem, pct, recon_threads);
+                let (stats, timing) = reconstruct_caches_partitioned_with(hier, log, ix.mem, pct);
                 outcome.recon.accumulate(&stats);
                 outcome.recon_timing.accumulate(&timing);
             }
@@ -535,7 +533,6 @@ fn follower_window(
     cpu: &mut Cpu,
     len: u64,
     log: Option<&mut SkipLog>,
-    recon_threads: usize,
     outcome: &mut SampleOutcome,
 ) -> Result<(), SimError> {
     let log: Option<&SkipLog> = match log {
@@ -571,7 +568,7 @@ fn follower_window(
         };
         (log, ix)
     });
-    detailed_window(machine, policy, hier, pred, cpu, len, log, recon_threads, outcome)
+    detailed_window(machine, policy, hier, pred, cpu, len, log, outcome)
 }
 
 /// Runs the hot/cold/warm loop over `windows`, starting from `cpu`
@@ -598,7 +595,6 @@ pub(crate) fn run_windows(
     mut pos: u64,
     windows: &[ClusterWindow],
     pool: &mut LogPool,
-    recon_threads: usize,
 ) -> Result<SampleOutcome, SimError> {
     let mut outcome = SampleOutcome::empty(policy);
 
@@ -693,17 +689,7 @@ pub(crate) fn run_windows(
         }
 
         // ---- reconstruction + hot phase --------------------------------
-        follower_window(
-            machine,
-            policy,
-            &mut hier,
-            &mut pred,
-            cpu,
-            w.len,
-            sealed,
-            recon_threads,
-            &mut outcome,
-        )?;
+        follower_window(machine, policy, &mut hier, &mut pred, cpu, w.len, sealed, &mut outcome)?;
         pos = w.end();
     }
     pool.put(log);
@@ -732,10 +718,6 @@ pub(crate) struct PipelineCtx<'a> {
     pub shard: usize,
     /// Canonical shards in the whole schedule.
     pub total_shards: usize,
-    /// Worker threads the follower may fan reconstruction out over
-    /// ([`RunSpec::recon_threads`], resolved against the shard/pipeline
-    /// budget).
-    pub recon_threads: usize,
 }
 
 /// One unit of leader → follower work: a cluster's length, the functional
@@ -795,10 +777,8 @@ pub(crate) fn run_windows_pipelined(
         let (recycle_tx, recycle_rx) = mpsc::channel::<SkipLog>();
         let injector = ctx.injector;
         let group = ctx.group;
-        let recon_threads = ctx.recon_threads;
-        let follower = scope.spawn(move || {
-            follower_loop(machine, policy, rx, recycle_tx, injector, group, recon_threads)
-        });
+        let follower =
+            scope.spawn(move || follower_loop(machine, policy, rx, recycle_tx, injector, group));
 
         if let Some(inj) = ctx.injector {
             if let Some(msg) = inj.leader_panic_message(ctx.group) {
@@ -904,7 +884,6 @@ pub(crate) fn run_windows_pipelined(
 
 /// The follower thread: consume [`HotItem`]s in order, run the shared
 /// per-window detailed half, and send each drained log back for reuse.
-#[allow(clippy::too_many_arguments)]
 fn follower_loop(
     machine: &MachineConfig,
     policy: WarmupPolicy,
@@ -912,7 +891,6 @@ fn follower_loop(
     recycle: mpsc::Sender<SkipLog>,
     injector: Option<&FaultInjector>,
     group: usize,
-    recon_threads: usize,
 ) -> Result<SampleOutcome, SimError> {
     if let Some(inj) = injector {
         if let Some(msg) = inj.follower_panic_message(group) {
@@ -933,7 +911,6 @@ fn follower_loop(
             &mut item.cpu,
             item.len,
             item.log.as_mut(),
-            recon_threads,
             &mut outcome,
         )?;
         if let Some(log) = item.log.take() {
@@ -1230,9 +1207,8 @@ mod tests {
         let mut pool = LogPool::new(None);
         let mut pos = 0u64;
         for r in &shards {
-            let out =
-                run_windows(&machine, policy, &mut cpu, pos, &windows[r.clone()], &mut pool, 1)
-                    .unwrap();
+            let out = run_windows(&machine, policy, &mut cpu, pos, &windows[r.clone()], &mut pool)
+                .unwrap();
             merged.absorb(&out);
             pos = windows[r.end - 1].end();
         }

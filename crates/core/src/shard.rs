@@ -73,9 +73,6 @@ pub(crate) struct RunGuards<'a> {
     /// Resolved intra-shard pipeline depth (see
     /// [`crate::RunSpec::pipeline_depth`]); 1 is the sequential engine.
     pub pipeline_depth: usize,
-    /// Resolved per-window reconstruction worker count (see
-    /// [`crate::RunSpec::recon_threads`]); 1 walks sets sequentially.
-    pub recon_threads: usize,
 }
 
 /// Everything a worker needs to resume functional execution at its group
@@ -539,11 +536,10 @@ pub(crate) fn run_sharded(
                     group: ctx.index,
                     shard,
                     total_shards: ctx.total_shards,
-                    recon_threads: guards.recon_threads,
                 };
                 run_windows_pipelined(machine, policy, cpu, pos, slice, &mut pool, &pctx)?
             } else {
-                run_windows(machine, policy, cpu, pos, slice, &mut pool, guards.recon_threads)?
+                run_windows(machine, policy, cpu, pos, slice, &mut pool)?
             };
             merged.absorb(&out);
         }

@@ -5,8 +5,8 @@
 //! the *functional* pass — the workload, the schedule it is sampled under,
 //! and the supervision knobs that guard the cold engine — lives in
 //! [`ColdSpec`], while everything the *detailed* pass needs — the machine
-//! geometry, the warm-up policy, and the thread/pipeline/reconstruction
-//! parallelism knobs — lives in [`DetailSpec`]. A [`RunSpec`] is a thin
+//! geometry, the warm-up policy, and the thread/pipeline parallelism
+//! knobs — lives in [`DetailSpec`]. A [`RunSpec`] is a thin
 //! composition of the two, so the familiar builder keeps working verbatim;
 //! a [`crate::SweepSpec`] pairs one cold half with many detailed halves to
 //! amortize a single functional pass across a design-space sweep.
@@ -288,7 +288,6 @@ pub struct DetailSpec {
     pub(crate) policy: WarmupPolicy,
     pub(crate) threads: usize,
     pub(crate) pipeline_depth: Option<usize>,
-    pub(crate) recon_threads: Option<usize>,
 }
 
 // The detailed half must stay shareable across threads — the sweep engine
@@ -300,15 +299,13 @@ const _: () = _assert_send::<DetailSpec>();
 impl DetailSpec {
     /// Starts a detailed half for a clone of `machine` with the same
     /// defaults as [`RunSpec::new`]: the paper's headline warm-up policy
-    /// (R$BP at 20 % analysis), one thread, auto pipeline depth, and auto
-    /// reconstruction workers.
+    /// (R$BP at 20 % analysis), one thread, and auto pipeline depth.
     pub fn new(machine: &MachineConfig) -> DetailSpec {
         DetailSpec {
             machine: machine.clone(),
             policy: WarmupPolicy::Reverse { cache: true, bp: true, pct: Pct::new(20) },
             threads: 1,
             pipeline_depth: None,
-            recon_threads: None,
         }
     }
 
@@ -332,13 +329,6 @@ impl DetailSpec {
         self
     }
 
-    /// Sets the per-window reconstruction worker count (default 0 =
-    /// auto). See [`RunSpec::recon_threads`].
-    pub fn recon_threads(mut self, recon_threads: usize) -> Self {
-        self.recon_threads = if recon_threads == 0 { None } else { Some(recon_threads) };
-        self
-    }
-
     /// The machine this half simulates.
     pub fn machine(&self) -> &MachineConfig {
         &self.machine
@@ -348,10 +338,10 @@ impl DetailSpec {
     /// can influence the deterministic outcome: the warm-up policy and the
     /// full machine geometry (core, hierarchy, predictor).
     ///
-    /// Deliberately excluded: [`DetailSpec::threads`],
-    /// [`DetailSpec::pipeline_depth`], and [`DetailSpec::recon_threads`] —
-    /// the engine is bit-identical across every parallelism setting
-    /// (locked down by the sharding/pipeline/recon equivalence suites), so
+    /// Deliberately excluded: [`DetailSpec::threads`] and
+    /// [`DetailSpec::pipeline_depth`] — the engine is bit-identical across
+    /// every parallelism setting (locked down by the sharding and pipeline
+    /// equivalence suites), so
     /// two specs differing only in those knobs are the *same* computation
     /// and must share a fingerprint. Cache display names are likewise
     /// skipped.
@@ -421,22 +411,6 @@ impl DetailSpec {
         } else {
             1
         }
-    }
-
-    /// The reconstruction worker count a run of this half will actually
-    /// use. An explicit [`DetailSpec::recon_threads`] is honored as given
-    /// (clamped to ≥ 1); auto divides the host's hardware threads by the
-    /// cores the run already occupies — `threads` workers times the
-    /// resolved pipeline depth — so reconstruction never oversubscribes
-    /// the shard and pipeline layers.
-    pub fn resolved_recon_threads(&self) -> usize {
-        if let Some(recon_threads) = self.recon_threads {
-            return recon_threads.max(1);
-        }
-        let cores =
-            std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1);
-        let occupied = self.threads.max(1) * self.resolved_pipeline_depth();
-        (cores / occupied).max(1)
     }
 }
 
@@ -650,24 +624,6 @@ impl<'a> RunSpec<'a> {
         self
     }
 
-    /// Sets the per-window reconstruction worker count (default 0 =
-    /// auto; see [`RunSpec::resolved_recon_threads`]). With `r > 1`,
-    /// reverse cache reconstruction walks each cache's sets in `r`
-    /// contiguous partitions on scoped threads, each partition following
-    /// only its own sets' index chains (see
-    /// `reconstruct_caches_partitioned`). Results are bit-identical for
-    /// every `r`; `1` walks all sets on the calling thread.
-    pub fn recon_threads(mut self, recon_threads: usize) -> Self {
-        self.detail = self.detail.recon_threads(recon_threads);
-        self
-    }
-
-    /// The reconstruction worker count a run of this spec will actually
-    /// use; see [`DetailSpec::resolved_recon_threads`].
-    pub fn resolved_recon_threads(&self) -> usize {
-        self.detail.resolved_recon_threads()
-    }
-
     /// The pipeline depth a run of this spec will actually use; see
     /// [`DetailSpec::resolved_pipeline_depth`].
     pub fn resolved_pipeline_depth(&self) -> usize {
@@ -708,7 +664,6 @@ impl<'a> RunSpec<'a> {
             max_retries: self.cold.max_shard_retries,
             injector: injector.as_ref(),
             pipeline_depth: self.detail.resolved_pipeline_depth(),
-            recon_threads: self.detail.resolved_recon_threads(),
         };
         let t = Instant::now();
         let mut outcome = run_sharded(
@@ -728,8 +683,8 @@ impl<'a> RunSpec<'a> {
     /// [`ColdSpec::content_hash`] and [`DetailSpec::content_hash`].
     ///
     /// Because every completed run is a bit-identical function of the
-    /// fingerprinted inputs — at any thread count, pipeline depth, or
-    /// reconstruction worker count — two specs with equal content hashes
+    /// fingerprinted inputs — at any thread count or pipeline depth — two
+    /// specs with equal content hashes
     /// produce equal deterministic outcomes, which is what lets the
     /// `rsr serve` result cache and in-flight dedupe key on this value.
     ///
@@ -863,7 +818,6 @@ mod tests {
         let b = base_spec(&p, &machine)
             .threads(4)
             .pipeline_depth(2)
-            .recon_threads(4)
             .max_shard_retries(9)
             .deadline(Duration::from_secs(3600))
             .content_hash()

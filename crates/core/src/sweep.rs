@@ -197,28 +197,19 @@ impl SweepOutcome {
 pub struct SweepSpec<'a> {
     cold: ColdSpec<'a>,
     configs: Vec<(String, DetailSpec)>,
-    cold_threads: Option<usize>,
     replay_threads: Option<usize>,
 }
 
 impl<'a> SweepSpec<'a> {
     /// Starts a sweep over `cold`'s workload with no configs yet.
     pub fn new(cold: ColdSpec<'a>) -> SweepSpec<'a> {
-        SweepSpec { cold, configs: Vec::new(), cold_threads: None, replay_threads: None }
+        SweepSpec { cold, configs: Vec::new(), replay_threads: None }
     }
 
     /// Registers a named detailed config. Replays run in registration
     /// order; results keep the name.
     pub fn config(mut self, name: impl Into<String>, detail: DetailSpec) -> Self {
         self.configs.push((name.into(), detail));
-        self
-    }
-
-    /// Sets the worker-thread count of the fused capture+replay pass
-    /// (default 0 = auto: the largest thread count any registered config
-    /// asks for).
-    pub fn cold_threads(mut self, threads: usize) -> Self {
-        self.cold_threads = if threads == 0 { None } else { Some(threads) };
         self
     }
 
@@ -242,22 +233,18 @@ impl<'a> SweepSpec<'a> {
         &self.configs
     }
 
-    /// The capture-pass worker count a run will actually use: an explicit
-    /// [`SweepSpec::cold_threads`], else the largest thread count any
-    /// registered config asks for.
-    pub fn resolved_cold_threads(&self) -> usize {
-        self.cold_threads.unwrap_or_else(|| {
-            self.configs.iter().map(|(_, d)| d.threads.max(1)).max().unwrap_or(1)
-        })
+    /// The capture-pass worker count a run will actually use: the largest
+    /// [`DetailSpec::threads`] any registered config asks for.
+    pub fn resolved_capture_threads(&self) -> usize {
+        self.configs.iter().map(|(_, d)| d.threads.max(1)).max().unwrap_or(1)
     }
 
     /// The replay fan-out a run will actually use. An explicit
     /// [`SweepSpec::replay_threads`] is honored as given (clamped to
-    /// ≥ 1); auto divides the host's hardware threads by the cores the
-    /// sweep already occupies — capture groups times the widest config's
-    /// reconstruction fan-out — so the three parallelism layers never
-    /// oversubscribe. Either way the result is clamped to the config
-    /// count (a wider fan-out would just idle).
+    /// ≥ 1); auto divides the host's hardware threads by the capture
+    /// groups ([`SweepSpec::resolved_capture_threads`]), so the two
+    /// parallelism layers never oversubscribe. Either way the result is
+    /// clamped to the config count (a wider fan-out would just idle).
     pub fn resolved_replay_threads(&self) -> usize {
         let n = self.configs.len().max(1);
         if let Some(t) = self.replay_threads {
@@ -265,9 +252,7 @@ impl<'a> SweepSpec<'a> {
         }
         let cores =
             std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1);
-        let recon = self.configs.iter().map(|(_, d)| d.resolved_recon_threads()).max().unwrap_or(1);
-        let occupied = self.resolved_cold_threads().max(1) * recon.max(1);
-        (cores / occupied).clamp(1, n)
+        (cores / self.resolved_capture_threads()).clamp(1, n)
     }
 
     /// Validates the sweep: the cold half must pass
@@ -327,7 +312,7 @@ impl<'a> SweepSpec<'a> {
         if log_cache || log_bp {
             check_indexable(&schedule)?;
         }
-        let cold_threads = self.resolved_cold_threads();
+        let capture_threads = self.resolved_capture_threads();
         let replay_workers = self.resolved_replay_threads();
         let injector = self.cold.fault_plan.as_ref().map(FaultInjector::new);
         let guards = RunGuards {
@@ -336,10 +321,8 @@ impl<'a> SweepSpec<'a> {
             max_retries: self.cold.max_shard_retries,
             injector: injector.as_ref(),
             // The capture side is purely functional; the pipeline layer
-            // belongs to the standalone engines, and reconstruction
-            // parallelism is each config's own knob.
+            // belongs to the standalone engines.
             pipeline_depth: 1,
-            recon_threads: 1,
         };
         let details: Vec<&DetailSpec> = self.configs.iter().map(|(_, d)| d).collect();
 
@@ -427,7 +410,7 @@ impl<'a> SweepSpec<'a> {
         let (groups, shard_retries) = run_sharded_with(
             self.cold.program,
             &schedule,
-            cold_threads,
+            capture_threads,
             self.cold.shard_span,
             &guards,
             &body,
@@ -552,7 +535,6 @@ struct ConfigReplay<'d> {
     pct: Pct,
     want_cache: bool,
     want_bp: bool,
-    recon_threads: usize,
     hier: MemHierarchy,
     pred: Predictor,
     outcome: SampleOutcome,
@@ -568,7 +550,6 @@ impl<'d> ConfigReplay<'d> {
             pct: reverse_pct(detail.policy),
             want_cache,
             want_bp,
-            recon_threads: detail.resolved_recon_threads(),
             hier: MemHierarchy::new(detail.machine.hier.clone()),
             pred: Predictor::new(detail.machine.pred),
             outcome: SampleOutcome::empty(detail.policy),
@@ -710,7 +691,6 @@ fn replay_one(
         cpu,
         len,
         log,
-        st.recon_threads,
         &mut st.outcome,
     )
 }

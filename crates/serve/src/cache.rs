@@ -89,8 +89,8 @@ fn corrupt<T>(why: impl Into<String>) -> Result<T, CacheError> {
 }
 
 /// The deterministic slice of a [`SampleOutcome`] — everything that is
-/// bit-identical across thread counts, pipeline depths, and
-/// reconstruction worker counts, and nothing that isn't.
+/// bit-identical across thread counts and pipeline depths, and nothing
+/// that isn't.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CachedOutcome {
     /// The warm-up policy that produced the outcome.

@@ -5,10 +5,10 @@
 //!
 //! A fixed worker pool (default: up to four, bounded by the host's cores)
 //! pulls jobs from a FIFO queue. Each job runs with
-//! `threads = cores / workers` and the intra-run pipeline and
-//! reconstruction knobs pinned to 1, so the PR 5 core-budget arithmetic
-//! holds at the service level too: `workers × threads × depth × recon ≤
-//! cores` — concurrent jobs never oversubscribe the host. Identical
+//! `threads = cores / workers` and the intra-run pipeline depth pinned
+//! to 1, so the core-budget arithmetic holds at the service level too:
+//! `workers × threads × depth ≤ cores` — concurrent jobs never
+//! oversubscribe the host. Identical
 //! in-flight requests (equal content hashes) are deduped: later
 //! submitters join the first job's waiter list instead of queuing a
 //! duplicate.
@@ -724,8 +724,7 @@ fn run_attempt(
     // The service's core-budget arithmetic: each concurrent job gets
     // cores/workers shard threads and nothing else, so the pool as a
     // whole never oversubscribes the host.
-    let detail =
-        job_detail_spec(job).threads(shared.per_job_threads).pipeline_depth(1).recon_threads(1);
+    let detail = job_detail_spec(job).threads(shared.per_job_threads).pipeline_depth(1);
     RunSpec::from_parts(cold, detail).run()
 }
 

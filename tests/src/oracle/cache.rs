@@ -39,8 +39,8 @@ impl Line {
 ///
 /// Same access and reconstruction semantics as [`rsr_cache::Cache`], same
 /// statistics, same `dump_set`/`set_tags_mru_order` observers. It omits the
-/// partitioned-reconstruction machinery (`recon_partitions` and spans) —
-/// those are pinned against the sequential path by their own tests.
+/// batched per-set span walk (`Cache::reconstruct_span`) — that is pinned
+/// against the oracle full scan by the `recon_partition` suite.
 #[derive(Clone, Debug)]
 pub struct RefCache {
     cfg: CacheConfig,

@@ -217,44 +217,6 @@ fn deadlines_abort_with_a_typed_progress_report() {
     assert_equivalent(&base, &out, "generous deadline");
 }
 
-/// The matrix again with partitioned reconstruction explicitly engaged:
-/// 4 reconstruction workers must not perturb healed results, degradation
-/// decisions, or fault-free runs.
-#[test]
-fn fault_matrix_heals_identically_with_recon_threads_4() {
-    let base = baseline();
-    let run = |plan: Option<FaultPlan>, threads: usize, retries: u32| {
-        let program = tiny(Benchmark::Twolf);
-        let machine = machine();
-        let mut spec = RunSpec::new(&program, &machine)
-            .regimen(SamplingRegimen::new(12, 600))
-            .total_insts(TOTAL)
-            .policy(WarmupPolicy::Reverse { cache: true, bp: true, pct: Pct::new(20) })
-            .seed(9)
-            .shard_span(SPAN)
-            .threads(threads)
-            .max_shard_retries(retries)
-            .recon_threads(4);
-        if let Some(p) = plan {
-            spec = spec.fault_plan(p);
-        }
-        spec.run()
-    };
-    let clean = run(None, 1, 0).expect("fault-free run at 4 recon workers");
-    assert_equivalent(&base, &clean, "recon-threads 4, fault-free");
-
-    let plan =
-        FaultPlan::new().with(FaultKind::WorkerPanic, 1).with(FaultKind::CorruptCheckpoint, 2);
-    let healed = run(Some(plan), 4, 1).expect("both faults heal with partitioned recon");
-    assert_equivalent(&base, &healed, "recon-threads 4, panic + corruption");
-    assert_eq!(healed.shard_retries, 2);
-
-    let plan = FaultPlan::new().with(FaultKind::ExhaustLogBudget, 0);
-    let seq = run_with(Some(plan.clone()), 1, 0).expect("degradation is not failure");
-    let par = run(Some(plan), 4, 0).expect("degradation is not failure");
-    assert_equivalent(&seq, &par, "recon-threads 4, forced exhaustion");
-}
-
 /// The headline acceptance scenario: one worker panic *and* one corrupted
 /// checkpoint in the same 4-thread run, healed by a single retry each,
 /// with the merged outcome bit-identical to a fault-free sequential run —

@@ -6,7 +6,8 @@
 //! reconstructed predictor state. This holds for arbitrary record
 //! streams, including ext-spill records, over-budget truncated logs, and
 //! logs that are unsealed, mutated after sealing, or sealed for another
-//! geometry or budget, at every reconstruction worker count.
+//! geometry or budget, and for wide L2s that take the cache's
+//! per-reference span fallback and multi-word way masks.
 
 use proptest::prelude::*;
 use rsr_branch::{PredCtrlKind, Predictor};
@@ -84,6 +85,17 @@ fn log_from(stream: &[Retired], budget: Option<usize>) -> SkipLog {
     log
 }
 
+/// The paper machine with a 64-way and with a 128-way L2 (same capacity):
+/// past the span walk's 32-way fast path, and — at 128 ways — past the
+/// single-word way masks and the popcount rank normalisation.
+fn wide_l2_machines() -> [MachineConfig; 2] {
+    [64, 128].map(|assoc| {
+        let mut m = machine();
+        m.hier.l2.assoc = assoc;
+        m
+    })
+}
+
 /// A retired stream from a real workload.
 fn workload_stream(bench: Benchmark, n: u64) -> Vec<Retired> {
     let program = tiny(bench);
@@ -93,8 +105,8 @@ fn workload_stream(bench: Benchmark, n: u64) -> Vec<Retired> {
 
 /// Asserts that walking the log's per-set spans — sealed here for the
 /// machine, or whatever seal `log` carries, which reconstruction replaces
-/// when it does not fit — at 1 and 4 reconstruction workers reproduces
-/// the oracle's sequential full scan exactly.
+/// when it does not fit — reproduces the oracle's sequential full scan
+/// exactly.
 fn assert_cache_equivalence(machine: &MachineConfig, log: &SkipLog, pct: Pct, what: &str) {
     let mut sealed = log.clone();
     sealed.seal_mem_index(&ReconGeometry::of_machine(machine));
@@ -102,13 +114,11 @@ fn assert_cache_equivalence(machine: &MachineConfig, log: &SkipLog, pct: Pct, wh
     let ref_stats = reconstruct_caches(&mut ref_hier, log, pct);
     let ref_tags = all_set_tags(&ref_hier);
     for (seal, log) in [("sealed", &sealed), ("as given", log)] {
-        for recon_threads in [1usize, 4] {
-            let mut hier = MemHierarchy::new(machine.hier.clone());
-            let (stats, _) = reconstruct_caches_partitioned(&mut hier, log, pct, recon_threads);
-            let at = format!("{what} ({seal}): at {recon_threads} workers, {pct:?}");
-            assert_eq!(stats, ref_stats, "{at}: ReconStats");
-            assert_eq!(all_set_tags(&hier), ref_tags, "{at}: cache tags");
-        }
+        let mut hier = MemHierarchy::new(machine.hier.clone());
+        let (stats, _) = reconstruct_caches_partitioned(&mut hier, log, pct, 1);
+        let at = format!("{what} ({seal}): {pct:?}");
+        assert_eq!(stats, ref_stats, "{at}: ReconStats");
+        assert_eq!(all_set_tags(&hier), ref_tags, "{at}: cache tags");
     }
 }
 
@@ -210,7 +220,7 @@ proptest! {
 
     /// Arbitrary synthetic record streams (ext-spill PCs and targets,
     /// every control kind, random stores) reconstruct bit-identically
-    /// through the partitioned index at any worker count and budget.
+    /// through the partitioned index at any budget and L2 width.
     #[test]
     fn prop_indexed_recon_matches_full_scan(
         words in proptest::collection::vec(any::<u64>(), 1..400),
@@ -221,6 +231,9 @@ proptest! {
         let machine = machine();
         let log = log_from(&stream, None);
         assert_cache_equivalence(&machine, &log, pct, "synthetic");
+        for wide in wide_l2_machines() {
+            assert_cache_equivalence(&wide, &log, pct, "synthetic, wide L2");
+        }
         assert_bp_equivalence(&machine, &log, pct, "synthetic");
         assert_bp_demand_equivalence(&machine, &log, &stream, pct, "synthetic");
     }
@@ -241,16 +254,19 @@ proptest! {
 }
 
 #[test]
-fn workload_streams_reconstruct_identically_with_real_thread_fanout() {
-    // Large enough that the 20% budget clears the parallel threshold, so
-    // 4 workers genuinely spawn scoped threads over set ranges.
+fn workload_streams_reconstruct_identically_to_the_oracle() {
+    // Real streams long enough that many sets complete inside the 20%
+    // budget, on the paper machine and on the wide-L2 variants.
     let machine = machine();
     for bench in [Benchmark::Mcf, Benchmark::Gcc] {
         let stream = workload_stream(bench, 230_000);
         let log = log_from(&stream, None);
-        assert!(log.mem_len() > 41_000, "{bench:?}: stream too small to engage threads");
+        assert!(log.mem_len() > 41_000, "{bench:?}: stream too small");
         for pct in [Pct::new(20), Pct::new(100)] {
             assert_cache_equivalence(&machine, &log, pct, bench.name());
+            for wide in wide_l2_machines() {
+                assert_cache_equivalence(&wide, &log, pct, &format!("{}, wide L2", bench.name()));
+            }
             assert_bp_equivalence(&machine, &log, pct, bench.name());
             assert_bp_demand_equivalence(&machine, &log, &stream, pct, bench.name());
         }
@@ -302,9 +318,9 @@ fn assert_outcomes_equivalent(a: &SampleOutcome, b: &SampleOutcome, what: &str) 
 
 #[test]
 fn sampled_runs_are_bit_identical_across_the_recon_thread_matrix() {
-    // The acceptance matrix: (threads, pipeline depth, recon workers) in
-    // {1,4} x {1,2} x {1,4} — every combination must reproduce the
-    // sequential run's estimate and counters exactly.
+    // The acceptance matrix: (threads, pipeline depth) in {1,4} x {1,2} —
+    // every combination must reproduce the sequential run's estimate and
+    // counters exactly.
     let program = tiny(Benchmark::Twolf);
     let machine = machine();
     let base_spec = RunSpec::new(&program, &machine)
@@ -313,23 +329,11 @@ fn sampled_runs_are_bit_identical_across_the_recon_thread_matrix() {
         .policy(WarmupPolicy::Reverse { cache: true, bp: true, pct: Pct::new(20) })
         .seed(9)
         .shard_span(20_000);
-    let base = base_spec.clone().threads(1).pipeline_depth(1).recon_threads(1).run().unwrap();
+    let base = base_spec.clone().threads(1).pipeline_depth(1).run().unwrap();
     for threads in [1usize, 4] {
         for depth in [1usize, 2] {
-            for recon_threads in [1usize, 4] {
-                let out = base_spec
-                    .clone()
-                    .threads(threads)
-                    .pipeline_depth(depth)
-                    .recon_threads(recon_threads)
-                    .run()
-                    .unwrap();
-                assert_outcomes_equivalent(
-                    &base,
-                    &out,
-                    &format!("threads {threads}, depth {depth}, recon {recon_threads}"),
-                );
-            }
+            let out = base_spec.clone().threads(threads).pipeline_depth(depth).run().unwrap();
+            assert_outcomes_equivalent(&base, &out, &format!("threads {threads}, depth {depth}"));
         }
     }
 }

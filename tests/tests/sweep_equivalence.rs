@@ -6,8 +6,8 @@
 //! per config through the same `detailed_window` code path the standalone
 //! engines use. The contract mirrors the pipeline's: the sweep is a pure
 //! wall-clock optimization, so for every config and every parallelism
-//! setting — capture/replay threads, standalone pipeline depth,
-//! reconstruction workers — the sampled estimate and every deterministic
+//! setting — capture/replay threads, standalone pipeline depth — the
+//! sampled estimate and every deterministic
 //! counter must equal the standalone `RunSpec` run of the same cold and
 //! detailed halves. Supervision must compose unchanged through the capture
 //! pass: worker panics and corrupt checkpoints heal by retry with the
@@ -66,7 +66,6 @@ fn standalone(
     policy: WarmupPolicy,
     threads: usize,
     depth: usize,
-    recon: usize,
 ) -> SampleOutcome {
     let program = tiny(Benchmark::Twolf);
     RunSpec::new(&program, machine)
@@ -77,7 +76,6 @@ fn standalone(
         .policy(policy)
         .threads(threads)
         .pipeline_depth(depth)
-        .recon_threads(recon)
         .run()
         .expect("standalone run completes")
 }
@@ -97,20 +95,16 @@ fn assert_equivalent(a: &SampleOutcome, b: &SampleOutcome, what: &str) {
     assert_eq!(a.clusters_degraded, b.clusters_degraded, "{what}: clusters_degraded");
 }
 
-fn sweep_at(threads: usize, depth: usize, recon: usize) -> SweepOutcome {
-    sweep_at_replay(threads, depth, recon, 1)
+fn sweep_at(threads: usize, depth: usize) -> SweepOutcome {
+    sweep_at_replay(threads, depth, 1)
 }
 
-fn sweep_at_replay(threads: usize, depth: usize, recon: usize, replay: usize) -> SweepOutcome {
-    let mut sweep = SweepSpec::new(cold()).cold_threads(threads).replay_threads(replay);
+fn sweep_at_replay(threads: usize, depth: usize, replay: usize) -> SweepOutcome {
+    let mut sweep = SweepSpec::new(cold()).replay_threads(replay);
     for (name, m, policy) in config_axis() {
         sweep = sweep.config(
             name,
-            DetailSpec::new(&m)
-                .policy(policy)
-                .threads(threads)
-                .pipeline_depth(depth)
-                .recon_threads(recon),
+            DetailSpec::new(&m).policy(policy).threads(threads).pipeline_depth(depth),
         );
     }
     sweep.run().expect("sweep completes")
@@ -121,32 +115,29 @@ fn sweep_outcomes_are_bit_identical_to_standalone_runs() {
     // The sequential references, one per config.
     let bases: Vec<(String, SampleOutcome)> = config_axis()
         .iter()
-        .map(|(name, m, policy)| (name.clone(), standalone(m, *policy, 1, 1, 1)))
+        .map(|(name, m, policy)| (name.clone(), standalone(m, *policy, 1, 1)))
         .collect();
     for threads in [1usize, 4] {
         for depth in [1usize, 2] {
-            for recon in [1usize, 4] {
-                let out = sweep_at(threads, depth, recon);
-                assert_eq!(out.configs.len(), bases.len());
-                assert!(out.shards > 1, "scenario must be sharded");
-                for ((name, base), got) in bases.iter().zip(&out.configs) {
-                    assert_eq!(&got.name, name, "config order must be registration order");
-                    assert_equivalent(
-                        base,
-                        &got.outcome,
-                        &format!("{name} via sweep at {threads}t x depth {depth} x recon {recon}"),
-                    );
-                    // The standalone run at the same parallelism agrees too
-                    // (the sweep and pipeline contracts compose).
-                    let (_, m, policy) =
-                        config_axis().into_iter().find(|(n, _, _)| n == name).unwrap();
-                    let alone = standalone(&m, policy, threads, depth, recon);
-                    assert_equivalent(
-                        &alone,
-                        &got.outcome,
-                        &format!("{name} standalone at {threads}t x depth {depth} x recon {recon}"),
-                    );
-                }
+            let out = sweep_at(threads, depth);
+            assert_eq!(out.configs.len(), bases.len());
+            assert!(out.shards > 1, "scenario must be sharded");
+            for ((name, base), got) in bases.iter().zip(&out.configs) {
+                assert_eq!(&got.name, name, "config order must be registration order");
+                assert_equivalent(
+                    base,
+                    &got.outcome,
+                    &format!("{name} via sweep at {threads}t x depth {depth}"),
+                );
+                // The standalone run at the same parallelism agrees too
+                // (the sweep and pipeline contracts compose).
+                let (_, m, policy) = config_axis().into_iter().find(|(n, _, _)| n == name).unwrap();
+                let alone = standalone(&m, policy, threads, depth);
+                assert_equivalent(
+                    &alone,
+                    &got.outcome,
+                    &format!("{name} standalone at {threads}t x depth {depth}"),
+                );
             }
         }
     }
@@ -159,15 +150,15 @@ fn replay_fanout_is_bit_identical_at_any_width() {
     // bit-identical at every fan-out — serial with journaled in-place
     // restore (1), an uneven partition (3 → chunks of 2/1/1), and one
     // config per clone-restoring worker (4). Composed with capture
-    // threads and reconstruction workers to cover the full
-    // (threads × recon × replay) product the CI smoke also probes.
+    // threads to cover the (threads × replay) product the CI smoke also
+    // probes.
     let bases: Vec<(String, SampleOutcome)> = config_axis()
         .iter()
-        .map(|(name, m, policy)| (name.clone(), standalone(m, *policy, 1, 1, 1)))
+        .map(|(name, m, policy)| (name.clone(), standalone(m, *policy, 1, 1)))
         .collect();
     for replay in [1usize, 3, 4] {
-        for (threads, recon) in [(1usize, 1usize), (4, 2)] {
-            let out = sweep_at_replay(threads, 1, recon, replay);
+        for threads in [1usize, 4] {
+            let out = sweep_at_replay(threads, 1, replay);
             assert_eq!(out.replay_threads, replay, "explicit width is honored");
             assert!(out.index_builds > 0, "reverse configs must build indexes");
             assert!(out.index_builds_shared > 0, "shared-geometry configs must share");
@@ -175,7 +166,7 @@ fn replay_fanout_is_bit_identical_at_any_width() {
                 assert_equivalent(
                     base,
                     &got.outcome,
-                    &format!("{name} at replay {replay} ({threads}t x recon {recon})"),
+                    &format!("{name} at replay {replay} ({threads}t)"),
                 );
             }
         }
@@ -186,7 +177,7 @@ fn replay_fanout_is_bit_identical_at_any_width() {
 fn sweep_configs_actually_differ() {
     // Guard against a degenerate sweep where every config reads the same
     // geometry: the machine variants must produce different estimates.
-    let out = sweep_at(1, 1, 1);
+    let out = sweep_at(1, 1);
     let ipcs: Vec<f64> = out.configs.iter().map(|c| c.outcome.est_ipc()).collect();
     assert!(
         ipcs.windows(2).any(|w| w[0] != w[1]),
@@ -204,7 +195,7 @@ fn none_policy_sweeps_without_logs() {
     for c in &out.configs {
         assert_eq!(c.outcome.log_records, 0, "{}: None must not log", c.name);
     }
-    let base = standalone(&m, WarmupPolicy::None, 1, 1, 1);
+    let base = standalone(&m, WarmupPolicy::None, 1, 1);
     assert_equivalent(&base, &out.configs[0].outcome, "none-a via sweep");
 }
 
@@ -278,12 +269,11 @@ fn build_time_validation_rejects_conflicting_runspecs() {
 fn fault_matrix_heals_identically_through_the_sweep_path() {
     let bases: Vec<(String, SampleOutcome)> = config_axis()
         .iter()
-        .map(|(name, m, policy)| (name.clone(), standalone(m, *policy, 1, 1, 1)))
+        .map(|(name, m, policy)| (name.clone(), standalone(m, *policy, 1, 1)))
         .collect();
 
     let faulted_sweep = |plan: FaultPlan, retries: u32| {
-        let mut sweep =
-            SweepSpec::new(cold().fault_plan(plan).max_shard_retries(retries)).cold_threads(4);
+        let mut sweep = SweepSpec::new(cold().fault_plan(plan).max_shard_retries(retries));
         for (name, m, policy) in config_axis() {
             sweep = sweep.config(name, DetailSpec::new(&m).policy(policy).threads(4));
         }
@@ -347,7 +337,7 @@ fn amortization_beats_standalone_accounting() {
     // The telemetry invariant (the perf claim itself is benched in
     // rsr-bench at fig5 scale): with >1 config the modeled amortization
     // ratio must be under 1.0 — the sweep pays the cold pass once.
-    let out = sweep_at(1, 1, 1);
+    let out = sweep_at(1, 1);
     let ratio = out.amortization();
     assert!(
         ratio < 1.0,

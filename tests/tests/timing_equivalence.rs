@@ -46,6 +46,24 @@ fn addr_for(sets: u64, set: u64, tag: u64) -> u64 {
     (tag << (6 + sets.trailing_zeros())) | (set << 6)
 }
 
+/// Associativities [`prop_cache_reconstruction_equivalent`] draws from:
+/// narrow 1–8, then wide ones around and past 64 ways, where the cache
+/// switches to multi-word way masks and sorted rank normalisation, up to
+/// the `u8` line-state limit (255).
+const RECON_ASSOC: [usize; 13] = [1, 2, 3, 4, 5, 6, 7, 8, 33, 64, 65, 128, 255];
+
+/// Tag range and reference-count cap for one associativity: narrow caches
+/// draw tags from 0..6 and up to 119 references; wide ones draw from
+/// `0..assoc + 2` with up to `8 * assoc`, so their sets can still fill,
+/// evict, and complete.
+fn recon_shape(assoc: usize) -> (u64, usize) {
+    if assoc <= 8 {
+        (6, 119)
+    } else {
+        (assoc as u64 + 2, 8 * assoc)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -76,15 +94,24 @@ proptest! {
     /// Reverse reconstruction — stale prep, a reversed reference stream
     /// with a budget cut, rank normalization, then continued forward
     /// execution — stays bit-identical, including the per-reference
-    /// [`ReconOutcome`](rsr_cache::ReconOutcome) sequence.
+    /// [`ReconOutcome`](rsr_cache::ReconOutcome) sequence, at narrow and
+    /// wide associativities.
     #[test]
     fn prop_cache_reconstruction_equivalent(
-        assoc in 1usize..=8,
-        prep in proptest::collection::vec((0u64..4, 0u64..6), 0..60),
-        refs in proptest::collection::vec((0u64..4, 0u64..6), 1..120),
-        resume in proptest::collection::vec((0u64..4, 0u64..6, any::<bool>()), 0..40),
+        assoc_sel in 0usize..RECON_ASSOC.len(),
+        prep in proptest::collection::vec((0u64..4, any::<u32>()), 0..60),
+        refs in proptest::collection::vec((0u64..4, any::<u32>()), 1..8 * 255),
+        resume in proptest::collection::vec((0u64..4, any::<u32>(), any::<bool>()), 0..40),
         cut_pct in 0u64..=100,
     ) {
+        let assoc = RECON_ASSOC[assoc_sel];
+        let (tags, max_refs) = recon_shape(assoc);
+        let tag = |raw: u32| u64::from(raw) % tags;
+        let prep: Vec<(u64, u64)> = prep.iter().map(|&(s, t)| (s, tag(t))).collect();
+        let refs: Vec<(u64, u64)> =
+            refs[..1 + (refs.len() - 1) % max_refs].iter().map(|&(s, t)| (s, tag(t))).collect();
+        let resume: Vec<(u64, u64, bool)> =
+            resume.iter().map(|&(s, t, w)| (s, tag(t), w)).collect();
         let cfg = cache_cfg(assoc, 4, WritePolicy::WriteBackAllocate);
         let mut c = Cache::new(cfg.clone());
         let mut r = RefCache::new(cfg);
