@@ -18,7 +18,9 @@ cargo test -q -p rsr-integration --test pipeline_equivalence
 # The partitioned-reconstruction suite, by name: index-driven per-set
 # reverse scans and the indexed demand scan must stay bit-identical to the
 # tests-crate oracles (tests/src/oracle/: the sequential full scan and the
-# hash-map counter inference), on the paper machine and on wide L2s.
+# hash-map counter inference), on the paper machine and on wide L2s, under
+# full seals and under budget-window seals (indexes covering only the
+# newest pct of the log, with the GHR derived at the window start).
 cargo test -q -p rsr-integration --test recon_partition
 # The golden digests, by name: est_ipc bits, log_records, every
 # reconstruction counter, and a per-cluster CPI hash for all nine

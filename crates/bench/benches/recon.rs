@@ -1,6 +1,7 @@
 //! Microbenchmark: reverse cache reconstruction vs SMARTS functional
 //! warming over the same logged skip region — the per-region cost the
-//! paper's speedup comes from.
+//! paper's speedup comes from — and the seal step that indexes the region
+//! for the reverse scan, full and budget-window.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rsr_cache::{HierAccess, HierarchyConfig, MemHierarchy};
@@ -13,17 +14,15 @@ use rsr_workloads::{Benchmark, WorkloadParams};
 
 const REGION_INSTS: u64 = 200_000;
 
+/// One logged skip region, memory and branch records, unsealed.
 fn logged_region() -> SkipLog {
     let program = Benchmark::Mcf.build(&WorkloadParams { scale: 0.25, ..Default::default() });
     let mut cpu = Cpu::new(&program).expect("loads");
-    let mut log = SkipLog::new(true, false, 0);
+    let mut log = SkipLog::new(true, true, 0);
     for _ in 0..REGION_INSTS {
         let r = cpu.step().expect("runs");
         log.record(&r);
     }
-    // Sealed once up front, as the sampler seals each region before its
-    // cluster: the timed loop is the reverse scan alone.
-    log.seal_mem_index(&ReconGeometry::of_machine(&MachineConfig::paper()));
     log
 }
 
@@ -42,7 +41,10 @@ fn recorded_accesses() -> Vec<(u64, HierAccess)> {
 }
 
 fn bench_region_warmup(c: &mut Criterion) {
-    let log = logged_region();
+    // Sealed once up front (a full seal, serving every budget below): the
+    // timed loop is the reverse scan alone.
+    let mut log = logged_region();
+    log.seal_mem_index(&ReconGeometry::of_machine(&MachineConfig::paper()));
     let accesses = recorded_accesses();
     let mut group = c.benchmark_group("region_warmup");
     group.sample_size(10);
@@ -71,6 +73,35 @@ fn bench_region_warmup(c: &mut Criterion) {
                 BatchSize::LargeInput,
             )
         });
+    }
+    group.finish();
+}
+
+// Seal cost per region: the full memory seal against the 20 % window
+// seal the engines build, and the branch seal at both budgets. Each
+// iteration seals a fresh unsealed clone (cloned outside the timing).
+fn bench_seal(c: &mut Criterion) {
+    let log = logged_region();
+    let geom = ReconGeometry::of_machine(&MachineConfig::paper());
+    let mut group = c.benchmark_group("seal");
+    group.sample_size(10);
+
+    let mut seal = |name: &str, f: &dyn Fn(&mut SkipLog)| {
+        group.bench_function(name, |b| {
+            b.iter_batched(
+                || log.clone(),
+                |mut log| {
+                    f(&mut log);
+                    log
+                },
+                BatchSize::LargeInput,
+            )
+        });
+    };
+    seal("mem_full", &|log| log.seal_mem_index(&geom));
+    seal("mem_window_20pct", &|log| log.seal_mem_window(&geom, Pct::new(20)));
+    for pct in [20u8, 100] {
+        seal(&format!("branch_{pct}pct"), &|log| log.seal_branch_index(&geom, Pct::new(pct)));
     }
     group.finish();
 }
@@ -170,5 +201,5 @@ fn bench_pipeline_depth(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_region_warmup, bench_logging, bench_pipeline_depth);
+criterion_group!(benches, bench_region_warmup, bench_seal, bench_logging, bench_pipeline_depth);
 criterion_main!(benches);

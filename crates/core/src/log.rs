@@ -46,7 +46,7 @@ use rsr_branch::{PACKED_IDENTITY, PACKED_PREPEND};
 use rsr_func::{Cpu, ExecError, RetireSink, Retired};
 use rsr_isa::{Addr, CtrlKind};
 
-use crate::{Schedule, SimError};
+use crate::{Pct, Schedule, SimError};
 
 /// One logged memory reference (materialized view; storage is packed).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -413,21 +413,31 @@ impl ReconGeometry {
 /// order the reverse scan consumes, but *contiguous*, so a set walk is a
 /// linear read plus independent gathers from the address column (no
 /// pointer chasing; the equivalent tail-chain layout measured ~1.6×
-/// slower on mcf because every link was a dependent cache miss). Resident
-/// cost is ~4 B per record per indexed level (records are *indexed*,
-/// never copied) plus one u32 per set; identical to the chain layout it
-/// replaces.
+/// slower on mcf because every link was a dependent cache miss).
+///
+/// **Only the budget window is indexed.** The reverse walks never read a
+/// record older than the scan budget's cut (`n − pct.of(n)`, §3.1/§3.2),
+/// so a seal for budget `pct` covers just the records `[cut, n)`.
+/// Resident cost is therefore ~4 B per *in-budget* record per indexed
+/// level (records are *indexed*, never copied) plus one u32 per set; the
+/// log itself still holds every record. Memory spans keep *absolute*
+/// record indices and serve any budget whose cut is at or past
+/// [`ReconIndex::mem_from`], so a full seal (`mem_from == 0`) serves every
+/// budget.
 ///
 /// The L1I and L1D spans are disjoint by construction: every memory
 /// record is an instruction *or* a data reference, so the two `idx`
-/// columns together hold each record index exactly once.
+/// columns together hold each indexed record exactly once.
 ///
 /// The branch side deliberately has **no** per-entry spans: the demand
 /// scan's shared reverse cursor must consume every passed record to stay
 /// bit-identical to the sequential path (each passed record feeds other
 /// entries' inferences and the BTB), so an entry-skipping walk is
 /// unusable. What *can* move to seal time is the GHR forward pass: the
-/// per-record PHT keys and the region-final GHR.
+/// per-record PHT keys and the region-final GHR. The per-record branch
+/// columns (`pht_key`, `br_flags`, `pht_state`) are *window-relative*:
+/// entry `j` describes branch record `br_base + j`. The hot worklist
+/// (`br_hot`) holds absolute record indices.
 ///
 /// A region with `u32::MAX` or more records in a column cannot be
 /// indexed; run specs reject schedules that could produce one
@@ -439,12 +449,15 @@ pub(crate) struct ReconIndex {
     /// Memory-side spans are valid for exactly this `mem_len` (`None` =
     /// not sealed).
     mem_sealed: Option<usize>,
+    /// Oldest memory record the spans index: they serve any scan budget
+    /// whose cut is at or past it.
+    pub(crate) mem_from: usize,
     /// Branch-side columns are valid for exactly this `branch_len`.
     br_sealed: Option<usize>,
     /// Scan budget percentage the branch-side flags were sealed under —
     /// [`BR_F_PHT_FLUSH_LW`] placement depends on the budget window, so a
     /// reconstructor running a different budget must not use the index.
-    pub(crate) br_pct: Option<crate::policy::Pct>,
+    pub(crate) br_pct: Option<Pct>,
     /// L1I span bounds: set `s` owns `l1i_idx[l1i_off[s]..l1i_off[s+1]]`.
     pub(crate) l1i_off: Vec<u32>,
     /// Instruction record indices, newest-first within each set span.
@@ -457,12 +470,16 @@ pub(crate) struct ReconIndex {
     pub(crate) l2_off: Vec<u32>,
     /// All memory record indices, newest-first within each L2 set span.
     pub(crate) l2_idx: Vec<u32>,
-    /// PHT index probed by each branch record (`CHAIN_NONE` for
-    /// non-conditional records), from the sealed GHR forward pass.
+    /// Oldest branch record the window-relative columns describe: the
+    /// budget cut the branch side was sealed under.
+    pub(crate) br_base: usize,
+    /// PHT index probed by each in-window branch record (`CHAIN_NONE`
+    /// for non-conditional records), from the sealed GHR forward pass.
     pub(crate) pht_key: Vec<u32>,
     /// Per-record scan flags ([`BR_F_COND`] / [`BR_F_TAKEN`] /
-    /// [`BR_F_BTB_LW`]): everything the demand scan's common path needs,
-    /// in one byte, so it stops decoding the packed meta column.
+    /// [`BR_F_BTB_LW`]) of each in-window record: everything the demand
+    /// scan's common path needs, in one byte, so it stops decoding the
+    /// packed meta column.
     pub(crate) br_flags: Vec<u8>,
     /// Compacted demand-scan worklist: indices of the in-budget records
     /// with any effectful flag ([`BR_F_PHT_RESOLVE`] / [`BR_F_PHT_FLUSH_LW`]
@@ -471,10 +488,10 @@ pub(crate) struct ReconIndex {
     /// accounts the skipped runs arithmetically instead of iterating
     /// 1-by-1 over the flags column.
     pub(crate) br_hot: Vec<u32>,
-    /// Packed [`rsr_branch::StateMap`] of record *i*'s PHT entry after the
-    /// newest-first scan has consumed record *i* — the counter-inference
-    /// state precomputed at seal time (meaningful for conditional records
-    /// only). Because reconstructed marks are monotonic within a region,
+    /// Packed [`rsr_branch::StateMap`] of in-window record *i*'s PHT
+    /// entry after the newest-first scan has consumed record *i* — the
+    /// counter-inference state precomputed at seal time (meaningful for
+    /// conditional records only). Because reconstructed marks are monotonic within a region,
     /// the demand scan's incremental inference state at any feed it
     /// actually performs equals this pure function of the log suffix.
     pub(crate) pht_state: Vec<u8>,
@@ -496,7 +513,7 @@ pub(crate) const BR_F_COND: u8 = 1 << 0;
 /// [`ReconIndex::br_flags`] bit: taken transfer (touches the BTB).
 pub(crate) const BR_F_TAKEN: u8 = 1 << 1;
 /// [`ReconIndex::br_flags`] bit: *last writer* of its BTB slot — the
-/// newest taken record mapping to that slot in the whole region. In the
+/// newest taken record mapping to that slot in the sealed window. In the
 /// newest-first scan only the first record to reach an unmarked slot ever
 /// writes it, and marks are monotonic, so every non-last-writer record is
 /// a guaranteed no-op: a newer record for the slot was scanned earlier
@@ -539,8 +556,10 @@ impl ReconIndex {
         ReconIndex {
             geom,
             mem_sealed: None,
+            mem_from: 0,
             br_sealed: None,
             br_pct: None,
+            br_base: 0,
             l1i_off: Vec::new(),
             l1i_idx: Vec::new(),
             l1d_off: Vec::new(),
@@ -905,8 +924,8 @@ impl SkipLog {
         let res = cpu.step_n_sink(n, &mut sink);
         let FastSink { last_line, spill_bytes, .. } = sink;
 
-        // Settle the deferred accounting — also on a fault, so the
-        // counters cover every instruction retired before it.
+        // Settle the deferred accounting and the peak — also on a fault,
+        // so the counters cover every instruction retired before it.
         let mem_delta = self.mem_addr.len() - mem0;
         let br_delta = self.branches.len() - br0;
         self.last_fetch_line = last_line;
@@ -919,11 +938,10 @@ impl SkipLog {
             spill_bytes,
             (self.mem_ext.len() - mem_ext0 + self.br_ext.len() - br_ext0) * EXT_ENTRY_BYTES
         );
-        res?;
         if self.bytes > self.peak_bytes {
             self.peak_bytes = self.bytes;
         }
-        Ok(())
+        res
     }
 
     /// Number of logged memory references.
@@ -1076,9 +1094,10 @@ impl SkipLog {
         }
     }
 
-    /// Seals the memory-side spans (L1I / L1D / L2) over the current
-    /// columns: a counting sort bucketing every record index by set, each
-    /// set's span filled newest-first. Idempotent for an unchanged log and
+    /// Seals the memory-side spans (L1I / L1D / L2) over the whole log:
+    /// the full seal, which serves every scan budget. The engines seal
+    /// only the window their budget reads ([`SkipLog::seal_mem_window`]);
+    /// this is its `pct = 100` case. Idempotent for an unchanged log and
     /// geometry. A truncated region holds no records, so its spans are
     /// empty.
     ///
@@ -1088,21 +1107,42 @@ impl SkipLog {
     /// u32 span index can address. Run specs reject schedules that could
     /// log that many up front.
     pub fn seal_mem_index(&mut self, geom: &ReconGeometry) {
+        self.seal_mem_window(geom, Pct::new(100));
+    }
+
+    /// Seals the memory-side spans over just the newest `pct` of the
+    /// records — `[n − pct.of(n), n)`, everything a reverse scan under
+    /// that budget can reach: a counting sort bucketing each record index
+    /// by set, each set's span filled newest-first. A no-op when the
+    /// current seal already covers that window for `geom` (a wider seal
+    /// serves a narrower budget). Same panics as
+    /// [`SkipLog::seal_mem_index`].
+    pub fn seal_mem_window(&mut self, geom: &ReconGeometry, pct: Pct) {
         let n = self.mem_addr.len();
-        if self.index.as_deref().is_some_and(|ix| ix.geom == *geom && ix.mem_sealed == Some(n)) {
+        let from = n - pct.of(n);
+        if self
+            .index
+            .as_deref()
+            .is_some_and(|ix| ix.geom == *geom && ix.mem_sealed == Some(n) && ix.mem_from <= from)
+        {
             return;
         }
         let mut ix = self.take_index(geom);
-        self.build_mem_index_into(geom, &mut ix);
+        self.build_mem_index_into(geom, from, &mut ix);
         self.index = Some(ix);
     }
 
-    /// [`SkipLog::seal_mem_index`]'s body over an *external* index — the
-    /// per-configuration scratch a sweep replay owns, so N detailed
-    /// configurations can each key the same shared, immutable log without
-    /// touching it. `ix` must already be keyed for `geom` (see
-    /// [`ReconIndex::retarget`]).
-    pub(crate) fn build_mem_index_into(&self, geom: &ReconGeometry, ix: &mut ReconIndex) {
+    /// [`SkipLog::seal_mem_window`]'s body over an *external* index,
+    /// indexing the records `from..` — the per-configuration scratch a
+    /// sweep replay owns, so N detailed configurations can each key the
+    /// same shared, immutable log without touching it. `ix` must already
+    /// be keyed for `geom` (see [`ReconIndex::retarget`]).
+    pub(crate) fn build_mem_index_into(
+        &self,
+        geom: &ReconGeometry,
+        from: usize,
+        ix: &mut ReconIndex,
+    ) {
         debug_assert_eq!(ix.geom, *geom, "retarget the index before building");
         let n = self.mem_addr.len();
         assert!(n < CHAIN_NONE as usize, "{n} memory records overflow a u32 span index");
@@ -1116,7 +1156,7 @@ impl SkipLog {
         ix.scratch.resize(geom.l1i_sets + geom.l1d_sets + geom.l2_sets, 0);
         let (l1_cnt, l2_cnt) = ix.scratch.split_at_mut(geom.l1i_sets + geom.l1d_sets);
         let (l1i_cnt, l1d_cnt) = l1_cnt.split_at_mut(geom.l1i_sets);
-        for i in 0..n {
+        for i in from..n {
             let addr = self.mem_addr[i];
             if self.mem_tag(i) & 1 != 0 {
                 l1i_cnt[((addr >> geom.l1i_line_shift) as usize) & l1i_mask] += 1;
@@ -1151,8 +1191,8 @@ impl SkipLog {
         ix.l1d_idx.clear();
         ix.l1d_idx.resize(n_l1d, 0);
         ix.l2_idx.clear();
-        ix.l2_idx.resize(n, 0);
-        for i in 0..n {
+        ix.l2_idx.resize(n - from, 0);
+        for i in from..n {
             let addr = self.mem_addr[i];
             if self.mem_tag(i) & 1 != 0 {
                 let s = ((addr >> geom.l1i_line_shift) as usize) & l1i_mask;
@@ -1168,22 +1208,26 @@ impl SkipLog {
             ix.l2_idx[l2_cnt[s] as usize] = i as u32;
         }
         ix.mem_sealed = Some(n);
+        ix.mem_from = from;
     }
 
-    /// Seals the branch-side columns: the GHR forward pass (§3.2's "last
-    /// *n* branches" walk, done once here instead of per reconstructor)
-    /// yielding every record's PHT key and the region-final GHR. No
-    /// per-entry spans are built — the demand scan's shared cursor must
-    /// consume every record it passes to stay bit-identical to the
-    /// sequential path, so it could never skip along them (see
-    /// [`ReconIndex`]). [`SkipLog::ghr_at_start`] must already hold its
-    /// final value — every PHT key hashes the running GHR seeded from it.
-    /// Same idempotence rules as [`SkipLog::seal_mem_index`].
+    /// Seals the branch-side columns over the budget window — the newest
+    /// `pct.of(n)` records, all the demand scan can reach: the GHR forward
+    /// pass (§3.2's "last *n* branches" walk, done once here instead of
+    /// per reconstructor) yielding every in-window record's PHT key and
+    /// the region-final GHR, then the reverse pass sealing the scan flags
+    /// and inference states. No per-entry spans are built — the demand
+    /// scan's shared cursor must consume every record it passes to stay
+    /// bit-identical to the sequential path, so it could never skip along
+    /// them (see [`ReconIndex`]). [`SkipLog::ghr_at_start`] must already
+    /// hold its final value — every PHT key hashes the running GHR seeded
+    /// from it. Idempotent for an unchanged log, geometry, budget, and
+    /// start GHR.
     ///
     /// # Panics
     ///
     /// If the log holds `u32::MAX` or more branch records.
-    pub fn seal_branch_index(&mut self, geom: &ReconGeometry, pct: crate::policy::Pct) {
+    pub fn seal_branch_index(&mut self, geom: &ReconGeometry, pct: Pct) {
         let n = self.branches.len();
         if self.index.as_deref().is_some_and(|ix| {
             ix.geom == *geom
@@ -1198,6 +1242,31 @@ impl SkipLog {
         self.index = Some(ix);
     }
 
+    /// The GHR after the first `end` branch records, from `ghr_at_start`:
+    /// the newest `bits` conditional outcomes before `end`, shifted in
+    /// over `ghr_at_start` when fewer precede it — exactly what the
+    /// forward pass leaves, read back from `end` only until `bits`
+    /// conditionals are found. With no
+    /// conditional before `end` the GHR is `ghr_at_start`, unmasked.
+    fn ghr_before(&self, end: usize, ghr_at_start: u64, bits: u32) -> u64 {
+        let (mut hist, mut k) = (0u64, 0u32);
+        for i in (0..end).rev() {
+            if k == bits {
+                break;
+            }
+            let (kind, taken) = self.branch_kind_taken(i);
+            if kind == CtrlKind::CondBranch {
+                hist |= (taken as u64) << k;
+                k += 1;
+            }
+        }
+        if k == 0 {
+            ghr_at_start
+        } else {
+            ((ghr_at_start << k) | hist) & ((1u64 << bits) - 1)
+        }
+    }
+
     /// [`SkipLog::seal_branch_index`]'s body over an *external* index,
     /// with the start GHR passed explicitly instead of read from
     /// [`SkipLog::ghr_at_start`] — a sweep replay computes it from its own
@@ -1207,17 +1276,22 @@ impl SkipLog {
         &self,
         geom: &ReconGeometry,
         ghr_at_start: u64,
-        pct: crate::policy::Pct,
+        pct: Pct,
         ix: &mut ReconIndex,
     ) {
         debug_assert_eq!(ix.geom, *geom, "retarget the index before building");
         let n = self.branches.len();
         assert!(n < CHAIN_NONE as usize, "{n} branch records overflow a u32 record index");
+        // Everything below covers the budget window only: older records
+        // only ever set flags on still-older records, which no scan under
+        // this budget reaches.
+        let base = n - pct.of(n);
+        let len = n - base;
         ix.pht_key.clear();
-        ix.pht_key.reserve(n);
+        ix.pht_key.reserve(len);
         let mask = (1u64 << geom.ghr_bits) - 1;
-        let mut ghr = ghr_at_start;
-        for i in 0..n {
+        let mut ghr = self.ghr_before(base, ghr_at_start, geom.ghr_bits);
+        for i in base..n {
             let (kind, taken) = self.branch_kind_taken(i);
             // Replicates `Gshare::index_with` on the running GHR: the key
             // a `BpReconstructor` forward pass would compute for record i.
@@ -1236,29 +1310,27 @@ impl SkipLog {
         // the order and composition the demand scan would perform). The
         // scratch holds one packed state byte per PHT key (stored XOR
         // `PACKED_IDENTITY` so the zero-fill means "no history yet"), one
-        // resolved-bit per PHT key (feeds [`BR_F_PHT_DEAD`]), and one
-        // seen-bit per BTB slot.
+        // resolved-bit per PHT key (feeds [`BR_F_PHT_DEAD`]), one flush
+        // last-writer bit per PHT key, and one seen-bit per BTB slot.
         ix.br_flags.clear();
-        ix.br_flags.resize(n, 0);
+        ix.br_flags.resize(len, 0);
         ix.pht_state.clear();
-        ix.pht_state.resize(n, 0);
+        ix.pht_state.resize(len, 0);
         let pht_entries = 1usize << geom.ghr_bits;
         let btb_mask = geom.btb_entries - 1;
-        let budget = pct.of(n);
-        let window_start = n - budget;
         ix.br_scratch.clear();
         ix.br_scratch
-            .resize(pht_entries + 3 * pht_entries.div_ceil(8) + geom.btb_entries.div_ceil(8), 0);
+            .resize(pht_entries + 2 * pht_entries.div_ceil(8) + geom.btb_entries.div_ceil(8), 0);
         let (states, seen) = ix.br_scratch.split_at_mut(pht_entries);
         let (pht_done, seen) = seen.split_at_mut(pht_entries.div_ceil(8));
-        let (pht_done_in_window, seen) = seen.split_at_mut(pht_entries.div_ceil(8));
         let (lw_seen, btb_seen) = seen.split_at_mut(pht_entries.div_ceil(8));
         let mut lw = std::mem::take(&mut ix.scratch);
         lw.clear();
-        for i in (0..n).rev() {
+        for j in (0..len).rev() {
+            let i = base + j;
             let (_, taken) = self.branch_kind_taken(i);
             let mut flags = 0u8;
-            let key = ix.pht_key[i];
+            let key = ix.pht_key[j];
             if key != CHAIN_NONE {
                 flags |= BR_F_COND;
                 let k = key as usize;
@@ -1272,18 +1344,15 @@ impl SkipLog {
                     let next =
                         PACKED_PREPEND[taken as usize][(states[k] ^ PACKED_IDENTITY) as usize];
                     states[k] = next ^ PACKED_IDENTITY;
-                    ix.pht_state[i] = next;
+                    ix.pht_state[j] = next;
                     if next == (next & 3).wrapping_mul(0x55) {
                         flags |= BR_F_PHT_RESOLVE;
                         pht_done[k >> 3] |= 1 << (k & 7);
-                        if i >= window_start {
-                            pht_done_in_window[k >> 3] |= 1 << (k & 7);
-                        }
-                    } else if i >= window_start {
-                        // Unresolved in-budget feed: a flush last-writer
-                        // candidate (resolved later if a still-newer
-                        // record pins the key after all).
-                        lw.push(i as u32);
+                    } else {
+                        // Unresolved feed: a flush last-writer candidate
+                        // (resolved later if a still-newer record pins the
+                        // key after all).
+                        lw.push(j as u32);
                     }
                 }
             }
@@ -1295,33 +1364,28 @@ impl SkipLog {
                     flags |= BR_F_BTB_LW;
                 }
             }
-            ix.br_flags[i] = flags;
+            ix.br_flags[j] = flags;
         }
-        // `lw` holds the unresolved in-budget feeds newest-first, so the
-        // reversed walk visits each key's *oldest* feed first — the one
-        // whose state the exhaustion flush will observe. Keys that
-        // resolve *inside the window* are excluded: their flush entry is
-        // neutralized (at the resolution record) before it is read. Keys
-        // whose resolution point lies beyond the window are NOT excluded
-        // — the budgeted scan never reaches it, so the flush still
-        // guesses them from their oldest in-window feed.
-        for &i in lw.iter().rev() {
-            let k = ix.pht_key[i as usize] as usize;
-            if pht_done_in_window[k >> 3] & (1 << (k & 7)) == 0
-                && lw_seen[k >> 3] & (1 << (k & 7)) == 0
-            {
+        // `lw` holds the unresolved feeds newest-first, so the reversed
+        // walk visits each key's *oldest* feed first — the one whose state
+        // the exhaustion flush will observe. Keys that resolve anywhere in
+        // the window are excluded: their flush entry is neutralized (at
+        // the resolution record) before it is read.
+        for &j in lw.iter().rev() {
+            let k = ix.pht_key[j as usize] as usize;
+            if pht_done[k >> 3] & (1 << (k & 7)) == 0 && lw_seen[k >> 3] & (1 << (k & 7)) == 0 {
                 lw_seen[k >> 3] |= 1 << (k & 7);
-                ix.br_flags[i as usize] |= BR_F_PHT_FLUSH_LW;
+                ix.br_flags[j as usize] |= BR_F_PHT_FLUSH_LW;
             }
         }
         ix.scratch = lw;
         // The flush last-writer bits are only final after the pass above,
         // so the hot worklist is compacted here: one sequential sweep of
-        // the window's flag bytes.
+        // the window's flag bytes, kept as absolute record indices.
         ix.br_hot.clear();
-        for i in (window_start..n).rev() {
-            if ix.br_flags[i] & (BR_F_PHT_RESOLVE | BR_F_PHT_FLUSH_LW | BR_F_BTB_LW) != 0 {
-                ix.br_hot.push(i as u32);
+        for j in (0..len).rev() {
+            if ix.br_flags[j] & (BR_F_PHT_RESOLVE | BR_F_PHT_FLUSH_LW | BR_F_BTB_LW) != 0 {
+                ix.br_hot.push((base + j) as u32);
             }
         }
 
@@ -1329,6 +1393,7 @@ impl SkipLog {
         ix.ghr_start = ghr_at_start;
         ix.br_sealed = Some(n);
         ix.br_pct = Some(pct);
+        ix.br_base = base;
     }
 
     /// The sealed memory-side spans, if they still describe the current
@@ -1765,6 +1830,87 @@ mod tests {
             pool.put(SkipLog::new(true, true, 0));
         }
         assert_eq!(pool.pooled(), LogPool::MAX_POOLED);
+    }
+
+    #[test]
+    fn fused_loops_settle_counters_identically_on_a_fault() {
+        // A program that halts mid-region: both fused loops must leave the
+        // three counters exactly where per-record recording would.
+        let mut a = Asm::new();
+        let buf = a.data_zeros(64);
+        a.la(Reg::S0, buf);
+        for _ in 0..4 {
+            a.sd(Reg::ZERO, 0, Reg::S0);
+        }
+        a.halt();
+        let p = a.finish().unwrap();
+        let run = |budget: Option<usize>| {
+            let mut cpu = Cpu::new(&p).unwrap();
+            let mut log = SkipLog::new(true, true, 0);
+            log.set_budget(budget);
+            assert!(log.record_region(&mut cpu, 100).is_err(), "the region must fault");
+            (log.peak_bytes(), log.approx_bytes(), log.appended())
+        };
+        let fast = run(None);
+        let budgeted = run(Some(1 << 20));
+        assert!(fast.0 > 0, "records were logged before the fault");
+        assert_eq!(fast, budgeted, "(peak_bytes, approx_bytes, appended)");
+    }
+
+    fn paper_geometry() -> ReconGeometry {
+        ReconGeometry::of_machine(&crate::MachineConfig::paper())
+    }
+
+    #[test]
+    fn window_seal_indexes_only_the_budget_window() {
+        let mem: Vec<_> = (0..1000u64)
+            .map(|k| MemRecord {
+                pc: 0x1000 + (k % 7) * 4,
+                next_pc: 0x1004 + (k % 7) * 4,
+                addr: 0x40_0000 + k * 200,
+                is_inst: false,
+                is_store: k % 3 == 0,
+            })
+            .collect();
+        let mut log = SkipLog::from_records(mem, [], 0);
+        let geom = paper_geometry();
+        let n = log.mem_len();
+        let pct = Pct::new(20);
+        let cut = n - pct.of(n);
+        log.seal_mem_window(&geom, pct);
+        let ix = log.mem_index().unwrap();
+        assert_eq!(ix.mem_from, cut);
+        assert_eq!(ix.l2_idx.len(), pct.of(n));
+        assert!(ix.l2_idx.iter().all(|&i| i as usize >= cut));
+        assert_eq!(ix.l1i_idx.len() + ix.l1d_idx.len(), pct.of(n));
+        // The window seal already serves a narrower budget; a wider one
+        // reseals over the whole log.
+        log.seal_mem_window(&geom, Pct::new(10));
+        assert_eq!(log.mem_index().unwrap().mem_from, cut);
+        log.seal_mem_index(&geom);
+        let ix = log.mem_index().unwrap();
+        assert_eq!((ix.mem_from, ix.l2_idx.len()), (0, n));
+    }
+
+    #[test]
+    fn a_log_without_conditionals_keeps_the_start_ghr() {
+        let branches: Vec<_> = (0..50u64)
+            .map(|k| BranchRecord {
+                pc: 0x1000 + k * 4,
+                next_pc: 0x8000,
+                target: 0x8000,
+                kind: CtrlKind::Jump,
+                taken: true,
+            })
+            .collect();
+        // Bits above the history width survive, as the forward pass leaves
+        // them when no conditional ever shifts the register.
+        let start = 0xdead_beef_u64;
+        let mut log = SkipLog::from_records([], branches, start);
+        for pct in [1, 20, 100] {
+            log.seal_branch_index(&paper_geometry(), Pct::new(pct));
+            assert_eq!(log.branch_index().unwrap().ghr_final, start, "{pct}%");
+        }
     }
 
     #[test]

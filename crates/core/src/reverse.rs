@@ -162,8 +162,9 @@ fn hier_geometry(hier: &MemHierarchy) -> ReconGeometry {
 /// that scan's per-set subsequence, mutations only ever happen before its
 /// stopping point, and the scan-length accounting is reconstructed from
 /// the per-set completion offsets (see DESIGN.md §11 for the argument).
-/// A log whose memory-side seal is missing, stale, or keyed for another
-/// geometry is sealed into local scratch first.
+/// A log whose memory-side seal is missing, stale, keyed for another
+/// geometry, or narrower than this budget's window is sealed into local
+/// scratch first (over that window only).
 ///
 /// Returns per-structure wall time alongside the counters (sealing is not
 /// counted).
@@ -198,20 +199,22 @@ pub(crate) fn reconstruct_caches_partitioned_with(
     pct: Pct,
 ) -> (ReconStats, ReconTiming) {
     let geom = hier_geometry(hier);
+    let n = log.mem_len();
+    let budget = pct.of(n);
+    let cut = n - budget;
+    // Spans hold absolute record indices, so any seal reaching back to
+    // the cut serves this budget; the walk stops at the cut either way.
     let local;
-    let ix = match index.filter(|ix| ix.geom.mem_key() == geom.mem_key()) {
+    let ix = match index.filter(|ix| ix.geom.mem_key() == geom.mem_key() && ix.mem_from <= cut) {
         Some(ix) => ix,
         None => {
             let mut ix = ReconIndex::new(geom);
-            log.build_mem_index_into(&geom, &mut ix);
+            log.build_mem_index_into(&geom, cut, &mut ix);
             local = ix;
             &local
         }
     };
     let mut timing = ReconTiming::default();
-    let n = log.mem_len();
-    let budget = pct.of(n);
-    let cut = n - budget;
     let addrs = log.mem_addrs();
     hier.begin_reconstruction();
 
@@ -261,8 +264,8 @@ pub struct BpReconstructor<'log> {
     /// The region's log (packed branch records are materialized only as
     /// the scan demands them).
     log: &'log SkipLog,
-    /// The branch-side index the scan runs over: the per-record PHT keys,
-    /// scan flags and inference states, and the final GHR. Borrowed from
+    /// The branch-side index the scan runs over: the budget window's PHT
+    /// keys, scan flags and inference states, and the final GHR. Borrowed from
     /// the caller when its seal matches this predictor, budget, and start
     /// GHR; otherwise built on the spot and owned here.
     index: Cow<'log, ReconIndex>,
@@ -339,8 +342,8 @@ impl<'log> BpReconstructor<'log> {
 
         // The seal is usable only for this exact predictor geometry, scan
         // budget, and start GHR: every PHT key hashes the running GHR, and
-        // the flush last-writer bits are placed relative to the budget
-        // window (see `BR_F_PHT_FLUSH_LW`).
+        // the columns cover only the budget window, with the flush
+        // last-writer bits placed relative to it (see `BR_F_PHT_FLUSH_LW`).
         let geom = pred_geometry(pred);
         let index = match index.filter(|ix| {
             ix.geom.ghr_bits == geom.ghr_bits
@@ -425,11 +428,12 @@ impl<'log> BpReconstructor<'log> {
     /// record is a proven no-op; see `BR_F_BTB_LW`).
     fn step_indexed(&mut self, pred: &mut Predictor, i: usize) {
         let ix = &*self.index;
-        let flags = ix.br_flags[i];
+        let j = i - ix.br_base;
+        let flags = ix.br_flags[j];
         if flags & (BR_F_COND | BR_F_PHT_DEAD) == BR_F_COND {
-            let idx = ix.pht_key[i] as usize;
+            let idx = ix.pht_key[j] as usize;
             if !pred.gshare.is_reconstructed(idx) {
-                let s = ix.pht_state[i];
+                let s = ix.pht_state[j];
                 if s == (s & 3).wrapping_mul(0x55) {
                     // All four map entries agree: the history suffix pins
                     // the counter exactly, now — the same feed at which the
@@ -528,21 +532,22 @@ impl<'log> BpReconstructor<'log> {
             self.consumed += newly;
             self.stats.branch_scanned += newly as u64;
             self.hot_pos += 1;
-            let f = ix.br_flags[i];
+            let j = i - ix.br_base;
+            let f = ix.br_flags[j];
             let mut marked = false;
             if f & BR_F_PHT_RESOLVE != 0 {
-                let idx = keys[i] as usize;
-                pred.gshare.set_counter(idx, Counter2::new(states[i] & 3));
+                let idx = keys[j] as usize;
+                pred.gshare.set_counter(idx, Counter2::new(states[j] & 3));
                 pred.gshare.mark_reconstructed(idx);
                 self.pht_live[idx] = 0;
                 self.stats.pht_exact += 1;
                 marked = true;
             } else if f & BR_F_PHT_FLUSH_LW != 0 {
-                let idx = keys[i] as usize;
+                let idx = keys[j] as usize;
                 if self.pht_live[idx] == 0 {
                     self.touched.push(idx as u32);
                 }
-                self.pht_live[idx] = states[i] ^ PACKED_IDENTITY;
+                self.pht_live[idx] = states[j] ^ PACKED_IDENTITY;
             }
             if f & BR_F_BTB_LW != 0
                 && pred.btb.reconstruct(self.log.branch_pc(i), self.log.branch_target(i))

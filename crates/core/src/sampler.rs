@@ -27,7 +27,7 @@ use crate::profiled::{profile_reuse, ReusePolicy};
 use crate::reverse::{
     reconstruct_caches_partitioned_with, BpReconstructor, ReconStats, ReconTiming,
 };
-use crate::{ClusterWindow, SkipLog, WarmupPolicy};
+use crate::{ClusterWindow, Pct, SkipLog, WarmupPolicy};
 
 /// Errors surfaced by the sampled simulator.
 ///
@@ -546,11 +546,13 @@ fn follower_window(
                 // Sealing is idempotent: under the pipeline the leader
                 // already sealed the memory side, so only the branch side
                 // (whose keys need the GHR just captured) is built here.
-                // Charged to the warm phase alongside the reconstruction.
+                // Both seals cover only the budget window the reverse
+                // walks read. Charged to the warm phase alongside the
+                // reconstruction.
                 let t = Instant::now();
                 let geom = ReconGeometry::of_machine(machine);
                 if cache {
-                    log.seal_mem_index(&geom);
+                    log.seal_mem_window(&geom, pct);
                 }
                 if bp {
                     log.seal_branch_index(&geom, pct);
@@ -762,9 +764,9 @@ pub(crate) fn run_windows_pipelined(
     debug_assert!(ctx.depth >= 2, "depth 1 is the sequential engine");
     debug_assert!(policy_decouples(policy), "caller must gate on policy_decouples");
     let t0 = Instant::now();
-    let (cache, bp, logging) = match policy {
-        WarmupPolicy::Reverse { cache, bp, .. } => (cache, bp, true),
-        _ => (false, false, false),
+    let (cache, bp, pct, logging) = match policy {
+        WarmupPolicy::Reverse { cache, bp, pct } => (cache, bp, pct, true),
+        _ => (false, false, Pct::new(100), false),
     };
     let mut leader_out = SampleOutcome::empty(policy);
     let mut leader_err: Option<SimError> = None;
@@ -808,12 +810,13 @@ pub(crate) fn run_windows_pipelined(
                 let mut log = pool.take(cache, bp);
                 match log.record_region(cpu, skip) {
                     Ok(()) => {
-                        // Seal the memory-side chains on the leader's
-                        // clock — this work overlaps the follower's
-                        // detailed simulation. The branch side needs the
-                        // follower's GHR snapshot, so it seals over there.
+                        // Seal the memory-side spans over the budget
+                        // window on the leader's clock — this work
+                        // overlaps the follower's detailed simulation.
+                        // The branch side needs the follower's GHR
+                        // snapshot, so it seals over there.
                         if cache {
-                            log.seal_mem_index(&geom);
+                            log.seal_mem_window(&geom, pct);
                         }
                         Some(log)
                     }

@@ -12,10 +12,11 @@
 //!
 //! **Replay is windows-outer, configs-inner** (DESIGN.md §16). Per
 //! captured window the replay leader builds each *distinct* reconstruction
-//! index once into a pooled arena — memory spans keyed by the cache-set
-//! geometry, branch columns by `(PHT bits, BTB entries, scan pct, start
-//! GHR)` — and every config threads a borrowed [`WindowIndex`] view of the
-//! shared, sealed build to the common [`detailed_window`]. A 20-config
+//! index once into a pooled arena — memory spans keyed by `(cache-set
+//! geometry, scan pct)`, branch columns by `(PHT bits, BTB entries, scan
+//! pct, start GHR)`, each covering only the budget window — and every
+//! config threads a borrowed [`WindowIndex`] view of the shared, sealed
+//! build to the common [`detailed_window`]. A 20-config
 //! L1D×GHR grid therefore builds ~5 memory and ~4 branch indexes per
 //! window instead of 20 of each. The sharing is sound because each
 //! consumer checks only its own side's geometry (see
@@ -465,16 +466,19 @@ fn logging_signature(policy: WarmupPolicy) -> (bool, bool) {
     }
 }
 
-/// The reverse policy's scan budget — the branch index's flush
-/// last-writer bits are sealed relative to it. Only consulted when the
-/// policy logs branches (`logging_signature`), so the non-reverse arm is
-/// never observed.
+/// The reverse policy's scan budget — both indexes cover only its
+/// window. Only consulted when the policy logs (`logging_signature`), so
+/// the non-reverse arm is never observed.
 fn reverse_pct(policy: WarmupPolicy) -> Pct {
     match policy {
         WarmupPolicy::Reverse { pct, .. } => pct,
         _ => Pct::new(100),
     }
 }
+
+/// The memory-side memo key: the cache-set geometry the spans are keyed
+/// by, plus the scan budget whose window they cover.
+type MemMemoKey = (MemKey, Pct);
 
 /// The branch-side memo key: exactly the fields `BpReconstructor::with_index`
 /// checks (PHT width, BTB entries, scan budget, and the GHR entering the
@@ -520,7 +524,7 @@ impl IndexArena {
 /// fewer distinct keys.
 #[derive(Default)]
 struct MemoScratch {
-    mem: Vec<(MemKey, u32)>,
+    mem: Vec<(MemMemoKey, u32)>,
     br: Vec<(BrKey, u32)>,
     plans: Vec<WindowPlan>,
 }
@@ -608,7 +612,7 @@ fn plan_window(
             let ghr = st.pred.gshare.ghr();
             let mut plan = WindowPlan { mem: None, br: None, ghr };
             if st.want_cache {
-                let key = st.geom.mem_key();
+                let key = (st.geom.mem_key(), st.pct);
                 plan.mem = Some(match memo.mem.iter().find(|(k, _)| *k == key) {
                     Some(&(_, slot)) => {
                         *shared += 1;
@@ -618,7 +622,8 @@ fn plan_window(
                         let slot = used as u32;
                         used += 1;
                         let t = Instant::now();
-                        log.build_mem_index_into(&st.geom, arena.slot(used - 1, st.geom));
+                        let from = log.mem_len() - st.pct.of(log.mem_len());
+                        log.build_mem_index_into(&st.geom, from, arena.slot(used - 1, st.geom));
                         st.outcome.phases.warm += t.elapsed();
                         *builds += 1;
                         memo.mem.push((key, slot));

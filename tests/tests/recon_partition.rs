@@ -6,8 +6,10 @@
 //! reconstructed predictor state. This holds for arbitrary record
 //! streams, including ext-spill records, over-budget truncated logs, and
 //! logs that are unsealed, mutated after sealing, or sealed for another
-//! geometry or budget, and for wide L2s that take the cache's
-//! per-reference span fallback and multi-word way masks.
+//! geometry or budget; for budget-window seals, which index only the
+//! newest `pct` of the log and derive the GHR at the window's start; and
+//! for wide L2s that take the cache's per-reference span fallback and
+//! multi-word way masks.
 
 use proptest::prelude::*;
 use rsr_branch::{PredCtrlKind, Predictor};
@@ -103,17 +105,20 @@ fn workload_stream(bench: Benchmark, n: u64) -> Vec<Retired> {
     (0..n).map(|_| cpu.step().unwrap()).collect()
 }
 
-/// Asserts that walking the log's per-set spans — sealed here for the
-/// machine, or whatever seal `log` carries, which reconstruction replaces
-/// when it does not fit — reproduces the oracle's sequential full scan
-/// exactly.
+/// Asserts that walking the log's per-set spans — under a full seal for
+/// the machine, under a seal of just this budget's window, or under
+/// whatever seal `log` carries, which reconstruction replaces when it
+/// does not fit — reproduces the oracle's sequential full scan exactly.
 fn assert_cache_equivalence(machine: &MachineConfig, log: &SkipLog, pct: Pct, what: &str) {
+    let geom = ReconGeometry::of_machine(machine);
     let mut sealed = log.clone();
-    sealed.seal_mem_index(&ReconGeometry::of_machine(machine));
+    sealed.seal_mem_index(&geom);
+    let mut windowed = log.clone();
+    windowed.seal_mem_window(&geom, pct);
     let mut ref_hier = MemHierarchy::new(machine.hier.clone());
     let ref_stats = reconstruct_caches(&mut ref_hier, log, pct);
     let ref_tags = all_set_tags(&ref_hier);
-    for (seal, log) in [("sealed", &sealed), ("as given", log)] {
+    for (seal, log) in [("sealed", &sealed), ("window", &windowed), ("as given", log)] {
         let mut hier = MemHierarchy::new(machine.hier.clone());
         let (stats, _) = reconstruct_caches_partitioned(&mut hier, log, pct, 1);
         let at = format!("{what} ({seal}): {pct:?}");
@@ -220,22 +225,31 @@ proptest! {
 
     /// Arbitrary synthetic record streams (ext-spill PCs and targets,
     /// every control kind, random stores) reconstruct bit-identically
-    /// through the partitioned index at any budget and L2 width.
+    /// through the partitioned index at any budget and L2 width. The
+    /// 4-bit-history machine makes the branch window seal meet both GHR
+    /// cases: a full history before the window, and one topped up from
+    /// the (random) `ghr_at_start`.
     #[test]
     fn prop_indexed_recon_matches_full_scan(
         words in proptest::collection::vec(any::<u64>(), 1..400),
-        pct_sel in 0usize..3,
+        pct_sel in 0usize..5,
+        ghr_at_start in any::<u64>(),
     ) {
-        let pct = [Pct::new(20), Pct::new(61), Pct::new(100)][pct_sel];
+        let pct = [1, 20, 61, 99, 100].map(Pct::new)[pct_sel];
         let stream = stream_from_words(&words);
         let machine = machine();
-        let log = log_from(&stream, None);
+        let mut log = log_from(&stream, None);
+        log.ghr_at_start = ghr_at_start;
         assert_cache_equivalence(&machine, &log, pct, "synthetic");
         for wide in wide_l2_machines() {
             assert_cache_equivalence(&wide, &log, pct, "synthetic, wide L2");
         }
-        assert_bp_equivalence(&machine, &log, pct, "synthetic");
-        assert_bp_demand_equivalence(&machine, &log, &stream, pct, "synthetic");
+        let mut short_ghr = machine.clone();
+        short_ghr.pred.ghr_bits = 4;
+        for (m, what) in [(&machine, "synthetic"), (&short_ghr, "synthetic, 4-bit GHR")] {
+            assert_bp_equivalence(m, &log, pct, what);
+            assert_bp_demand_equivalence(m, &log, &stream, pct, what);
+        }
     }
 
     /// Over-budget logs truncate to empty; both paths must agree that
@@ -301,6 +315,15 @@ fn stale_or_mismatched_seals_are_resealed_and_match_the_oracle() {
     assert_bp_equivalence(&machine, &log, pct, "other geometry");
     log.seal_branch_index(&ReconGeometry::of_machine(&machine), Pct::new(100));
     assert_bp_equivalence(&machine, &log, pct, "other budget");
+
+    // A 20 % window seal cannot serve a 100 % scan, which reseals
+    // locally; a full seal serves the 20 % scan as it is.
+    let geom = ReconGeometry::of_machine(&machine);
+    let mut log = log_from(&stream, None);
+    log.seal_mem_window(&geom, pct);
+    assert_cache_equivalence(&machine, &log, Pct::new(100), "20% window seal at 100%");
+    log.seal_mem_index(&geom);
+    assert_cache_equivalence(&machine, &log, pct, "full seal at 20%");
 }
 
 /// Everything deterministic two equivalent runs must agree on (timing
@@ -317,7 +340,7 @@ fn assert_outcomes_equivalent(a: &SampleOutcome, b: &SampleOutcome, what: &str) 
 }
 
 #[test]
-fn sampled_runs_are_bit_identical_across_the_recon_thread_matrix() {
+fn sampled_runs_are_bit_identical_across_the_thread_depth_matrix() {
     // The acceptance matrix: (threads, pipeline depth) in {1,4} x {1,2} —
     // every combination must reproduce the sequential run's estimate and
     // counters exactly.
