@@ -45,6 +45,12 @@ cargo test -q -p rsr-integration --test func_equivalence
 # access streams, reverse reconstruction with budget cuts, and real
 # skip-log replays (ext-spill records, over-budget truncation).
 cargo test -q -p rsr-integration --test timing_equivalence
+# The timing-core equivalence suite, by name: the event-driven cluster
+# loop (ROB ring, completion heap, operand wakeup, age-ordered issue and
+# branch lists) must stay bit-identical to the ROB-scanning reference
+# loop (tests/src/oracle/timing.rs) over random programs, core shapes,
+# and windows, with and without on-demand predictor reconstruction.
+cargo test -q -p rsr-integration --test timing_core_equivalence
 cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
 # Hard gate: the core engine and its deps must fail typed, not panic.

@@ -1,12 +1,18 @@
-//! Detailed-window kernel microbenchmarks: the monomorphized L1→L2→memory
+//! Detailed-window microbenchmarks: the monomorphized L1→L2→memory
 //! hierarchy access chain and the fused predict/commit predictor kernel,
 //! each on the access mixes that dominate cluster simulation — hit-heavy
 //! (resident working set), miss-heavy (L2-evicting strides), and branchy
-//! (conditional-dense streams with calls/returns and mispredict recovery).
+//! (conditional-dense streams with calls/returns and mispredict recovery)
+//! — and the whole cycle-accurate core that drives them: one cluster
+//! window from a warmed machine, and an unsampled `run_full`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rsr_branch::{PredCtrlKind, Predictor, PredictorConfig};
 use rsr_cache::{HierAccess, HierarchyConfig, MemHierarchy};
+use rsr_core::{skip_with_smarts_warming, MachineConfig, RunSpec};
+use rsr_func::Cpu;
+use rsr_timing::{simulate_cluster, CoreConfig};
+use rsr_workloads::{Benchmark, WorkloadParams};
 
 /// Deterministic pseudo-random words (splitmix-style) for address streams.
 fn words(n: usize, seed: u64) -> Vec<u64> {
@@ -124,5 +130,58 @@ fn bench_predictor(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_hierarchy, bench_predictor);
+/// A paper machine parked `skip` instructions into `bench`, its caches and
+/// predictor functionally warmed over the whole skip (SMARTS-style), with
+/// a journal open so each timed window can rewind the CPU.
+fn warmed(bench: Benchmark, skip: u64) -> (Cpu, MemHierarchy, Predictor) {
+    let program = bench.build(&WorkloadParams::default());
+    let mut cpu = Cpu::new(&program).expect("workload loads");
+    let mut hier = MemHierarchy::new(HierarchyConfig::paper());
+    let mut pred = Predictor::new(PredictorConfig::paper());
+    skip_with_smarts_warming(&mut cpu, &mut hier, &mut pred, skip).expect("workload runs");
+    cpu.begin_journal();
+    (cpu, hier, pred)
+}
+
+fn bench_core(c: &mut Criterion) {
+    let mut group = c.benchmark_group("detailed_core");
+    group.sample_size(10);
+
+    // One 10k-instruction cluster from the same warmed state every sample:
+    // mcf is miss-bound (the ROB full of loads waiting on memory), gcc is
+    // branchy and cache-resident. The timed sample includes cloning the
+    // hierarchy and predictor and rewinding the CPU.
+    for (name, bench) in
+        [("cluster_mcf_miss_bound", Benchmark::Mcf), ("cluster_gcc_branchy", Benchmark::Gcc)]
+    {
+        let (mut cpu, hier, pred) = warmed(bench, 500_000);
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                cpu.undo_journal();
+                cpu.begin_journal();
+                let (mut h, mut p) = (hier.clone(), pred.clone());
+                let stats =
+                    simulate_cluster(&CoreConfig::paper(), &mut cpu, &mut h, &mut p, 10_000)
+                        .expect("window runs");
+                black_box(stats)
+            })
+        });
+    }
+
+    // The cycle-accurate baseline behind every "true IPC": 1M instructions
+    // of parser from a cold machine, through the public entry point.
+    let parser = Benchmark::Parser.build(&WorkloadParams::default());
+    group.bench_function("run_full_parser_1m", |b| {
+        b.iter(|| {
+            RunSpec::new(&parser, &MachineConfig::paper())
+                .total_insts(1_000_000)
+                .run_full()
+                .expect("baseline runs")
+        })
+    });
+
+    group.finish();
+}
+
+criterion_group!(benches, bench_hierarchy, bench_predictor, bench_core);
 criterion_main!(benches);

@@ -476,7 +476,9 @@ impl Cache {
         let assoc = self.cfg.assoc;
         let mut out = SpanOutcome::default();
         let mut seq = self.recon_counts[set];
-        if seq as usize >= assoc {
+        // Nothing in budget (spans are newest first) or nothing left to
+        // fill: the walk below would touch no way, so skip its set-up.
+        if seq as usize >= assoc || span.first().is_none_or(|&i| i < cut) {
             return out;
         }
         if assoc > MAX_FAST_ASSOC {
@@ -897,6 +899,28 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A span with no record at or past the cut returns the default
+    /// outcome at once and leaves the set exactly as it was.
+    #[test]
+    fn empty_or_out_of_budget_span_is_a_noop() {
+        let mut c = tiny_cache(4);
+        c.access(addr(1, 2), AccessKind::Read);
+        c.access(addr(1, 1), AccessKind::Write);
+        c.begin_reconstruction();
+        let addrs = [addr(1, 7), addr(1, 8), addr(1, 9)];
+        let before = c.dump_set(1);
+        for (span, cut) in [(&[][..], 0), (&[2, 1, 0][..], 3), (&[1, 0][..], 2)] {
+            assert_eq!(c.reconstruct_span(1, span, &addrs, cut), SpanOutcome::default());
+            assert_eq!(c.dump_set(1), before, "span {span:?} cut {cut}");
+            assert_eq!(c.recon_counts[1], 0);
+        }
+        assert_eq!(c.complete_sets(), 0);
+        // The same set still reconstructs once a record is in budget.
+        let out = c.reconstruct_span(1, &[2, 1, 0], &addrs, 2);
+        assert_eq!(out.inserted, 1);
+        assert_eq!(c.recon_counts[1], 1);
     }
 
     #[test]

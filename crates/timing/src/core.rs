@@ -7,13 +7,19 @@
 //! not fabricated; instead a mispredicted branch stalls fetch until it
 //! resolves — the standard oracle-driven mispredict model — with the
 //! paper's 5-cycle minimum penalty enforced.
+//!
+//! A cycle's cost follows its events, not the reorder buffer's occupancy:
+//! per-entry timing state sits on a ring, writeback pops a completion
+//! heap, resolution and issue walk short age-ordered lists, and operands
+//! wake up when their producer issues.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use rsr_branch::{PredCtrlKind, Prediction, Predictor};
 use rsr_cache::{HierAccess, MemHierarchy};
 use rsr_func::{Cpu, ExecError, Retired};
-use rsr_isa::{CtrlKind, OpClass};
+use rsr_isa::CtrlKind;
 
 use crate::CoreConfig;
 
@@ -113,33 +119,45 @@ fn operands(r: &Retired) -> ([Option<u8>; 2], Option<u8>) {
     }
 }
 
-#[derive(Clone, Debug)]
+/// A fetched control transfer's prediction state. Kept in a program-order
+/// queue from fetch to commit, apart from the reorder-buffer entries, so a
+/// non-branch entry does not carry its predictor checkpoint.
 struct BranchCtl {
+    /// Cluster-relative sequence number of the branch.
+    seq: u64,
     kind: PredCtrlKind,
     prediction: Prediction,
     /// Wrong direction or wrong/unknown indirect target: resolve at execute.
     full_mispredict: bool,
+    /// The actual direction of a conditional branch, for recovery.
+    recover_dir: Option<bool>,
     fetch_cycle: u64,
-    resolved: bool,
 }
 
-#[derive(Clone, Debug)]
 struct Fetched {
     r: Retired,
     ready_at: u64,
-    br: Option<BranchCtl>,
 }
 
-#[derive(Clone, Debug)]
-struct Slot {
-    r: Retired,
-    class: OpClass,
-    /// Producer sequence numbers for each source operand.
-    srcs: [Option<u64>; 2],
-    issued: bool,
-    completed: bool,
-    complete_at: u64,
-    br: Option<BranchCtl>,
+/// A ROB entry's timing state, on a ring indexed by `rel_seq & (cap - 1)`.
+/// An operand behind an unissued producer joins that producer's waiter
+/// list (nodes `(consumer_seq << 1 | operand) + 1`, `0` ends it); the
+/// producer's issue folds its completion cycle into every waiter.
+#[derive(Copy, Clone, Default)]
+struct Hot {
+    /// Completion cycle; `u64::MAX` until the entry issues.
+    done_at: u64,
+    /// Latest completion cycle among the producers issued so far; the
+    /// operands are available from then on once `pending` is zero.
+    ready_at: u64,
+    /// Producers not yet issued.
+    pending: u8,
+    is_load: bool,
+    is_store: bool,
+    /// Head of the list of operands waiting for this entry to issue.
+    waiters: u64,
+    /// Per operand: the next node in its producer's waiter list.
+    next: [u64; 2],
 }
 
 const LINE_MASK: u64 = !63;
@@ -205,14 +223,28 @@ pub fn simulate_cluster_hooked<H: PredictHook + ?Sized>(
         return Ok(stats);
     }
 
+    // Sequence numbers are cluster-relative. The ROB holds the consecutive
+    // range `retired..retired + rob.len()`, so `retired` is its head.
     let mut target = n_insts;
-    let mut rob: VecDeque<Slot> = VecDeque::with_capacity(cfg.rob_entries);
-    let mut head_seq: u64 = 0; // rel seq of rob.front() (valid when !rob.is_empty())
-    let mut iq_used = 0usize;
+    let ring_mask = cfg.rob_entries.next_power_of_two() as u64 - 1;
+    let slot = |seq: u64| (seq & ring_mask) as usize;
+    let idle = Hot { done_at: u64::MAX, ..Hot::default() };
+    let mut ring = vec![idle; ring_mask as usize + 1];
+    // The instruction records behind the ring, read at issue and commit.
+    let mut rob: VecDeque<Retired> = VecDeque::with_capacity(cfg.rob_entries);
+    // Issued, not yet written back: completion cycles, earliest on top.
+    let mut in_flight: BinaryHeap<Reverse<u64>> = BinaryHeap::new();
+    // Dispatched, not yet issued, oldest first (at most `iq_entries`).
+    let mut unissued: Vec<u64> = Vec::with_capacity(cfg.iq_entries);
+    let mut issue_due: u64 = 0; // no entry can issue before this cycle
+                                // Fetched, not yet committed branches, oldest first; `branch_base` is
+                                // the number of the front one. `unresolved` holds the numbers of those
+                                // not yet written back (at most `max_spec_branches`).
+    let mut branches: VecDeque<BranchCtl> = VecDeque::new();
+    let mut branch_base: u64 = 0;
+    let mut unresolved: Vec<u64> = Vec::with_capacity(cfg.max_spec_branches);
     let mut lsq_used = 0usize;
-    let mut spec_branches = 0usize;
-    let mut unissued_stores: BTreeSet<u64> = BTreeSet::new();
-    let mut last_writer: [Option<u64>; 64] = [None; 64];
+    let mut last_writer = [0u64; 64];
     let mut fetch_buf: VecDeque<Fetched> = VecDeque::new();
     let fetch_buf_cap = cfg.fetch_width * 3;
     let mut pending: Option<Retired> = None;
@@ -224,38 +256,27 @@ pub fn simulate_cluster_hooked<H: PredictHook + ?Sized>(
     let deadlock_cap = n_insts.saturating_mul(10_000).saturating_add(1_000_000);
 
     let seq_base = cpu.icount();
-    let rel = |seq: u64| seq - seq_base;
-
-    // Is the producer of `seq` complete (or already retired)?
-    let producer_done = |rob: &VecDeque<Slot>, head_seq: u64, seq: u64| -> bool {
-        if rob.is_empty() || seq < head_seq {
-            return true;
-        }
-        let idx = (seq - head_seq) as usize;
-        idx >= rob.len() || rob[idx].completed
-    };
-
     while retired < target {
         assert!(cycle < deadlock_cap, "timing core deadlock at cycle {cycle}");
 
-        // Did any stage change machine state this cycle? Stall-dominated
-        // clusters (memory-bound IPC far below 1) spend most cycles with
-        // nothing in flight maturing; those cycles are detected below and
-        // fast-forwarded in one jump, which changes simulation time but
-        // not the cycle arithmetic (no access, prediction, or state
-        // transition happens on an idle cycle).
+        // Did any stage change machine state this cycle? Cycles where none
+        // does are fast-forwarded below in one jump, which changes host
+        // time but not the cycle arithmetic (no access, prediction, or
+        // state transition happens on an idle cycle).
         let mut progress = false;
 
         // ---- commit ---------------------------------------------------
+        // An entry is complete once a writeback of an earlier cycle has
+        // seen it; no completion cycle is skipped, so that is exactly
+        // `done_at < cycle`. (Past the ROB's end the ring is stale, but
+        // then there is nothing to pop.)
         for _ in 0..cfg.retire_width {
-            let Some(front) = rob.front() else { break };
-            if !front.completed {
+            if ring[slot(retired)].done_at >= cycle {
                 break;
             }
-            let Some(slot) = rob.pop_front() else { break };
+            let Some(r) = rob.pop_front() else { break };
             progress = true;
-            head_seq = rel(slot.r.seq) + 1;
-            if let Some(m) = slot.r.mem {
+            if let Some(m) = r.mem {
                 lsq_used -= 1;
                 if m.is_store {
                     // Write-through traffic happens at commit; a store
@@ -263,8 +284,10 @@ pub fn simulate_cluster_hooked<H: PredictHook + ?Sized>(
                     hier.access(cycle, m.addr, HierAccess::Store);
                 }
             }
-            if let (Some(b), Some(br)) = (slot.r.branch, slot.br.as_ref()) {
-                pred.commit(slot.r.pc, br.kind, &br.prediction, b.taken, b.target);
+            // Fetch queued one `BranchCtl` per branch, in program order.
+            if let (Some(b), Some(br)) = (r.branch, r.branch.and_then(|_| branches.pop_front())) {
+                branch_base += 1;
+                pred.commit(r.pc, br.kind, &br.prediction, b.taken, b.target);
             }
             retired += 1;
             if retired == target {
@@ -274,133 +297,133 @@ pub fn simulate_cluster_hooked<H: PredictHook + ?Sized>(
         if retired >= target {
             break;
         }
+        let rob_end = retired + rob.len() as u64;
 
         // ---- writeback / branch resolution -----------------------------
-        #[allow(clippy::needless_range_loop)] // indices also feed producer_done lookups
-        for idx in 0..rob.len() {
-            if rob[idx].issued && !rob[idx].completed && rob[idx].complete_at <= cycle {
-                rob[idx].completed = true;
-                progress = true;
-                let slot = &mut rob[idx];
-                if let Some(br) = slot.br.as_mut() {
-                    if !br.resolved {
-                        br.resolved = true;
-                        spec_branches -= 1;
-                        if br.full_mispredict {
-                            let actual = slot.r.branch.map(|b| b.taken);
-                            let dir = match br.kind {
-                                PredCtrlKind::CondBranch => actual,
-                                _ => None,
-                            };
-                            pred.recover(&br.prediction.checkpoint, dir);
-                            if fetch_blocked_on == Some(slot.r.seq) {
-                                fetch_blocked_on = None;
-                                let resume = (slot.complete_at + 1)
-                                    .max(br.fetch_cycle + cfg.min_mispredict_penalty);
-                                fetch_stall_until = fetch_stall_until.max(resume);
-                            }
-                        }
+        let due =
+            |heap: &BinaryHeap<Reverse<u64>>| heap.peek().is_some_and(|&Reverse(t)| t <= cycle);
+        if due(&in_flight) {
+            while due(&in_flight) {
+                in_flight.pop();
+            }
+            progress = true;
+            // Resolve in age order, so recoveries run oldest first.
+            unresolved.retain(|&b| {
+                let br = &branches[(b - branch_base) as usize];
+                // A branch still in the fetch buffer has no ring entry yet.
+                let done_at = if br.seq < rob_end { ring[slot(br.seq)].done_at } else { u64::MAX };
+                if done_at > cycle {
+                    return true;
+                }
+                if br.full_mispredict {
+                    pred.recover(&br.prediction.checkpoint, br.recover_dir);
+                    if fetch_blocked_on == Some(br.seq) {
+                        fetch_blocked_on = None;
+                        let resume = (done_at + 1).max(br.fetch_cycle + cfg.min_mispredict_penalty);
+                        fetch_stall_until = fetch_stall_until.max(resume);
                     }
                 }
-            }
+                false
+            });
         }
 
         // ---- issue ------------------------------------------------------
-        let mut issued_now = 0usize;
-        let oldest_unissued_store = unissued_stores.first().copied();
-        for idx in 0..rob.len() {
-            if issued_now >= cfg.issue_width {
-                break;
-            }
-            if rob[idx].issued {
-                continue;
-            }
-            let ready = rob[idx].srcs.iter().flatten().all(|&s| {
+        // Oldest first, up to `issue_width`. A load waits while any older
+        // store was unissued at the start of the cycle. Before `issue_due`
+        // nothing can issue: that takes a known ready cycle arriving, or
+        // another issue (which wakes operands and unblocks loads).
+        if cycle >= issue_due {
+            let mut issued_now = 0usize;
+            let mut older_store = false;
+            let mut next_ready = u64::MAX;
+            unissued.retain(|&seq| {
+                if issued_now >= cfg.issue_width {
+                    return true;
+                }
+                let i = slot(seq);
+                let Hot { ready_at, pending, is_load, is_store, .. } = ring[i];
+                let waits_on_store = is_load && older_store;
+                older_store |= is_store;
                 // A producer in this very cycle's writeback set counts;
-                // back-to-back dependent issue is modeled by complete_at.
-                producer_done(&rob, head_seq, rel(s))
-            });
-            if !ready {
-                continue;
-            }
-            let seq = rob[idx].r.seq;
-            if let Some(m) = rob[idx].r.mem {
-                if !m.is_store {
-                    // Loads wait until every older store address is known.
-                    if oldest_unissued_store.is_some_and(|s| s < seq) {
-                        continue;
+                // back-to-back dependent issue is modeled by `done_at`.
+                if pending > 0 || ready_at > cycle || waits_on_store {
+                    if pending == 0 && !waits_on_store {
+                        next_ready = next_ready.min(ready_at);
                     }
+                    return true;
                 }
-            }
-            let slot = &mut rob[idx];
-            slot.issued = true;
-            progress = true;
-            iq_used -= 1;
-            issued_now += 1;
-            slot.complete_at = match slot.r.mem {
-                Some(m) if !m.is_store => {
-                    let t = hier.access(cycle, m.addr, HierAccess::Load);
-                    t.max(cycle + 2)
+                progress = true;
+                issued_now += 1;
+                let r = &rob[(seq - retired) as usize];
+                let done_at = match r.mem {
+                    Some(m) if !m.is_store => {
+                        let t = hier.access(cycle, m.addr, HierAccess::Load);
+                        t.max(cycle + 2)
+                    }
+                    _ => cycle + cfg.latency(r.inst.op.class()),
+                };
+                ring[i].done_at = done_at;
+                in_flight.push(Reverse(done_at));
+                let mut node = std::mem::take(&mut ring[i].waiters);
+                while node != 0 {
+                    let (consumer, operand) = ((node - 1) >> 1, (node - 1) & 1);
+                    let w = &mut ring[slot(consumer)];
+                    node = w.next[operand as usize];
+                    w.ready_at = w.ready_at.max(done_at);
+                    w.pending -= 1;
                 }
-                _ => cycle + cfg.latency(slot.class),
-            };
-            if slot.r.mem.is_some_and(|m| m.is_store) {
-                unissued_stores.remove(&seq);
-            }
+                false
+            });
+            issue_due = if issued_now > 0 { cycle + 1 } else { next_ready };
         }
 
         // ---- dispatch ---------------------------------------------------
         for _ in 0..cfg.dispatch_width {
             let Some(front) = fetch_buf.front() else { break };
-            if front.ready_at > cycle {
-                break;
-            }
-            if rob.len() >= cfg.rob_entries || iq_used >= cfg.iq_entries {
-                break;
-            }
             let is_mem = front.r.mem.is_some();
-            if is_mem && lsq_used >= cfg.lsq_entries {
+            if front.ready_at > cycle
+                || rob.len() >= cfg.rob_entries
+                || unissued.len() >= cfg.iq_entries
+                || (is_mem && lsq_used >= cfg.lsq_entries)
+            {
                 break;
             }
             let Some(f) = fetch_buf.pop_front() else { break };
             progress = true;
+            let seq = retired + rob.len() as u64;
+            debug_assert_eq!(seq, f.r.seq - seq_base);
+            let is_store = f.r.mem.is_some_and(|m| m.is_store);
+            lsq_used += usize::from(is_mem);
+            let mut hot = Hot { is_load: is_mem && !is_store, is_store, ..idle };
             let (src_regs, dest) = operands(&f.r);
-            let srcs = [
-                src_regs[0].and_then(|r| last_writer[r as usize]),
-                src_regs[1].and_then(|r| last_writer[r as usize]),
-            ];
-            if let Some(d) = dest {
-                last_writer[d as usize] = Some(f.r.seq);
-            }
-            if rob.is_empty() {
-                head_seq = rel(f.r.seq);
-            }
-            iq_used += 1;
-            if is_mem {
-                lsq_used += 1;
-                if matches!(&f.r.mem, Some(m) if m.is_store) {
-                    unissued_stores.insert(f.r.seq);
+            for (operand, r) in src_regs.into_iter().enumerate() {
+                // `last_writer` holds `rel_seq + 1`; a producer at or below
+                // `retired` has left the ROB and is complete.
+                let Some(p) = r.map(|r| last_writer[r as usize]).filter(|&p| p > retired) else {
+                    continue;
+                };
+                let producer = &mut ring[slot(p - 1)];
+                if producer.done_at == u64::MAX {
+                    hot.next[operand] = producer.waiters;
+                    producer.waiters = ((seq << 1) | operand as u64) + 1;
+                    hot.pending += 1;
+                } else {
+                    hot.ready_at = hot.ready_at.max(producer.done_at);
                 }
             }
-            rob.push_back(Slot {
-                class: f.r.inst.op.class(),
-                srcs,
-                issued: false,
-                completed: false,
-                complete_at: u64::MAX,
-                br: f.br,
-                r: f.r,
-            });
+            if let Some(d) = dest {
+                last_writer[d as usize] = seq + 1;
+            }
+            ring[slot(seq)] = hot;
+            if hot.pending == 0 {
+                issue_due = issue_due.min(hot.ready_at.max(cycle + 1));
+            }
+            unissued.push(seq);
+            rob.push_back(f.r);
         }
 
         // ---- fetch ------------------------------------------------------
-        'fetch: {
-            if fetch_blocked_on.is_some() || cycle < fetch_stall_until {
-                break 'fetch;
-            }
-            if fetched >= target || fetch_buf.len() >= fetch_buf_cap {
-                break 'fetch;
-            }
+        if fetch_blocked_on.is_none() && cycle >= fetch_stall_until {
             let mut group_line: Option<u64> = None;
             let mut group_ready: u64 = cycle + 1;
             for _ in 0..cfg.fetch_width {
@@ -420,77 +443,63 @@ pub fn simulate_cluster_hooked<H: PredictHook + ?Sized>(
                     },
                 };
                 let line = r.pc & LINE_MASK;
-                match group_line {
-                    None => {
-                        group_line = Some(line);
-                        let t = hier.access(cycle, r.pc, HierAccess::Fetch);
-                        progress = true;
-                        group_ready = group_ready.max(t);
-                        // A miss occupies the fetch engine until the line
-                        // arrives.
-                        fetch_stall_until = fetch_stall_until.max(t);
-                    }
-                    Some(l) if l != line => {
-                        // Group ends at the cache-line boundary.
-                        pending = Some(r);
-                        break;
-                    }
-                    _ => {}
+                if group_line.is_some_and(|l| l != line) {
+                    // Group ends at the cache-line boundary.
+                    pending = Some(r);
+                    break;
                 }
-
-                let br = if let Some(b) = r.branch {
-                    if spec_branches >= cfg.max_spec_branches {
-                        pending = Some(r);
-                        break;
-                    }
-                    let kind = to_pred_kind(b.kind);
-                    hook.before_predict(pred, r.pc, kind);
-                    let prediction = pred.predict(r.pc, kind);
-                    let correct = pred.is_correct(&prediction, b.taken, b.target, kind);
-                    let direction_ok = match kind {
-                        PredCtrlKind::CondBranch => prediction.taken == b.taken,
-                        _ => true,
-                    };
-                    let indirect = matches!(
-                        kind,
-                        PredCtrlKind::IndirectCall
-                            | PredCtrlKind::IndirectJump
-                            | PredCtrlKind::Return
-                    );
-                    let full_mispredict = !direction_ok || (indirect && !correct);
-                    let decode_redirect = direction_ok && !correct && !indirect;
-                    spec_branches += 1;
-                    let ctl = BranchCtl {
-                        kind,
-                        prediction,
-                        full_mispredict,
-                        fetch_cycle: cycle,
-                        resolved: false,
-                    };
-                    let seq = r.seq;
-                    let taken = b.taken;
-                    fetch_buf.push_back(Fetched {
-                        r,
-                        ready_at: group_ready + cfg.front_end_delay,
-                        br: Some(ctl),
-                    });
+                if group_line.is_none() {
+                    group_line = Some(line);
+                    let t = hier.access(cycle, r.pc, HierAccess::Fetch);
+                    progress = true;
+                    group_ready = group_ready.max(t);
+                    // A miss occupies the fetch engine until the line arrives.
+                    fetch_stall_until = fetch_stall_until.max(t);
+                }
+                let ready_at = group_ready + cfg.front_end_delay;
+                let Some(b) = r.branch else {
+                    fetch_buf.push_back(Fetched { r, ready_at });
                     fetched += 1;
-                    if full_mispredict {
-                        stats.full_mispredicts += 1;
-                        fetch_blocked_on = Some(seq);
-                    } else if decode_redirect {
-                        stats.decode_redirects += 1;
-                        fetch_stall_until = fetch_stall_until.max(group_ready + 2);
-                    }
-                    if full_mispredict || decode_redirect || taken {
-                        break;
-                    }
                     continue;
-                } else {
-                    None
                 };
-                fetch_buf.push_back(Fetched { r, ready_at: group_ready + cfg.front_end_delay, br });
+                if unresolved.len() >= cfg.max_spec_branches {
+                    pending = Some(r);
+                    break;
+                }
+                let kind = to_pred_kind(b.kind);
+                hook.before_predict(pred, r.pc, kind);
+                let prediction = pred.predict(r.pc, kind);
+                let correct = pred.is_correct(&prediction, b.taken, b.target, kind);
+                let conditional = kind == PredCtrlKind::CondBranch;
+                let direction_ok = !conditional || prediction.taken == b.taken;
+                let indirect = matches!(
+                    kind,
+                    PredCtrlKind::IndirectCall | PredCtrlKind::IndirectJump | PredCtrlKind::Return
+                );
+                let full_mispredict = !direction_ok || (indirect && !correct);
+                let decode_redirect = direction_ok && !correct && !indirect;
+                let seq = r.seq - seq_base;
+                unresolved.push(branch_base + branches.len() as u64);
+                branches.push_back(BranchCtl {
+                    seq,
+                    kind,
+                    prediction,
+                    full_mispredict,
+                    recover_dir: conditional.then_some(b.taken),
+                    fetch_cycle: cycle,
+                });
+                fetch_buf.push_back(Fetched { r, ready_at });
                 fetched += 1;
+                if full_mispredict {
+                    stats.full_mispredicts += 1;
+                    fetch_blocked_on = Some(seq);
+                } else if decode_redirect {
+                    stats.decode_redirects += 1;
+                    fetch_stall_until = fetch_stall_until.max(group_ready + 2);
+                }
+                if full_mispredict || decode_redirect || b.taken {
+                    break;
+                }
             }
         }
 
@@ -499,23 +508,14 @@ pub fn simulate_cluster_hooked<H: PredictHook + ?Sized>(
         // until some already-scheduled time arrives: an in-flight op's
         // completion, the front of the fetch buffer maturing, or the
         // fetch stall lifting. Every intermediate cycle would repeat this
-        // one exactly, so jump straight to the earliest such time. All of
-        // those times are in the future here (anything due now would have
-        // acted above and set `progress`), hence the `t > cycle` guard
-        // only protects against events gated on another stage's progress.
+        // one exactly, so jump straight to the earliest such time. The jump
+        // never passes a completion, which makes `done_at < cycle` exact.
         if progress {
             cycle += 1;
         } else {
-            let mut next = u64::MAX;
-            for s in rob.iter() {
-                if s.issued && !s.completed && s.complete_at > cycle {
-                    next = next.min(s.complete_at);
-                }
-            }
-            if let Some(f) = fetch_buf.front() {
-                if f.ready_at > cycle {
-                    next = next.min(f.ready_at);
-                }
+            let mut next = in_flight.peek().map_or(u64::MAX, |&Reverse(t)| t);
+            if let Some(f) = fetch_buf.front().filter(|f| f.ready_at > cycle) {
+                next = next.min(f.ready_at);
             }
             if fetch_blocked_on.is_none()
                 && fetched < target

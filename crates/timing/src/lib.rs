@@ -11,7 +11,13 @@
 //! The single entry point is [`simulate_cluster`]: run *n* instructions
 //! cycle-accurately from the current architectural (`rsr_func::Cpu`) and
 //! microarchitectural (`MemHierarchy`, `Predictor`) state — exactly the
-//! "hot" phase of sampled simulation.
+//! "hot" phase of sampled simulation, and all of an unsampled run.
+//!
+//! The cluster loop is event-driven: per-cycle work follows the events in
+//! the cycle (a completion, an issue, a commit, a fetch group), never a
+//! scan of the whole reorder buffer. The integration tests pin it bit for
+//! bit against the straightforward ROB-scanning loop kept as an oracle in
+//! the tests crate.
 //!
 //! ```
 //! use rsr_timing::{simulate_cluster, CoreConfig};

@@ -2,16 +2,19 @@
 //!
 //! Each oracle is the straightforward form of something the library
 //! ships in a faster shape: the array-of-structs cache and predictor
-//! structures behind the SoA kernels, and the sequential full reverse scan
+//! structures behind the SoA kernels, the sequential full reverse scan
 //! and demand-driven counter inference behind the sealed-index
-//! reconstruction. They live here, not in the library's API, because
-//! production never runs them; the equivalence suites require the two
-//! sides to agree bit for bit.
+//! reconstruction, and the ROB-scanning cluster loop behind the
+//! event-driven timing core. They live here, not in the library's API,
+//! because production never runs them; the equivalence suites require
+//! the two sides to agree bit for bit.
 
 mod branch;
 mod cache;
 mod reverse;
+mod timing;
 
 pub use branch::{RefBtb, RefGshare, RefRas};
 pub use cache::RefCache;
 pub use reverse::{reconstruct_caches, RefBpReconstructor};
+pub use timing::ref_simulate_cluster;

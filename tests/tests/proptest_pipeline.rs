@@ -6,61 +6,14 @@ use rsr_branch::{Predictor, PredictorConfig};
 use rsr_cache::{AccessKind, Cache, CacheConfig, HierarchyConfig, MemHierarchy, WritePolicy};
 use rsr_core::{reconstruct_caches_partitioned, Pct, SkipLog};
 use rsr_func::Cpu;
-use rsr_isa::{Asm, Inst, Reg};
+use rsr_integration::random_program;
+use rsr_isa::{Inst, Reg};
 use rsr_timing::{simulate_cluster, CoreConfig};
 
-/// Generates a random but guaranteed-terminating straight-line-ish program:
-/// ALU ops, loads/stores into a private buffer, and forward-only branches,
-/// wrapped in a bounded counter loop.
+/// Parameters of [`random_program`]: one op selector per emitted group and
+/// the loop trip count.
 fn arb_program() -> impl Strategy<Value = (Vec<u8>, u64)> {
     (proptest::collection::vec(any::<u8>(), 10..120), 1u64..50)
-}
-
-fn build_program(ops: &[u8], iters: u64) -> rsr_isa::Program {
-    let mut a = Asm::new();
-    let buf = a.data_zeros(4096);
-    a.la(Reg::S1, buf);
-    a.li(Reg::S0, iters as i64);
-    let top = a.bind_new("top");
-    for (k, &op) in ops.iter().enumerate() {
-        let r1 = Reg(10 + (op % 8));
-        let r2 = Reg(10 + (op / 8 % 8));
-        match op % 7 {
-            0 => {
-                a.add(r1, r1, r2);
-            }
-            1 => {
-                a.xori(r1, r2, (op as i32) << 3);
-            }
-            2 => {
-                a.andi(Reg::T0, r1, 0xff8);
-                a.add(Reg::T0, Reg::T0, Reg::S1);
-                a.ld(r2, 0, Reg::T0);
-            }
-            3 => {
-                a.andi(Reg::T0, r2, 0xff8);
-                a.add(Reg::T0, Reg::T0, Reg::S1);
-                a.sd(r1, 0, Reg::T0);
-            }
-            4 => {
-                // Forward skip of one instruction.
-                let skip = a.new_label(&format!("s{k}"));
-                a.beq(r1, r2, skip);
-                a.addi(r1, r1, 1);
-                a.bind(skip).unwrap();
-            }
-            5 => {
-                a.mul(r1, r1, r2);
-            }
-            _ => {
-                a.srli(r1, r1, 3);
-            }
-        }
-    }
-    a.addi(Reg::S0, Reg::S0, -1);
-    a.bne(Reg::S0, Reg::ZERO, top);
-    a.halt();
-    a.finish().expect("assembles")
 }
 
 proptest! {
@@ -70,7 +23,7 @@ proptest! {
     /// retires, never exceeds retire-width IPC, and is deterministic.
     #[test]
     fn timing_core_agrees_with_functional((ops, iters) in arb_program()) {
-        let program = build_program(&ops, iters);
+        let program = random_program(&ops, iters);
 
         // Functional count until halt.
         let mut cpu = Cpu::new(&program).unwrap();
@@ -92,7 +45,7 @@ proptest! {
     /// execution (the timing model must not disturb semantics).
     #[test]
     fn timing_preserves_architectural_state((ops, iters) in arb_program()) {
-        let program = build_program(&ops, iters);
+        let program = random_program(&ops, iters);
         let mut f = Cpu::new(&program).unwrap();
         f.run(u64::MAX).unwrap();
 
@@ -150,7 +103,7 @@ proptest! {
     /// `assoc` distinct per set is present).
     #[test]
     fn full_budget_recon_is_complete((ops, iters) in arb_program()) {
-        let program = build_program(&ops, iters);
+        let program = random_program(&ops, iters);
         let mut cpu = Cpu::new(&program).unwrap();
         let mut log = SkipLog::new(true, false, 0);
         while !cpu.halted() {
@@ -172,7 +125,7 @@ proptest! {
     /// Encode/decode of generated programs round-trips through memory.
     #[test]
     fn program_images_roundtrip((ops, iters) in arb_program()) {
-        let program = build_program(&ops, iters);
+        let program = random_program(&ops, iters);
         for (i, &word) in program.text().iter().enumerate() {
             let inst = Inst::decode(word).expect("assembled words decode");
             let back = inst.try_encode().expect("decoded insts re-encode");
