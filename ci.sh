@@ -20,15 +20,19 @@ cargo test -q -p rsr-integration --test pipeline_equivalence
 # tests-crate oracles (tests/src/oracle/: the sequential full scan and the
 # hash-map counter inference), on the paper machine and on wide L2s, under
 # full seals and under budget-window seals (indexes covering only the
-# newest pct of the log, with the GHR derived at the window start).
+# newest pct of the log, with the GHR derived at the window start); and
+# logs under window retention (rings keeping only the newest pct of each
+# stream, older GHR history from the evicted-outcome register) must
+# reconstruct and account exactly as the full log does.
 cargo test -q -p rsr-integration --test recon_partition
 # The golden digests, by name: est_ipc bits, log_records, every
 # reconstruction counter, and a per-cluster CPI hash for all nine
 # workloads under None, S$BP, and R$BP 20%/100% must never drift.
 cargo test -q -p rsr-integration --test golden
 # The sweep-engine suite, by name: every config of a one-cold-pass sweep
-# must stay bit-identical to its standalone run, and supervision must
-# compose unchanged through the capture pass.
+# must stay bit-identical to its standalone run — including mixed-budget
+# sweeps, whose shared capture retains the widest config's window — and
+# supervision must compose unchanged through the capture pass.
 cargo test -q -p rsr-integration --test sweep_equivalence
 # The service fault matrix, by name: worker panics, corrupt cache entries,
 # deadlines, overload shedding, stalls, and kill-and-restart recovery all

@@ -1,7 +1,8 @@
 //! Microbenchmark: reverse cache reconstruction vs SMARTS functional
 //! warming over the same logged skip region — the per-region cost the
-//! paper's speedup comes from — and the seal step that indexes the region
-//! for the reverse scan, full and budget-window.
+//! paper's speedup comes from — the seal step that indexes the region
+//! for the reverse scan, full and budget-window, and the append cost of
+//! logging the region into a full log vs one retaining the 20 % window.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rsr_cache::{HierAccess, HierarchyConfig, MemHierarchy};
@@ -172,6 +173,34 @@ fn bench_logging(c: &mut Criterion) {
     group.finish();
 }
 
+// Append cost of one 200k-instruction mcf region through the fused cold
+// loop, into a log keeping every record vs one keeping the newest 20 %
+// in a ring (including the end-of-region rotation). Each iteration logs
+// into a fresh log, so ring growth is part of the cost, as it is for the
+// first region an engine's pool hands out.
+fn bench_append(c: &mut Criterion) {
+    let program = Benchmark::Mcf.build(&WorkloadParams { scale: 0.25, ..Default::default() });
+    let mut group = c.benchmark_group("append");
+    group.sample_size(10);
+    for keep in [100u8, 20] {
+        group.bench_function(format!("record_region_retain_{keep}pct"), |b| {
+            b.iter_batched(
+                || {
+                    let mut log = SkipLog::new(true, true, 0);
+                    log.set_retention(Pct::new(keep));
+                    (Cpu::new(&program).expect("loads"), log)
+                },
+                |(mut cpu, mut log)| {
+                    log.record_region(&mut cpu, REGION_INSTS).expect("runs");
+                    log.retained_slots()
+                },
+                BatchSize::LargeInput,
+            )
+        });
+    }
+    group.finish();
+}
+
 // Depth sweep of the leader/follower pipeline on a small sampled run:
 // depth 1 is the sequential engine, 2 and 4 overlap cold fast-forward
 // with reconstruction + hot clusters (results are bit-identical; only
@@ -201,5 +230,12 @@ fn bench_pipeline_depth(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_region_warmup, bench_seal, bench_logging, bench_pipeline_depth);
+criterion_group!(
+    benches,
+    bench_region_warmup,
+    bench_seal,
+    bench_logging,
+    bench_append,
+    bench_pipeline_depth
+);
 criterion_main!(benches);

@@ -40,7 +40,22 @@
 //!
 //! Byte accounting ([`SkipLog::approx_bytes`], the budget check, and
 //! [`SkipLog::peak_bytes`]) is maintained incrementally — O(1) per append,
-//! nothing recomputed.
+//! nothing recomputed — and always describes the *whole logged stream*.
+//!
+//! # Window retention
+//!
+//! A reverse walk under scan budget `pct` never reads a record older than
+//! the floor `n − pct.of(n)` (paper §1: the percentage bounds "how much of
+//! the logged trace (from the end) reconstruction may consume"). A log
+//! given that budget as its retention ([`SkipLog::set_retention`]) still
+//! appends every record, but keeps each stream in a power-of-two ring that
+//! overwrites records once they fall below the floor. The floor never
+//! moves back as the stream grows (`⌈pct·n/100⌉` rises by at most one per
+//! record), so no seal, reverse walk, RAS walk, or demand scan under that
+//! budget can tell the ring from the full log. The one reader that needs
+//! history older than the window — the GHR at the window's start — takes
+//! it from a shift register of the evicted conditionals' outcomes. A log
+//! retains everything by default.
 
 use rsr_branch::{PACKED_IDENTITY, PACKED_PREPEND};
 use rsr_func::{Cpu, ExecError, RetireSink, Retired};
@@ -92,19 +107,14 @@ struct PackedBranch {
 
 const BR_TAKEN: u8 = 1;
 const BR_KIND_SHIFT: u8 = 1;
+/// Kind bits of the meta byte (zero for a conditional branch).
+const BR_KIND_MASK: u8 = 7 << BR_KIND_SHIFT;
 const BR_EXT: u8 = 1 << 4;
 
-/// Spilled fields for a memory record the packed columns cannot derive.
+/// Spilled `pc`/`next_pc` of a record the packed columns cannot derive,
+/// keyed by the record's index in its stream.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-struct MemExt {
-    index: u64,
-    pc: Addr,
-    next_pc: Addr,
-}
-
-/// Spilled fields for a branch record the packed layout cannot derive.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-struct BrExt {
+struct Spill {
     index: u64,
     pc: Addr,
     next_pc: Addr,
@@ -121,6 +131,245 @@ const EXT_ENTRY_BYTES: usize = 24;
 /// Side-column sentinel: the record's `pc`/`next_pc` live in the ext table.
 const SIDE_EXT: u32 = u32::MAX;
 
+/// Smallest ring a stream allocates: a multiple of [`TAGS_PER_WORD`], so
+/// the tag bitmap covers every ring in whole words.
+const MIN_RING: usize = 64;
+
+/// The first record index whose append needs a ring larger than `cap` to
+/// keep the newest `keep` of the stream: the least `i` with
+/// `keep.of(i + 1) > cap`.
+fn grow_index(cap: usize, keep: Pct) -> usize {
+    cap * 100 / usize::from(keep.value())
+}
+
+/// The oldest record index a `pct` budget reads in an `n`-record stream.
+fn window_floor(n: usize, pct: Pct) -> usize {
+    n - pct.of(n)
+}
+
+/// Ext-table spill for a record whose PCs the packed columns cannot
+/// derive. Before the table would reallocate, entries below the retention
+/// floor are dropped, so a stream that spills every record stays bounded
+/// by its window (amortized: a prune either frees half the table or is
+/// followed by a doubling). Outlined and cold: real CPU-retired streams
+/// never take it, and keeping it out of the fused cold-phase sink keeps
+/// that sink small enough to inline into the superblock walk.
+#[cold]
+#[inline(never)]
+fn spill(ext: &mut Vec<Spill>, index: usize, pc: Addr, next_pc: Addr, keep: Pct) {
+    if ext.len() == ext.capacity() {
+        let floor = window_floor(index, keep) as u64;
+        ext.retain(|e| e.index >= floor);
+    }
+    ext.push(Spill { index: index as u64, pc, next_pc });
+}
+
+/// The spill entry of record `i` (its packed slot says it has one).
+fn spill_at(ext: &[Spill], i: usize) -> &Spill {
+    match ext.binary_search_by_key(&(i as u64), |e| e.index) {
+        Ok(k) => &ext[k],
+        Err(_) => unreachable!("packed slot says ext, but no ext entry for record {i}"),
+    }
+}
+
+/// The memory stream's packed columns as a ring (see the module docs on
+/// window retention): record `i` lives in slot `(i − origin) mod cap`,
+/// where `cap` is the power-of-two column length.
+///
+/// The ring is *settled* while no record has wrapped past `origin`
+/// (`n − origin ≤ cap`): slot `j` then holds record `origin + j`, so the
+/// stream reads as one contiguous, window-relative slice.
+/// [`MemRing::settle`] rotates a wrapped ring back into that shape.
+#[derive(Clone, Debug, Default)]
+struct MemRing {
+    /// Referenced address of each memory record.
+    addr: Vec<u64>,
+    /// Non-derivable field of each memory record: `next_pc` for fetch
+    /// records, `pc` for data records, [`SIDE_EXT`] when spilled.
+    side: Vec<u32>,
+    /// 2-bit tags (`is_inst`, `is_store << 1`), 32 slots per word.
+    tags: Vec<u64>,
+    /// Spilled records, ascending by record index.
+    ext: Vec<Spill>,
+    /// Records appended this region.
+    n: usize,
+    /// Record index of slot 0.
+    origin: usize,
+    /// Record index whose append must first double the ring.
+    grow_at: usize,
+}
+
+impl MemRing {
+    /// Empties the ring, keeping its allocations.
+    fn clear(&mut self) {
+        self.addr.clear();
+        self.side.clear();
+        self.tags.clear();
+        self.ext.clear();
+        self.n = 0;
+        self.origin = 0;
+        self.grow_at = 0;
+    }
+
+    /// Appends one record, replacing the slot's tag pair (the rest of the
+    /// word may still tag live records from the previous lap).
+    #[inline(always)]
+    fn push(&mut self, keep: Pct, addr: u64, side: u32, tag: u64) {
+        let i = self.n;
+        if i == self.grow_at {
+            self.grow(keep);
+        }
+        let s = (i - self.origin) & (self.addr.len() - 1);
+        let (w, sh) = (s / TAGS_PER_WORD, (s % TAGS_PER_WORD) * 2);
+        self.tags[w] = (self.tags[w] & !(3 << sh)) | (tag << sh);
+        self.addr[s] = addr;
+        self.side[s] = side;
+        self.n = i + 1;
+    }
+
+    /// Doubles the ring. Settling first leaves every old slot in record
+    /// order with the write head at the old capacity, where the new slots
+    /// begin.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, keep: Pct) {
+        self.settle(keep);
+        let cap = (self.addr.len() * 2).max(MIN_RING);
+        self.addr.resize(cap, 0);
+        self.side.resize(cap, 0);
+        self.tags.resize(cap / TAGS_PER_WORD, 0);
+        self.grow_at = grow_index(cap, keep);
+    }
+
+    fn settled(&self) -> bool {
+        self.n - self.origin <= self.addr.len()
+    }
+
+    /// Rotates a wrapped ring so slot 0 holds the oldest record still
+    /// present (`n − cap`), and drops spill entries below the floor.
+    fn settle(&mut self, keep: Pct) {
+        let cap = self.addr.len();
+        if !self.settled() {
+            let k = (self.n - self.origin) & (cap - 1);
+            self.addr.rotate_left(k);
+            self.side.rotate_left(k);
+            rotate_tags(&mut self.tags, k);
+            self.origin = self.n - cap;
+        }
+        let floor = window_floor(self.n, keep) as u64;
+        self.ext.retain(|e| e.index >= floor);
+    }
+
+    /// Slot of record `i` (present in the ring).
+    #[inline]
+    fn slot(&self, i: usize) -> usize {
+        (i - self.origin) & (self.addr.len() - 1)
+    }
+
+    #[inline]
+    fn tag(&self, s: usize) -> u64 {
+        (self.tags[s / TAGS_PER_WORD] >> ((s % TAGS_PER_WORD) * 2)) & 3
+    }
+}
+
+/// Rotates a 2-bit-per-slot tag bitmap left by `k` slots, matching a
+/// `rotate_left(k)` of the columns it tags.
+fn rotate_tags(tags: &mut [u64], k: usize) {
+    let (q, r) = (k / TAGS_PER_WORD, k % TAGS_PER_WORD);
+    tags.rotate_left(q);
+    if r != 0 {
+        let sh = 2 * r as u32;
+        let first = tags[0];
+        let words = tags.len();
+        for w in 0..words {
+            let next = if w + 1 < words { tags[w + 1] } else { first };
+            tags[w] = (tags[w] >> sh) | (next << (64 - sh));
+        }
+    }
+}
+
+/// The branch stream's packed records as a ring, with the same slot
+/// mapping as [`MemRing`]. Readers index it through [`BranchRing::slot`]
+/// and never need it contiguous, so it is never rotated. A record leaves
+/// the ring when its slot is overwritten; evicted conditionals shift their
+/// outcomes into `ev_hist`, which is all [`SkipLog`]'s GHR derivation ever
+/// needs of them.
+#[derive(Clone, Debug, Default)]
+struct BranchRing {
+    rec: Vec<PackedBranch>,
+    /// Spilled records, ascending by record index.
+    ext: Vec<Spill>,
+    /// Records appended this region.
+    n: usize,
+    /// Record index mapped to slot 0: record `i` lives in slot
+    /// `(i − origin) mod cap`.
+    origin: usize,
+    /// Record index whose append must first double the ring.
+    grow_at: usize,
+    /// Outcomes of the newest evicted conditionals, newest in bit 0.
+    ev_hist: u64,
+    /// Conditionals evicted this region (`ev_hist` holds the newest 64).
+    ev_conds: u64,
+}
+
+impl BranchRing {
+    /// Empties the ring, keeping its allocations.
+    fn clear(&mut self) {
+        self.rec.clear();
+        self.ext.clear();
+        self.n = 0;
+        self.origin = 0;
+        self.grow_at = 0;
+        self.ev_hist = 0;
+        self.ev_conds = 0;
+    }
+
+    /// Appends one record, evicting the slot's previous occupant once the
+    /// ring has wrapped.
+    #[inline(always)]
+    fn push(&mut self, keep: Pct, b: PackedBranch) {
+        let i = self.n;
+        if i == self.grow_at {
+            self.grow(keep);
+        }
+        let cap = self.rec.len();
+        let s = (i - self.origin) & (cap - 1);
+        let old = std::mem::replace(&mut self.rec[s], b);
+        if i - self.origin >= cap {
+            let cond = u64::from(old.meta & BR_KIND_MASK == 0);
+            self.ev_hist = (self.ev_hist << cond) | (u64::from(old.meta & BR_TAKEN) & cond);
+            self.ev_conds += cond;
+        }
+        self.n = i + 1;
+    }
+
+    /// Doubles the ring, first rotating a wrapped one into record order so
+    /// the new slots start at the write head.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, keep: Pct) {
+        let cap = self.rec.len();
+        if self.n - self.origin > cap {
+            self.rec.rotate_left((self.n - self.origin) & (cap - 1));
+            self.origin = self.n - cap;
+        }
+        let cap = (cap * 2).max(MIN_RING);
+        self.rec.resize(cap, PackedBranch { target: 0, pc32: 0, meta: 0 });
+        self.grow_at = grow_index(cap, keep);
+    }
+
+    /// Oldest record still in the ring; everything older was evicted.
+    fn oldest(&self) -> usize {
+        self.origin.max(self.n.saturating_sub(self.rec.len()))
+    }
+
+    /// Slot of record `i` (present in the ring).
+    #[inline]
+    fn slot(&self, i: usize) -> usize {
+        (i - self.origin) & (self.rec.len() - 1)
+    }
+}
+
 /// The log of one skip region. Data are kept only for the current region
 /// and discarded when its cluster finishes (paper §3), bounding storage.
 ///
@@ -132,6 +381,11 @@ const SIDE_EXT: u32 = u32::MAX;
 /// a region truncates depends only on its own deterministic record stream,
 /// so budget-driven degradation is identical at every thread count.
 ///
+/// An optional retention window ([`SkipLog::set_retention`]) keeps only
+/// the newest `pct` of each stream resident (see the module docs). It
+/// changes what is *held*, never what is *logged*: every counter below,
+/// the byte accounting, and the budget decision describe the full stream.
+///
 /// # Truncation, emptiness, and the append counter
 ///
 /// Three observers describe a region's history and they are *not*
@@ -139,8 +393,8 @@ const SIDE_EXT: u32 = u32::MAX;
 ///
 /// * [`SkipLog::appended`] counts every record the region produced,
 ///   including any the budget later discarded;
-/// * [`SkipLog::is_empty`] (and [`SkipLog::len`]) describe what is
-///   *resident* right now;
+/// * [`SkipLog::is_empty`] (and [`SkipLog::len`]) describe the region's
+///   logged stream as it stands now — emptied by a budget discard;
 /// * [`SkipLog::truncated`] says whether the budget fired.
 ///
 /// A budget-truncated region is therefore **empty but has
@@ -148,22 +402,15 @@ const SIDE_EXT: u32 = u32::MAX;
 /// for "how much was logged" and `truncated()` for "is the history
 /// complete", never `is_empty()` for either (an empty log also arises from
 /// a region that simply logged nothing). [`SkipLog::peak_bytes`] likewise
-/// survives truncation: it reports the high-water resident size *before*
+/// survives truncation: it reports the high-water logged size *before*
 /// the discard.
 #[derive(Clone, Debug)]
 pub struct SkipLog {
-    /// Referenced address of each memory record.
-    mem_addr: Vec<u64>,
-    /// Non-derivable field of each memory record: `next_pc` for fetch
-    /// records, `pc` for data records, [`SIDE_EXT`] when spilled.
-    mem_side: Vec<u32>,
-    /// 2-bit tags (`is_inst`, `is_store << 1`), 32 records per word.
-    mem_tags: Vec<u64>,
-    /// Spilled memory records, ascending by record index.
-    mem_ext: Vec<MemExt>,
-    branches: Vec<PackedBranch>,
-    /// Spilled branch records, ascending by record index.
-    br_ext: Vec<BrExt>,
+    mem: MemRing,
+    br: BranchRing,
+    /// Retention window: the newest `keep` of each stream stays resident.
+    /// Survives [`SkipLog::reset`], like the budget.
+    keep: Pct,
     /// Line of the previous fetch (`NO_LINE` before the first).
     last_fetch_line: Addr,
     /// Global history register value when logging began (end of the
@@ -176,9 +423,10 @@ pub struct SkipLog {
     budget: Option<usize>,
     /// Set once the budget is exhausted; recording stops for the region.
     truncated: bool,
-    /// Current resident bytes, maintained incrementally per append.
+    /// Logged bytes of the full stream, maintained incrementally per
+    /// append.
     bytes: usize,
-    /// Largest resident size observed this region (before any discard).
+    /// Largest logged size observed this region (before any discard).
     peak_bytes: usize,
     /// Records appended this region, including any later discarded.
     appended: u64,
@@ -199,52 +447,22 @@ impl Default for SkipLog {
 const LINE_MASK: u64 = !63;
 const NO_LINE: Addr = u64::MAX;
 
-/// Ext-table spill for a memory record whose PCs the packed side column
-/// cannot derive. Outlined and cold: real CPU-retired streams never take
-/// it, and keeping it out of the fused cold-phase sink keeps that sink
-/// small enough to inline into the superblock walk.
-#[cold]
-#[inline(never)]
-fn spill_mem(
-    ext: &mut Vec<MemExt>,
-    index: usize,
-    pc: Addr,
-    next_pc: Addr,
-    bytes: &mut usize,
-) -> u32 {
-    ext.push(MemExt { index: index as u64, pc, next_pc });
-    *bytes += EXT_ENTRY_BYTES;
-    SIDE_EXT
-}
-
-/// Ext-table spill for a branch record (see [`spill_mem`]).
-#[cold]
-#[inline(never)]
-fn spill_br(ext: &mut Vec<BrExt>, index: usize, pc: Addr, next_pc: Addr, bytes: &mut usize) -> u32 {
-    ext.push(BrExt { index: index as u64, pc, next_pc });
-    *bytes += EXT_ENTRY_BYTES;
-    0
-}
-
 /// The budget-free cold-phase record sink, fused into the superblock
 /// dispatch loop via [`RetireSink`] — the `#[inline(always)]` on `retire`
 /// is binding on the inliner, where the closure form of [`Cpu::step_n`]
 /// gets outlined once the sink body is nontrivial, costing a call per
 /// retired instruction.
 ///
-/// Holds the packed record columns split out of [`SkipLog`] plus the two
-/// pieces of per-region state the hot path keeps in registers: the
-/// fetch-line dedup tag and the running ext-spill byte count. The byte
+/// Holds the record rings split out of [`SkipLog`] plus the per-region
+/// state the hot path keeps in registers: the retention window, the
+/// fetch-line dedup tag, and the running ext-spill byte count. The byte
 /// and record counters of the owning log are *not* maintained here —
-/// [`SkipLog::region_loop_fast`] settles them from the column-length
+/// [`SkipLog::region_loop_fast`] settles them from the stream-length
 /// deltas when the region ends.
 struct FastSink<'a, const MEM: bool, const BR: bool> {
-    mem_addr: &'a mut Vec<u64>,
-    mem_side: &'a mut Vec<u32>,
-    mem_tags: &'a mut Vec<u64>,
-    mem_ext: &'a mut Vec<MemExt>,
-    branches: &'a mut Vec<PackedBranch>,
-    br_ext: &'a mut Vec<BrExt>,
+    mem: &'a mut MemRing,
+    br: &'a mut BranchRing,
+    keep: Pct,
     last_line: Addr,
     spill_bytes: usize,
 }
@@ -258,35 +476,26 @@ impl<const MEM: bool, const BR: bool> RetireSink for FastSink<'_, MEM, BR> {
                 self.last_line = line;
                 // Fetch-line record: `pc == addr` by construction, so the
                 // side word keeps `next_pc` when it fits.
-                let i = self.mem_addr.len();
-                if i.is_multiple_of(TAGS_PER_WORD) {
-                    self.mem_tags.push(0);
-                }
-                self.mem_tags[i / TAGS_PER_WORD] |= 1u64 << ((i % TAGS_PER_WORD) * 2);
-                self.mem_addr.push(r.pc);
                 let side = if r.next_pc < SIDE_EXT as u64 {
                     r.next_pc as u32
                 } else {
-                    spill_mem(self.mem_ext, i, r.pc, r.next_pc, &mut self.spill_bytes)
+                    spill(&mut self.mem.ext, self.mem.n, r.pc, r.next_pc, self.keep);
+                    self.spill_bytes += EXT_ENTRY_BYTES;
+                    SIDE_EXT
                 };
-                self.mem_side.push(side);
+                self.mem.push(self.keep, r.pc, side, 1);
             }
             if let Some(m) = r.mem {
                 // Data record: loads and stores never branch, so the side
                 // word keeps `pc` and derives `next_pc`.
-                let i = self.mem_addr.len();
-                if i.is_multiple_of(TAGS_PER_WORD) {
-                    self.mem_tags.push(0);
-                }
-                self.mem_tags[i / TAGS_PER_WORD] |=
-                    ((m.is_store as u64) << 1) << ((i % TAGS_PER_WORD) * 2);
-                self.mem_addr.push(m.addr);
                 let side = if r.next_pc == r.pc.wrapping_add(4) && r.pc < SIDE_EXT as u64 {
                     r.pc as u32
                 } else {
-                    spill_mem(self.mem_ext, i, r.pc, r.next_pc, &mut self.spill_bytes)
+                    spill(&mut self.mem.ext, self.mem.n, r.pc, r.next_pc, self.keep);
+                    self.spill_bytes += EXT_ENTRY_BYTES;
+                    SIDE_EXT
                 };
-                self.mem_side.push(side);
+                self.mem.push(self.keep, m.addr, side, (m.is_store as u64) << 1);
             }
         }
         if BR {
@@ -297,16 +506,12 @@ impl<const MEM: bool, const BR: bool> RetireSink for FastSink<'_, MEM, BR> {
                     Ok(p) if r.next_pc == derived => p,
                     _ => {
                         meta |= BR_EXT;
-                        spill_br(
-                            self.br_ext,
-                            self.branches.len(),
-                            r.pc,
-                            r.next_pc,
-                            &mut self.spill_bytes,
-                        )
+                        spill(&mut self.br.ext, self.br.n, r.pc, r.next_pc, self.keep);
+                        self.spill_bytes += EXT_ENTRY_BYTES;
+                        0
                     }
                 };
-                self.branches.push(PackedBranch { target: b.target, pc32, meta });
+                self.br.push(self.keep, PackedBranch { target: b.target, pc32, meta });
             }
         }
     }
@@ -420,8 +625,10 @@ impl ReconGeometry {
 /// so a seal for budget `pct` covers just the records `[cut, n)`.
 /// Resident cost is therefore ~4 B per *in-budget* record per indexed
 /// level (records are *indexed*, never copied) plus one u32 per set; the
-/// log itself still holds every record. Memory spans keep *absolute*
-/// record indices and serve any budget whose cut is at or past
+/// log itself holds its retention window (see [`SkipLog::set_retention`]).
+/// Memory spans hold positions in the log's settled address slice
+/// (record index minus [`SkipLog::mem_base`], fixed while the log is
+/// unchanged) and serve any budget whose cut is at or past
 /// [`ReconIndex::mem_from`], so a full seal (`mem_from == 0`) serves every
 /// budget.
 ///
@@ -449,8 +656,8 @@ pub(crate) struct ReconIndex {
     /// Memory-side spans are valid for exactly this `mem_len` (`None` =
     /// not sealed).
     mem_sealed: Option<usize>,
-    /// Oldest memory record the spans index: they serve any scan budget
-    /// whose cut is at or past it.
+    /// Oldest memory record (absolute index) the spans index: they serve
+    /// any scan budget whose cut is at or past it.
     pub(crate) mem_from: usize,
     /// Branch-side columns are valid for exactly this `branch_len`.
     br_sealed: Option<usize>,
@@ -460,15 +667,15 @@ pub(crate) struct ReconIndex {
     pub(crate) br_pct: Option<Pct>,
     /// L1I span bounds: set `s` owns `l1i_idx[l1i_off[s]..l1i_off[s+1]]`.
     pub(crate) l1i_off: Vec<u32>,
-    /// Instruction record indices, newest-first within each set span.
+    /// Instruction record positions, newest-first within each set span.
     pub(crate) l1i_idx: Vec<u32>,
     /// L1D span bounds.
     pub(crate) l1d_off: Vec<u32>,
-    /// Data record indices, newest-first within each set span.
+    /// Data record positions, newest-first within each set span.
     pub(crate) l1d_idx: Vec<u32>,
     /// Unified-L2 span bounds.
     pub(crate) l2_off: Vec<u32>,
-    /// All memory record indices, newest-first within each L2 set span.
+    /// All memory record positions, newest-first within each L2 set span.
     pub(crate) l2_idx: Vec<u32>,
     /// Oldest branch record the window-relative columns describe: the
     /// budget cut the branch side was sealed under.
@@ -598,15 +805,13 @@ impl ReconIndex {
 }
 
 impl SkipLog {
-    /// Creates an empty log recording the requested streams.
+    /// Creates an empty log recording the requested streams, retaining
+    /// every record.
     pub fn new(log_mem: bool, log_branches: bool, ghr_at_start: u64) -> SkipLog {
         SkipLog {
-            mem_addr: Vec::new(),
-            mem_side: Vec::new(),
-            mem_tags: Vec::new(),
-            mem_ext: Vec::new(),
-            branches: Vec::new(),
-            br_ext: Vec::new(),
+            mem: MemRing::default(),
+            br: BranchRing::default(),
+            keep: Pct::new(100),
             last_fetch_line: NO_LINE,
             ghr_at_start,
             log_mem,
@@ -639,15 +844,11 @@ impl SkipLog {
     }
 
     /// Clears the log for a new skip region, keeping allocated capacity
-    /// (logs are reused across regions to avoid reallocation churn) and
-    /// the configured budget.
+    /// (logs are reused across regions to avoid reallocation churn), the
+    /// configured budget, and the retention window.
     pub fn reset(&mut self, log_mem: bool, log_branches: bool, ghr_at_start: u64) {
-        self.mem_addr.clear();
-        self.mem_side.clear();
-        self.mem_tags.clear();
-        self.mem_ext.clear();
-        self.branches.clear();
-        self.br_ext.clear();
+        self.mem.clear();
+        self.br.clear();
         self.last_fetch_line = NO_LINE;
         self.ghr_at_start = ghr_at_start;
         self.log_mem = log_mem;
@@ -661,33 +862,57 @@ impl SkipLog {
         }
     }
 
-    /// Caps the region's resident bytes (`None` = unbounded, the default).
+    /// Caps the region's logged bytes (`None` = unbounded, the default).
     pub fn set_budget(&mut self, budget: Option<usize>) {
         self.budget = budget;
     }
 
-    /// Pre-sizes the record columns for an expected region shape. Purely
+    /// Keeps only the newest `keep` of each stream resident — the widest
+    /// scan budget any reconstruction from this log will run (100 %, the
+    /// default, keeps everything). Records below the floor
+    /// `n − keep.of(n)` are overwritten in place; appending, the counters,
+    /// and the byte accounting are unchanged. Survives
+    /// [`SkipLog::reset`].
+    ///
+    /// # Panics
+    ///
+    /// If the log holds records: the window must be fixed before the
+    /// region starts.
+    pub fn set_retention(&mut self, keep: Pct) {
+        assert!(self.is_empty(), "set the retention window before recording");
+        self.keep = keep;
+    }
+
+    /// Ring slots currently allocated per stream `(mem, branches)`: what
+    /// the log holds resident. Under retention `keep` each stays at most
+    /// `keep.of(n).next_power_of_two()` once past the smallest ring.
+    pub fn retained_slots(&self) -> (usize, usize) {
+        (self.mem.addr.len(), self.br.rec.len())
+    }
+
+    /// Pre-sizes the record rings for an expected region shape. Purely
     /// an allocation hint — contents and accounting are
     /// capacity-independent — but it spares a fresh log the doubling
     /// reallocations (mmap/munmap round trips at these column sizes)
     /// when many logs are built back to back, as the sweep capture pass
     /// does.
     pub(crate) fn reserve_records(&mut self, mem: usize, branches: usize) {
+        let slots = |n: usize| self.keep.of(n).next_power_of_two().max(MIN_RING);
         if self.log_mem {
-            self.mem_addr.reserve(mem);
-            self.mem_side.reserve(mem);
-            self.mem_tags.reserve(mem / TAGS_PER_WORD + 1);
+            let cap = slots(mem);
+            self.mem.addr.reserve(cap);
+            self.mem.side.reserve(cap);
+            self.mem.tags.reserve(cap / TAGS_PER_WORD);
         }
         if self.log_branches {
-            self.branches.reserve(branches);
+            self.br.rec.reserve(slots(branches));
         }
     }
 
-    /// Records currently held per stream `(mem, branches)` — the shape
-    /// hint [`SkipLog::reserve_records`] wants for the next same-sized
-    /// region.
+    /// Records logged per stream `(mem, branches)` — the shape hint
+    /// [`SkipLog::reserve_records`] wants for the next same-sized region.
     pub(crate) fn record_counts(&self) -> (usize, usize) {
-        (self.mem_addr.len(), self.branches.len())
+        (self.mem.n, self.br.n)
     }
 
     /// Did this region exhaust its budget? A truncated log holds nothing:
@@ -698,8 +923,9 @@ impl SkipLog {
         self.truncated
     }
 
-    /// Largest resident size the region reached (equals
-    /// [`SkipLog::approx_bytes`] unless truncated).
+    /// Largest logged size the region reached (equals
+    /// [`SkipLog::approx_bytes`] unless truncated). Like the budget it
+    /// measures the full logged stream, not the retained window.
     pub fn peak_bytes(&self) -> usize {
         self.peak_bytes
     }
@@ -713,32 +939,27 @@ impl SkipLog {
 
     #[inline]
     fn push_mem(&mut self, pc: Addr, next_pc: Addr, addr: Addr, is_inst: bool, is_store: bool) {
-        let i = self.mem_addr.len();
-        if i.is_multiple_of(TAGS_PER_WORD) {
-            self.mem_tags.push(0);
+        if self.mem.n.is_multiple_of(TAGS_PER_WORD) {
             self.bytes += TAG_WORD_BYTES;
         }
         let tag = (is_inst as u64) | ((is_store as u64) << 1);
-        self.mem_tags[i / TAGS_PER_WORD] |= tag << ((i % TAGS_PER_WORD) * 2);
-        self.mem_addr.push(addr);
-        let side = if is_inst {
+        let derivable = if is_inst {
             // Fetch records have pc == addr by construction; keep next_pc.
-            if pc == addr && next_pc < SIDE_EXT as u64 {
-                next_pc as u32
-            } else {
+            pc == addr && next_pc < SIDE_EXT as u64
+        } else {
+            // Loads and stores never branch; keep pc, derive next_pc.
+            next_pc == pc.wrapping_add(4) && pc < SIDE_EXT as u64
+        };
+        let side = match (derivable, is_inst) {
+            (true, true) => next_pc as u32,
+            (true, false) => pc as u32,
+            (false, _) => {
+                spill(&mut self.mem.ext, self.mem.n, pc, next_pc, self.keep);
+                self.bytes += EXT_ENTRY_BYTES;
                 SIDE_EXT
             }
-        } else if next_pc == pc.wrapping_add(4) && pc < SIDE_EXT as u64 {
-            // Loads and stores never branch; keep pc, derive next_pc.
-            pc as u32
-        } else {
-            SIDE_EXT
         };
-        if side == SIDE_EXT {
-            self.mem_ext.push(MemExt { index: i as u64, pc, next_pc });
-            self.bytes += EXT_ENTRY_BYTES;
-        }
-        self.mem_side.push(side);
+        self.mem.push(self.keep, addr, side, tag);
         self.bytes += MEM_RECORD_BYTES;
         self.appended += 1;
     }
@@ -751,12 +972,12 @@ impl SkipLog {
             Ok(p) if next_pc == derived => p,
             _ => {
                 meta |= BR_EXT;
-                self.br_ext.push(BrExt { index: self.branches.len() as u64, pc, next_pc });
+                spill(&mut self.br.ext, self.br.n, pc, next_pc, self.keep);
                 self.bytes += EXT_ENTRY_BYTES;
                 0
             }
         };
-        self.branches.push(PackedBranch { target, pc32, meta });
+        self.br.push(self.keep, PackedBranch { target, pc32, meta });
         self.bytes += BRANCH_RECORD_BYTES;
         self.appended += 1;
     }
@@ -782,12 +1003,8 @@ impl SkipLog {
     /// roughly one budget per worker.
     #[cold]
     fn discard_over_budget(&mut self) {
-        self.mem_addr.clear();
-        self.mem_side.clear();
-        self.mem_tags.clear();
-        self.mem_ext.clear();
-        self.branches.clear();
-        self.br_ext.clear();
+        self.mem.clear();
+        self.br.clear();
         self.bytes = 0;
         self.truncated = true;
         if let Some(ix) = self.index.as_deref_mut() {
@@ -796,6 +1013,9 @@ impl SkipLog {
     }
 
     /// Records one retired instruction's reconstruction-relevant effects.
+    /// Under a retention window narrower than 100 % the memory ring may
+    /// wrap; call [`SkipLog::finish_region`] before reconstructing from a
+    /// log filled this way ([`SkipLog::record_region`] does it itself).
     #[inline]
     pub fn record(&mut self, r: &Retired) {
         if self.truncated {
@@ -819,6 +1039,17 @@ impl SkipLog {
         self.note_instruction();
     }
 
+    /// Ends a stretch of recording: rotates a wrapped memory ring back
+    /// into window order, so reconstruction can read the retained records
+    /// as one contiguous slice, and drops spill entries below the floor.
+    /// Idempotent, and free when the ring has not wrapped — in particular
+    /// for a log that retains everything.
+    pub fn finish_region(&mut self) {
+        self.mem.settle(self.keep);
+        let floor = window_floor(self.br.n, self.keep) as u64;
+        self.br.ext.retain(|e| e.index >= floor);
+    }
+
     /// The fused cold-phase loop: steps `cpu` through `n` instructions,
     /// logging each one — the predecoded [`Cpu::step_n`] superblock core
     /// with [`SkipLog::record`]'s body monomorphized in as the sink, one
@@ -828,7 +1059,7 @@ impl SkipLog {
     /// budget truncation the sink goes quiescent (a flag check per
     /// instruction) while the remaining instructions keep stepping; with
     /// both streams disabled the region is a bare fast-forward that
-    /// never touches the log.
+    /// never touches the log. Ends with [`SkipLog::finish_region`].
     ///
     /// Produces record streams, budget decisions, and accounting
     /// bit-identical to calling [`SkipLog::record`] after every step.
@@ -840,7 +1071,7 @@ impl SkipLog {
         if self.truncated || (!self.log_mem && !self.log_branches) {
             return cpu.step_n(n, |_| ());
         }
-        match (self.log_mem, self.log_branches, self.budget.is_some()) {
+        let res = match (self.log_mem, self.log_branches, self.budget.is_some()) {
             (true, true, false) => self.region_loop_fast::<true, true>(cpu, n),
             (true, false, false) => self.region_loop_fast::<true, false>(cpu, n),
             (false, true, false) => self.region_loop_fast::<false, true>(cpu, n),
@@ -848,7 +1079,9 @@ impl SkipLog {
             (true, false, true) => self.region_loop::<true, false>(cpu, n),
             (false, true, true) => self.region_loop::<false, true>(cpu, n),
             (false, false, _) => unreachable!("bare fast-forward handled above"),
-        }
+        };
+        self.finish_region();
+        res
     }
 
     /// The budgeted fused loop: per-record pushes with the budget check
@@ -889,7 +1122,7 @@ impl SkipLog {
     /// throughput hangs on. Identical record streams and accounting to
     /// [`SkipLog::region_loop`], with the per-record overhead stripped:
     /// the byte and record counters are *derived once at region end* from
-    /// the column-length deltas (the incremental accounting is a pure
+    /// the stream-length deltas (the incremental accounting is a pure
     /// function of the record counts, so the sums are equal by
     /// associativity), the fetch-line dedup register lives in a local,
     /// and the ext-table spills — which CPU-retired streams never take —
@@ -903,83 +1136,68 @@ impl SkipLog {
         cpu: &mut Cpu,
         n: u64,
     ) -> Result<(), ExecError> {
-        let mem0 = self.mem_addr.len();
-        let tags0 = self.mem_tags.len();
-        let mem_ext0 = self.mem_ext.len();
-        let br0 = self.branches.len();
-        let br_ext0 = self.br_ext.len();
-
-        let last_line = self.last_fetch_line;
-        let SkipLog { mem_addr, mem_side, mem_tags, mem_ext, branches, br_ext, .. } = &mut *self;
-        let mut sink: FastSink<'_, MEM, BR> = FastSink {
-            mem_addr,
-            mem_side,
-            mem_tags,
-            mem_ext,
-            branches,
-            br_ext,
-            last_line,
-            spill_bytes: 0,
-        };
+        let (mem0, br0) = (self.mem.n, self.br.n);
+        let SkipLog { mem, br, keep, last_fetch_line, .. } = &mut *self;
+        let mut sink: FastSink<'_, MEM, BR> =
+            FastSink { mem, br, keep: *keep, last_line: *last_fetch_line, spill_bytes: 0 };
         let res = cpu.step_n_sink(n, &mut sink);
         let FastSink { last_line, spill_bytes, .. } = sink;
 
         // Settle the deferred accounting and the peak — also on a fault,
         // so the counters cover every instruction retired before it.
-        let mem_delta = self.mem_addr.len() - mem0;
-        let br_delta = self.branches.len() - br0;
+        let mem_delta = self.mem.n - mem0;
+        let br_delta = self.br.n - br0;
+        let tag_words = self.mem.n.div_ceil(TAGS_PER_WORD) - mem0.div_ceil(TAGS_PER_WORD);
         self.last_fetch_line = last_line;
         self.appended += (mem_delta + br_delta) as u64;
         self.bytes += mem_delta * MEM_RECORD_BYTES
-            + (self.mem_tags.len() - tags0) * TAG_WORD_BYTES
+            + tag_words * TAG_WORD_BYTES
             + br_delta * BRANCH_RECORD_BYTES
             + spill_bytes;
-        debug_assert_eq!(
-            spill_bytes,
-            (self.mem_ext.len() - mem_ext0 + self.br_ext.len() - br_ext0) * EXT_ENTRY_BYTES
-        );
         if self.bytes > self.peak_bytes {
             self.peak_bytes = self.bytes;
         }
         res
     }
 
-    /// Number of logged memory references.
+    /// Memory references logged this region (the stream length `n` every
+    /// scan budget is a percentage of, whatever the retention).
     pub fn mem_len(&self) -> usize {
-        self.mem_addr.len()
+        self.mem.n
     }
 
-    /// Number of logged control transfers.
+    /// Control transfers logged this region.
     pub fn branch_len(&self) -> usize {
-        self.branches.len()
+        self.br.n
     }
 
-    #[inline]
-    fn mem_tag(&self, i: usize) -> u64 {
-        (self.mem_tags[i / TAGS_PER_WORD] >> ((i % TAGS_PER_WORD) * 2)) & 3
+    /// The retained memory records: `floor..mem_len()` under the
+    /// retention window (`0..mem_len()` when everything is kept).
+    pub fn mem_window(&self) -> std::ops::Range<usize> {
+        window_floor(self.mem.n, self.keep)..self.mem.n
     }
 
-    fn mem_ext_at(&self, i: usize) -> &MemExt {
-        let k = match self.mem_ext.binary_search_by_key(&(i as u64), |e| e.index) {
-            Ok(k) => k,
-            Err(_) => unreachable!("side column says ext, but no ext entry for this record"),
-        };
-        &self.mem_ext[k]
+    /// The retained branch records (see [`SkipLog::mem_window`]).
+    pub fn branch_window(&self) -> std::ops::Range<usize> {
+        window_floor(self.br.n, self.keep)..self.br.n
     }
 
     /// Materializes memory record `i` (oldest record first).
     ///
     /// # Panics
     ///
-    /// If `i >= mem_len()`.
+    /// If `i` is outside [`SkipLog::mem_window`].
     pub fn mem_at(&self, i: usize) -> MemRecord {
-        let addr = self.mem_addr[i];
-        let tag = self.mem_tag(i);
+        let window = self.mem_window();
+        assert!(window.contains(&i), "memory record {i} is outside the retained {window:?}");
+        let s = self.mem.slot(i);
+        let addr = self.mem.addr[s];
+        let tag = self.mem.tag(s);
         let is_inst = tag & 1 != 0;
         let is_store = tag & 2 != 0;
-        let side = self.mem_side[i];
+        let side = self.mem.side[s];
         let (pc, next_pc) = if side == SIDE_EXT {
-            let e = self.mem_ext_at(i);
+            let e = spill_at(&self.mem.ext, i);
             (e.pc, e.next_pc)
         } else if is_inst {
             (addr, side as u64)
@@ -993,18 +1211,17 @@ impl SkipLog {
     ///
     /// # Panics
     ///
-    /// If `i >= branch_len()`.
+    /// If `i` is outside [`SkipLog::branch_window`].
     pub fn branch_at(&self, i: usize) -> BranchRecord {
-        let b = self.branches[i];
+        let window = self.branch_window();
+        assert!(window.contains(&i), "branch record {i} is outside the retained {window:?}");
+        let b = self.br.rec[self.br.slot(i)];
         let taken = b.meta & BR_TAKEN != 0;
         let kind = kind_from_meta(b.meta);
         let target = b.target;
         let (pc, next_pc) = if b.meta & BR_EXT != 0 {
-            let k = match self.br_ext.binary_search_by_key(&(i as u64), |e| e.index) {
-                Ok(k) => k,
-                Err(_) => unreachable!("meta says ext, but no ext entry for this branch"),
-            };
-            (self.br_ext[k].pc, self.br_ext[k].next_pc)
+            let e = spill_at(&self.br.ext, i);
+            (e.pc, e.next_pc)
         } else {
             let pc = b.pc32 as u64;
             (pc, if taken { target } else { pc.wrapping_add(4) })
@@ -1014,69 +1231,98 @@ impl SkipLog {
 
     /// Kind and outcome of branch record `i` without materializing its
     /// PCs — the branch-reconstruction forward pass reads only the meta
-    /// column.
+    /// column. `i` may lie below the window as long as the ring still
+    /// holds it ([`BranchRing::oldest`]).
     pub(crate) fn branch_kind_taken(&self, i: usize) -> (CtrlKind, bool) {
-        let meta = self.branches[i].meta;
+        let meta = self.br.rec[self.br.slot(i)].meta;
         (kind_from_meta(meta), meta & BR_TAKEN != 0)
     }
 
-    /// PC of branch record `i`.
+    /// PC of in-window branch record `i`.
     pub(crate) fn branch_pc(&self, i: usize) -> Addr {
-        let b = self.branches[i];
+        let b = self.br.rec[self.br.slot(i)];
         if b.meta & BR_EXT != 0 {
-            self.branch_at(i).pc
+            spill_at(&self.br.ext, i).pc
         } else {
             b.pc32 as u64
         }
     }
 
-    /// Taken-path target of branch record `i`.
+    /// Taken-path target of in-window branch record `i`.
     pub(crate) fn branch_target(&self, i: usize) -> Addr {
-        self.branches[i].target
+        self.br.rec[self.br.slot(i)].target
     }
 
-    /// The logged memory references, oldest first, materialized on the
+    /// The retained memory references, oldest first, materialized on the
     /// fly.
     pub fn mem_records(&self) -> impl ExactSizeIterator<Item = MemRecord> + '_ {
-        (0..self.mem_addr.len()).map(move |i| self.mem_at(i))
+        self.mem_window().map(move |i| self.mem_at(i))
     }
 
-    /// The logged control transfers, oldest first, materialized on the
+    /// The retained control transfers, oldest first, materialized on the
     /// fly.
     pub fn branch_records(&self) -> impl ExactSizeIterator<Item = BranchRecord> + '_ {
-        (0..self.branches.len()).map(move |i| self.branch_at(i))
+        self.branch_window().map(move |i| self.branch_at(i))
     }
 
-    /// The reverse cache scan's view: `(addr, is_inst)` newest-first,
-    /// reading only the packed address and tag columns (no record
-    /// materialization, maximum scan locality).
+    /// The reverse cache scan's view of the retained references:
+    /// `(addr, is_inst)` newest-first, reading only the packed address and
+    /// tag columns (no record materialization, maximum scan locality).
     pub fn mem_refs_rev(&self) -> impl ExactSizeIterator<Item = (Addr, bool)> + '_ {
-        (0..self.mem_addr.len()).rev().map(move |i| (self.mem_addr[i], self.mem_tag(i) & 1 != 0))
+        self.mem_window().rev().map(move |i| {
+            let s = self.mem.slot(i);
+            (self.mem.addr[s], self.mem.tag(s) & 1 != 0)
+        })
     }
 
-    /// Total records held (for storage accounting).
+    /// Records logged this region across both streams (zero after a
+    /// budget discard).
     pub fn len(&self) -> usize {
-        self.mem_addr.len() + self.branches.len()
+        self.mem.n + self.br.n
     }
 
-    /// `true` when nothing is resident — either nothing was logged *or*
-    /// the budget truncated the region; distinguish with
+    /// `true` when the region's stream is empty — either nothing was
+    /// logged *or* the budget truncated the region; distinguish with
     /// [`SkipLog::appended`] and [`SkipLog::truncated`].
     pub fn is_empty(&self) -> bool {
-        self.mem_addr.is_empty() && self.branches.is_empty()
+        self.mem.n == 0 && self.br.n == 0
     }
 
-    /// Resident bytes of the packed log, maintained incrementally
+    /// Logged bytes of the packed stream, maintained incrementally
     /// (address + side words, allocated tag-bitmap words, packed branch
-    /// records, and any ext-table spills).
+    /// records, and any ext-table spills). This is the size of the *full*
+    /// stream, whatever the retention window keeps resident.
     pub fn approx_bytes(&self) -> usize {
         self.bytes
     }
 
-    /// Raw memory-record address column (the partitioned walker's
-    /// random-access view; span indices point into it).
+    /// Panics unless a `pct` scan stays inside the retention window: a
+    /// wider budget would read slots the ring has already reused.
+    pub(crate) fn check_retained(&self, pct: Pct) {
+        assert!(
+            pct <= self.keep,
+            "a {pct} scan budget reads past this log's {} retention window",
+            self.keep
+        );
+    }
+
+    /// The memory-record index of [`SkipLog::mem_addrs`]`[0]`: spans and
+    /// cuts over that slice are relative to it.
+    pub(crate) fn mem_base(&self) -> usize {
+        self.mem.origin
+    }
+
+    /// Raw memory-record address column, window-relative from
+    /// [`SkipLog::mem_base`] (the partitioned walker's random-access view;
+    /// span indices point into it).
+    ///
+    /// # Panics
+    ///
+    /// If the memory ring has wrapped since the last
+    /// [`SkipLog::finish_region`].
     pub(crate) fn mem_addrs(&self) -> &[u64] {
-        &self.mem_addr
+        assert!(self.mem.settled(), "finish_region must rotate the memory ring before it is read");
+        &self.mem.addr[..self.mem.n - self.mem.origin]
     }
 
     /// Takes the index box out for (re)building, recycling allocations and
@@ -1105,7 +1351,8 @@ impl SkipLog {
     ///
     /// If the log holds `u32::MAX` or more memory records — more than a
     /// u32 span index can address. Run specs reject schedules that could
-    /// log that many up front.
+    /// log that many up front. Also if the log retains less than
+    /// everything (see [`SkipLog::seal_mem_window`]).
     pub fn seal_mem_index(&mut self, geom: &ReconGeometry) {
         self.seal_mem_window(geom, Pct::new(100));
     }
@@ -1115,11 +1362,19 @@ impl SkipLog {
     /// that budget can reach: a counting sort bucketing each record index
     /// by set, each set's span filled newest-first. A no-op when the
     /// current seal already covers that window for `geom` (a wider seal
-    /// serves a narrower budget). Same panics as
-    /// [`SkipLog::seal_mem_index`].
+    /// serves a narrower budget). Finishes the region first
+    /// ([`SkipLog::finish_region`]).
+    ///
+    /// # Panics
+    ///
+    /// If `pct` is wider than the log's retention window (the message
+    /// names both percentages), or the log holds `u32::MAX` or more
+    /// memory records.
     pub fn seal_mem_window(&mut self, geom: &ReconGeometry, pct: Pct) {
-        let n = self.mem_addr.len();
-        let from = n - pct.of(n);
+        self.check_retained(pct);
+        self.finish_region();
+        let n = self.mem.n;
+        let from = window_floor(n, pct);
         if self
             .index
             .as_deref()
@@ -1128,24 +1383,31 @@ impl SkipLog {
             return;
         }
         let mut ix = self.take_index(geom);
-        self.build_mem_index_into(geom, from, &mut ix);
+        self.build_mem_index_into(geom, pct, &mut ix);
         self.index = Some(ix);
     }
 
-    /// [`SkipLog::seal_mem_window`]'s body over an *external* index,
-    /// indexing the records `from..` — the per-configuration scratch a
-    /// sweep replay owns, so N detailed configurations can each key the
-    /// same shared, immutable log without touching it. `ix` must already
-    /// be keyed for `geom` (see [`ReconIndex::retarget`]).
-    pub(crate) fn build_mem_index_into(
-        &self,
-        geom: &ReconGeometry,
-        from: usize,
-        ix: &mut ReconIndex,
-    ) {
+    /// [`SkipLog::seal_mem_window`]'s body over an *external* index — the
+    /// per-configuration scratch a sweep replay owns, so N detailed
+    /// configurations can each key the same shared, immutable log without
+    /// touching it. `ix` must already be keyed for `geom` (see
+    /// [`ReconIndex::retarget`]). Spans hold indices relative to
+    /// [`SkipLog::mem_base`].
+    ///
+    /// # Panics
+    ///
+    /// As [`SkipLog::seal_mem_window`], and if the memory ring has wrapped
+    /// since the last [`SkipLog::finish_region`].
+    pub(crate) fn build_mem_index_into(&self, geom: &ReconGeometry, pct: Pct, ix: &mut ReconIndex) {
         debug_assert_eq!(ix.geom, *geom, "retarget the index before building");
-        let n = self.mem_addr.len();
+        self.check_retained(pct);
+        let n = self.mem.n;
         assert!(n < CHAIN_NONE as usize, "{n} memory records overflow a u32 span index");
+        let from = window_floor(n, pct);
+        let base = self.mem_base();
+        let addrs = self.mem_addrs();
+        // Window-relative record positions of the budget window.
+        let window = from - base..n - base;
         let (l1i_mask, l1d_mask, l2_mask) =
             (geom.l1i_sets - 1, geom.l1d_sets - 1, geom.l2_sets - 1);
 
@@ -1156,9 +1418,9 @@ impl SkipLog {
         ix.scratch.resize(geom.l1i_sets + geom.l1d_sets + geom.l2_sets, 0);
         let (l1_cnt, l2_cnt) = ix.scratch.split_at_mut(geom.l1i_sets + geom.l1d_sets);
         let (l1i_cnt, l1d_cnt) = l1_cnt.split_at_mut(geom.l1i_sets);
-        for i in from..n {
-            let addr = self.mem_addr[i];
-            if self.mem_tag(i) & 1 != 0 {
+        for j in window.clone() {
+            let addr = addrs[j];
+            if self.mem.tag(j) & 1 != 0 {
                 l1i_cnt[((addr >> geom.l1i_line_shift) as usize) & l1i_mask] += 1;
             } else {
                 l1d_cnt[((addr >> geom.l1d_line_shift) as usize) & l1d_mask] += 1;
@@ -1192,20 +1454,20 @@ impl SkipLog {
         ix.l1d_idx.resize(n_l1d, 0);
         ix.l2_idx.clear();
         ix.l2_idx.resize(n - from, 0);
-        for i in from..n {
-            let addr = self.mem_addr[i];
-            if self.mem_tag(i) & 1 != 0 {
+        for j in window {
+            let addr = addrs[j];
+            if self.mem.tag(j) & 1 != 0 {
                 let s = ((addr >> geom.l1i_line_shift) as usize) & l1i_mask;
                 l1i_cnt[s] -= 1;
-                ix.l1i_idx[l1i_cnt[s] as usize] = i as u32;
+                ix.l1i_idx[l1i_cnt[s] as usize] = j as u32;
             } else {
                 let s = ((addr >> geom.l1d_line_shift) as usize) & l1d_mask;
                 l1d_cnt[s] -= 1;
-                ix.l1d_idx[l1d_cnt[s] as usize] = i as u32;
+                ix.l1d_idx[l1d_cnt[s] as usize] = j as u32;
             }
             let s = ((addr >> geom.l2_line_shift) as usize) & l2_mask;
             l2_cnt[s] -= 1;
-            ix.l2_idx[l2_cnt[s] as usize] = i as u32;
+            ix.l2_idx[l2_cnt[s] as usize] = j as u32;
         }
         ix.mem_sealed = Some(n);
         ix.mem_from = from;
@@ -1226,9 +1488,13 @@ impl SkipLog {
     ///
     /// # Panics
     ///
-    /// If the log holds `u32::MAX` or more branch records.
+    /// If `pct` is wider than the log's retention window (the message
+    /// names both percentages), or the log holds `u32::MAX` or more
+    /// branch records.
     pub fn seal_branch_index(&mut self, geom: &ReconGeometry, pct: Pct) {
-        let n = self.branches.len();
+        self.check_retained(pct);
+        self.finish_region();
+        let n = self.br.n;
         if self.index.as_deref().is_some_and(|ix| {
             ix.geom == *geom
                 && ix.br_sealed == Some(n)
@@ -1246,11 +1512,12 @@ impl SkipLog {
     /// the newest `bits` conditional outcomes before `end`, shifted in
     /// over `ghr_at_start` when fewer precede it — exactly what the
     /// forward pass leaves, read back from `end` only until `bits`
-    /// conditionals are found. With no
+    /// conditionals are found: first from the records the ring still
+    /// holds, then from the evicted-outcome register. With no
     /// conditional before `end` the GHR is `ghr_at_start`, unmasked.
     fn ghr_before(&self, end: usize, ghr_at_start: u64, bits: u32) -> u64 {
         let (mut hist, mut k) = (0u64, 0u32);
-        for i in (0..end).rev() {
+        for i in (self.br.oldest()..end).rev() {
             if k == bits {
                 break;
             }
@@ -1259,6 +1526,13 @@ impl SkipLog {
                 hist |= (taken as u64) << k;
                 k += 1;
             }
+        }
+        // Everything older has left the ring; its newest outcomes are in
+        // the register, newest in bit 0 (`bits` < 64, so it holds enough).
+        let evicted = (bits - k).min(self.br.ev_conds.min(64) as u32);
+        if evicted > 0 {
+            hist |= (self.br.ev_hist & ((1u64 << evicted) - 1)) << k;
+            k += evicted;
         }
         if k == 0 {
             ghr_at_start
@@ -1280,12 +1554,13 @@ impl SkipLog {
         ix: &mut ReconIndex,
     ) {
         debug_assert_eq!(ix.geom, *geom, "retarget the index before building");
-        let n = self.branches.len();
+        self.check_retained(pct);
+        let n = self.br.n;
         assert!(n < CHAIN_NONE as usize, "{n} branch records overflow a u32 record index");
         // Everything below covers the budget window only: older records
         // only ever set flags on still-older records, which no scan under
         // this budget reaches.
-        let base = n - pct.of(n);
+        let base = window_floor(n, pct);
         let len = n - base;
         ix.pht_key.clear();
         ix.pht_key.reserve(len);
@@ -1401,7 +1676,7 @@ impl SkipLog {
     /// against their own structures before walking.
     pub(crate) fn mem_index(&self) -> Option<&ReconIndex> {
         let ix = self.index.as_deref()?;
-        (ix.mem_sealed == Some(self.mem_addr.len())).then_some(ix)
+        (ix.mem_sealed == Some(self.mem.n)).then_some(ix)
     }
 
     /// The sealed branch-side columns, if they still describe the current
@@ -1409,26 +1684,33 @@ impl SkipLog {
     /// and [`ReconIndex::ghr_start`] before scanning.
     pub(crate) fn branch_index(&self) -> Option<&ReconIndex> {
         let ix = self.index.as_deref()?;
-        (ix.br_sealed == Some(self.branches.len())).then_some(ix)
+        (ix.br_sealed == Some(self.br.n)).then_some(ix)
     }
 }
 
 /// A small per-worker free list of [`SkipLog`]s.
 ///
 /// Skip-region logging dominates the cold phase, and every log is a set of
-/// packed columns that grow to roughly one region's footprint; allocating
-/// them fresh per shard (or per in-flight pipeline item) pays that growth
-/// repeatedly. The pool recycles the columns instead: [`LogPool::take`]
-/// hands out a cleared log with its capacity (and the run's budget)
-/// intact, [`LogPool::put`] returns it. The pool is bounded at
-/// [`LogPool::MAX_POOLED`] entries, so with a log budget of `B` bytes a
-/// worker's resident log memory is capped at roughly
-/// `max(pipeline_depth, pooled) × B`.
+/// packed record rings that grow to roughly one region's retained
+/// footprint; allocating them fresh per shard (or per in-flight pipeline
+/// item) pays that growth repeatedly. The pool recycles the rings instead:
+/// [`LogPool::take`] hands out a cleared log with its capacity (and the
+/// run's budget and retention window) intact, [`LogPool::put`] returns it.
+///
+/// A log resides in at most `keep.of(n).next_power_of_two()` slots per
+/// stream for an `n`-record region under retention `keep`
+/// ([`LogPool::retaining`]) — about `keep` of the region's logged bytes,
+/// up to 2× for the power-of-two rounding. The pool is bounded at
+/// [`LogPool::MAX_POOLED`] entries, so a worker's resident log memory is
+/// roughly `max(pipeline_depth, pooled)` such rings, and with a log budget
+/// of `B` bytes never above that many `B`.
 #[derive(Debug)]
 pub struct LogPool {
     free: Vec<SkipLog>,
     /// Per-region byte cap stamped onto every log handed out.
     budget: Option<usize>,
+    /// Retention window stamped onto every log handed out.
+    keep: Pct,
     /// Retention bound on the free list (see [`pool_bound`]).
     bound: usize,
 }
@@ -1466,16 +1748,25 @@ impl LogPool {
     /// pools feeding more than one consumer (pass [`pool_bound`] of the
     /// worker count).
     pub fn with_bound(budget: Option<usize>, bound: usize) -> LogPool {
-        LogPool { free: Vec::new(), budget, bound }
+        LogPool { free: Vec::new(), budget, keep: Pct::new(100), bound }
     }
 
-    /// A cleared log recording the requested streams: recycled columns if
-    /// any are pooled, a fresh allocation otherwise. The pool's budget is
-    /// (re)armed either way.
+    /// Sets the retention window of every log handed out (default 100 %,
+    /// keep everything) — the widest scan budget the pool's consumers
+    /// reconstruct under (see [`SkipLog::set_retention`]).
+    pub fn retaining(mut self, keep: Pct) -> LogPool {
+        self.keep = keep;
+        self
+    }
+
+    /// A cleared log recording the requested streams: recycled rings if
+    /// any are pooled, a fresh allocation otherwise. The pool's budget and
+    /// retention window are (re)armed either way.
     pub fn take(&mut self, log_mem: bool, log_branches: bool) -> SkipLog {
         let mut log = self.free.pop().unwrap_or_else(|| SkipLog::new(log_mem, log_branches, 0));
         log.set_budget(self.budget);
         log.reset(log_mem, log_branches, 0);
+        log.set_retention(self.keep);
         log
     }
 
@@ -1657,7 +1948,7 @@ mod tests {
         assert_eq!(log.mem_records().collect::<Vec<_>>(), mem);
         assert_eq!(log.branch_records().collect::<Vec<_>>(), branches);
         // A real CPU stream needs no ext spills.
-        assert!(log.mem_ext.is_empty() && log.br_ext.is_empty());
+        assert!(log.mem.ext.is_empty() && log.br.ext.is_empty());
         // Reverse view agrees with the materialized records.
         let rev: Vec<_> = log.mem_refs_rev().collect();
         let expect: Vec<_> = mem.iter().rev().map(|m| (m.addr, m.is_inst)).collect();
@@ -1955,5 +2246,148 @@ mod tests {
                 stepwise.branch_records().collect::<Vec<_>>()
             );
         }
+    }
+
+    /// A loop that strides through memory and branches every iteration.
+    fn strided_program(iters: i64) -> rsr_isa::Program {
+        let mut a = Asm::new();
+        let buf = a.data_zeros(1 << 16);
+        a.la(Reg::S0, buf);
+        a.li(Reg::T0, iters);
+        let top = a.bind_new("top");
+        a.sd(Reg::T0, 0, Reg::S0);
+        a.ld(Reg::T1, 8, Reg::S0);
+        a.addi(Reg::S0, Reg::S0, 24);
+        a.andi(Reg::T2, Reg::T0, 3);
+        let skip = a.new_label("skip");
+        a.beq(Reg::T2, Reg::ZERO, skip);
+        a.addi(Reg::T1, Reg::T1, 1);
+        a.bind(skip).unwrap();
+        a.addi(Reg::T0, Reg::T0, -1);
+        a.bne(Reg::T0, Reg::ZERO, top);
+        a.halt();
+        a.finish().unwrap()
+    }
+
+    /// `n` instructions of [`strided_program`], logged under retention
+    /// `keep` through the fused loop or per-record recording.
+    fn logged(keep: u8, n: u64, fused: bool) -> SkipLog {
+        let p = strided_program(20_000);
+        let mut cpu = Cpu::new(&p).unwrap();
+        let mut log = SkipLog::new(true, true, 0);
+        log.set_retention(Pct::new(keep));
+        if fused {
+            log.record_region(&mut cpu, n).unwrap();
+        } else {
+            for _ in 0..n {
+                log.record(&cpu.step().unwrap());
+            }
+            log.finish_region();
+        }
+        log
+    }
+
+    #[test]
+    fn retained_windows_match_the_full_log() {
+        for fused in [false, true] {
+            let full = logged(100, 9000, fused);
+            for keep in [1, 7, 20, 50, 99] {
+                let log = logged(keep, 9000, fused);
+                let at = format!("{keep}%, fused {fused}");
+                let window = log.mem_window();
+                assert_eq!(window, window_floor(full.mem_len(), Pct::new(keep))..full.mem_len());
+                let expect: Vec<_> = full.mem_records().skip(window.start).collect();
+                assert_eq!(log.mem_records().collect::<Vec<_>>(), expect, "{at}");
+                let rev: Vec<_> = full.mem_refs_rev().take(window.len()).collect();
+                assert_eq!(log.mem_refs_rev().collect::<Vec<_>>(), rev, "{at}");
+                let settled = &log.mem_addrs()[window.start - log.mem_base()..];
+                assert_eq!(settled, &full.mem_addrs()[window.start..], "{at}");
+                let bwin = log.branch_window();
+                let expect: Vec<_> = full.branch_records().skip(bwin.start).collect();
+                assert_eq!(log.branch_records().collect::<Vec<_>>(), expect, "{at}");
+                assert_eq!(
+                    (log.appended(), log.peak_bytes(), log.approx_bytes()),
+                    (full.appended(), full.peak_bytes(), full.approx_bytes()),
+                    "{at}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn retained_slots_stay_within_the_rounded_window() {
+        // The memory mechanism as a count: sampled throughout one long
+        // region, each stream's ring never exceeds the window rounded up
+        // to a power of two (past the smallest ring).
+        let p = strided_program(200_000);
+        for keep in [1, 20, 100].map(Pct::new) {
+            let mut cpu = Cpu::new(&p).unwrap();
+            let mut log = SkipLog::new(true, true, 0);
+            log.set_retention(keep);
+            for _ in 0..40 {
+                log.record_region(&mut cpu, 25_000).unwrap();
+                let (mem, br) = log.retained_slots();
+                let bound = |n: usize| keep.of(n).next_power_of_two().max(MIN_RING);
+                assert!(mem <= bound(log.mem_len()), "{keep}: {mem} mem slots");
+                assert!(br <= bound(log.branch_len()), "{keep}: {br} branch slots");
+            }
+            assert!(log.mem_len() > 200_000, "the region must be long");
+            if keep.value() < 100 {
+                assert!(log.retained_slots().0 < log.mem_len() / 2);
+            }
+        }
+    }
+
+    #[test]
+    fn all_spill_streams_keep_bounded_spill_tables() {
+        // Every record spills, so without pruning the tables would hold
+        // the whole stream; under retention they track the window.
+        let keep = Pct::new(10);
+        let mut log = SkipLog::new(true, true, 0);
+        log.set_retention(keep);
+        for k in 0..50_000u64 {
+            let pc = (1 << 40) + k * 4;
+            log.push_mem(pc, pc + 4, 0x4000 + 8 * k, false, false);
+            log.push_branch(pc, pc + 8, pc + 4, CtrlKind::CondBranch, k % 2 == 0);
+            log.note_instruction();
+        }
+        log.finish_region();
+        let window = log.mem_window().len();
+        assert!(log.mem.ext.len() <= 2 * window && log.mem.ext.capacity() <= 4 * window);
+        assert!(log.br.ext.len() <= 2 * window && log.br.ext.capacity() <= 4 * window);
+        assert_eq!(
+            log.approx_bytes(),
+            50_000 * (MEM_RECORD_BYTES + BRANCH_RECORD_BYTES + 2 * EXT_ENTRY_BYTES)
+                + 50_000usize.div_ceil(TAGS_PER_WORD) * TAG_WORD_BYTES
+        );
+        let last = log.mem_at(log.mem_len() - 1);
+        assert_eq!((last.pc, last.next_pc), ((1 << 40) + 49_999 * 4, (1 << 40) + 50_000 * 4));
+    }
+
+    #[test]
+    fn tag_rotation_matches_column_rotation() {
+        let tags: Vec<u64> = (0..4u64).map(|w| w.wrapping_mul(0x9e37_79b9_7f4a_7c15)).collect();
+        let slot = |t: &[u64], s: usize| (t[s / TAGS_PER_WORD] >> ((s % TAGS_PER_WORD) * 2)) & 3;
+        for k in [0, 1, 31, 32, 33, 64, 100, 127] {
+            let mut rotated = tags.clone();
+            rotate_tags(&mut rotated, k);
+            for s in 0..128 {
+                assert_eq!(slot(&rotated, s), slot(&tags, (s + k) % 128), "k {k}, slot {s}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a 50% scan budget reads past this log's 20% retention window")]
+    fn a_budget_wider_than_the_retention_window_panics() {
+        let mut log = logged(20, 5000, true);
+        log.seal_mem_window(&paper_geometry(), Pct::new(50));
+    }
+
+    #[test]
+    #[should_panic(expected = "set the retention window before recording")]
+    fn retention_is_fixed_before_recording() {
+        let mut log = logged(100, 100, true);
+        log.set_retention(Pct::new(20));
     }
 }

@@ -118,6 +118,16 @@ impl WarmupPolicy {
     pub fn needs_profiling(&self) -> bool {
         matches!(self, WarmupPolicy::Mrrl { .. } | WarmupPolicy::Blrl { .. })
     }
+
+    /// The reverse scan budget: how much of each skip log (from the end)
+    /// reconstruction reads, and so the retention window its logs need.
+    /// 100 % for every policy that never reconstructs.
+    pub(crate) fn scan_budget(&self) -> Pct {
+        match *self {
+            WarmupPolicy::Reverse { pct, .. } => pct,
+            _ => Pct::new(100),
+        }
+    }
 }
 
 impl std::fmt::Display for WarmupPolicy {

@@ -115,11 +115,12 @@ struct LevelAgg {
 }
 
 /// Reverse scan of one cache level: each set is walked newest-first along
-/// its contiguous index span, stopping at the budget cut (`record index <
+/// its contiguous index span, stopping at the budget cut (`position <
 /// cut` — spans are sorted descending, so the first record past the cut
 /// ends the set) or as soon as the set completes — the per-set early exit
 /// the paper's §3.1 ordering permits, because a complete set ignores all
-/// older references anyway.
+/// older references anyway. Span positions and `cut` are relative to
+/// `addrs`, the log's settled address slice.
 fn walk_cache(cache: &mut Cache, off: &[u32], idx: &[u32], addrs: &[u64], cut: usize) -> LevelAgg {
     let n = addrs.len();
     let cut = cut as u32;
@@ -175,7 +176,10 @@ fn hier_geometry(hier: &MemHierarchy) -> ReconGeometry {
 ///
 /// # Panics
 ///
-/// If the log holds `u32::MAX` or more memory records (see
+/// If `pct` is wider than the log's retention window
+/// ([`SkipLog::set_retention`]; the message names both percentages), if
+/// its memory ring has wrapped since the last [`SkipLog::finish_region`],
+/// or if the log holds `u32::MAX` or more memory records (see
 /// [`SkipLog::seal_mem_index`]).
 pub fn reconstruct_caches_partitioned(
     hier: &mut MemHierarchy,
@@ -198,24 +202,26 @@ pub(crate) fn reconstruct_caches_partitioned_with(
     index: Option<&ReconIndex>,
     pct: Pct,
 ) -> (ReconStats, ReconTiming) {
+    log.check_retained(pct);
     let geom = hier_geometry(hier);
     let n = log.mem_len();
     let budget = pct.of(n);
     let cut = n - budget;
-    // Spans hold absolute record indices, so any seal reaching back to
-    // the cut serves this budget; the walk stops at the cut either way.
+    // Any seal reaching back to the cut serves this budget; the walk
+    // stops at the cut either way.
     let local;
     let ix = match index.filter(|ix| ix.geom.mem_key() == geom.mem_key() && ix.mem_from <= cut) {
         Some(ix) => ix,
         None => {
             let mut ix = ReconIndex::new(geom);
-            log.build_mem_index_into(&geom, cut, &mut ix);
+            log.build_mem_index_into(&geom, pct, &mut ix);
             local = ix;
             &local
         }
     };
     let mut timing = ReconTiming::default();
     let addrs = log.mem_addrs();
+    let cut = cut - log.mem_base();
     hier.begin_reconstruction();
 
     let t = Instant::now();
@@ -314,7 +320,9 @@ impl<'log> BpReconstructor<'log> {
     ///
     /// # Panics
     ///
-    /// If the log holds `u32::MAX` or more branch records (see
+    /// If `pct` is wider than the log's retention window
+    /// ([`SkipLog::set_retention`]; the message names both percentages),
+    /// or if the log holds `u32::MAX` or more branch records (see
     /// [`SkipLog::seal_branch_index`]).
     pub fn new(pred: &mut Predictor, log: &'log SkipLog, pct: Pct) -> BpReconstructor<'log> {
         BpReconstructor::with_index(pred, log, log.branch_index(), log.ghr_at_start, pct)
@@ -334,6 +342,7 @@ impl<'log> BpReconstructor<'log> {
         ghr_at_start: u64,
         pct: Pct,
     ) -> BpReconstructor<'log> {
+        log.check_retained(pct);
         pred.gshare.begin_reconstruction();
         pred.btb.begin_reconstruction();
 

@@ -239,7 +239,9 @@ pub struct SampleOutcome {
     pub hot_insts: u64,
     /// Instructions skipped functionally.
     pub skipped_insts: u64,
-    /// Peak bytes held by a skip-region log (0 for non-logging policies).
+    /// Peak logged bytes of one skip region — the full packed stream, not
+    /// the retention window the log keeps resident (0 for non-logging
+    /// policies).
     pub log_bytes_peak: usize,
     /// Total records appended to skip logs (0 for non-logging policies).
     pub log_records: u64,

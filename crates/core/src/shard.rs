@@ -519,9 +519,10 @@ pub(crate) fn run_sharded(
 ) -> Result<SampleOutcome, SimError> {
     let body = |cpu: &mut Cpu, ctx: GroupCtx<'_>| {
         let mut merged = SampleOutcome::empty(policy);
-        // One log pool per group: packed-column allocations recycle across
-        // regions and shards, and the pool carries the log budget.
-        let mut pool = LogPool::new(guards.log_budget);
+        // One log pool per group: packed-ring allocations recycle across
+        // regions and shards, and the pool carries the log budget and the
+        // retention window the policy's scan budget reads.
+        let mut pool = LogPool::new(guards.log_budget).retaining(policy.scan_budget());
         let pipelined = guards.pipeline_depth > 1 && policy_decouples(policy);
         for (i, r) in ctx.shards.iter().enumerate() {
             let shard = ctx.first_shard + i;

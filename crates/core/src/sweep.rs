@@ -8,7 +8,9 @@
 //! CPU snapshot at the cluster boundary plus the sealed skip log of its
 //! skip region (shared behind an [`Arc`]), then replays the detailed half
 //! once per named [`DetailSpec`] against the captured state. A 20-config
-//! sweep costs ~1 cold pass + 20 hot slices instead of 20 full runs.
+//! sweep costs ~1 cold pass + 20 hot slices instead of 20 full runs. The
+//! captured logs keep resident only the widest config's scan-budget window
+//! (see [`SkipLog::set_retention`]), which serves every narrower budget.
 //!
 //! **Replay is windows-outer, configs-inner** (DESIGN.md §16). Per
 //! captured window the replay leader builds each *distinct* reconstruction
@@ -326,6 +328,10 @@ impl<'a> SweepSpec<'a> {
             pipeline_depth: 1,
         };
         let details: Vec<&DetailSpec> = self.configs.iter().map(|(_, d)| d).collect();
+        // One capture serves every config, so its logs keep the widest
+        // scan budget any of them reconstructs under.
+        let retention =
+            details.iter().map(|d| d.policy.scan_budget()).max().unwrap_or(Pct::new(100));
 
         // ---- fused pass: capture each shard once, replay it N ways -----
         let body = |cpu: &mut Cpu, ctx: GroupCtx<'_>| {
@@ -338,7 +344,7 @@ impl<'a> SweepSpec<'a> {
             // the standalone path's accounting bit for bit. Both pools
             // share the [`pool_bound`] retention policy.
             let snap_bound = pool_bound(replay_workers);
-            let mut pool = LogPool::with_bound(guards.log_budget, snap_bound);
+            let mut pool = LogPool::with_bound(guards.log_budget, snap_bound).retaining(retention);
             let mut snaps: Vec<Cpu> = Vec::new();
             // Replay scratch recycled shard to shard: the index arena's
             // column allocations and the parallel chunks' working CPUs
@@ -466,16 +472,6 @@ fn logging_signature(policy: WarmupPolicy) -> (bool, bool) {
     }
 }
 
-/// The reverse policy's scan budget — both indexes cover only its
-/// window. Only consulted when the policy logs (`logging_signature`), so
-/// the non-reverse arm is never observed.
-fn reverse_pct(policy: WarmupPolicy) -> Pct {
-    match policy {
-        WarmupPolicy::Reverse { pct, .. } => pct,
-        _ => Pct::new(100),
-    }
-}
-
 /// The memory-side memo key: the cache-set geometry the spans are keyed
 /// by, plus the scan budget whose window they cover.
 type MemMemoKey = (MemKey, Pct);
@@ -551,7 +547,7 @@ impl<'d> ConfigReplay<'d> {
         ConfigReplay {
             detail,
             geom: ReconGeometry::of_machine(&detail.machine),
-            pct: reverse_pct(detail.policy),
+            pct: detail.policy.scan_budget(),
             want_cache,
             want_bp,
             hier: MemHierarchy::new(detail.machine.hier.clone()),
@@ -622,8 +618,7 @@ fn plan_window(
                         let slot = used as u32;
                         used += 1;
                         let t = Instant::now();
-                        let from = log.mem_len() - st.pct.of(log.mem_len());
-                        log.build_mem_index_into(&st.geom, from, arena.slot(used - 1, st.geom));
+                        log.build_mem_index_into(&st.geom, st.pct, arena.slot(used - 1, st.geom));
                         st.outcome.phases.warm += t.elapsed();
                         *builds += 1;
                         memo.mem.push((key, slot));

@@ -9,14 +9,16 @@
 //! geometry or budget; for budget-window seals, which index only the
 //! newest `pct` of the log and derive the GHR at the window's start; and
 //! for wide L2s that take the cache's per-reference span fallback and
-//! multi-word way masks.
+//! multi-word way masks. Logs that retain only their budget window
+//! (`SkipLog::set_retention`) must reconstruct exactly as the full log
+//! does, with identical accounting.
 
 use proptest::prelude::*;
 use rsr_branch::{PredCtrlKind, Predictor};
 use rsr_cache::MemHierarchy;
 use rsr_core::{
-    reconstruct_caches_partitioned, BpReconstructor, MachineConfig, Pct, ReconGeometry, RunSpec,
-    SampleOutcome, SamplingRegimen, SkipLog, WarmupPolicy,
+    reconstruct_caches_partitioned, BpReconstructor, MachineConfig, Pct, ReconGeometry, ReconStats,
+    RunSpec, SampleOutcome, SamplingRegimen, SkipLog, WarmupPolicy,
 };
 use rsr_func::{BranchRec, Cpu, MemAccess, Retired};
 use rsr_integration::oracle::{reconstruct_caches, RefBpReconstructor};
@@ -85,6 +87,125 @@ fn log_from(stream: &[Retired], budget: Option<usize>) -> SkipLog {
         log.record(r);
     }
     log
+}
+
+/// `stream` recorded into a log that keeps only the newest `keep` of
+/// each stream, finished so the memory ring reads contiguously.
+fn retained_log_from(stream: &[Retired], budget: Option<usize>, keep: Pct) -> SkipLog {
+    let mut log = SkipLog::new(true, true, 0);
+    log.set_budget(budget);
+    log.set_retention(keep);
+    for r in stream {
+        log.record(r);
+    }
+    log.finish_region();
+    log
+}
+
+/// Every set's full content `(tag, valid, rank, reconstructed)` at every
+/// level.
+fn all_set_dumps(hier: &MemHierarchy) -> Vec<Vec<(u64, bool, u8, bool)>> {
+    let mut sets = Vec::new();
+    for cache in [&hier.l1i, &hier.l1d, &hier.l2] {
+        for set in 0..cache.num_sets() {
+            sets.push(cache.dump_set(set));
+        }
+    }
+    sets
+}
+
+/// Forward replay of a region's own branch PCs: the demands the detailed
+/// cluster would issue, in order.
+fn demand_probes(stream: &[Retired]) -> Vec<(u64, PredCtrlKind)> {
+    let kind = |k: CtrlKind| match k {
+        CtrlKind::CondBranch => PredCtrlKind::CondBranch,
+        CtrlKind::Jump => PredCtrlKind::Jump,
+        CtrlKind::Call => PredCtrlKind::Call,
+        CtrlKind::IndirectCall => PredCtrlKind::IndirectCall,
+        CtrlKind::Return => PredCtrlKind::Return,
+        CtrlKind::IndirectJump => PredCtrlKind::IndirectJump,
+    };
+    stream.iter().filter_map(|r| r.branch.map(|b| (r.pc, kind(b.kind)))).collect()
+}
+
+/// Every observable of one reconstruction from a log: the cache side
+/// (counters and full set contents) and the branch side both eager and
+/// demand-driven (counters and the predictor's full `Debug` state).
+#[derive(Debug, PartialEq)]
+struct Reconstructed {
+    cache: ReconStats,
+    sets: Vec<Vec<(u64, bool, u8, bool)>>,
+    eager: (ReconStats, String),
+    demand: (ReconStats, String),
+}
+
+/// Reconstructs every structure from `log` (sealed for `pct` first when
+/// `seal`), replaying the region's own branches as the demand sequence.
+fn reconstruct_all(
+    machine: &MachineConfig,
+    log: &SkipLog,
+    stream: &[Retired],
+    pct: Pct,
+    seal: bool,
+) -> Reconstructed {
+    use rsr_timing::PredictHook as _;
+    let mut log = log.clone();
+    if seal {
+        let geom = ReconGeometry::of_machine(machine);
+        log.seal_mem_window(&geom, pct);
+        log.seal_branch_index(&geom, pct);
+    }
+    let mut hier = MemHierarchy::new(machine.hier.clone());
+    let (cache, _) = reconstruct_caches_partitioned(&mut hier, &log, pct, 1);
+    let mut pred = Predictor::new(machine.pred);
+    let mut bp = BpReconstructor::new(&mut pred, &log, pct);
+    bp.exhaust(&mut pred);
+    let eager = (bp.stats(), format!("{pred:?}"));
+    let mut pred = Predictor::new(machine.pred);
+    let mut bp = BpReconstructor::new(&mut pred, &log, pct);
+    for (pc, kind) in demand_probes(stream) {
+        bp.before_predict(&mut pred, pc, kind);
+    }
+    let demand = (bp.stats(), format!("{pred:?}"));
+    Reconstructed { cache, sets: all_set_dumps(&hier), eager, demand }
+}
+
+/// Asserts that logs retaining only the `pct` window — and a window
+/// between `pct` and everything — reconstruct exactly as the full log
+/// does (caches, predictor, counters; sealed and unsealed), and account
+/// identically (`appended`, `peak_bytes`, `truncated`).
+fn assert_retention_equivalence(
+    machine: &MachineConfig,
+    stream: &[Retired],
+    budget: Option<usize>,
+    ghr_at_start: u64,
+    pct: Pct,
+    what: &str,
+) {
+    let mut full = log_from(stream, budget);
+    full.ghr_at_start = ghr_at_start;
+    let wider = Pct::new(pct.value().div_ceil(2) + 50);
+    for keep in [pct, wider] {
+        let mut log = retained_log_from(stream, budget, keep);
+        log.ghr_at_start = ghr_at_start;
+        let at = format!("{what}: {pct} scan, {keep} retained");
+        assert_eq!(
+            (log.appended(), log.peak_bytes(), log.truncated(), log.approx_bytes()),
+            (full.appended(), full.peak_bytes(), full.truncated(), full.approx_bytes()),
+            "{at}: accounting"
+        );
+        let (mem_slots, br_slots) = log.retained_slots();
+        for (slots, n) in [(mem_slots, log.mem_len()), (br_slots, log.branch_len())] {
+            assert!(slots <= keep.of(n).next_power_of_two().max(64), "{at}: {slots} slots for {n}");
+        }
+        for seal in [false, true] {
+            assert_eq!(
+                reconstruct_all(machine, &log, stream, pct, seal),
+                reconstruct_all(machine, &full, stream, pct, seal),
+                "{at}, sealed {seal}"
+            );
+        }
+    }
 }
 
 /// The paper machine with a 64-way and with a 128-way L2 (same capacity):
@@ -193,18 +314,7 @@ fn assert_bp_demand_equivalence(
     // detailed cluster would actually issue, in order, against both scan
     // paths. (Only `before_predict` runs — the GHR stays at its
     // reconstructed value, identically on both sides.)
-    let to_pred_kind = |k: CtrlKind| match k {
-        CtrlKind::CondBranch => PredCtrlKind::CondBranch,
-        CtrlKind::Jump => PredCtrlKind::Jump,
-        CtrlKind::Call => PredCtrlKind::Call,
-        CtrlKind::IndirectCall => PredCtrlKind::IndirectCall,
-        CtrlKind::Return => PredCtrlKind::Return,
-        CtrlKind::IndirectJump => PredCtrlKind::IndirectJump,
-    };
-    let probes: Vec<_> = stream
-        .iter()
-        .filter_map(|r| r.branch.as_ref().map(|b| (r.pc, to_pred_kind(b.kind))))
-        .collect();
+    let probes = demand_probes(stream);
 
     let mut ref_pred = Predictor::new(machine.pred);
     let mut ref_bp = RefBpReconstructor::new(&mut ref_pred, log, pct);
@@ -249,7 +359,22 @@ proptest! {
         for (m, what) in [(&machine, "synthetic"), (&short_ghr, "synthetic, 4-bit GHR")] {
             assert_bp_equivalence(m, &log, pct, what);
             assert_bp_demand_equivalence(m, &log, &stream, pct, what);
+            assert_retention_equivalence(m, &stream, None, ghr_at_start, pct, what);
         }
+    }
+
+    /// Retention under a byte budget: whether the budget truncates the
+    /// region mid-way (and where) is decided on the full logged stream,
+    /// so retained and full logs agree on it and on everything after.
+    #[test]
+    fn prop_retained_logs_truncate_like_full_logs(
+        words in proptest::collection::vec(any::<u64>(), 50..400),
+        pct_sel in 0usize..3,
+        budget in 256usize..8192,
+    ) {
+        let pct = [1, 20, 100].map(Pct::new)[pct_sel];
+        let stream = stream_from_words(&words);
+        assert_retention_equivalence(&machine(), &stream, Some(budget), 0, pct, "budgeted");
     }
 
     /// Over-budget logs truncate to empty; both paths must agree that
@@ -283,7 +408,74 @@ fn workload_streams_reconstruct_identically_to_the_oracle() {
             }
             assert_bp_equivalence(&machine, &log, pct, bench.name());
             assert_bp_demand_equivalence(&machine, &log, &stream, pct, bench.name());
+            assert_retention_equivalence(&machine, &stream, None, 0, pct, bench.name());
         }
+    }
+}
+
+#[test]
+fn retained_windows_with_few_conditionals_use_the_evicted_history() {
+    // A 1% window over a stream whose conditionals are sparse holds fewer
+    // than the 4-bit history's worth, so the window-start GHR must come
+    // from the evicted-outcome register — checked with and without a
+    // start GHR that shows through when the region has few conditionals.
+    let mut short_ghr = machine();
+    short_ghr.pred.ghr_bits = 4;
+    let stream = stream_from_words(
+        &(0..3000u64).map(|k| k.wrapping_mul(0x9e37_79b9_7f4a_7c15)).collect::<Vec<_>>(),
+    );
+    for pct in [1, 2, 5].map(Pct::new) {
+        for start in [0, 0b1011] {
+            assert_retention_equivalence(
+                &short_ghr,
+                &stream,
+                None,
+                start,
+                pct,
+                "sparse conditionals",
+            );
+        }
+    }
+}
+
+#[test]
+fn all_spill_streams_materialize_and_reconstruct_under_retention() {
+    // Every record spills: 64-bit PCs defeat both packed derivations. The
+    // retained window still materializes every spilled record exactly
+    // while the spills below the floor are dropped, and the accounting
+    // still charges every spill of the full stream.
+    let stream: Vec<Retired> = (0..20_000u64)
+        .map(|k| {
+            let pc = (1u64 << 40) + k * 4;
+            Retired {
+                seq: k,
+                pc,
+                next_pc: pc + 4,
+                inst: Inst::new(Op::Ld, 1, 2, 1, 0),
+                mem: Some(MemAccess {
+                    addr: 0x4000 + k * 72,
+                    width: MemWidth::B8,
+                    is_store: k % 5 == 0,
+                }),
+                branch: (k % 3 == 0).then_some(BranchRec {
+                    kind: CtrlKind::CondBranch,
+                    taken: k % 2 == 0,
+                    target: pc + 4,
+                }),
+            }
+        })
+        .collect();
+    let full = log_from(&stream, None);
+    for pct in [1, 20].map(Pct::new) {
+        let log = retained_log_from(&stream, None, pct);
+        assert_eq!(log.approx_bytes(), full.approx_bytes());
+        let window = log.mem_window();
+        let expect: Vec<_> = full.mem_records().skip(window.start).collect();
+        assert_eq!(log.mem_records().collect::<Vec<_>>(), expect, "{pct}");
+        let bwin = log.branch_window();
+        let expect: Vec<_> = full.branch_records().skip(bwin.start).collect();
+        assert_eq!(log.branch_records().collect::<Vec<_>>(), expect, "{pct}");
+        assert_retention_equivalence(&machine(), &stream, None, 0, pct, "all-spill");
     }
 }
 

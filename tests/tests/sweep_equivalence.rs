@@ -111,6 +111,33 @@ fn sweep_at_replay(threads: usize, depth: usize, replay: usize) -> SweepOutcome 
 }
 
 #[test]
+fn mixed_budget_sweeps_share_one_capture_at_the_widest_retention() {
+    // R$BP 20 % and 50 % configs share one capture, whose logs keep only
+    // the newest 50 % of each stream: the 20 % replays read inside that
+    // window, the 50 % replays read all of it, and every config — logged
+    // record count and logged peak bytes included — matches its
+    // standalone run, whose own logs keep just its own budget.
+    let axis = [
+        ("paper-20".to_string(), machine(), rsr(20)),
+        ("small-l1d-50".to_string(), variant(8, 12), rsr(50)),
+        ("deep-ghr-20".to_string(), variant(32, 16), rsr(20)),
+        ("paper-50".to_string(), machine(), rsr(50)),
+    ];
+    for threads in [1usize, 4] {
+        let mut sweep = SweepSpec::new(cold()).replay_threads(1);
+        for (name, m, policy) in &axis {
+            sweep = sweep.config(name, DetailSpec::new(m).policy(*policy).threads(threads));
+        }
+        let out = sweep.run().expect("sweep completes");
+        for ((name, m, policy), got) in axis.iter().zip(&out.configs) {
+            let alone = standalone(m, *policy, threads, 1);
+            assert_equivalent(&alone, &got.outcome, &format!("{name} at {threads}t"));
+            assert!(got.outcome.recon.mem_scanned > 0, "{name}: must reconstruct");
+        }
+    }
+}
+
+#[test]
 fn sweep_outcomes_are_bit_identical_to_standalone_runs() {
     // The sequential references, one per config.
     let bases: Vec<(String, SampleOutcome)> = config_axis()
