@@ -55,6 +55,15 @@ cargo test -q -p rsr-integration --test timing_equivalence
 # loop (tests/src/oracle/timing.rs) over random programs, core shapes,
 # and windows, with and without on-demand predictor reconstruction.
 cargo test -q -p rsr-integration --test timing_core_equivalence
+# The trace-equivalence suite, by name: the timing core fed a recorded
+# retire trace (what the pipeline's follower and every sweep config read)
+# must match the live-CPU run field for field on all nine workloads, and
+# fail with the same typed error at the same instruction when a window
+# halts or leaves the text segment.
+cargo test -q -p rsr-integration --test trace_equivalence
+# The nine-workload matrix, by name: pipeline depth {1, 2} and sweep
+# replay width {1, 4} must equal the standalone run on every workload.
+cargo test -q -p rsr-integration --test workload_matrix
 cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
 # Hard gate: the core engine and its deps must fail typed, not panic.
@@ -191,7 +200,7 @@ if ./target/release/rsr bench --scale 0.05 --sweep-configs 20 \
     echo "ci: 20-config sweep lost bit-identity vs standalone runs"
     exit 1
   fi
-  for key in '"replay_threads"' '"index_builds_shared"' '"restore_bytes_per_config"'; do
+  for key in '"replay_threads"' '"index_builds_shared"'; do
     if ! grep -q "$key" target/BENCH_sweep.grid.json; then
       echo "ci: sweep row missing expected key $key"
       exit 1

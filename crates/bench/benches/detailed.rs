@@ -10,7 +10,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rsr_branch::{PredCtrlKind, Predictor, PredictorConfig};
 use rsr_cache::{HierAccess, HierarchyConfig, MemHierarchy};
 use rsr_core::{skip_with_smarts_warming, MachineConfig, RunSpec};
-use rsr_func::Cpu;
+use rsr_func::{Cpu, RetireTrace};
 use rsr_timing::{simulate_cluster, CoreConfig};
 use rsr_workloads::{Benchmark, WorkloadParams};
 
@@ -131,38 +131,45 @@ fn bench_predictor(c: &mut Criterion) {
 }
 
 /// A paper machine parked `skip` instructions into `bench`, its caches and
-/// predictor functionally warmed over the whole skip (SMARTS-style), with
-/// a journal open so each timed window can rewind the CPU.
-fn warmed(bench: Benchmark, skip: u64) -> (Cpu, MemHierarchy, Predictor) {
+/// predictor functionally warmed over the whole skip (SMARTS-style), and
+/// the next `len` instructions recorded as the cluster every timed sample
+/// replays.
+fn warmed(bench: Benchmark, skip: u64, len: u64) -> (RetireTrace, MemHierarchy, Predictor) {
     let program = bench.build(&WorkloadParams::default());
     let mut cpu = Cpu::new(&program).expect("workload loads");
     let mut hier = MemHierarchy::new(HierarchyConfig::paper());
     let mut pred = Predictor::new(PredictorConfig::paper());
     skip_with_smarts_warming(&mut cpu, &mut hier, &mut pred, skip).expect("workload runs");
-    cpu.begin_journal();
-    (cpu, hier, pred)
+    let mut trace = RetireTrace::new();
+    trace.record(&mut cpu, len).expect("workload runs");
+    (trace, hier, pred)
 }
 
 fn bench_core(c: &mut Criterion) {
     let mut group = c.benchmark_group("detailed_core");
     group.sample_size(10);
 
-    // One 10k-instruction cluster from the same warmed state every sample:
-    // mcf is miss-bound (the ROB full of loads waiting on memory), gcc is
-    // branchy and cache-resident. The timed sample includes cloning the
-    // hierarchy and predictor and rewinding the CPU.
+    // One recorded 10k-instruction cluster replayed from the same warmed
+    // state every sample: mcf is miss-bound (the ROB full of loads waiting
+    // on memory), gcc is branchy and cache-resident. The timed sample
+    // includes cloning the hierarchy and predictor; the instructions come
+    // from the trace, so no functional execution is timed.
+    const LEN: u64 = 10_000;
     for (name, bench) in
         [("cluster_mcf_miss_bound", Benchmark::Mcf), ("cluster_gcc_branchy", Benchmark::Gcc)]
     {
-        let (mut cpu, hier, pred) = warmed(bench, 500_000);
+        let (trace, hier, pred) = warmed(bench, 500_000, LEN);
         group.bench_function(name, |b| {
             b.iter(|| {
-                cpu.undo_journal();
-                cpu.begin_journal();
                 let (mut h, mut p) = (hier.clone(), pred.clone());
-                let stats =
-                    simulate_cluster(&CoreConfig::paper(), &mut cpu, &mut h, &mut p, 10_000)
-                        .expect("window runs");
+                let stats = simulate_cluster(
+                    &CoreConfig::paper(),
+                    &mut trace.cursor(),
+                    &mut h,
+                    &mut p,
+                    LEN,
+                )
+                .expect("window runs");
                 black_box(stats)
             })
         });

@@ -103,9 +103,6 @@ pub struct SweepSample {
     /// Per-window index requests served from the sweep's shared memo
     /// instead of a rebuild (`SweepOutcome::index_builds_shared`).
     pub index_builds_shared: u64,
-    /// Journal-undo traffic per config in bytes — what state restore
-    /// cost instead of full-image snapshot copies.
-    pub restore_bytes_per_config: u64,
     /// Every config's est_ipc and log_records matched its standalone run.
     pub bit_identical: bool,
 }
@@ -134,7 +131,6 @@ impl SweepSample {
             .f64("wall_ratio", self.wall_ratio)
             .f64("amortization", self.amortization)
             .raw("index_builds_shared", self.index_builds_shared)
-            .raw("restore_bytes_per_config", self.restore_bytes_per_config)
             .raw("bit_identical", self.bit_identical)
             .finish()
     }
@@ -222,7 +218,6 @@ pub fn run_sweep_sample(
         wall_ratio: sweep_wall / standalone_wall.max(1e-9),
         amortization: out.amortization(),
         index_builds_shared: out.index_builds_shared,
-        restore_bytes_per_config: out.restore_bytes / grid.len().max(1) as u64,
         bit_identical,
     }
 }
@@ -269,7 +264,6 @@ mod tests {
         assert_eq!(s.replay_threads, 1);
         assert!(s.bit_identical, "sweep outcomes must match standalone runs");
         assert!(s.index_builds_shared > 0, "a 3-config grid must share indexes");
-        assert!(s.restore_bytes_per_config > 0, "journal restore must report traffic");
         assert!(s.est_ipc_min <= s.est_ipc && s.est_ipc <= s.est_ipc_max);
         assert!(s.log_records > 0);
         assert!(s.cold_seconds > 0.0 && s.sweep_wall_seconds >= s.cold_seconds);
@@ -301,7 +295,6 @@ mod tests {
             wall_ratio: 8.0 / 28.0,
             amortization: 0.3,
             index_builds_shared: 120,
-            restore_bytes_per_config: 4096,
             bit_identical: true,
         };
         let json = s.to_json();
@@ -328,7 +321,6 @@ mod tests {
             "wall_ratio",
             "amortization",
             "index_builds_shared",
-            "restore_bytes_per_config",
             "bit_identical",
         ] {
             assert!(json.contains(&format!("\"{key}\":")), "missing {key}");

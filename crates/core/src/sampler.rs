@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 
 use rsr_branch::{PredCtrlKind, Predictor, PredictorConfig};
 use rsr_cache::{HierAccess, HierarchyConfig, MemHierarchy};
-use rsr_func::{Cpu, ExecError, LoadError, Retired};
+use rsr_func::{Cpu, ExecError, LoadError, RetireSource, RetireTrace, Retired};
 use rsr_isa::{CtrlKind, Program};
 use rsr_stats::ClusterSample;
 use rsr_timing::{simulate_cluster, simulate_cluster_hooked, CoreConfig, HotStats};
@@ -445,7 +445,9 @@ pub(crate) struct WindowIndex<'l> {
 
 /// The detailed half of one window: reconstruction from a sealed skip log
 /// (reverse policy only), then the cycle-accurate hot cluster, then
-/// bookkeeping.
+/// bookkeeping. The cluster's instructions come from `src`: the live CPU
+/// in the sequential engine, a replay of the recorded cluster trace in the
+/// pipeline's follower and the sweep's replays.
 ///
 /// Shared verbatim by the sequential engine ([`run_windows`]), the
 /// pipelined follower thread ([`run_windows_pipelined`]) — both via
@@ -455,12 +457,12 @@ pub(crate) struct WindowIndex<'l> {
 /// `log` is `Some` exactly when the reverse policy sealed a log for this
 /// window, paired with the index view the reconstruction should read.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn detailed_window(
+pub(crate) fn detailed_window<S: RetireSource + ?Sized>(
     machine: &MachineConfig,
     policy: WarmupPolicy,
     hier: &mut MemHierarchy,
     pred: &mut Predictor,
-    cpu: &mut Cpu,
+    src: &mut S,
     len: u64,
     log: Option<(&SkipLog, WindowIndex<'_>)>,
     outcome: &mut SampleOutcome,
@@ -501,8 +503,8 @@ pub(crate) fn detailed_window(
     // ---- hot phase -----------------------------------------------------
     let t = Instant::now();
     let stats = match hook.as_mut() {
-        Some(h) => simulate_cluster_hooked(&machine.core, cpu, hier, pred, len, h)?,
-        None => simulate_cluster(&machine.core, cpu, hier, pred, len)?,
+        Some(h) => simulate_cluster_hooked(&machine.core, src, hier, pred, len, h)?,
+        None => simulate_cluster(&machine.core, src, hier, pred, len)?,
     };
     outcome.phases.hot += t.elapsed();
     if let Some(h) = hook {
@@ -527,12 +529,12 @@ pub(crate) fn detailed_window(
 /// region the predictor is untouched, so the value is identical to what
 /// sealing-time capture would record.
 #[allow(clippy::too_many_arguments)]
-fn follower_window(
+fn follower_window<S: RetireSource + ?Sized>(
     machine: &MachineConfig,
     policy: WarmupPolicy,
     hier: &mut MemHierarchy,
     pred: &mut Predictor,
-    cpu: &mut Cpu,
+    src: &mut S,
     len: u64,
     log: Option<&mut SkipLog>,
     outcome: &mut SampleOutcome,
@@ -572,7 +574,7 @@ fn follower_window(
         };
         (log, ix)
     });
-    detailed_window(machine, policy, hier, pred, cpu, len, log, outcome)
+    detailed_window(machine, policy, hier, pred, src, len, log, outcome)
 }
 
 /// Runs the hot/cold/warm loop over `windows`, starting from `cpu`
@@ -705,8 +707,8 @@ pub(crate) fn run_windows(
 /// the channel depth, the run guards the leader must observe between
 /// regions, and the identifiers its errors are reported under.
 pub(crate) struct PipelineCtx<'a> {
-    /// Bounded channel capacity + 1: at most `depth` work items (each up
-    /// to one log budget of packed columns plus a CPU snapshot) exist at
+    /// Bounded channel capacity + 1: at most `depth` work items (each one
+    /// log retention window plus one cluster's retire trace) exist at
     /// once — `depth - 1` queued plus one in the follower's hands.
     pub depth: usize,
     /// The run's absolute deadline; the leader checks it between regions
@@ -724,22 +726,25 @@ pub(crate) struct PipelineCtx<'a> {
     pub total_shards: usize,
 }
 
-/// One unit of leader → follower work: a cluster's length, the functional
-/// CPU snapshot positioned at its start, and — for the reverse policy —
-/// the skip region's sealed log.
+/// One unit of leader → follower work: a cluster's length, the retire
+/// trace the leader recorded while stepping through it, and — for the
+/// reverse policy — the skip region's sealed log. The follower sends the
+/// item back once done, so traces and logs recycle instead of
+/// reallocating.
 struct HotItem {
     len: u64,
-    cpu: Cpu,
+    trace: RetireTrace,
     log: Option<SkipLog>,
 }
 
 /// The decoupled leader/follower engine for one canonical shard.
 ///
 /// The functional leader runs ahead, executing skip regions (logging them
-/// under the reverse policy) *and* cluster regions, and emits one
-/// [`HotItem`] per window into a bounded channel; the detailed follower
-/// consumes items strictly in schedule order, reconstructing from each
-/// sealed log and simulating each hot cluster on the snapshot. Cold-phase
+/// under the reverse policy) *and* cluster regions (recording their
+/// retire traces), and emits one [`HotItem`] per window into a bounded
+/// channel; the detailed follower consumes items strictly in schedule
+/// order, reconstructing from each sealed log and timing each hot cluster
+/// from its trace. Cold-phase
 /// time thus hides under warm + hot time; results are bit-identical to
 /// [`run_windows`] because both sides execute the same deterministic
 /// computations on the same inputs — the leader's architectural state
@@ -776,9 +781,10 @@ pub(crate) fn run_windows_pipelined(
 
     let follower_result = thread::scope(|scope| {
         let (tx, rx) = mpsc::sync_channel::<HotItem>(ctx.depth - 1);
-        // Unbounded return path for drained logs; capacity is still
-        // bounded by the number of logs in flight (≤ depth).
-        let (recycle_tx, recycle_rx) = mpsc::channel::<SkipLog>();
+        // Unbounded return path for drained items; capacity is still
+        // bounded by the number of items in flight (≤ depth).
+        let (recycle_tx, recycle_rx) = mpsc::channel::<HotItem>();
+        let mut traces: Vec<RetireTrace> = Vec::new();
         let injector = ctx.injector;
         let group = ctx.group;
         let follower =
@@ -803,7 +809,7 @@ pub(crate) fn run_windows_pipelined(
             let skip = w.start - pos;
             leader_out.skipped_insts += skip;
             while let Ok(used) = recycle_rx.try_recv() {
-                pool.put(used);
+                reclaim(used, pool, &mut traces);
             }
 
             // ---- cold phase: skip region (logged or plain) -------------
@@ -839,26 +845,26 @@ pub(crate) fn run_windows_pipelined(
                     }
                 }
             };
-            leader_out.phases.cold += t.elapsed();
 
-            let snapshot = cpu.clone();
-            if tx.send(HotItem { len: w.len, cpu: snapshot, log }).is_err() {
+            // ---- cold phase: the leader stays the functional reference
+            // by stepping through the cluster, recording what retires for
+            // the follower, so the next skip starts from this cluster's
+            // end. A trace that stops early carries its error to the
+            // follower, which fails at the same instruction the
+            // sequential engine would -----------------------------------
+            let mut trace = traces.pop().unwrap_or_default();
+            let stepped = trace.record(cpu, w.len);
+            leader_out.phases.cold += t.elapsed();
+            if tx.send(HotItem { len: w.len, trace, log }).is_err() {
                 // The follower hung up early — it failed; its error (taken
                 // from the join below) is schedule-earlier than anything
                 // the leader could still produce.
                 break;
             }
-
-            // ---- cold phase: the leader stays the functional reference
-            // by stepping through the cluster, so the next skip starts
-            // from this cluster's end -------------------------------------
-            let t = Instant::now();
-            if let Err(e) = cpu.step_n(w.len, |_| ()) {
-                leader_out.phases.cold += t.elapsed();
+            if let Err(e) = stepped {
                 leader_err = Some(e.into());
                 break;
             }
-            leader_out.phases.cold += t.elapsed();
             pos = w.end();
         }
 
@@ -871,7 +877,7 @@ pub(crate) fn run_windows_pipelined(
             Err(payload) => std::panic::resume_unwind(payload),
         };
         while let Ok(used) = recycle_rx.try_recv() {
-            pool.put(used);
+            reclaim(used, pool, &mut traces);
         }
         joined
     });
@@ -887,13 +893,25 @@ pub(crate) fn run_windows_pipelined(
     Ok(leader_out)
 }
 
+/// Returns a drained [`HotItem`]'s buffers to the leader's pools. Traces
+/// share the log pool's bound: one per window in flight.
+fn reclaim(item: HotItem, pool: &mut LogPool, traces: &mut Vec<RetireTrace>) {
+    if let Some(log) = item.log {
+        pool.put(log);
+    }
+    if traces.len() < LogPool::MAX_POOLED {
+        traces.push(item.trace);
+    }
+}
+
 /// The follower thread: consume [`HotItem`]s in order, run the shared
-/// per-window detailed half, and send each drained log back for reuse.
+/// per-window detailed half on a replay of each cluster's trace, and send
+/// each drained item back for reuse.
 fn follower_loop(
     machine: &MachineConfig,
     policy: WarmupPolicy,
     rx: mpsc::Receiver<HotItem>,
-    recycle: mpsc::Sender<SkipLog>,
+    recycle: mpsc::Sender<HotItem>,
     injector: Option<&FaultInjector>,
     group: usize,
 ) -> Result<SampleOutcome, SimError> {
@@ -913,16 +931,14 @@ fn follower_loop(
             policy,
             &mut hier,
             &mut pred,
-            &mut item.cpu,
+            &mut item.trace.cursor(),
             item.len,
             item.log.as_mut(),
             &mut outcome,
         )?;
-        if let Some(log) = item.log.take() {
-            // The leader may already be gone (deadline, error); a dead
-            // recycle channel just means the log is dropped.
-            let _ = recycle.send(log);
-        }
+        // The leader may already be gone (deadline, error); a dead
+        // recycle channel just means the item is dropped.
+        let _ = recycle.send(item);
     }
     Ok(outcome)
 }

@@ -609,12 +609,13 @@ impl<'a> RunSpec<'a> {
     /// Sets the intra-shard leader/follower pipeline depth (default 0 =
     /// auto; see [`RunSpec::resolved_pipeline_depth`]). With depth `d > 1`
     /// a functional *leader* runs ahead through skip and cluster regions,
-    /// emitting each cluster's `(CPU snapshot, sealed skip log)` into a
+    /// emitting each cluster's `(retire trace, sealed skip log)` into a
     /// channel holding at most `d` in-flight items, while a detailed
     /// *follower* thread consumes them in schedule order — reconstruction
     /// and hot simulation overlap the next regions' cold fast-forward.
-    /// Resident memory is bounded by `d` logs (each capped by
-    /// [`RunSpec::log_budget_bytes`], when set) plus `d` CPU snapshots.
+    /// Resident memory is bounded by `d` logs (each keeping its scan
+    /// budget's window, and capped by [`RunSpec::log_budget_bytes`] when
+    /// set) plus `d` cluster traces of 64 bytes per instruction.
     /// Results are bit-identical for every depth; depth 1 is the
     /// sequential engine. Depths above 1 only engage for policies whose
     /// skip regions are purely functional

@@ -4,10 +4,11 @@
 //! are properties of the workload's functional stream, not of any cache or
 //! predictor geometry (DESIGN.md §9). A fig7/fig8-style sweep over N
 //! microarchitectures therefore only needs the functional pass once:
-//! [`SweepSpec`] runs the cold half a single time, capturing per window a
-//! CPU snapshot at the cluster boundary plus the sealed skip log of its
-//! skip region (shared behind an [`Arc`]), then replays the detailed half
-//! once per named [`DetailSpec`] against the captured state. A 20-config
+//! [`SweepSpec`] runs the cold half a single time, capturing per window
+//! the cluster's retire trace (a [`RetireTrace`]: what the cluster
+//! retired, 64 bytes per instruction) plus the sealed skip log of its skip
+//! region (shared behind an [`Arc`]), then replays the detailed half once
+//! per named [`DetailSpec`] against the captured window. A 20-config
 //! sweep costs ~1 cold pass + 20 hot slices instead of 20 full runs. The
 //! captured logs keep resident only the widest config's scan-budget window
 //! (see [`SkipLog::set_retention`]), which serves every narrower budget.
@@ -27,29 +28,30 @@
 //! branch outcomes — configs with equal history width hold bit-equal GHRs
 //! at every window boundary.
 //!
-//! **State restore is journaled, not copied.** The first N−1 configs at a
-//! window run inside a [`Cpu::begin_journal`] episode and
-//! [`Cpu::undo_journal`] afterwards, so restoring the shared snapshot
-//! costs traffic proportional to the window's actual write set instead of
-//! a full-image `clone_from` per (window × config). This is the first
-//! committed step toward ROADMAP item 5's true reverse execution.
+//! **There is no machine state to restore.** The timing core reads the
+//! functional simulator only through its retired records, so a config
+//! replays a cursor over the window's trace and never touches a CPU. All
+//! configs, at every replay width, read the same immutable trace. The
+//! trace's size follows the cluster length, not the program's footprint:
+//! a 3000-instruction cluster costs 192 KiB, against 6 MiB for an mcf CPU
+//! image.
 //!
 //! **Configs can replay in parallel.** The captured windows are immutable
 //! once sealed, so [`SweepSpec::replay_threads`] fans the config list
 //! across `std::thread::scope` workers in contiguous chunks; each chunk
-//! owns its configs' hierarchy/predictor state for the whole shard and a
-//! private working CPU re-cloned once per window (then journaled between
-//! its configs). Results are bit-identical at every worker count because
-//! each config still sees exactly the standalone engine's inputs in the
-//! standalone engine's order.
+//! owns its configs' hierarchy/predictor state for the whole shard.
+//! Results are bit-identical at every worker count because each config
+//! still sees exactly the standalone engine's inputs in the standalone
+//! engine's order.
 //!
 //! Capture and replay are *fused per canonical shard*: a worker group
 //! captures one shard's windows, immediately replays them through every
-//! config, then recycles the logs and snapshots (via [`LogPool`] and a
-//! CPU-snapshot pool, both bounded by [`pool_bound`]) for the next shard.
+//! config, then recycles the logs and traces (via [`LogPool`] and a trace
+//! pool, both bounded by [`pool_bound`]) for the next shard.
 //! The alternative — capturing the whole schedule before any replay —
-//! retains every window's log and snapshot at once (gigabytes at fig5
-//! scale) and was measurably page-fault-bound; fusing bounds the resident
+//! retains every window's log and trace at once (when captures also held
+//! CPU images, gigabytes at fig5 scale, and measurably
+//! page-fault-bound); fusing bounds the resident
 //! footprint to one shard's windows per group and faults each buffer in
 //! once. Outcomes are unaffected: per-shard replay state is the canonical
 //! cold-start either way, and per-shard outcomes merge through
@@ -67,7 +69,7 @@ use std::time::{Duration, Instant};
 
 use rsr_branch::Predictor;
 use rsr_cache::MemHierarchy;
-use rsr_func::Cpu;
+use rsr_func::{Cpu, RetireTrace};
 
 use crate::fault::FaultInjector;
 use crate::log::{
@@ -79,18 +81,16 @@ use crate::shard::{check_deadline, run_sharded_with, GroupCtx, RunGuards};
 use crate::spec::{ColdSpec, DetailSpec};
 use crate::{SampleOutcome, SimError, WarmupPolicy};
 
-/// One captured cluster window: the functional state at the cluster
-/// boundary and the sealed log of the skip region that led to it.
+/// One captured cluster window: the cluster's retire trace and the sealed
+/// log of the skip region that led to it. Both are immutable once
+/// captured; every config replays the same window.
 struct SealedWindow {
     /// Instructions skipped before this cluster.
     skip: u64,
     /// Cluster length in instructions.
     len: u64,
-    /// CPU snapshot at the cluster start (the follower-side input). The
-    /// serial replay path mutates it directly under a journal and rewinds;
-    /// after the *last* config the window is dead, so its final state is
-    /// never read again.
-    cpu: Cpu,
+    /// What the cluster retired, recorded by the capture pass.
+    trace: RetireTrace,
     /// The skip region's sealed, immutable log — `None` when no config
     /// logs any stream.
     log: Option<Arc<SkipLog>>,
@@ -98,15 +98,13 @@ struct SealedWindow {
 
 /// One shard's fused capture+replay result: per-config outcomes in
 /// registration order, how the shard's wall split between the shared
-/// capture and each config's replay, and the shard's index/restore
-/// telemetry.
+/// capture and each config's replay, and the shard's index telemetry.
 struct ShardResult {
     outcomes: Vec<SampleOutcome>,
     capture: Duration,
     replays: Vec<Duration>,
     index_builds: u64,
     index_builds_shared: u64,
-    restore_bytes: u64,
 }
 
 /// The per-config result of a sweep.
@@ -145,9 +143,10 @@ pub struct SweepOutcome {
     /// same window's memo instead of a rebuild. `builds + shared` equals
     /// what the pre-memo engine would have built.
     pub index_builds_shared: u64,
-    /// Total journal-undo traffic (old bytes written back, plus one
-    /// register-file snapshot per episode) the replays paid to rewind the
-    /// shared snapshots.
+    /// Bytes of machine state the replays restored between configs.
+    /// Always 0: every config replays the window's immutable retire trace,
+    /// so there is no machine state to restore. Kept so existing readers
+    /// of the field still compile.
     pub restore_bytes: u64,
     /// The replay fan-out the sweep actually used (see
     /// [`SweepSpec::resolved_replay_threads`]).
@@ -297,8 +296,8 @@ impl<'a> SweepSpec<'a> {
     /// Runs the sweep: one supervised pass over the schedule that, per
     /// canonical shard, captures the cold windows once and replays them
     /// through every config in registration order (windows-outer, with
-    /// per-window index sharing and journaled state restore — see the
-    /// module docs).
+    /// per-window index sharing and shared retire traces — see the module
+    /// docs).
     ///
     /// # Errors
     ///
@@ -337,18 +336,17 @@ impl<'a> SweepSpec<'a> {
         let body = |cpu: &mut Cpu, ctx: GroupCtx<'_>| {
             let mut out = Vec::with_capacity(ctx.shards.len());
             // Capture buffers recycle shard to shard: a shard's sealed
-            // logs and snapshots are dead once every config has replayed
+            // logs and traces are dead once every config has replayed
             // it, so the group's resident footprint is one shard's
             // windows, not the whole schedule's. `appended`/`peak_bytes`/
             // truncation are capacity-independent, so pooled logs match
             // the standalone path's accounting bit for bit. Both pools
             // share the [`pool_bound`] retention policy.
-            let snap_bound = pool_bound(replay_workers);
-            let mut pool = LogPool::with_bound(guards.log_budget, snap_bound).retaining(retention);
-            let mut snaps: Vec<Cpu> = Vec::new();
+            let bound = pool_bound(replay_workers);
+            let mut pool = LogPool::with_bound(guards.log_budget, bound).retaining(retention);
+            let mut traces: Vec<RetireTrace> = Vec::new();
             // Replay scratch recycled shard to shard: the index arena's
-            // column allocations and the parallel chunks' working CPUs
-            // are the expensive parts.
+            // column allocations are the expensive part.
             let mut scratch = ReplayScratch::default();
             // Column-size hint carried across this group's regions: a
             // growing log would otherwise re-discover its size through
@@ -375,22 +373,15 @@ impl<'a> SweepSpec<'a> {
                         cpu.step_n(skip, |_| ())?;
                         None
                     };
-                    let snap = match snaps.pop() {
-                        Some(mut s) => {
-                            s.clone_from(cpu);
-                            s
-                        }
-                        None => cpu.clone(),
-                    };
-                    cpu.step_n(w.len, |_| ())?;
-                    windows.push(SealedWindow { skip, len: w.len, cpu: snap, log });
+                    let mut trace = traces.pop().unwrap_or_default();
+                    trace.record(cpu, w.len)?;
+                    windows.push(SealedWindow { skip, len: w.len, trace, log });
                     pos = w.end();
                 }
                 let capture = t_capture.elapsed();
 
                 // -- replay the captured shard through every config --
-                let replay =
-                    replay_windows(&mut windows, &details, replay_workers, &mut scratch, cpu)?;
+                let replay = replay_windows(&windows, &details, replay_workers, &mut scratch)?;
 
                 // -- recycle the shard's capture buffers --
                 for w in windows {
@@ -399,8 +390,8 @@ impl<'a> SweepSpec<'a> {
                             pool.put(log);
                         }
                     }
-                    if snaps.len() < snap_bound {
-                        snaps.push(w.cpu);
+                    if traces.len() < bound {
+                        traces.push(w.trace);
                     }
                 }
                 out.push(ShardResult {
@@ -409,7 +400,6 @@ impl<'a> SweepSpec<'a> {
                     replays: replay.replays,
                     index_builds: replay.index_builds,
                     index_builds_shared: replay.index_builds_shared,
-                    restore_bytes: replay.restore_bytes,
                 });
             }
             Ok(out)
@@ -458,7 +448,7 @@ impl<'a> SweepSpec<'a> {
             shard_retries,
             index_builds: all().map(|s| s.index_builds).sum(),
             index_builds_shared: all().map(|s| s.index_builds_shared).sum(),
-            restore_bytes: all().map(|s| s.restore_bytes).sum(),
+            restore_bytes: 0,
             replay_threads: replay_workers,
         })
     }
@@ -558,24 +548,12 @@ impl<'d> ConfigReplay<'d> {
     }
 }
 
-/// One replay worker's shard-long state: a contiguous chunk of the config
-/// list (so per-config evolution order matches registration order) plus
-/// the working CPU the parallel path clones each window into. Serial
-/// replay (one chunk) runs directly on the captured snapshots and carries
-/// no working CPU at all.
-struct ChunkState<'d> {
-    configs: Vec<ConfigReplay<'d>>,
-    hot_cpu: Option<Cpu>,
-    restore_bytes: u64,
-}
-
 /// Group-level replay scratch recycled across shards: the index arena's
-/// columns, the memo vectors, and the parallel chunks' working CPUs.
+/// columns and the memo vectors.
 #[derive(Default)]
 struct ReplayScratch {
     arena: IndexArena,
     memo: MemoScratch,
-    hot_cpus: Vec<Cpu>,
 }
 
 /// What one shard's replay produced, in config registration order.
@@ -584,7 +562,6 @@ struct ShardReplay {
     replays: Vec<Duration>,
     index_builds: u64,
     index_builds_shared: u64,
-    restore_bytes: u64,
 }
 
 /// Builds (or shares) this window's reconstruction indexes and fills one
@@ -593,7 +570,7 @@ struct ShardReplay {
 /// is the point.
 fn plan_window(
     log: &SkipLog,
-    chunks: &mut [ChunkState<'_>],
+    chunks: &mut [Vec<ConfigReplay<'_>>],
     arena: &mut IndexArena,
     memo: &mut MemoScratch,
     builds: &mut u64,
@@ -602,74 +579,68 @@ fn plan_window(
     memo.mem.clear();
     memo.br.clear();
     let mut used = 0usize;
-    let mut c = 0usize;
-    for ch in chunks.iter_mut() {
-        for st in ch.configs.iter_mut() {
-            let ghr = st.pred.gshare.ghr();
-            let mut plan = WindowPlan { mem: None, br: None, ghr };
-            if st.want_cache {
-                let key = (st.geom.mem_key(), st.pct);
-                plan.mem = Some(match memo.mem.iter().find(|(k, _)| *k == key) {
-                    Some(&(_, slot)) => {
-                        *shared += 1;
-                        slot
-                    }
-                    None => {
-                        let slot = used as u32;
-                        used += 1;
-                        let t = Instant::now();
-                        log.build_mem_index_into(&st.geom, st.pct, arena.slot(used - 1, st.geom));
-                        st.outcome.phases.warm += t.elapsed();
-                        *builds += 1;
-                        memo.mem.push((key, slot));
-                        slot
-                    }
-                });
-            }
-            if st.want_bp {
-                let key = (st.geom.ghr_bits, st.geom.btb_entries, st.pct, ghr);
-                plan.br = Some(match memo.br.iter().find(|(k, _)| *k == key) {
-                    Some(&(_, slot)) => {
-                        *shared += 1;
-                        slot
-                    }
-                    None => {
-                        let slot = used as u32;
-                        used += 1;
-                        let t = Instant::now();
-                        log.build_branch_index_into(
-                            &st.geom,
-                            ghr,
-                            st.pct,
-                            arena.slot(used - 1, st.geom),
-                        );
-                        st.outcome.phases.warm += t.elapsed();
-                        *builds += 1;
-                        memo.br.push((key, slot));
-                        slot
-                    }
-                });
-            }
-            memo.plans[c] = plan;
-            c += 1;
+    for (c, st) in chunks.iter_mut().flatten().enumerate() {
+        let ghr = st.pred.gshare.ghr();
+        let mut plan = WindowPlan { mem: None, br: None, ghr };
+        if st.want_cache {
+            let key = (st.geom.mem_key(), st.pct);
+            plan.mem = Some(match memo.mem.iter().find(|(k, _)| *k == key) {
+                Some(&(_, slot)) => {
+                    *shared += 1;
+                    slot
+                }
+                None => {
+                    let slot = used as u32;
+                    used += 1;
+                    let t = Instant::now();
+                    log.build_mem_index_into(&st.geom, st.pct, arena.slot(used - 1, st.geom));
+                    st.outcome.phases.warm += t.elapsed();
+                    *builds += 1;
+                    memo.mem.push((key, slot));
+                    slot
+                }
+            });
         }
+        if st.want_bp {
+            let key = (st.geom.ghr_bits, st.geom.btb_entries, st.pct, ghr);
+            plan.br = Some(match memo.br.iter().find(|(k, _)| *k == key) {
+                Some(&(_, slot)) => {
+                    *shared += 1;
+                    slot
+                }
+                None => {
+                    let slot = used as u32;
+                    used += 1;
+                    let t = Instant::now();
+                    log.build_branch_index_into(
+                        &st.geom,
+                        ghr,
+                        st.pct,
+                        arena.slot(used - 1, st.geom),
+                    );
+                    st.outcome.phases.warm += t.elapsed();
+                    *builds += 1;
+                    memo.br.push((key, slot));
+                    slot
+                }
+            });
+        }
+        memo.plans[c] = plan;
     }
 }
 
 /// One config's replay of one window — the single [`detailed_window`]
-/// call site of the sweep engine, threading the window's shared log and
-/// this config's planned index view.
+/// call site of the sweep engine, threading the window's shared log, a
+/// fresh cursor over its shared trace, and this config's planned index
+/// view.
 fn replay_one(
     st: &mut ConfigReplay<'_>,
-    skip: u64,
-    len: u64,
-    log: Option<&Arc<SkipLog>>,
-    cpu: &mut Cpu,
+    w: &SealedWindow,
     plan: WindowPlan,
     arena: &IndexArena,
 ) -> Result<(), SimError> {
-    st.outcome.skipped_insts += skip;
-    let log = log.map(|log| {
+    st.outcome.skipped_insts += w.skip;
+    let log = w.log.as_deref().map(|log| {
         let view = if log.truncated() {
             // Degraded cluster: `detailed_window` counts it and skips
             // reconstruction; the view is never read.
@@ -681,50 +652,32 @@ fn replay_one(
                 ghr_at_start: plan.ghr,
             }
         };
-        (&**log, view)
+        (log, view)
     });
     detailed_window(
         &st.detail.machine,
         st.detail.policy,
         &mut st.hier,
         &mut st.pred,
-        cpu,
-        len,
+        &mut w.trace.cursor(),
+        w.len,
         log,
         &mut st.outcome,
     )
 }
 
-/// Replays one window through one chunk's configs on `cpu`, journaling
-/// between configs so each one starts from the captured image. The last
-/// config skips the episode: its final state is never read again (the
-/// serial path retires the window; the parallel path re-clones next
-/// window).
-#[allow(clippy::too_many_arguments)]
+/// Replays one window through one chunk's configs, in registration order.
+/// `first` is the chunk's first config's index in the whole config list.
 fn replay_chunk_window(
     configs: &mut [ConfigReplay<'_>],
-    restore_bytes: &mut u64,
-    skip: u64,
-    len: u64,
-    log: Option<&Arc<SkipLog>>,
-    cpu: &mut Cpu,
+    w: &SealedWindow,
     plans: &[WindowPlan],
     first: usize,
     arena: &IndexArena,
 ) -> Result<(), SimError> {
-    let n = configs.len();
     for (k, st) in configs.iter_mut().enumerate() {
         let t = Instant::now();
-        let journal = k + 1 < n;
-        if journal {
-            cpu.begin_journal();
-        }
-        let r = replay_one(st, skip, len, log, cpu, plans[first + k], arena);
-        if journal {
-            // Undo even on error: the rewind is cheap and leaves the
-            // window coherent for whatever supervision does next.
-            *restore_bytes += cpu.undo_journal();
-        }
+        let r = replay_one(st, w, plans[first + k], arena);
         st.replay += t.elapsed();
         r?;
     }
@@ -732,16 +685,15 @@ fn replay_chunk_window(
 }
 
 /// Replays one captured shard through every config: windows-outer, with
-/// per-window index planning and either the serial in-place path (one
-/// chunk, zero clones, journal-rewind between configs) or the parallel
-/// fan-out (one scoped worker per chunk, one `clone_from` per worker per
-/// window, journal-rewind within each chunk).
+/// per-window index planning, then the configs fanned across `workers`
+/// contiguous chunks. The first chunk runs on the calling thread and each
+/// other chunk on a scoped worker; all of them read the same immutable
+/// window.
 fn replay_windows<'d>(
-    windows: &mut [SealedWindow],
+    windows: &[SealedWindow],
     details: &[&'d DetailSpec],
     workers: usize,
     scratch: &mut ReplayScratch,
-    group_cpu: &Cpu,
 ) -> Result<ShardReplay, SimError> {
     let n = details.len();
     let workers = workers.clamp(1, n);
@@ -750,28 +702,20 @@ fn replay_windows<'d>(
 
     // Fresh per shard: the canonical cold-start. Chunks partition the
     // config list contiguously and evenly.
-    let mut chunks: Vec<ChunkState<'d>> = Vec::with_capacity(workers);
+    let mut chunks: Vec<Vec<ConfigReplay<'d>>> = Vec::with_capacity(workers);
     {
         let base = n / workers;
         let extra = n % workers;
         let mut at = 0usize;
         for w in 0..workers {
             let take = base + usize::from(w < extra);
-            let mut ch = ChunkState {
-                configs: details[at..at + take].iter().map(|d| ConfigReplay::new(d)).collect(),
-                hot_cpu: None,
-                restore_bytes: 0,
-            };
-            if workers > 1 {
-                ch.hot_cpu = Some(scratch.hot_cpus.pop().unwrap_or_else(|| group_cpu.clone()));
-            }
-            chunks.push(ch);
+            chunks.push(details[at..at + take].iter().map(|d| ConfigReplay::new(d)).collect());
             at += take;
         }
     }
     scratch.memo.plans.resize(n, WindowPlan::default());
 
-    for w in windows.iter_mut() {
+    for w in windows {
         // -- leader: build each distinct index once for this window --
         if let Some(log) = w.log.as_deref().filter(|l| !l.truncated()) {
             plan_window(
@@ -784,116 +728,41 @@ fn replay_windows<'d>(
             );
         }
 
-        if workers == 1 {
-            // Serial: replay directly on the captured snapshot. The
-            // journal rewinds between configs, so no working copy exists
-            // at all.
-            let ch = &mut chunks[0];
-            replay_chunk_window(
-                &mut ch.configs,
-                &mut ch.restore_bytes,
-                w.skip,
-                w.len,
-                w.log.as_ref(),
-                &mut w.cpu,
-                &scratch.memo.plans,
-                0,
-                &scratch.arena,
-            )?;
-        } else {
-            // Parallel: the window is immutable; each chunk clones it
-            // once into its private working CPU and journals between its
-            // own configs. Errors resolve in chunk order so the failing
-            // config is deterministic.
-            let arena = &scratch.arena;
-            let plans = &scratch.memo.plans[..];
-            let snap = &w.cpu;
-            let log = w.log.as_ref();
-            let (skip, len) = (w.skip, w.len);
-            let mut result: Result<(), SimError> = Ok(());
-            std::thread::scope(|s| {
-                let mut handles = Vec::with_capacity(chunks.len() - 1);
-                let mut first = chunks[0].configs.len();
-                let (lead, rest) = chunks.split_at_mut(1);
-                for ch in rest.iter_mut() {
-                    let f = first;
-                    first += ch.configs.len();
-                    handles.push(s.spawn(move || {
-                        let ChunkState { configs, hot_cpu, restore_bytes } = ch;
-                        let cpu = match hot_cpu.as_mut() {
-                            Some(cpu) => cpu,
-                            // Unreachable: parallel chunks are built with
-                            // a working CPU above.
-                            None => return Err(SimError::Spec("replay chunk lost its CPU")),
-                        };
-                        cpu.clone_from(snap);
-                        replay_chunk_window(
-                            configs,
-                            restore_bytes,
-                            skip,
-                            len,
-                            log,
-                            cpu,
-                            plans,
-                            f,
-                            arena,
-                        )
-                    }));
-                }
-                let ch = &mut lead[0];
-                let r0 = match ch.hot_cpu.as_mut() {
-                    Some(cpu) => {
-                        cpu.clone_from(snap);
-                        replay_chunk_window(
-                            &mut ch.configs,
-                            &mut ch.restore_bytes,
-                            skip,
-                            len,
-                            log,
-                            cpu,
-                            plans,
-                            0,
-                            arena,
-                        )
-                    }
-                    None => Err(SimError::Spec("replay chunk lost its CPU")),
+        // -- every chunk replays the window; errors resolve in chunk
+        // order so the failing config is deterministic --
+        let arena = &scratch.arena;
+        let plans = &scratch.memo.plans[..];
+        let mut result: Result<(), SimError> = Ok(());
+        std::thread::scope(|s| {
+            let (lead, rest) = chunks.split_at_mut(1);
+            let mut first = lead[0].len();
+            let mut handles = Vec::with_capacity(rest.len());
+            for configs in rest.iter_mut() {
+                let f = first;
+                first += configs.len();
+                handles.push(s.spawn(move || replay_chunk_window(configs, w, plans, f, arena)));
+            }
+            result = replay_chunk_window(&mut lead[0], w, plans, 0, arena);
+            for h in handles {
+                let r = match h.join() {
+                    Ok(r) => r,
+                    // Re-raise with the worker's own payload intact so
+                    // the shard supervisor's catch_unwind sees it.
+                    Err(payload) => std::panic::resume_unwind(payload),
                 };
-                result = r0;
-                for h in handles {
-                    let r = match h.join() {
-                        Ok(r) => r,
-                        // Re-raise with the worker's own payload intact so
-                        // the shard supervisor's catch_unwind sees it.
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    };
-                    if result.is_ok() {
-                        result = r;
-                    }
+                if result.is_ok() {
+                    result = r;
                 }
-            });
-            result?;
-        }
+            }
+        });
+        result?;
     }
 
-    // -- retire the chunks, keeping their recyclable CPUs --
     let mut outcomes = Vec::with_capacity(n);
     let mut replays = Vec::with_capacity(n);
-    let mut restore_bytes = 0u64;
-    for mut ch in chunks {
-        restore_bytes += ch.restore_bytes;
-        if let Some(cpu) = ch.hot_cpu.take() {
-            scratch.hot_cpus.push(cpu);
-        }
-        for st in ch.configs {
-            outcomes.push(st.outcome);
-            replays.push(st.replay);
-        }
+    for st in chunks.into_iter().flatten() {
+        outcomes.push(st.outcome);
+        replays.push(st.replay);
     }
-    Ok(ShardReplay {
-        outcomes,
-        replays,
-        index_builds: builds,
-        index_builds_shared: shared,
-        restore_bytes,
-    })
+    Ok(ShardReplay { outcomes, replays, index_builds: builds, index_builds_shared: shared })
 }

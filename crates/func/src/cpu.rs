@@ -204,7 +204,7 @@ impl Predecoded {
 /// what the timing model does. Bulk fast-forwarding goes through
 /// [`Cpu::step_n`], which dispatches over the predecoded superblock table
 /// instead of re-decoding per instruction (see the module docs).
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Cpu {
     pc: Addr,
     iregs: [u64; 32],
@@ -215,46 +215,6 @@ pub struct Cpu {
     text_end: Addr,
     halted: bool,
     icount: u64,
-    /// The register-file snapshot of the open journaled episode (see
-    /// [`Cpu::begin_journal`]). Boxed: `None` is the steady state and the
-    /// snapshot is half a kilobyte.
-    journal_arch: Option<Box<ArchState>>,
-}
-
-impl Clone for Cpu {
-    fn clone(&self) -> Cpu {
-        Cpu {
-            pc: self.pc,
-            iregs: self.iregs,
-            fregs: self.fregs,
-            mem: self.mem.clone(),
-            pre: Arc::clone(&self.pre),
-            text_base: self.text_base,
-            text_end: self.text_end,
-            halted: self.halted,
-            icount: self.icount,
-            journal_arch: None,
-        }
-    }
-
-    /// Clones into an existing CPU, reusing its memory pages (see
-    /// [`Memory::clone_from`]); the predecoded program is shared, so it
-    /// costs a refcount check. Snapshot-heavy consumers clone per
-    /// cluster window, so the in-place path matters.
-    fn clone_from(&mut self, source: &Cpu) {
-        self.pc = source.pc;
-        self.iregs = source.iregs;
-        self.fregs = source.fregs;
-        self.mem.clone_from(&source.mem);
-        self.pre.clone_from(&source.pre);
-        self.text_base = source.text_base;
-        self.text_end = source.text_end;
-        self.halted = source.halted;
-        self.icount = source.icount;
-        // The destination's open episode (if any) described its previous
-        // image; `Memory::clone_from` drops the memory half likewise.
-        self.journal_arch = None;
-    }
 }
 
 impl Cpu {
@@ -287,7 +247,6 @@ impl Cpu {
             text_end: program.text_end(),
             halted: false,
             icount: 0,
-            journal_arch: None,
         })
     }
 
@@ -362,44 +321,6 @@ impl Cpu {
         self.fregs = state.fregs;
         self.icount = state.icount;
         self.halted = state.halted;
-    }
-
-    /// Opens a journaled episode over the whole CPU: the register file is
-    /// snapshotted wholesale (half a kilobyte — cheaper than journaling
-    /// the hottest write path per retired instruction) and every memory
-    /// write records its pre-image (see [`Memory::begin_journal`]).
-    /// [`Cpu::undo_journal`] then rewinds the machine to this point
-    /// without a forward copy — the first committed step toward ROADMAP
-    /// item 5's true reverse execution, and what lets the sweep engine
-    /// replay N configs against one shared snapshot instead of cloning
-    /// the image N times.
-    pub fn begin_journal(&mut self) {
-        let state = self.arch_state();
-        match self.journal_arch.as_deref_mut() {
-            Some(slot) => *slot = state,
-            None => self.journal_arch = Some(Box::new(state)),
-        }
-        self.mem.begin_journal();
-    }
-
-    /// Closes the open episode, restoring registers and the memory byte
-    /// image to what [`Cpu::begin_journal`] saw. Returns the undo traffic
-    /// in bytes (memory pre-image bytes plus the register snapshot); 0
-    /// when no episode was open.
-    pub fn undo_journal(&mut self) -> u64 {
-        let Some(state) = self.journal_arch.take() else {
-            self.mem.discard_journal();
-            return 0;
-        };
-        let restored = self.mem.undo_journal();
-        self.restore_arch(&state);
-        restored + std::mem::size_of::<ArchState>() as u64
-    }
-
-    /// Closes the open episode *keeping* its effects (commit).
-    pub fn discard_journal(&mut self) {
-        self.journal_arch = None;
-        self.mem.discard_journal();
     }
 
     #[inline]
@@ -1391,53 +1312,5 @@ mod tests {
         assert_eq!(cpu.icount(), n);
         // Further runs are no-ops, not errors.
         assert_eq!(cpu.run(5).unwrap(), 0);
-    }
-
-    #[test]
-    fn journal_rewinds_an_executed_slice_exactly() {
-        let p = mixed_program();
-        let mut cpu = Cpu::new(&p).unwrap();
-        cpu.step_n(40, |_| ()).unwrap();
-        let reference = cpu.clone();
-        let ref_pages = {
-            let mut r = reference.clone();
-            let nos = r.mem_mut().resident_page_nos();
-            nos.iter().map(|&n| r.mem_mut().read_vec(n * 4096, 4096)).collect::<Vec<_>>()
-        };
-        cpu.begin_journal();
-        cpu.step_n(120, |_| ()).unwrap();
-        assert_ne!(cpu.arch_state(), reference.arch_state());
-        let restored = cpu.undo_journal();
-        assert!(restored >= std::mem::size_of::<ArchState>() as u64);
-        assert_eq!(cpu.arch_state(), reference.arch_state());
-        // Content-compare every page the reference holds (the journaled
-        // CPU may keep extra zero pages it touched inside the episode).
-        for (i, &no) in reference.clone().mem_mut().resident_page_nos().iter().enumerate() {
-            assert_eq!(cpu.mem_mut().read_vec(no * 4096, 4096), ref_pages[i], "page {no}");
-        }
-        // The rewound machine re-executes the same slice identically.
-        let mut again = Vec::new();
-        cpu.step_n(120, |r| again.push(*r)).unwrap();
-        let mut expect = Vec::new();
-        let mut r2 = reference.clone();
-        r2.step_n(120, |r| expect.push(*r)).unwrap();
-        assert_eq!(again, expect);
-    }
-
-    #[test]
-    fn journal_undo_without_begin_is_a_noop() {
-        let p = mixed_program();
-        let mut cpu = Cpu::new(&p).unwrap();
-        cpu.step_n(10, |_| ()).unwrap();
-        let state = cpu.arch_state();
-        assert_eq!(cpu.undo_journal(), 0);
-        assert_eq!(cpu.arch_state(), state);
-        // Commit path: effects survive, journal closes.
-        cpu.begin_journal();
-        cpu.step_n(10, |_| ()).unwrap();
-        let after = cpu.arch_state();
-        cpu.discard_journal();
-        assert_eq!(cpu.undo_journal(), 0);
-        assert_eq!(cpu.arch_state(), after);
     }
 }

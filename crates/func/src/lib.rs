@@ -9,6 +9,8 @@
 //! * [`Cpu`] — registers + PC + memory; [`Cpu::step`] retires one
 //!   instruction and reports everything downstream consumers need as a
 //!   [`Retired`] record (memory access, branch outcome).
+//! * [`RetireSource`] — what the timing model reads: the live [`Cpu`], or
+//!   a [`TraceCursor`] replaying a recorded [`RetireTrace`].
 //!
 //! ```
 //! use rsr_isa::{Asm, Reg};
@@ -31,6 +33,8 @@
 
 mod cpu;
 mod mem;
+mod trace;
 
 pub use cpu::{ArchState, BranchRec, Cpu, ExecError, LoadError, MemAccess, RetireSink, Retired};
 pub use mem::{Memory, PAGE_BYTES};
+pub use trace::{RetireSource, RetireTrace, TraceCursor};

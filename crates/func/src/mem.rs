@@ -33,55 +33,6 @@ fn prefetch_line(p: &u8) {
     let _ = p;
 }
 
-/// One undo record: the `len` (1..=8) bytes that lived at `addr` before a
-/// journaled write, packed little-endian into `old`. Entries never cross a
-/// page: every write path resolves its page run first and records one
-/// entry per run chunk.
-#[derive(Copy, Clone)]
-struct UndoEntry {
-    addr: Addr,
-    old: u64,
-    len: u8,
-}
-
-/// The write-set journal of one journaled episode: every byte a write
-/// destroyed, in write order, so replaying the entries *newest-first*
-/// restores the pre-episode image exactly — including through repeated
-/// writes to the same address, whose oldest entry is applied last.
-///
-/// This is the memory half of the Hoey & Ulidowski-style inversion noted
-/// in ROADMAP item 5: instead of copying state forward (a full-image
-/// `clone_from` per replay), record what each write overwrote and run the
-/// log backwards. Traffic is proportional to the episode's actual write
-/// set, not the resident image.
-#[derive(Default)]
-struct MemJournal {
-    entries: Vec<UndoEntry>,
-    /// Total old bytes recorded (the undo traffic this episode will cost).
-    bytes: u64,
-}
-
-impl MemJournal {
-    /// Records the pre-image of one intra-page run, chunked into ≤ 8-byte
-    /// entries.
-    #[inline]
-    fn record(&mut self, addr: Addr, old: &[u8]) {
-        self.bytes += old.len() as u64;
-        let mut i = 0;
-        while i < old.len() {
-            let n = (old.len() - i).min(8);
-            let mut word = [0u8; 8];
-            word[..n].copy_from_slice(&old[i..i + n]);
-            self.entries.push(UndoEntry {
-                addr: addr + i as u64,
-                old: u64::from_le_bytes(word),
-                len: n as u8,
-            });
-            i += n;
-        }
-    }
-}
-
 /// One software-TLB entry: `tag` is `page_no + 1` so the all-zero reset
 /// state can never match a real page (page 0 exists), and `slot` indexes
 /// `Memory::pages`. Slots only ever grow (pages are never deallocated and
@@ -109,27 +60,19 @@ struct TlbEntry {
 /// translated at once, which matters because the functional cold pass —
 /// the baseline every warm-up cost is measured against — spends most of
 /// its non-ALU time here.
+#[derive(Clone)]
 pub struct Memory {
     /// Page number → slot in `pages`.
     index: HashMap<u64, usize>,
-    /// Page frames, stored inline so a clone is one contiguous memcpy
-    /// instead of one heap allocation per resident page. Snapshot-heavy
-    /// consumers (shard checkpoints, the sweep engine's per-window CPU
-    /// captures) clone `Memory` often enough that per-page boxing was
-    /// the dominant cost.
+    /// Page frames, stored inline so a clone (a checkpoint scout's CPU
+    /// copy) is one contiguous memcpy instead of one heap allocation per
+    /// resident page.
     pages: Vec<Page>,
     /// Direct-mapped translation cache, indexed by the low bits of the
-    /// page number. Boxed (32 KiB) so moving a `Memory` stays cheap;
-    /// cloning it is noise next to `pages`.
+    /// page number. Boxed (32 KiB) so moving a `Memory` stays cheap.
+    /// Cloned with the pages, so a clone's cached `page → slot` mappings
+    /// describe its own page table.
     tlb: Box<[TlbEntry]>,
-    /// The armed undo journal, when a journaled episode is open. `None`
-    /// almost always — the write paths' only added cost is one null
-    /// check — and boxed so the `Memory` stays small either way.
-    journal: Option<Box<MemJournal>>,
-    /// A retired journal's allocation, kept for the next
-    /// [`Memory::begin_journal`] so episode-per-config consumers (the
-    /// sweep replay) never reallocate the entry vector.
-    spare_journal: Option<Box<MemJournal>>,
 }
 
 impl Default for Memory {
@@ -138,47 +81,6 @@ impl Default for Memory {
             index: HashMap::new(),
             pages: Vec::new(),
             tlb: vec![TlbEntry::default(); TLB_ENTRIES].into_boxed_slice(),
-            journal: None,
-            spare_journal: None,
-        }
-    }
-}
-
-impl Clone for Memory {
-    /// Journals never travel with a clone: they describe an episode on the
-    /// *source* image, and the usual cloners (snapshot capture, checkpoint
-    /// restore) want a plain image.
-    fn clone(&self) -> Memory {
-        Memory {
-            index: self.index.clone(),
-            pages: self.pages.clone(),
-            tlb: self.tlb.clone(),
-            journal: None,
-            spare_journal: None,
-        }
-    }
-
-    /// Clones into an existing memory, reusing its page-frame and index
-    /// allocations. Snapshot pools (the sweep engine's recycled per-window
-    /// captures) re-fill retired memories in place, so repeated snapshots
-    /// cost a memcpy instead of fresh page-granular allocations — which on
-    /// fault-expensive hosts is the difference between an O(resident)
-    /// copy and an O(resident) trip through the kernel.
-    ///
-    /// The TLB is copied from the source (not kept): the destination's
-    /// old entries describe its *previous* page table, and a stale
-    /// `page → slot` mapping under the new index would alias the wrong
-    /// frame.
-    fn clone_from(&mut self, source: &Memory) {
-        self.index.clone_from(&source.index);
-        self.pages.clone_from(&source.pages);
-        self.tlb.copy_from_slice(&source.tlb);
-        // An open journal describes the image just overwritten; keep the
-        // allocation, drop the (now meaningless) episode.
-        if let Some(mut j) = self.journal.take() {
-            j.entries.clear();
-            j.bytes = 0;
-            self.spare_journal = Some(j);
         }
     }
 }
@@ -301,12 +203,7 @@ impl Memory {
     #[inline]
     pub fn write_u8(&mut self, addr: Addr, value: u8) {
         let s = self.slot_or_alloc(addr);
-        let off = (addr % PAGE_BYTES) as usize;
-        if let Some(j) = self.journal.as_deref_mut() {
-            j.bytes += 1;
-            j.entries.push(UndoEntry { addr, old: self.pages[s][off] as u64, len: 1 });
-        }
-        self.pages[s][off] = value;
+        self.pages[s][(addr % PAGE_BYTES) as usize] = value;
     }
 
     /// Reads `N` little-endian bytes starting at `addr`.
@@ -332,14 +229,16 @@ impl Memory {
         out
     }
 
-    #[inline]
+    /// Out of line on purpose: every store in the interpreter reaches
+    /// this, and inlining it (both page paths) into the superblock
+    /// dispatch loop bloats the loop that fused logging sinks monomorphize
+    /// into. The out-of-line call measured faster on mcf's logged cold
+    /// pass.
+    #[inline(never)]
     fn write_bytes(&mut self, addr: Addr, bytes: &[u8]) {
         let off = (addr % PAGE_BYTES) as usize;
         if off + bytes.len() <= PAGE_BYTES as usize {
             let s = self.slot_or_alloc(addr);
-            if let Some(j) = self.journal.as_deref_mut() {
-                j.record(addr, &self.pages[s][off..off + bytes.len()]);
-            }
             self.pages[s][off..off + bytes.len()].copy_from_slice(bytes);
             return;
         }
@@ -352,9 +251,6 @@ impl Memory {
             let off = (a % PAGE_BYTES) as usize;
             let run = (PAGE_BYTES as usize - off).min(bytes.len() - i);
             let s = self.slot_or_alloc(a);
-            if let Some(j) = self.journal.as_deref_mut() {
-                j.record(a, &self.pages[s][off..off + run]);
-            }
             self.pages[s][off..off + run].copy_from_slice(&bytes[i..i + run]);
             i += run;
         }
@@ -399,67 +295,6 @@ impl Memory {
     /// Copies a byte slice into memory at `addr`.
     pub fn write_slice(&mut self, addr: Addr, bytes: &[u8]) {
         self.write_bytes(addr, bytes);
-    }
-
-    /// Opens a journaled episode: every subsequent write records the
-    /// bytes it overwrites until [`Memory::undo_journal`] (restore) or
-    /// [`Memory::discard_journal`] (commit) closes it. A re-open while an
-    /// episode is armed restarts the episode (the old entries are
-    /// dropped — the caller abandoned that restore point).
-    ///
-    /// Journaling does not track page *allocation*: a page first touched
-    /// inside the episode stays resident after the undo, zero-filled back
-    /// to exactly the bytes it would read as when absent. The only
-    /// observable difference is [`Memory::resident_pages`] — reads,
-    /// clones, and checksums over content see the pre-episode image.
-    pub fn begin_journal(&mut self) {
-        let mut j = self
-            .journal
-            .take()
-            .or_else(|| self.spare_journal.take())
-            .unwrap_or_else(|| Box::new(MemJournal::default()));
-        j.entries.clear();
-        j.bytes = 0;
-        self.journal = Some(j);
-    }
-
-    /// Closes the open episode by replaying its journal *newest-first*,
-    /// restoring the byte image [`Memory::begin_journal`] saw. Returns the
-    /// number of bytes written back (0 when no episode was open). The TLB
-    /// is untouched: pages never move or deallocate, so every cached
-    /// translation stays valid across the undo.
-    pub fn undo_journal(&mut self) -> u64 {
-        let Some(mut j) = self.journal.take() else { return 0 };
-        let restored = j.bytes;
-        // Reverse order makes repeated writes to one address compose
-        // correctly without deduplication: the oldest entry lands last.
-        for k in (0..j.entries.len()).rev() {
-            let e = j.entries[k];
-            let old = e.old.to_le_bytes();
-            let s = self.slot_or_alloc(e.addr);
-            let off = (e.addr % PAGE_BYTES) as usize;
-            self.pages[s][off..off + e.len as usize].copy_from_slice(&old[..e.len as usize]);
-        }
-        j.entries.clear();
-        j.bytes = 0;
-        self.spare_journal = Some(j);
-        restored
-    }
-
-    /// Closes the open episode *keeping* its writes (commit), recycling
-    /// the journal allocation. A no-op when no episode is open.
-    pub fn discard_journal(&mut self) {
-        if let Some(mut j) = self.journal.take() {
-            j.entries.clear();
-            j.bytes = 0;
-            self.spare_journal = Some(j);
-        }
-    }
-
-    /// Old bytes the open episode has recorded so far (its undo traffic);
-    /// 0 when no episode is open.
-    pub fn journal_bytes(&self) -> u64 {
-        self.journal.as_deref().map_or(0, |j| j.bytes)
     }
 
     /// Reads `len` bytes starting at `addr` into a fresh vector, one
@@ -611,75 +446,6 @@ mod tests {
         assert_eq!(b.read_u64(3 * PAGE_BYTES), 7);
         assert_eq!(b.read_u64(9 * PAGE_BYTES), 0);
         assert_eq!(b.resident_pages(), 1);
-    }
-
-    #[test]
-    fn journal_restores_repeated_and_crossing_writes() {
-        let mut m = Memory::new();
-        m.write_u64(0x100, 0x1111_2222_3333_4444);
-        m.write_u8(PAGE_BYTES - 1, 0xaa);
-        let before = m.read_vec(0, 2 * PAGE_BYTES as usize);
-        m.begin_journal();
-        // Repeated writes to one address: reverse replay must land the
-        // oldest pre-image last.
-        m.write_u64(0x100, 1);
-        m.write_u64(0x100, 2);
-        m.write_u8(0x100, 3);
-        // A page-crossing write and a fresh-page write.
-        m.write_u64(PAGE_BYTES - 3, u64::MAX);
-        m.write_u32(5 * PAGE_BYTES + 7, 0xdead_beef);
-        assert_eq!(m.journal_bytes(), 8 + 8 + 1 + 8 + 4);
-        let restored = m.undo_journal();
-        assert_eq!(restored, 29);
-        assert_eq!(m.journal_bytes(), 0);
-        assert_eq!(m.read_vec(0, 2 * PAGE_BYTES as usize), before);
-        // The fresh page stays resident but reads as the zeros it held.
-        assert_eq!(m.read_u32(5 * PAGE_BYTES + 7), 0);
-    }
-
-    #[test]
-    fn journal_discard_keeps_writes() {
-        let mut m = Memory::new();
-        m.begin_journal();
-        m.write_u64(64, 7);
-        m.discard_journal();
-        assert_eq!(m.read_u64(64), 7);
-        assert_eq!(m.undo_journal(), 0);
-        assert_eq!(m.read_u64(64), 7);
-    }
-
-    #[test]
-    fn journal_does_not_travel_with_clones() {
-        let mut m = Memory::new();
-        m.write_u64(8, 1);
-        m.begin_journal();
-        m.write_u64(8, 2);
-        let mut c = m.clone();
-        c.write_u64(8, 3);
-        assert_eq!(c.undo_journal(), 0);
-        assert_eq!(c.read_u64(8), 3);
-        // The original's episode is still armed and restores.
-        m.undo_journal();
-        assert_eq!(m.read_u64(8), 1);
-        // clone_from drops an open episode on the destination.
-        m.begin_journal();
-        m.write_u64(8, 4);
-        m.clone_from(&c);
-        assert_eq!(m.undo_journal(), 0);
-        assert_eq!(m.read_u64(8), 3);
-    }
-
-    #[test]
-    fn journal_reopen_restarts_episode() {
-        let mut m = Memory::new();
-        m.write_u64(0, 10);
-        m.begin_journal();
-        m.write_u64(0, 20);
-        m.begin_journal();
-        m.write_u64(0, 30);
-        m.undo_journal();
-        // Only the second episode unwound: 20, not 10.
-        assert_eq!(m.read_u64(0), 20);
     }
 
     #[test]

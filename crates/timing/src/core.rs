@@ -1,7 +1,9 @@
 //! The cycle-accurate out-of-order engine.
 //!
-//! Execution-driven from the functional simulator ([`rsr_func::Cpu`]): the
-//! fetch stage pulls architecturally retired records in program order and
+//! Execution-driven from the functional simulator (any
+//! [`RetireSource`]: the live [`rsr_func::Cpu`] or a recorded trace of
+//! it): the fetch stage pulls architecturally retired records in program
+//! order and
 //! times them through a 7-stage superscalar pipeline (fetch, two front-end
 //! stages, issue, execute, writeback, commit). Wrong-path instructions are
 //! not fabricated; instead a mispredicted branch stalls fetch until it
@@ -18,7 +20,7 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use rsr_branch::{PredCtrlKind, Prediction, Predictor};
 use rsr_cache::{HierAccess, MemHierarchy};
-use rsr_func::{Cpu, ExecError, Retired};
+use rsr_func::{ExecError, RetireSource, Retired};
 use rsr_isa::CtrlKind;
 
 use crate::CoreConfig;
@@ -163,8 +165,12 @@ struct Hot {
 const LINE_MASK: u64 = !63;
 
 /// Runs `n_insts` instructions through the cycle-accurate core, starting
-/// from the current architectural state of `cpu` and the current contents
-/// of `hier`/`pred` (that is exactly what warm-up policies manipulate).
+/// from the next instruction `src` retires and the current contents of
+/// `hier`/`pred` (that is exactly what warm-up policies manipulate).
+///
+/// `src` is read on the correct path only, in program order, and at most
+/// `n_insts` times, so a live [`rsr_func::Cpu`] and a
+/// [`rsr_func::RetireTrace`] recorded from it time identically.
 ///
 /// The bus clocks in `hier` are reset so the cluster starts at cycle zero;
 /// cache and predictor *state* is taken as-is.
@@ -178,14 +184,14 @@ const LINE_MASK: u64 = !63;
 ///
 /// Panics if the configuration is invalid, or on an internal scheduling
 /// deadlock (a bug, not an input condition).
-pub fn simulate_cluster(
+pub fn simulate_cluster<S: RetireSource + ?Sized>(
     cfg: &CoreConfig,
-    cpu: &mut Cpu,
+    src: &mut S,
     hier: &mut MemHierarchy,
     pred: &mut Predictor,
     n_insts: u64,
 ) -> Result<HotStats, ExecError> {
-    simulate_cluster_hooked(cfg, cpu, hier, pred, n_insts, &mut NoHook)
+    simulate_cluster_hooked(cfg, src, hier, pred, n_insts, &mut NoHook)
 }
 
 /// [`simulate_cluster`] with a [`PredictHook`] for on-demand warm-up.
@@ -205,9 +211,9 @@ pub fn simulate_cluster(
 ///
 /// Panics if the configuration is invalid, or on an internal scheduling
 /// deadlock (a bug, not an input condition).
-pub fn simulate_cluster_hooked<H: PredictHook + ?Sized>(
+pub fn simulate_cluster_hooked<S: RetireSource + ?Sized, H: PredictHook + ?Sized>(
     cfg: &CoreConfig,
-    cpu: &mut Cpu,
+    src: &mut S,
     hier: &mut MemHierarchy,
     pred: &mut Predictor,
     n_insts: u64,
@@ -255,7 +261,7 @@ pub fn simulate_cluster_hooked<H: PredictHook + ?Sized>(
     let mut cycle: u64 = 0;
     let deadlock_cap = n_insts.saturating_mul(10_000).saturating_add(1_000_000);
 
-    let seq_base = cpu.icount();
+    let seq_base = src.next_seq();
     while retired < target {
         assert!(cycle < deadlock_cap, "timing core deadlock at cycle {cycle}");
 
@@ -432,7 +438,7 @@ pub fn simulate_cluster_hooked<H: PredictHook + ?Sized>(
                 }
                 let r = match pending.take() {
                     Some(r) => r,
-                    None => match cpu.step() {
+                    None => match src.next_retired() {
                         Ok(r) => r,
                         Err(ExecError::Halted) => {
                             target = fetched;
@@ -538,6 +544,7 @@ mod tests {
     use super::*;
     use rsr_branch::PredictorConfig;
     use rsr_cache::HierarchyConfig;
+    use rsr_func::Cpu;
     use rsr_isa::{Asm, Reg};
 
     fn machine() -> (MemHierarchy, Predictor) {

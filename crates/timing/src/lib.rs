@@ -9,9 +9,11 @@
 //! drives the `rsr-cache` hierarchy and the `rsr-branch` predictor.
 //!
 //! The single entry point is [`simulate_cluster`]: run *n* instructions
-//! cycle-accurately from the current architectural (`rsr_func::Cpu`) and
-//! microarchitectural (`MemHierarchy`, `Predictor`) state — exactly the
-//! "hot" phase of sampled simulation, and all of an unsampled run.
+//! cycle-accurately from a retired-instruction source (the live
+//! `rsr_func::Cpu`, or a `rsr_func::RetireTrace` recorded from it) and the
+//! current microarchitectural (`MemHierarchy`, `Predictor`) state —
+//! exactly the "hot" phase of sampled simulation, and all of an unsampled
+//! run.
 //!
 //! The cluster loop is event-driven: per-cycle work follows the events in
 //! the cycle (a completion, an issue, a commit, a fetch group), never a

@@ -3,11 +3,11 @@
 use rsr_branch::{Predictor, PredictorConfig};
 use rsr_cache::{HierarchyConfig, MemHierarchy};
 use rsr_core::{
-    reconstruct_caches_partitioned, BpReconstructor, Pct, SamplingRegimen, SimError, SkipLog,
-    WarmupPolicy,
+    reconstruct_caches_partitioned, BpReconstructor, ColdSpec, DetailSpec, Pct, RunSpec,
+    SamplingRegimen, SimError, SkipLog, SweepSpec, WarmupPolicy,
 };
 use rsr_func::Cpu;
-use rsr_integration::{sample, tiny};
+use rsr_integration::{machine, sample, tiny};
 use rsr_isa::{Asm, Reg};
 use rsr_timing::{simulate_cluster_hooked, CoreConfig};
 use rsr_workloads::Benchmark;
@@ -75,6 +75,18 @@ fn halting_program_inside_schedule_is_an_error() {
     let err =
         sample(&program, SamplingRegimen::new(4, 100), 10_000, WarmupPolicy::None, 1).unwrap_err();
     assert!(matches!(err, SimError::Exec(_)), "got {err:?}");
+
+    // The decoupled engines ship clusters as recorded traces; the halt
+    // must surface as the same typed error through them.
+    let cold = || {
+        ColdSpec::new(&program).regimen(SamplingRegimen::new(4, 100)).total_insts(10_000).seed(1)
+    };
+    let detail = || DetailSpec::new(&machine()).policy(WarmupPolicy::None);
+    let piped = RunSpec::from_parts(cold(), detail().pipeline_depth(2)).run().unwrap_err();
+    assert_eq!(piped, err, "depth 2");
+    let swept =
+        SweepSpec::new(cold()).config("a", detail()).config("b", detail()).run().unwrap_err();
+    assert_eq!(swept, err, "2-config sweep");
 }
 
 #[test]

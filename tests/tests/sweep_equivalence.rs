@@ -1,8 +1,8 @@
 //! The design-space sweep engine: one cold pass, N detailed configs,
 //! every per-config outcome bit-identical to its standalone run.
 //!
-//! `SweepSpec` shares one functional capture (CPU snapshots + sealed skip
-//! logs behind `Arc`) across all configs, then replays the detailed half
+//! `SweepSpec` shares one functional capture (cluster retire traces +
+//! sealed skip logs behind `Arc`) across all configs, then replays the detailed half
 //! per config through the same `detailed_window` code path the standalone
 //! engines use. The contract mirrors the pipeline's: the sweep is a pure
 //! wall-clock optimization, so for every config and every parallelism
@@ -174,9 +174,9 @@ fn sweep_outcomes_are_bit_identical_to_standalone_runs() {
 fn replay_fanout_is_bit_identical_at_any_width() {
     // The config-parallel replay contract: worker chunks own their
     // configs' state for the whole shard, so per-config outcomes are
-    // bit-identical at every fan-out — serial with journaled in-place
-    // restore (1), an uneven partition (3 → chunks of 2/1/1), and one
-    // config per clone-restoring worker (4). Composed with capture
+    // bit-identical at every fan-out — serial (1), an uneven partition
+    // (3 → chunks of 2/1/1), and one config per worker (4), every chunk
+    // replaying the same shared traces. Composed with capture
     // threads to cover the (threads × replay) product the CI smoke also
     // probes.
     let bases: Vec<(String, SampleOutcome)> = config_axis()
@@ -372,4 +372,67 @@ fn amortization_beats_standalone_accounting() {
         out.configs.len()
     );
     assert!(out.cold_wall <= out.wall, "cold pass is part of the sweep wall");
+}
+
+/// A serial sweep (`replay_threads = 1`) and a fan-out of one config per
+/// worker (4) under an optional log budget and fault plan.
+fn sweep_pair(budget: Option<usize>, plan: Option<FaultPlan>) -> [SweepOutcome; 2] {
+    [1usize, 4].map(|replay| {
+        let mut cold = cold();
+        if let Some(b) = budget {
+            cold = cold.log_budget_bytes(b);
+        }
+        if let Some(p) = plan.clone() {
+            cold = cold.fault_plan(p).max_shard_retries(1);
+        }
+        let mut sweep = SweepSpec::new(cold).replay_threads(replay);
+        for (name, m, policy) in config_axis() {
+            sweep = sweep.config(name, DetailSpec::new(&m).policy(policy));
+        }
+        let out = sweep.run().expect("sweep completes");
+        assert_eq!(out.replay_threads, replay, "explicit width is honored");
+        out
+    })
+}
+
+#[test]
+fn replay_widths_agree_under_log_budget_truncation() {
+    // Serial replay and one config per worker read the same shared traces
+    // and indexes: every deterministic field agrees, with and without
+    // budget-truncated logs.
+    for budget in [None, Some(3_000)] {
+        let [serial, fanned] = sweep_pair(budget, None);
+        if budget.is_none() {
+            assert!(serial.index_builds_shared > 0, "memo must share index builds");
+            assert_eq!(serial.index_builds, fanned.index_builds, "builds are width-independent");
+            assert_eq!(serial.index_builds_shared, fanned.index_builds_shared);
+        } else {
+            // A 3 KB budget truncates regions at this scale: every config
+            // degrades clusters to stale state.
+            assert!(serial.configs.iter().all(|c| c.outcome.clusters_degraded > 0));
+        }
+        for (s, f) in serial.configs.iter().zip(&fanned.configs) {
+            assert_eq!(s.name, f.name);
+            assert_equivalent(
+                &s.outcome,
+                &f.outcome,
+                &format!("{} at replay 1 vs 4 (budget {budget:?})", s.name),
+            );
+        }
+    }
+}
+
+#[test]
+fn replay_widths_heal_shard_faults_identically() {
+    // A worker panic in the fused capture+replay pass heals by one retry
+    // at either replay width, to the fault-free outcome.
+    let plan = FaultPlan::new().with(FaultKind::WorkerPanic, 0);
+    let [serial, fanned] = sweep_pair(None, Some(plan));
+    assert_eq!(serial.shard_retries, 1, "exactly one healed retry");
+    assert_eq!(fanned.shard_retries, 1, "exactly one healed retry");
+    let [clean, _] = sweep_pair(None, None);
+    for ((s, f), c) in serial.configs.iter().zip(&fanned.configs).zip(&clean.configs) {
+        assert_equivalent(&s.outcome, &f.outcome, &format!("{} healed, replay 1 vs 4", s.name));
+        assert_equivalent(&s.outcome, &c.outcome, &format!("{} healed vs clean", s.name));
+    }
 }
