@@ -64,6 +64,13 @@ cargo test -q -p rsr-integration --test trace_equivalence
 # The nine-workload matrix, by name: pipeline depth {1, 2} and sweep
 # replay width {1, 4} must equal the standalone run on every workload.
 cargo test -q -p rsr-integration --test workload_matrix
+# The warm-equivalence suite, by name: the inlined SMARTS warmer, which
+# skips a fetch probe that repeats the previous fetch's I-cache line, must
+# match the per-instruction reference warmer (tests/src/oracle/warm.rs) in
+# est_ipc, per-cluster CPIs and warm_updates on all nine workloads, and in
+# every cache set and the whole predictor on geometries where a next-line
+# prefetch demotes or evicts the line just fetched.
+cargo test -q -p rsr-integration --test warm_equivalence
 cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
 # Hard gate: the core engine and its deps must fail typed, not panic.

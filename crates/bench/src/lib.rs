@@ -28,12 +28,17 @@
 //!   Rust cache/predictor update path is nearly as cheap as a log append,
 //!   so wall-clock speedups of RSR over SMARTS are attenuated relative to
 //!   the paper (whose SimpleScalar-based warming was far more expensive
-//!   than functional execution).
+//!   than functional execution). SMARTS warming here skips the I-cache
+//!   probe of a fetch that repeats the previous fetch's line, which leaves
+//!   every structure's state identical; the wall column does not charge
+//!   SMARTS for probes that change nothing.
 //! * **model** — the same run costed with the paper's own aggregate cost
 //!   structure (derived from its appendix totals: None ≈ 772 s, S$BP ≈
 //!   1985 s, R$BP(20%) ≈ 1210 s over the same workloads), i.e. functional
 //!   execution at 1 unit/instruction, warm updates at
-//!   [`WARM_UPDATE_UNITS`], log appends at [`LOG_RECORD_UNITS`], and
+//!   [`WARM_UPDATE_UNITS`] (`SampleOutcome::warm_updates` still counts one
+//!   per fetch, skipped probes included), log appends at
+//!   [`LOG_RECORD_UNITS`], and
 //!   reconstruction ops at warm cost; hot time is taken as measured. This
 //!   shows the algorithmic work reduction RSR achieves independent of host
 //!   implementation details.

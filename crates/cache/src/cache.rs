@@ -931,4 +931,52 @@ mod tests {
         assert_eq!(c.stats().miss_ratio(), 0.5);
         assert_eq!(CacheStats::default().miss_ratio(), 0.0);
     }
+
+    /// A read that hits the set's rank-0 (MRU) way changes no line state:
+    /// tags, ranks, valid and dirty bits and reconstructed marks stay put,
+    /// and only the hit counters move. SMARTS warming relies on this to
+    /// skip a fetch probe that repeats the previous fetch's I-cache line.
+    #[test]
+    fn read_hit_on_the_mru_way_moves_only_the_counters() {
+        // Everything the cache holds but its counters.
+        fn line_state(c: &Cache) -> String {
+            let mut c = c.clone();
+            c.reset_stats();
+            format!("{c:?}")
+        }
+        // Direct-mapped, small, and wide (two mask words per set) sets, under
+        // both write policies; writes leave dirty lines behind in WBWA.
+        for assoc in [1, 2, 4, 80] {
+            for policy in [WritePolicy::WriteBackAllocate, WritePolicy::WriteThroughNoAllocate] {
+                let mut c = Cache::new(CacheConfig {
+                    name: "M".into(),
+                    size_bytes: 4 * assoc as u64 * 64,
+                    assoc,
+                    line_bytes: 64,
+                    write_policy: policy,
+                    hit_latency: 1,
+                });
+                for k in 0..3 * assoc as u64 {
+                    let kind = if k % 3 == 0 { AccessKind::Write } else { AccessKind::Read };
+                    c.access(addr(k % 4, k / 2), kind);
+                }
+                c.begin_reconstruction();
+                c.reconstruct_ref(addr(1, 0));
+                for set in 0..4 {
+                    let Some(mru) = c.set_tags_mru_order(set).first().copied() else {
+                        continue;
+                    };
+                    let before = line_state(&c);
+                    let stats = c.stats();
+                    let out = c.access(addr(set as u64, mru), AccessKind::Read);
+                    assert_eq!(out, AccessOutcome { hit: true, filled: false, writeback: None });
+                    assert_eq!(line_state(&c), before, "assoc {assoc}, {policy:?}, set {set}");
+                    let after = c.stats();
+                    assert_eq!(after.accesses, stats.accesses + 1);
+                    assert_eq!(after.hits, stats.hits + 1);
+                    assert_eq!((after.misses, after.fills), (stats.misses, stats.fills));
+                }
+            }
+        }
+    }
 }

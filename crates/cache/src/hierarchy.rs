@@ -258,9 +258,10 @@ impl MemHierarchy {
 
     /// Applies the state update of an access with no timing — the SMARTS
     /// functional-warming path. LRU, allocation, and dirty bits move exactly
-    /// as in [`MemHierarchy::access`].
+    /// as in [`MemHierarchy::access`]. Returns whether the access hit in its
+    /// L1.
     #[inline]
-    pub fn warm_access(&mut self, addr: Addr, kind: HierAccess) {
+    pub fn warm_access(&mut self, addr: Addr, kind: HierAccess) -> bool {
         let (l1, access_kind) = match kind {
             HierAccess::Fetch => (&mut self.l1i, AccessKind::Read),
             HierAccess::Load => (&mut self.l1d, AccessKind::Read),
@@ -285,12 +286,7 @@ impl MemHierarchy {
                 self.l2.access(next, AccessKind::Read);
             }
         }
-    }
-
-    /// Warms only the data side (loads/stores), leaving the I-cache alone.
-    /// Used by cache-only warm-up variants for data references.
-    pub fn warm_data(&mut self, addr: Addr, is_store: bool) {
-        self.warm_access(addr, if is_store { HierAccess::Store } else { HierAccess::Load });
+        out.hit
     }
 }
 

@@ -14,12 +14,12 @@ use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use rsr_branch::{PredCtrlKind, Predictor, PredictorConfig};
+use rsr_branch::{Predictor, PredictorConfig};
 use rsr_cache::{HierAccess, HierarchyConfig, MemHierarchy};
-use rsr_func::{Cpu, ExecError, LoadError, RetireSource, RetireTrace, Retired};
-use rsr_isa::{CtrlKind, Program};
+use rsr_func::{Cpu, ExecError, LoadError, RetireSink, RetireSource, RetireTrace, Retired};
+use rsr_isa::Program;
 use rsr_stats::ClusterSample;
-use rsr_timing::{simulate_cluster, simulate_cluster_hooked, CoreConfig, HotStats};
+use rsr_timing::{simulate_cluster, simulate_cluster_hooked, to_pred_kind, CoreConfig, HotStats};
 
 use crate::fault::FaultInjector;
 use crate::log::{LogPool, ReconGeometry, ReconIndex};
@@ -247,7 +247,9 @@ pub struct SampleOutcome {
     pub log_records: u64,
     /// Functional warm updates applied (SMARTS/fixed-period warming): one
     /// per instruction fetch plus one per memory reference plus one per
-    /// branch.
+    /// branch. This is the paper's nominal count: a fetch that repeats the
+    /// previous fetch's I-cache line counts here even though the warmer
+    /// skips its probe, which would change no state.
     pub warm_updates: u64,
     /// Aggregated reconstruction counters (zero for non-RSR policies).
     pub recon: ReconStats,
@@ -382,38 +384,85 @@ impl FullOutcome {
     }
 }
 
-fn to_pred_kind(kind: CtrlKind) -> PredCtrlKind {
-    match kind {
-        CtrlKind::CondBranch => PredCtrlKind::CondBranch,
-        CtrlKind::Jump => PredCtrlKind::Jump,
-        CtrlKind::Call => PredCtrlKind::Call,
-        CtrlKind::IndirectCall => PredCtrlKind::IndirectCall,
-        CtrlKind::Return => PredCtrlKind::Return,
-        CtrlKind::IndirectJump => PredCtrlKind::IndirectJump,
+/// Sentinel for "no fetch line known to be MRU": no 4-byte-aligned PC
+/// falls in it.
+const NO_LINE: u64 = u64::MAX;
+
+/// SMARTS functional warming, as a [`RetireSink`] fused into the functional
+/// core's dispatch loop.
+///
+/// Full functional warming is deliberately "heavy-handed" (the paper's
+/// words): every instruction fetch, memory operation and branch is
+/// applied, exactly as SimpleScalar-style functional warming does, and
+/// [`Warmer::updates`] counts each one. RSR's logger, by contrast, records
+/// instruction references only at line granularity — that asymmetry *is*
+/// the storage-for-speed trade the paper describes.
+///
+/// One shortcut leaves the state bit for bit the same: a fetch in the same
+/// L1I line as the previous fetch is counted but not probed. Between two
+/// fetches only fetches touch the L1I, so that line is still the MRU way
+/// of its set, and a hit on the MRU way moves only the cache's hit
+/// counters, which no outcome reads. The exception is a fetch miss under
+/// `prefetch_next_line`: the prefetched line can land in the same set and
+/// demote the fetched one, so the warmer then forgets it. A warmer lives
+/// for one skip region; the hot cluster between regions touches the L1I.
+struct Warmer<'a> {
+    hier: &'a mut MemHierarchy,
+    pred: &'a mut Predictor,
+    cache: bool,
+    bp: bool,
+    /// Clears the offset bits of an address within its L1I line.
+    line_mask: u64,
+    prefetch: bool,
+    /// The line of the previous fetch while it is the MRU way of its set,
+    /// else [`NO_LINE`].
+    mru_line: u64,
+    /// Warm updates applied: one per instruction fetch plus one per memory
+    /// reference when `cache` is set, plus one per branch when `bp` is.
+    updates: u64,
+}
+
+impl RetireSink for Warmer<'_> {
+    #[inline(always)]
+    fn retire(&mut self, r: &Retired) {
+        if self.cache {
+            let line = r.pc & self.line_mask;
+            if line != self.mru_line {
+                let hit = self.hier.warm_access(r.pc, HierAccess::Fetch);
+                self.mru_line = if hit || !self.prefetch { line } else { NO_LINE };
+            }
+            self.updates += 1;
+            if let Some(m) = r.mem {
+                let kind = if m.is_store { HierAccess::Store } else { HierAccess::Load };
+                self.hier.warm_access(m.addr, kind);
+                self.updates += 1;
+            }
+        }
+        if self.bp {
+            if let Some(b) = r.branch {
+                self.pred.warm_update(r.pc, to_pred_kind(b.kind), b.taken, b.target);
+                self.updates += 1;
+            }
+        }
     }
 }
 
-/// Applies one retired instruction's SMARTS functional warming.
-///
-/// Full functional warming is deliberately "heavy-handed" (the paper's
-/// words): every instruction fetch probes the I-cache and every memory
-/// operation and branch is applied, exactly as SimpleScalar-style
-/// functional warming does. RSR's logger, by contrast, records instruction
-/// references only at line granularity — that asymmetry *is* the
-/// storage-for-speed trade the paper describes.
-#[inline]
-fn warm_one(r: &Retired, hier: &mut MemHierarchy, pred: &mut Predictor, cache: bool, bp: bool) {
-    if cache {
-        hier.warm_access(r.pc, HierAccess::Fetch);
-        if let Some(m) = r.mem {
-            hier.warm_access(m.addr, if m.is_store { HierAccess::Store } else { HierAccess::Load });
-        }
-    }
-    if bp {
-        if let Some(b) = r.branch {
-            pred.warm_update(r.pc, to_pred_kind(b.kind), b.taken, b.target);
-        }
-    }
+/// Steps `n` instructions with SMARTS functional warming of the caches
+/// (`cache`) and the predictor (`bp`); returns the warm updates applied.
+fn warm_region(
+    cpu: &mut Cpu,
+    hier: &mut MemHierarchy,
+    pred: &mut Predictor,
+    n: u64,
+    cache: bool,
+    bp: bool,
+) -> Result<u64, ExecError> {
+    let line_mask = !(hier.l1i.config().line_bytes - 1);
+    let prefetch = hier.config().prefetch_next_line;
+    let mut warmer =
+        Warmer { hier, pred, cache, bp, line_mask, prefetch, mru_line: NO_LINE, updates: 0 };
+    cpu.step_n_sink(n, &mut warmer)?;
+    Ok(warmer.updates)
 }
 
 /// Can `policy`'s skip-region work run decoupled from the detailed
@@ -629,13 +678,7 @@ pub(crate) fn run_windows(
             }
             WarmupPolicy::Smarts { cache, bp } => {
                 let t = Instant::now();
-                let mut updates = 0u64;
-                cpu.step_n(skip, |r| {
-                    warm_one(r, &mut hier, &mut pred, cache, bp);
-                    updates += cache as u64 * (1 + r.mem.is_some() as u64)
-                        + (bp && r.branch.is_some()) as u64;
-                })?;
-                outcome.warm_updates += updates;
+                outcome.warm_updates += warm_region(cpu, &mut hier, &mut pred, skip, cache, bp)?;
                 outcome.phases.warm += t.elapsed();
             }
             WarmupPolicy::FixedPeriod { pct } => {
@@ -645,12 +688,8 @@ pub(crate) fn run_windows(
                 cpu.step_n(cold_part, |_| ())?;
                 outcome.phases.cold += t.elapsed();
                 let t = Instant::now();
-                let mut updates = 0u64;
-                cpu.step_n(warm_part, |r| {
-                    warm_one(r, &mut hier, &mut pred, true, true);
-                    updates += 1 + r.mem.is_some() as u64 + r.branch.is_some() as u64;
-                })?;
-                outcome.warm_updates += updates;
+                outcome.warm_updates +=
+                    warm_region(cpu, &mut hier, &mut pred, warm_part, true, true)?;
                 outcome.phases.warm += t.elapsed();
             }
             WarmupPolicy::Reverse { cache, bp, .. } => {
@@ -684,12 +723,7 @@ pub(crate) fn run_windows(
                 cpu.step_n(skip - window, |_| ())?;
                 outcome.phases.cold += t.elapsed();
                 let t = Instant::now();
-                let mut updates = 0u64;
-                cpu.step_n(window, |r| {
-                    warm_one(r, &mut hier, &mut pred, true, true);
-                    updates += 1 + r.mem.is_some() as u64 + r.branch.is_some() as u64;
-                })?;
-                outcome.warm_updates += updates;
+                outcome.warm_updates += warm_region(cpu, &mut hier, &mut pred, window, true, true)?;
                 outcome.phases.warm += t.elapsed();
             }
         }
@@ -969,7 +1003,10 @@ pub fn skip_with(cpu: &mut Cpu, n: u64, action: impl FnMut(&Retired)) -> Result<
 }
 
 /// SMARTS-style functional warming of both structures while skipping
-/// (used by the SimPoint comparison's `-SMARTS` variants).
+/// (used by the SimPoint comparison's `-SMARTS` variants and checkpoint
+/// replay). Leaves the hierarchy and predictor exactly as warming every
+/// instruction one by one would; only the L1I's hit counters may read
+/// lower (see the sampled engine's warmer).
 ///
 /// # Errors
 ///
@@ -980,7 +1017,7 @@ pub fn skip_with_smarts_warming(
     pred: &mut Predictor,
     n: u64,
 ) -> Result<(), ExecError> {
-    cpu.step_n(n, |r| warm_one(r, hier, pred, true, true))
+    warm_region(cpu, hier, pred, n, true, true).map(|_| ())
 }
 
 #[cfg(test)]

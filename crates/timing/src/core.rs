@@ -70,7 +70,11 @@ impl HotStats {
     }
 }
 
-fn to_pred_kind(kind: CtrlKind) -> PredCtrlKind {
+/// The predictor's mirror of an ISA control-transfer kind. `rsr-branch`
+/// keeps its own copy of the enum to stay free of the ISA dependency; this
+/// is the one conversion between the two.
+#[inline]
+pub fn to_pred_kind(kind: CtrlKind) -> PredCtrlKind {
     match kind {
         CtrlKind::CondBranch => PredCtrlKind::CondBranch,
         CtrlKind::Jump => PredCtrlKind::Jump,

@@ -50,4 +50,6 @@ mod config;
 mod core;
 
 pub use crate::config::CoreConfig;
-pub use crate::core::{simulate_cluster, simulate_cluster_hooked, HotStats, NoHook, PredictHook};
+pub use crate::core::{
+    simulate_cluster, simulate_cluster_hooked, to_pred_kind, HotStats, NoHook, PredictHook,
+};

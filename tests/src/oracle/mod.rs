@@ -4,8 +4,9 @@
 //! ships in a faster shape: the array-of-structs cache and predictor
 //! structures behind the SoA kernels, the sequential full reverse scan
 //! and demand-driven counter inference behind the sealed-index
-//! reconstruction, and the ROB-scanning cluster loop behind the
-//! event-driven timing core. They live here, not in the library's API,
+//! reconstruction, the ROB-scanning cluster loop behind the event-driven
+//! timing core, and the per-instruction warming loop behind the inlined
+//! SMARTS warmer. They live here, not in the library's API,
 //! because production never runs them; the equivalence suites require
 //! the two sides to agree bit for bit.
 
@@ -13,8 +14,10 @@ mod branch;
 mod cache;
 mod reverse;
 mod timing;
+mod warm;
 
 pub use branch::{RefBtb, RefGshare, RefRas};
 pub use cache::RefCache;
 pub use reverse::{reconstruct_caches, RefBpReconstructor};
 pub use timing::ref_simulate_cluster;
+pub use warm::ref_warm;

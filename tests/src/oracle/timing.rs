@@ -13,19 +13,8 @@ use std::collections::{BTreeSet, VecDeque};
 use rsr_branch::{PredCtrlKind, Prediction, Predictor};
 use rsr_cache::{HierAccess, MemHierarchy};
 use rsr_func::{Cpu, ExecError, Retired};
-use rsr_isa::{CtrlKind, OpClass};
-use rsr_timing::{CoreConfig, HotStats, PredictHook};
-
-fn to_pred_kind(kind: CtrlKind) -> PredCtrlKind {
-    match kind {
-        CtrlKind::CondBranch => PredCtrlKind::CondBranch,
-        CtrlKind::Jump => PredCtrlKind::Jump,
-        CtrlKind::Call => PredCtrlKind::Call,
-        CtrlKind::IndirectCall => PredCtrlKind::IndirectCall,
-        CtrlKind::Return => PredCtrlKind::Return,
-        CtrlKind::IndirectJump => PredCtrlKind::IndirectJump,
-    }
-}
+use rsr_isa::OpClass;
+use rsr_timing::{to_pred_kind, CoreConfig, HotStats, PredictHook};
 
 /// Unified register id space: integer `x1..x31` → `1..=31`, floating-point
 /// `f0..f31` → `32..=63`. `x0` maps to `None` (never a dependency).

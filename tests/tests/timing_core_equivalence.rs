@@ -254,7 +254,7 @@ fn start(program: &Program, skip: u64, small: bool, log: Option<Pct>) -> Start {
         let r = cpu.step().expect("skip stops short of halt");
         hier.warm_access(r.pc, HierAccess::Fetch);
         if let Some(m) = r.mem {
-            hier.warm_data(m.addr, m.is_store);
+            hier.warm_access(m.addr, if m.is_store { HierAccess::Store } else { HierAccess::Load });
         }
         skip_log.record(&r);
     }
