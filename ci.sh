@@ -47,7 +47,7 @@ cargo test -q -p rsr-integration --test func_equivalence
 # packed gshare, bitset BTB, and inline RAS must stay bit-identical to
 # the tests-crate reference structures (tests/src/oracle/) over random
 # access streams, reverse reconstruction with budget cuts, and real
-# skip-log replays (ext-spill records, over-budget truncation).
+# skip-log replays (wide-PC records, over-budget truncation).
 cargo test -q -p rsr-integration --test timing_equivalence
 # The timing-core equivalence suite, by name: the event-driven cluster
 # loop (ROB ring, completion heap, operand wakeup, age-ordered issue and
@@ -102,15 +102,21 @@ if ./target/release/rsr bench --scale 0.05 --out target/BENCH_sample.smoke.json;
   # functional core. These pins were produced by the reference
   # one-instruction-at-a-time interpreter at scale 0.05; any drift means
   # the superblock fast path, the semantic predecode, or the TLB layer
-  # changed an architectural result.
+  # changed an architectural result. The peak logged bytes are 8 per
+  # record of the largest skip region, so that pin moves only with the
+  # record layout.
   smoke_ipc=$(grep -m1 '"est_ipc"' target/BENCH_sample.smoke.json | sed 's/[^0-9.]//g')
   smoke_records=$(grep -m1 '"log_records"' target/BENCH_sample.smoke.json | sed 's/[^0-9.]//g')
-  if [ "$smoke_ipc" != "0.033058" ] || [ "$smoke_records" != "730655" ]; then
+  smoke_bytes=$(grep -m1 '"log_bytes_peak"' target/BENCH_sample.smoke.json | sed 's/[^0-9.]//g')
+  if [ "$smoke_ipc" != "0.033058" ] || [ "$smoke_records" != "730655" ] \
+    || [ "$smoke_bytes" != "2947928" ]; then
     echo "ci: functional bit-identity broken: est_ipc $smoke_ipc (want 0.033058)," \
-      "log_records $smoke_records (want 730655)"
+      "log_records $smoke_records (want 730655)," \
+      "log_bytes_peak $smoke_bytes (want 2947928)"
     exit 1
   fi
-  echo "ci: functional bit-identity ok: est_ipc $smoke_ipc, log_records $smoke_records"
+  echo "ci: functional bit-identity ok: est_ipc $smoke_ipc, log_records $smoke_records," \
+    "log_bytes_peak $smoke_bytes"
 
   # Cold-MIPS floor: the rebuilt functional core holds >= 51 MIPS on this
   # smoke load (2.4x the pre-rebuild 21); gate at 30 to leave headroom

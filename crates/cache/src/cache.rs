@@ -640,9 +640,9 @@ impl Cache {
         }
     }
 
-    /// Content of one set as `(tag, valid, rank, reconstructed)` tuples, for
-    /// tests and debugging.
-    pub fn dump_set(&self, set: usize) -> Vec<(u64, bool, u8, bool)> {
+    /// Content of one set, one [`WayDump`] per way, for tests and
+    /// debugging.
+    pub fn dump_set(&self, set: usize) -> Vec<WayDump> {
         let assoc = self.cfg.assoc;
         let base = set * assoc;
         (0..assoc)
@@ -650,6 +650,7 @@ impl Cache {
                 (
                     self.tags[base + w],
                     bit_get(&self.valid, self.mask_stride, set, w),
+                    bit_get(&self.dirty, self.mask_stride, set, w),
                     self.ranks[base + w],
                     self.recon_seq[base + w] != NOT_RECON,
                 )
@@ -679,6 +680,10 @@ fn ones(n: usize) -> u64 {
         (1u64 << n) - 1
     }
 }
+
+/// One way of a set as [`Cache::dump_set`] reports it:
+/// `(tag, valid, dirty, rank, reconstructed)`.
+pub type WayDump = (u64, bool, bool, u8, bool);
 
 /// Result of replaying one set's logged references through
 /// [`Cache::reconstruct_span`].

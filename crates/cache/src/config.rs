@@ -12,6 +12,9 @@ pub enum WritePolicy {
 /// Largest supported associativity (see [`CacheConfig::validate`]).
 const MAX_ASSOC: usize = u8::MAX as usize;
 
+/// Smallest supported line: 4 B.
+const MIN_LINE_BYTES: u64 = 4;
+
 /// Geometry and policy of a single cache.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CacheConfig {
@@ -78,12 +81,15 @@ impl CacheConfig {
         (self.size_bytes / (self.assoc as u64 * self.line_bytes)) as usize
     }
 
-    /// Checks the geometry: power-of-two line size and set count,
-    /// associativity in `1..=255`, capacity divisible by `assoc * line_bytes`.
+    /// Checks the geometry: power-of-two line size of at least 4 B and
+    /// power-of-two set count, associativity in `1..=255`, capacity
+    /// divisible by `assoc * line_bytes`.
     ///
     /// The associativity bound is the cache's per-line state width: LRU
     /// ranks, reconstruction order and per-set reconstruction counts are
-    /// `u8`, and 255 is the "not reconstructed" sentinel.
+    /// `u8`, and 255 is the "not reconstructed" sentinel. The line bound
+    /// keeps an address's two low bits inside its line offset, where the
+    /// skip log stores a record's entry type.
     ///
     /// # Errors
     ///
@@ -100,6 +106,12 @@ impl CacheConfig {
         }
         if !self.line_bytes.is_power_of_two() {
             return Err(format!("{}: line size must be a power of two", self.name));
+        }
+        if self.line_bytes < MIN_LINE_BYTES {
+            return Err(format!(
+                "{}: line size {} is under the {MIN_LINE_BYTES} B minimum",
+                self.name, self.line_bytes
+            ));
         }
         let way_bytes = self.assoc as u64 * self.line_bytes;
         if self.size_bytes == 0 || !self.size_bytes.is_multiple_of(way_bytes) {
@@ -142,6 +154,23 @@ mod tests {
         assert!(c.validate().is_err());
 
         assert!(CacheConfig::paper_l2().validate().is_ok());
+    }
+
+    #[test]
+    fn lines_under_four_bytes_are_rejected() {
+        let line = |line_bytes: u64| CacheConfig {
+            name: "L".into(),
+            size_bytes: 64 * line_bytes,
+            assoc: 2,
+            line_bytes,
+            write_policy: WritePolicy::WriteBackAllocate,
+            hit_latency: 1,
+        };
+        assert!(line(4).validate().is_ok());
+        for bytes in [1, 2] {
+            let e = line(bytes).validate().unwrap_err();
+            assert!(e.contains(&format!("line size {bytes} is under the 4 B minimum")), "{e}");
+        }
     }
 
     #[test]

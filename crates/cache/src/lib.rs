@@ -28,7 +28,9 @@ mod hierarchy;
 mod sampling;
 
 pub use bus::{Bus, BusConfig, BusStats};
-pub use cache::{AccessKind, AccessOutcome, Addr, Cache, CacheStats, ReconOutcome, SpanOutcome};
+pub use cache::{
+    AccessKind, AccessOutcome, Addr, Cache, CacheStats, ReconOutcome, SpanOutcome, WayDump,
+};
 pub use config::{CacheConfig, WritePolicy};
 pub use hierarchy::{HierAccess, HierarchyConfig, HierarchyStats, MemHierarchy};
 pub use sampling::{SetSampleStats, SetSampledCache};

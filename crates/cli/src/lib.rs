@@ -728,7 +728,7 @@ mod tests {
     fn exit_codes_partition_error_classes() {
         let usage = CliError::from(UsageError("nope".into()));
         assert_eq!(usage.exit_code(), 2);
-        let load = LoadError { addr: 0, cause: rsr_isa::DecodeError { word: 0 } };
+        let load = LoadError::Decode { addr: 0, cause: rsr_isa::DecodeError { word: 0 } };
         assert_eq!(CliError::from(SimError::Load(load)).exit_code(), 3);
         assert_eq!(CliError::from(SimError::Exec(ExecError::Halted)).exit_code(), 4);
         assert_eq!(CliError::from(SimError::Spec("bad")).exit_code(), 5);

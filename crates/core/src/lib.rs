@@ -61,7 +61,7 @@ mod sweep;
 pub use crate::fault::{
     Fault, FaultInjector, FaultKind, FaultPlan, SLOW_SHARD_DELAY, STALL_JOB_DELAY,
 };
-pub use crate::log::{BranchRecord, LogPool, MemRecord, ReconGeometry, SkipLog};
+pub use crate::log::{BranchRecord, LogPool, ReconGeometry, SkipLog, RECORD_BYTES};
 pub use crate::policy::{Pct, WarmupPolicy};
 pub use crate::profiled::{profile_reuse, ReusePolicy, ReuseProfile};
 pub use crate::regimen::{ClusterWindow, SamplingRegimen, Schedule};

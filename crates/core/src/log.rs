@@ -1,12 +1,10 @@
 //! Skip-region logging (paper §3: "While skipping between clusters, the
 //! data necessary for reconstruction are recorded").
 //!
-//! Memory records keep the paper's fields — current PC, next PC, the
-//! data/instruction address, an entry-type flag (instruction vs. data) and a
-//! reference-type flag (load vs. store). Branch records keep PC, next PC,
-//! outcome, target, and the control kind (the paper's "opcode, source
-//! register, and instruction flags" distill to exactly the kind: what the
-//! predictor must do with the record).
+//! The paper's records carry the current PC, the next PC, the referenced
+//! address and two flags (instruction vs. data, load vs. store) for memory,
+//! and PC, next PC, outcome, target and control kind for branches. This
+//! log keeps only the fields reconstruction reads.
 //!
 //! Instruction references are logged at cache-line granularity (a record is
 //! appended only when fetch crosses into a different line) — reconstruction
@@ -15,32 +13,34 @@
 //! # Packed representation
 //!
 //! The log runs once per retired instruction over ~99 % of the program, so
-//! its resident size and append cost dominate the cold phase. Records are
-//! therefore stored as packed structure-of-arrays columns instead of padded
-//! 32-byte structs:
+//! its resident size and append cost dominate the cold phase. Every record
+//! is therefore one `u64` word:
 //!
-//! * memory references: a `u64` address column, a `u32` side column, and a
-//!   2-bit-per-record tag bitmap (`is_inst`, `is_store`) — 12.25 bytes per
-//!   record. The side column holds the one field not derivable from the
-//!   address: `next_pc` for fetch records (whose `pc == addr` by
-//!   construction) and `pc` for data records (whose `next_pc == pc + 4`,
-//!   since loads and stores never branch).
-//! * branches: 16-byte [`PackedBranch`] records — the 64-bit target, a
-//!   32-bit PC, and kind+outcome folded into one meta byte. `next_pc` is
-//!   derived as `target` if taken, else `pc + 4`.
+//! * a memory record is the referenced address with `is_inst` folded into
+//!   bit 0. Reconstruction is line-granular and lines are at least 4 B
+//!   (`rsr_cache::CacheConfig::validate`), so the bit never moves a
+//!   reference to another line. The load/store flag and the PCs are not
+//!   kept: no reverse walk reads them.
+//! * a branch record packs the 32-bit PC (high half) and the 32-bit
+//!   taken-path target (low half). Both are 4-byte aligned, so their two
+//!   alignment bits each carry the outcome and the control kind.
+//!   `next_pc` is derived: `target` if taken, else `pc + 4`.
 //!
-//! Records that defy these derivations (possible only for synthetic
-//! [`Retired`] streams, never for instructions the functional CPU retires)
-//! spill their full `pc`/`next_pc` into small side tables, so the packing
-//! is lossless for *any* record stream. Consumers materialize full
-//! [`MemRecord`]/[`BranchRecord`] values through [`SkipLog::mem_records`],
-//! [`SkipLog::branch_records`], and the indexed accessors;
-//! [`SkipLog::mem_refs_rev`] is the newest-first reference view, which
-//! touches only the address and tag columns.
+//! Branch PCs and direct targets always fit: [`Cpu::new`] rejects a program
+//! whose text, or any direct transfer's target, does not fit in 32 bits
+//! with 4-byte alignment. An indirect transfer can still compute an
+//! unrepresentable target. Its record then keeps a truncated target, and
+//! the CPU faults at the very next fetch (that target lies outside the
+//! text), so the run fails and no outcome is ever built from the record.
 //!
 //! Byte accounting ([`SkipLog::approx_bytes`], the budget check, and
-//! [`SkipLog::peak_bytes`]) is maintained incrementally — O(1) per append,
-//! nothing recomputed — and always describes the *whole logged stream*.
+//! [`SkipLog::peak_bytes`]) is [`RECORD_BYTES`] per record, derived from
+//! the record counters, and always describes the *whole logged stream*.
+//!
+//! The log holds records only. The reconstruction index over them is
+//! built by the side that reads it: the detailed follower and the sweep
+//! replay seal each window into scratch they own (see [`ReconIndex`]). The
+//! log's own boxed index exists only for the public `seal_*` calls.
 //!
 //! # Window retention
 //!
@@ -63,22 +63,8 @@ use rsr_isa::{Addr, CtrlKind};
 
 use crate::{Pct, Schedule, SimError};
 
-/// One logged memory reference (materialized view; storage is packed).
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct MemRecord {
-    /// PC of the instruction that made the reference.
-    pub pc: Addr,
-    /// Next PC after it.
-    pub next_pc: Addr,
-    /// Referenced address (instruction address for fetch records).
-    pub addr: Addr,
-    /// Entry type: `true` for an instruction-fetch reference.
-    pub is_inst: bool,
-    /// Reference type: `true` for stores.
-    pub is_store: bool,
-}
-
-/// One logged control transfer (materialized view; storage is packed).
+/// One logged control transfer (materialized view; storage is one packed
+/// word).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct BranchRecord {
     /// PC of the transfer.
@@ -93,46 +79,55 @@ pub struct BranchRecord {
     pub taken: bool,
 }
 
-/// Packed branch storage: 16 bytes per record.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-struct PackedBranch {
-    /// Taken-path target.
-    target: u64,
-    /// Branch PC, when it fits 32 bits and `next_pc` is derivable
-    /// (otherwise 0 and the record's [`BrExt`] entry holds the truth).
-    pc32: u32,
-    /// Bit 0: taken; bits 1–3: control kind; bit 4: ext-table entry.
-    meta: u8,
+/// Logged bytes per record, memory or branch.
+pub const RECORD_BYTES: usize = 8;
+
+/// Memory-record bit 0: the reference is an instruction fetch.
+const MEM_INST: u64 = 1;
+
+/// The alignment bits of a branch word's PC and target halves.
+const BR_ALIGN: u64 = 3 | (3 << 32);
+
+/// The memory record of a reference to `addr`.
+#[inline(always)]
+fn mem_word(addr: Addr, is_inst: bool) -> u64 {
+    (addr & !MEM_INST) | is_inst as u64
 }
 
-const BR_TAKEN: u8 = 1;
-const BR_KIND_SHIFT: u8 = 1;
-/// Kind bits of the meta byte (zero for a conditional branch).
-const BR_KIND_MASK: u8 = 7 << BR_KIND_SHIFT;
-const BR_EXT: u8 = 1 << 4;
-
-/// Spilled `pc`/`next_pc` of a record the packed columns cannot derive,
-/// keyed by the record's index in its stream.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-struct Spill {
-    index: u64,
-    pc: Addr,
-    next_pc: Addr,
+/// The branch record of a transfer at `pc`: PC in the high half, target in
+/// the low half, and the 4-bit meta (bit 0 taken, bits 1–3 kind) split
+/// over the two halves' alignment bits.
+#[inline(always)]
+fn branch_word(pc: Addr, target: Addr, kind: CtrlKind, taken: bool) -> u64 {
+    let meta = u64::from((taken as u8) | (kind_to_u8(kind) << 1));
+    (((pc << 32) | (target & 0xffff_ffff)) & !BR_ALIGN) | (meta & 3) | ((meta >> 2) << 32)
 }
 
-/// Tags are 2 bits each, 32 to a `u64` bitmap word.
-const TAGS_PER_WORD: usize = 32;
-const TAG_WORD_BYTES: usize = 8;
-/// Address word + side word per memory record (the amortized 0.25 tag
-/// bytes are charged when a bitmap word is allocated).
-const MEM_RECORD_BYTES: usize = 8 + 4;
-const BRANCH_RECORD_BYTES: usize = std::mem::size_of::<PackedBranch>();
-const EXT_ENTRY_BYTES: usize = 24;
-/// Side-column sentinel: the record's `pc`/`next_pc` live in the ext table.
-const SIDE_EXT: u32 = u32::MAX;
+/// The 4-bit meta of a branch word: bit 0 taken, bits 1–3 control kind.
+#[inline(always)]
+fn word_meta(w: u64) -> u8 {
+    ((w & 3) | ((w >> 30) & 0xc)) as u8
+}
 
-/// Smallest ring a stream allocates: a multiple of [`TAGS_PER_WORD`], so
-/// the tag bitmap covers every ring in whole words.
+/// PC of a branch word.
+#[inline(always)]
+fn word_pc(w: u64) -> Addr {
+    (w >> 32) & !3
+}
+
+/// Taken-path target of a branch word.
+#[inline(always)]
+fn word_target(w: u64) -> Addr {
+    w & 0xffff_fffc
+}
+
+/// Is a branch word a conditional branch (kind bits zero)?
+#[inline(always)]
+fn word_is_cond(w: u64) -> bool {
+    word_meta(w) >> 1 == 0
+}
+
+/// Smallest ring a stream allocates.
 const MIN_RING: usize = 64;
 
 /// The first record index whose append needs a ring larger than `cap` to
@@ -147,50 +142,19 @@ fn window_floor(n: usize, pct: Pct) -> usize {
     n - pct.of(n)
 }
 
-/// Ext-table spill for a record whose PCs the packed columns cannot
-/// derive. Before the table would reallocate, entries below the retention
-/// floor are dropped, so a stream that spills every record stays bounded
-/// by its window (amortized: a prune either frees half the table or is
-/// followed by a doubling). Outlined and cold: real CPU-retired streams
-/// never take it, and keeping it out of the fused cold-phase sink keeps
-/// that sink small enough to inline into the superblock walk.
-#[cold]
-#[inline(never)]
-fn spill(ext: &mut Vec<Spill>, index: usize, pc: Addr, next_pc: Addr, keep: Pct) {
-    if ext.len() == ext.capacity() {
-        let floor = window_floor(index, keep) as u64;
-        ext.retain(|e| e.index >= floor);
-    }
-    ext.push(Spill { index: index as u64, pc, next_pc });
-}
-
-/// The spill entry of record `i` (its packed slot says it has one).
-fn spill_at(ext: &[Spill], i: usize) -> &Spill {
-    match ext.binary_search_by_key(&(i as u64), |e| e.index) {
-        Ok(k) => &ext[k],
-        Err(_) => unreachable!("packed slot says ext, but no ext entry for record {i}"),
-    }
-}
-
-/// The memory stream's packed columns as a ring (see the module docs on
+/// One record stream as a ring of packed words (see the module docs on
 /// window retention): record `i` lives in slot `(i − origin) mod cap`,
-/// where `cap` is the power-of-two column length.
+/// where `cap` is the power-of-two ring length.
 ///
 /// The ring is *settled* while no record has wrapped past `origin`
 /// (`n − origin ≤ cap`): slot `j` then holds record `origin + j`, so the
 /// stream reads as one contiguous, window-relative slice.
-/// [`MemRing::settle`] rotates a wrapped ring back into that shape.
+/// [`Ring::settle`] rotates a wrapped ring back into that shape. Only the
+/// memory stream needs that; the branch readers index through
+/// [`Ring::at`].
 #[derive(Clone, Debug, Default)]
-struct MemRing {
-    /// Referenced address of each memory record.
-    addr: Vec<u64>,
-    /// Non-derivable field of each memory record: `next_pc` for fetch
-    /// records, `pc` for data records, [`SIDE_EXT`] when spilled.
-    side: Vec<u32>,
-    /// 2-bit tags (`is_inst`, `is_store << 1`), 32 slots per word.
-    tags: Vec<u64>,
-    /// Spilled records, ascending by record index.
-    ext: Vec<Spill>,
+struct Ring {
+    slots: Vec<u64>,
     /// Records appended this region.
     n: usize,
     /// Record index of slot 0.
@@ -199,32 +163,28 @@ struct MemRing {
     grow_at: usize,
 }
 
-impl MemRing {
-    /// Empties the ring, keeping its allocations.
+impl Ring {
+    /// Empties the ring, keeping its allocation.
     fn clear(&mut self) {
-        self.addr.clear();
-        self.side.clear();
-        self.tags.clear();
-        self.ext.clear();
+        self.slots.clear();
         self.n = 0;
         self.origin = 0;
         self.grow_at = 0;
     }
 
-    /// Appends one record, replacing the slot's tag pair (the rest of the
-    /// word may still tag live records from the previous lap).
+    /// Appends one record; returns the record it overwrote once the ring
+    /// has wrapped.
     #[inline(always)]
-    fn push(&mut self, keep: Pct, addr: u64, side: u32, tag: u64) {
+    fn push(&mut self, keep: Pct, word: u64) -> Option<u64> {
         let i = self.n;
         if i == self.grow_at {
             self.grow(keep);
         }
-        let s = (i - self.origin) & (self.addr.len() - 1);
-        let (w, sh) = (s / TAGS_PER_WORD, (s % TAGS_PER_WORD) * 2);
-        self.tags[w] = (self.tags[w] & !(3 << sh)) | (tag << sh);
-        self.addr[s] = addr;
-        self.side[s] = side;
+        let off = i - self.origin;
+        let cap = self.slots.len();
+        let old = std::mem::replace(&mut self.slots[off & (cap - 1)], word);
         self.n = i + 1;
+        (off >= cap).then_some(old)
     }
 
     /// Doubles the ring. Settling first leaves every old slot in record
@@ -233,140 +193,62 @@ impl MemRing {
     #[cold]
     #[inline(never)]
     fn grow(&mut self, keep: Pct) {
-        self.settle(keep);
-        let cap = (self.addr.len() * 2).max(MIN_RING);
-        self.addr.resize(cap, 0);
-        self.side.resize(cap, 0);
-        self.tags.resize(cap / TAGS_PER_WORD, 0);
+        self.settle();
+        let cap = (self.slots.len() * 2).max(MIN_RING);
+        self.slots.resize(cap, 0);
         self.grow_at = grow_index(cap, keep);
     }
 
     fn settled(&self) -> bool {
-        self.n - self.origin <= self.addr.len()
+        self.n - self.origin <= self.slots.len()
     }
 
     /// Rotates a wrapped ring so slot 0 holds the oldest record still
-    /// present (`n − cap`), and drops spill entries below the floor.
-    fn settle(&mut self, keep: Pct) {
-        let cap = self.addr.len();
+    /// present (`n − cap`).
+    fn settle(&mut self) {
         if !self.settled() {
-            let k = (self.n - self.origin) & (cap - 1);
-            self.addr.rotate_left(k);
-            self.side.rotate_left(k);
-            rotate_tags(&mut self.tags, k);
+            let cap = self.slots.len();
+            self.slots.rotate_left((self.n - self.origin) & (cap - 1));
             self.origin = self.n - cap;
         }
-        let floor = window_floor(self.n, keep) as u64;
-        self.ext.retain(|e| e.index >= floor);
-    }
-
-    /// Slot of record `i` (present in the ring).
-    #[inline]
-    fn slot(&self, i: usize) -> usize {
-        (i - self.origin) & (self.addr.len() - 1)
-    }
-
-    #[inline]
-    fn tag(&self, s: usize) -> u64 {
-        (self.tags[s / TAGS_PER_WORD] >> ((s % TAGS_PER_WORD) * 2)) & 3
-    }
-}
-
-/// Rotates a 2-bit-per-slot tag bitmap left by `k` slots, matching a
-/// `rotate_left(k)` of the columns it tags.
-fn rotate_tags(tags: &mut [u64], k: usize) {
-    let (q, r) = (k / TAGS_PER_WORD, k % TAGS_PER_WORD);
-    tags.rotate_left(q);
-    if r != 0 {
-        let sh = 2 * r as u32;
-        let first = tags[0];
-        let words = tags.len();
-        for w in 0..words {
-            let next = if w + 1 < words { tags[w + 1] } else { first };
-            tags[w] = (tags[w] >> sh) | (next << (64 - sh));
-        }
-    }
-}
-
-/// The branch stream's packed records as a ring, with the same slot
-/// mapping as [`MemRing`]. Readers index it through [`BranchRing::slot`]
-/// and never need it contiguous, so it is never rotated. A record leaves
-/// the ring when its slot is overwritten; evicted conditionals shift their
-/// outcomes into `ev_hist`, which is all [`SkipLog`]'s GHR derivation ever
-/// needs of them.
-#[derive(Clone, Debug, Default)]
-struct BranchRing {
-    rec: Vec<PackedBranch>,
-    /// Spilled records, ascending by record index.
-    ext: Vec<Spill>,
-    /// Records appended this region.
-    n: usize,
-    /// Record index mapped to slot 0: record `i` lives in slot
-    /// `(i − origin) mod cap`.
-    origin: usize,
-    /// Record index whose append must first double the ring.
-    grow_at: usize,
-    /// Outcomes of the newest evicted conditionals, newest in bit 0.
-    ev_hist: u64,
-    /// Conditionals evicted this region (`ev_hist` holds the newest 64).
-    ev_conds: u64,
-}
-
-impl BranchRing {
-    /// Empties the ring, keeping its allocations.
-    fn clear(&mut self) {
-        self.rec.clear();
-        self.ext.clear();
-        self.n = 0;
-        self.origin = 0;
-        self.grow_at = 0;
-        self.ev_hist = 0;
-        self.ev_conds = 0;
-    }
-
-    /// Appends one record, evicting the slot's previous occupant once the
-    /// ring has wrapped.
-    #[inline(always)]
-    fn push(&mut self, keep: Pct, b: PackedBranch) {
-        let i = self.n;
-        if i == self.grow_at {
-            self.grow(keep);
-        }
-        let cap = self.rec.len();
-        let s = (i - self.origin) & (cap - 1);
-        let old = std::mem::replace(&mut self.rec[s], b);
-        if i - self.origin >= cap {
-            let cond = u64::from(old.meta & BR_KIND_MASK == 0);
-            self.ev_hist = (self.ev_hist << cond) | (u64::from(old.meta & BR_TAKEN) & cond);
-            self.ev_conds += cond;
-        }
-        self.n = i + 1;
-    }
-
-    /// Doubles the ring, first rotating a wrapped one into record order so
-    /// the new slots start at the write head.
-    #[cold]
-    #[inline(never)]
-    fn grow(&mut self, keep: Pct) {
-        let cap = self.rec.len();
-        if self.n - self.origin > cap {
-            self.rec.rotate_left((self.n - self.origin) & (cap - 1));
-            self.origin = self.n - cap;
-        }
-        let cap = (cap * 2).max(MIN_RING);
-        self.rec.resize(cap, PackedBranch { target: 0, pc32: 0, meta: 0 });
-        self.grow_at = grow_index(cap, keep);
     }
 
     /// Oldest record still in the ring; everything older was evicted.
     fn oldest(&self) -> usize {
-        self.origin.max(self.n.saturating_sub(self.rec.len()))
+        self.origin.max(self.n.saturating_sub(self.slots.len()))
     }
 
-    /// Slot of record `i` (present in the ring).
+    /// Record `i` (present in the ring).
     #[inline]
-    fn slot(&self, i: usize) -> usize {
-        (i - self.origin) & (self.rec.len() - 1)
+    fn at(&self, i: usize) -> u64 {
+        self.slots[(i - self.origin) & (self.slots.len() - 1)]
+    }
+}
+
+/// The outcomes of the conditionals the branch ring has evicted: all the
+/// GHR derivation ([`SkipLog::ghr_before`]) ever needs of them.
+#[derive(Copy, Clone, Debug, Default)]
+struct Evicted {
+    /// Outcomes of the newest evicted conditionals, newest in bit 0.
+    hist: u64,
+    /// Conditionals evicted this region (`hist` holds the newest 64).
+    conds: u64,
+}
+
+impl Evicted {
+    #[inline(always)]
+    fn note(&mut self, old: u64) {
+        let cond = u64::from(word_is_cond(old));
+        self.hist = (self.hist << cond) | (old & 1 & cond);
+        self.conds += cond;
+    }
+}
+
+/// Appends a branch word, noting the conditional it evicts, if any.
+#[inline(always)]
+fn append_branch_word(br: &mut Ring, evicted: &mut Evicted, keep: Pct, word: u64) {
+    if let Some(old) = br.push(keep, word) {
+        evicted.note(old);
     }
 }
 
@@ -406,15 +288,17 @@ impl BranchRing {
 /// the discard.
 #[derive(Clone, Debug)]
 pub struct SkipLog {
-    mem: MemRing,
-    br: BranchRing,
+    mem: Ring,
+    br: Ring,
+    evicted: Evicted,
     /// Retention window: the newest `keep` of each stream stays resident.
     /// Survives [`SkipLog::reset`], like the budget.
     keep: Pct,
     /// Line of the previous fetch (`NO_LINE` before the first).
     last_fetch_line: Addr,
     /// Global history register value when logging began (end of the
-    /// previous cluster) — seeds GHR inference for the earliest records.
+    /// previous cluster) — seeds GHR inference for the earliest records
+    /// in [`SkipLog::seal_branch_index`].
     pub ghr_at_start: u64,
     log_mem: bool,
     log_branches: bool,
@@ -423,18 +307,11 @@ pub struct SkipLog {
     budget: Option<usize>,
     /// Set once the budget is exhausted; recording stops for the region.
     truncated: bool,
-    /// Logged bytes of the full stream, maintained incrementally per
-    /// append.
-    bytes: usize,
-    /// Largest logged size observed this region (before any discard).
-    peak_bytes: usize,
-    /// Records appended this region, including any later discarded.
-    appended: u64,
-    /// Partitioned reconstruction index: per-(structure, set) newest-first
-    /// record-index spans sealed over the SoA columns (see [`ReconIndex`]).
-    /// Unsealed by [`SkipLog::reset`] and budget truncation, and ignored
-    /// by its accessors unless the sealed lengths still match the columns.
-    /// Boxed so an unindexed log stays one pointer wider.
+    /// Records the budget discarded (zero unless truncated).
+    discarded: u64,
+    /// The index the public `seal_*` calls build (see [`ReconIndex`]).
+    /// Unsealed by [`SkipLog::reset`] and budget truncation. Boxed so an
+    /// unindexed log stays one pointer wider.
     index: Option<Box<ReconIndex>>,
 }
 
@@ -454,17 +331,15 @@ const NO_LINE: Addr = u64::MAX;
 /// retired instruction.
 ///
 /// Holds the record rings split out of [`SkipLog`] plus the per-region
-/// state the hot path keeps in registers: the retention window, the
-/// fetch-line dedup tag, and the running ext-spill byte count. The byte
-/// and record counters of the owning log are *not* maintained here —
-/// [`SkipLog::region_loop_fast`] settles them from the stream-length
-/// deltas when the region ends.
+/// state the hot path keeps in registers: the retention window and the
+/// fetch-line dedup tag. Every counter of the owning log derives from the
+/// ring lengths, so nothing is settled afterwards.
 struct FastSink<'a, const MEM: bool, const BR: bool> {
-    mem: &'a mut MemRing,
-    br: &'a mut BranchRing,
+    mem: &'a mut Ring,
+    br: &'a mut Ring,
+    evicted: &'a mut Evicted,
     keep: Pct,
     last_line: Addr,
-    spill_bytes: usize,
 }
 
 impl<const MEM: bool, const BR: bool> RetireSink for FastSink<'_, MEM, BR> {
@@ -474,44 +349,16 @@ impl<const MEM: bool, const BR: bool> RetireSink for FastSink<'_, MEM, BR> {
             let line = r.pc & LINE_MASK;
             if self.last_line != line {
                 self.last_line = line;
-                // Fetch-line record: `pc == addr` by construction, so the
-                // side word keeps `next_pc` when it fits.
-                let side = if r.next_pc < SIDE_EXT as u64 {
-                    r.next_pc as u32
-                } else {
-                    spill(&mut self.mem.ext, self.mem.n, r.pc, r.next_pc, self.keep);
-                    self.spill_bytes += EXT_ENTRY_BYTES;
-                    SIDE_EXT
-                };
-                self.mem.push(self.keep, r.pc, side, 1);
+                self.mem.push(self.keep, mem_word(r.pc, true));
             }
             if let Some(m) = r.mem {
-                // Data record: loads and stores never branch, so the side
-                // word keeps `pc` and derives `next_pc`.
-                let side = if r.next_pc == r.pc.wrapping_add(4) && r.pc < SIDE_EXT as u64 {
-                    r.pc as u32
-                } else {
-                    spill(&mut self.mem.ext, self.mem.n, r.pc, r.next_pc, self.keep);
-                    self.spill_bytes += EXT_ENTRY_BYTES;
-                    SIDE_EXT
-                };
-                self.mem.push(self.keep, m.addr, side, (m.is_store as u64) << 1);
+                self.mem.push(self.keep, mem_word(m.addr, false));
             }
         }
         if BR {
             if let Some(b) = r.branch {
-                let derived = if b.taken { b.target } else { r.pc.wrapping_add(4) };
-                let mut meta = (b.taken as u8) | (kind_to_u8(b.kind) << BR_KIND_SHIFT);
-                let pc32 = match u32::try_from(r.pc) {
-                    Ok(p) if r.next_pc == derived => p,
-                    _ => {
-                        meta |= BR_EXT;
-                        spill(&mut self.br.ext, self.br.n, r.pc, r.next_pc, self.keep);
-                        self.spill_bytes += EXT_ENTRY_BYTES;
-                        0
-                    }
-                };
-                self.br.push(self.keep, PackedBranch { target: b.target, pc32, meta });
+                let word = branch_word(r.pc, b.target, b.kind, b.taken);
+                append_branch_word(self.br, self.evicted, self.keep, word);
             }
         }
     }
@@ -553,11 +400,9 @@ pub(crate) type MemKey = (usize, u32, usize, u32, usize, u32);
 
 /// The structure geometry a [`ReconIndex`] was sealed for.
 ///
-/// Derivable from configuration alone — the pipeline *leader* seals the
-/// memory-side chains without ever holding a cache or predictor instance —
-/// and stored with the index so consumers can verify the chains match
-/// their structures before trusting them (on a mismatch they seal their
-/// own index on the spot).
+/// Derivable from configuration alone, and stored with the index so
+/// consumers can verify the spans match their structures before trusting
+/// them (on a mismatch they seal their own index on the spot).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct ReconGeometry {
     /// L1I set count (power of two).
@@ -609,14 +454,22 @@ impl ReconGeometry {
 
 /// The partitioned reconstruction index (paper §3.1/§3.2 exploited
 /// structurally): memory records bucketed by (cache level, set) as
-/// newest-first u32 record-index spans over the log's SoA columns, plus
+/// newest-first u32 record-index spans over the log's memory words, plus
 /// the branch side's sealed PHT-key column and final GHR.
+///
+/// The side that reads an index seals it, into scratch it owns: the
+/// detailed follower keeps one per shard and rebuilds it every window,
+/// and the sweep replay keeps an arena of them keyed by geometry. A skip
+/// log in flight between the functional leader and the follower therefore
+/// carries records only. The log's own boxed index serves only the public
+/// `seal_*` calls ([`SkipLog::seal_mem_window`],
+/// [`SkipLog::seal_branch_index`]).
 ///
 /// The memory side is a counting sort per level: `off[set]..off[set+1]`
 /// delimits set `set`'s span in the `idx` column, filled so each span
 /// holds strictly descending record indices — exactly the newest-first
 /// order the reverse scan consumes, but *contiguous*, so a set walk is a
-/// linear read plus independent gathers from the address column (no
+/// linear read plus independent gathers from the memory words (no
 /// pointer chasing; the equivalent tail-chain layout measured ~1.6×
 /// slower on mcf because every link was a dependent cache miss).
 ///
@@ -626,7 +479,7 @@ impl ReconGeometry {
 /// Resident cost is therefore ~4 B per *in-budget* record per indexed
 /// level (records are *indexed*, never copied) plus one u32 per set; the
 /// log itself holds its retention window (see [`SkipLog::set_retention`]).
-/// Memory spans hold positions in the log's settled address slice
+/// Memory spans hold positions in the log's settled memory words
 /// (record index minus [`SkipLog::mem_base`], fixed while the log is
 /// unchanged) and serve any budget whose cut is at or past
 /// [`ReconIndex::mem_from`], so a full seal (`mem_from == 0`) serves every
@@ -655,12 +508,12 @@ pub(crate) struct ReconIndex {
     pub(crate) geom: ReconGeometry,
     /// Memory-side spans are valid for exactly this `mem_len` (`None` =
     /// not sealed).
-    mem_sealed: Option<usize>,
+    pub(crate) mem_sealed: Option<usize>,
     /// Oldest memory record (absolute index) the spans index: they serve
     /// any scan budget whose cut is at or past it.
     pub(crate) mem_from: usize,
     /// Branch-side columns are valid for exactly this `branch_len`.
-    br_sealed: Option<usize>,
+    pub(crate) br_sealed: Option<usize>,
     /// Scan budget percentage the branch-side flags were sealed under —
     /// [`BR_F_PHT_FLUSH_LW`] placement depends on the budget window, so a
     /// reconstructor running a different budget must not use the index.
@@ -809,8 +662,9 @@ impl SkipLog {
     /// every record.
     pub fn new(log_mem: bool, log_branches: bool, ghr_at_start: u64) -> SkipLog {
         SkipLog {
-            mem: MemRing::default(),
-            br: BranchRing::default(),
+            mem: Ring::default(),
+            br: Ring::default(),
+            evicted: Evicted::default(),
             keep: Pct::new(100),
             last_fetch_line: NO_LINE,
             ghr_at_start,
@@ -818,28 +672,29 @@ impl SkipLog {
             log_branches,
             budget: None,
             truncated: false,
-            bytes: 0,
-            peak_bytes: 0,
-            appended: 0,
+            discarded: 0,
             index: None,
         }
     }
 
-    /// Builds a log directly from materialized records (tests and offline
-    /// tooling). Both streams are marked enabled.
+    /// Builds a log directly from records (tests and offline tooling):
+    /// memory references as `(addr, is_inst)`, as [`SkipLog::mem_refs_rev`]
+    /// yields them. Both streams are marked enabled. The packing keeps
+    /// only what reconstruction reads, so a branch record reads back with
+    /// `next_pc` derived from its outcome and PC and target truncated to
+    /// 32-bit, 4-byte-aligned values.
     pub fn from_records<M, B>(mem: M, branches: B, ghr_at_start: u64) -> SkipLog
     where
-        M: IntoIterator<Item = MemRecord>,
+        M: IntoIterator<Item = (Addr, bool)>,
         B: IntoIterator<Item = BranchRecord>,
     {
         let mut log = SkipLog::new(true, true, ghr_at_start);
-        for m in mem {
-            log.push_mem(m.pc, m.next_pc, m.addr, m.is_inst, m.is_store);
+        for (addr, is_inst) in mem {
+            log.push_mem(addr, is_inst);
         }
         for b in branches {
-            log.push_branch(b.pc, b.next_pc, b.target, b.kind, b.taken);
+            log.push_branch(b.pc, b.target, b.kind, b.taken);
         }
-        log.peak_bytes = log.bytes;
         log
     }
 
@@ -847,19 +702,24 @@ impl SkipLog {
     /// (logs are reused across regions to avoid reallocation churn), the
     /// configured budget, and the retention window.
     pub fn reset(&mut self, log_mem: bool, log_branches: bool, ghr_at_start: u64) {
-        self.mem.clear();
-        self.br.clear();
+        self.clear_records();
         self.last_fetch_line = NO_LINE;
         self.ghr_at_start = ghr_at_start;
         self.log_mem = log_mem;
         self.log_branches = log_branches;
         self.truncated = false;
-        self.bytes = 0;
-        self.peak_bytes = 0;
-        self.appended = 0;
+        self.discarded = 0;
         if let Some(ix) = self.index.as_deref_mut() {
             ix.unseal();
         }
+    }
+
+    /// Empties both rings and the evicted-outcome register, keeping their
+    /// allocations.
+    fn clear_records(&mut self) {
+        self.mem.clear();
+        self.br.clear();
+        self.evicted = Evicted::default();
     }
 
     /// Caps the region's logged bytes (`None` = unbounded, the default).
@@ -887,25 +747,22 @@ impl SkipLog {
     /// the log holds resident. Under retention `keep` each stays at most
     /// `keep.of(n).next_power_of_two()` once past the smallest ring.
     pub fn retained_slots(&self) -> (usize, usize) {
-        (self.mem.addr.len(), self.br.rec.len())
+        (self.mem.slots.len(), self.br.slots.len())
     }
 
     /// Pre-sizes the record rings for an expected region shape. Purely
     /// an allocation hint — contents and accounting are
     /// capacity-independent — but it spares a fresh log the doubling
-    /// reallocations (mmap/munmap round trips at these column sizes)
+    /// reallocations (mmap/munmap round trips at these ring sizes)
     /// when many logs are built back to back, as the sweep capture pass
     /// does.
     pub(crate) fn reserve_records(&mut self, mem: usize, branches: usize) {
         let slots = |n: usize| self.keep.of(n).next_power_of_two().max(MIN_RING);
         if self.log_mem {
-            let cap = slots(mem);
-            self.mem.addr.reserve(cap);
-            self.mem.side.reserve(cap);
-            self.mem.tags.reserve(cap / TAGS_PER_WORD);
+            self.mem.slots.reserve(slots(mem));
         }
         if self.log_branches {
-            self.br.rec.reserve(slots(branches));
+            self.br.slots.reserve(slots(branches));
         }
     }
 
@@ -927,71 +784,34 @@ impl SkipLog {
     /// [`SkipLog::approx_bytes`] unless truncated). Like the budget it
     /// measures the full logged stream, not the retained window.
     pub fn peak_bytes(&self) -> usize {
-        self.peak_bytes
+        RECORD_BYTES * self.appended() as usize
     }
 
     /// Records appended this region, counting any the budget discarded —
     /// after truncation this stays at its high-water value while
     /// [`SkipLog::len`] drops to zero.
     pub fn appended(&self) -> u64 {
-        self.appended
+        self.len() as u64 + self.discarded
     }
 
     #[inline]
-    fn push_mem(&mut self, pc: Addr, next_pc: Addr, addr: Addr, is_inst: bool, is_store: bool) {
-        if self.mem.n.is_multiple_of(TAGS_PER_WORD) {
-            self.bytes += TAG_WORD_BYTES;
-        }
-        let tag = (is_inst as u64) | ((is_store as u64) << 1);
-        let derivable = if is_inst {
-            // Fetch records have pc == addr by construction; keep next_pc.
-            pc == addr && next_pc < SIDE_EXT as u64
-        } else {
-            // Loads and stores never branch; keep pc, derive next_pc.
-            next_pc == pc.wrapping_add(4) && pc < SIDE_EXT as u64
-        };
-        let side = match (derivable, is_inst) {
-            (true, true) => next_pc as u32,
-            (true, false) => pc as u32,
-            (false, _) => {
-                spill(&mut self.mem.ext, self.mem.n, pc, next_pc, self.keep);
-                self.bytes += EXT_ENTRY_BYTES;
-                SIDE_EXT
-            }
-        };
-        self.mem.push(self.keep, addr, side, tag);
-        self.bytes += MEM_RECORD_BYTES;
-        self.appended += 1;
+    fn push_mem(&mut self, addr: Addr, is_inst: bool) {
+        self.mem.push(self.keep, mem_word(addr, is_inst));
     }
 
     #[inline]
-    fn push_branch(&mut self, pc: Addr, next_pc: Addr, target: Addr, kind: CtrlKind, taken: bool) {
-        let derived = if taken { target } else { pc.wrapping_add(4) };
-        let mut meta = (taken as u8) | (kind_to_u8(kind) << BR_KIND_SHIFT);
-        let pc32 = match u32::try_from(pc) {
-            Ok(p) if next_pc == derived => p,
-            _ => {
-                meta |= BR_EXT;
-                spill(&mut self.br.ext, self.br.n, pc, next_pc, self.keep);
-                self.bytes += EXT_ENTRY_BYTES;
-                0
-            }
-        };
-        self.br.push(self.keep, PackedBranch { target, pc32, meta });
-        self.bytes += BRANCH_RECORD_BYTES;
-        self.appended += 1;
+    fn push_branch(&mut self, pc: Addr, target: Addr, kind: CtrlKind, taken: bool) {
+        let word = branch_word(pc, target, kind, taken);
+        append_branch_word(&mut self.br, &mut self.evicted, self.keep, word);
     }
 
-    /// Peak tracking and the budget check, run once per retired
-    /// instruction (after all of its pushes, so an instruction's records
-    /// are kept or discarded together).
+    /// The budget check, run once per retired instruction (after all of
+    /// its pushes, so an instruction's records are kept or discarded
+    /// together).
     #[inline]
     fn note_instruction(&mut self) {
-        if self.bytes > self.peak_bytes {
-            self.peak_bytes = self.bytes;
-        }
         if let Some(budget) = self.budget {
-            if self.bytes > budget {
+            if self.approx_bytes() > budget {
                 self.discard_over_budget();
             }
         }
@@ -1003,9 +823,8 @@ impl SkipLog {
     /// roughly one budget per worker.
     #[cold]
     fn discard_over_budget(&mut self) {
-        self.mem.clear();
-        self.br.clear();
-        self.bytes = 0;
+        self.discarded = self.len() as u64;
+        self.clear_records();
         self.truncated = true;
         if let Some(ix) = self.index.as_deref_mut() {
             ix.unseal();
@@ -1025,15 +844,15 @@ impl SkipLog {
             let line = r.pc & LINE_MASK;
             if self.last_fetch_line != line {
                 self.last_fetch_line = line;
-                self.push_mem(r.pc, r.next_pc, r.pc, true, false);
+                self.push_mem(r.pc, true);
             }
             if let Some(m) = r.mem {
-                self.push_mem(r.pc, r.next_pc, m.addr, false, m.is_store);
+                self.push_mem(m.addr, false);
             }
         }
         if self.log_branches {
             if let Some(b) = r.branch {
-                self.push_branch(r.pc, r.next_pc, b.target, b.kind, b.taken);
+                self.push_branch(r.pc, b.target, b.kind, b.taken);
             }
         }
         self.note_instruction();
@@ -1041,28 +860,24 @@ impl SkipLog {
 
     /// Ends a stretch of recording: rotates a wrapped memory ring back
     /// into window order, so reconstruction can read the retained records
-    /// as one contiguous slice, and drops spill entries below the floor.
-    /// Idempotent, and free when the ring has not wrapped — in particular
-    /// for a log that retains everything.
+    /// as one contiguous slice. Idempotent, and free when the ring has not
+    /// wrapped — in particular for a log that retains everything.
     pub fn finish_region(&mut self) {
-        self.mem.settle(self.keep);
-        let floor = window_floor(self.br.n, self.keep) as u64;
-        self.br.ext.retain(|e| e.index >= floor);
+        self.mem.settle();
     }
 
     /// The fused cold-phase loop: steps `cpu` through `n` instructions,
-    /// logging each one — the predecoded [`Cpu::step_n`] superblock core
-    /// with [`SkipLog::record`]'s body monomorphized in as the sink, one
-    /// specialization per (mem, branches, budget) configuration, so the
-    /// per-instruction `Retired` unpacking and stream dispatch happen
-    /// once and the stepping itself runs at fast-core speed. After a
-    /// budget truncation the sink goes quiescent (a flag check per
-    /// instruction) while the remaining instructions keep stepping; with
-    /// both streams disabled the region is a bare fast-forward that
-    /// never touches the log. Ends with [`SkipLog::finish_region`].
-    ///
-    /// Produces record streams, budget decisions, and accounting
-    /// bit-identical to calling [`SkipLog::record`] after every step.
+    /// logging each one. Without a budget this is the predecoded
+    /// [`Cpu::step_n`] superblock core with the record sink monomorphized
+    /// in, one specialization per stream configuration, so the
+    /// per-instruction `Retired` unpacking and stream dispatch happen once
+    /// and the stepping itself runs at fast-core speed. Under a budget
+    /// every instruction goes through [`SkipLog::record`], so truncation
+    /// fires on exactly the same instruction; afterwards the remaining
+    /// instructions keep stepping (architectural state must reach the
+    /// cluster) but append nothing. With both streams disabled the region
+    /// is a bare fast-forward that never touches the log. Ends with
+    /// [`SkipLog::finish_region`].
     ///
     /// # Errors
     ///
@@ -1072,91 +887,32 @@ impl SkipLog {
             return cpu.step_n(n, |_| ());
         }
         let res = match (self.log_mem, self.log_branches, self.budget.is_some()) {
+            (_, _, true) => cpu.step_n(n, |r| self.record(r)),
             (true, true, false) => self.region_loop_fast::<true, true>(cpu, n),
             (true, false, false) => self.region_loop_fast::<true, false>(cpu, n),
             (false, true, false) => self.region_loop_fast::<false, true>(cpu, n),
-            (true, true, true) => self.region_loop::<true, true>(cpu, n),
-            (true, false, true) => self.region_loop::<true, false>(cpu, n),
-            (false, true, true) => self.region_loop::<false, true>(cpu, n),
             (false, false, _) => unreachable!("bare fast-forward handled above"),
         };
         self.finish_region();
         res
     }
 
-    /// The budgeted fused loop: per-record pushes with the budget check
-    /// after every instruction, so truncation fires on exactly the same
-    /// instruction as the historical step-then-`record` sequence.
-    fn region_loop<const MEM: bool, const BR: bool>(
-        &mut self,
-        cpu: &mut Cpu,
-        n: u64,
-    ) -> Result<(), ExecError> {
-        cpu.step_n(n, |r| {
-            // Only the budget can truncate mid-region; afterwards the
-            // remaining instructions still step (architectural state must
-            // reach the cluster) but append nothing.
-            if self.truncated {
-                return;
-            }
-            if MEM {
-                let line = r.pc & LINE_MASK;
-                if self.last_fetch_line != line {
-                    self.last_fetch_line = line;
-                    self.push_mem(r.pc, r.next_pc, r.pc, true, false);
-                }
-                if let Some(m) = r.mem {
-                    self.push_mem(r.pc, r.next_pc, m.addr, false, m.is_store);
-                }
-            }
-            if BR {
-                if let Some(b) = r.branch {
-                    self.push_branch(r.pc, r.next_pc, b.target, b.kind, b.taken);
-                }
-            }
-            self.note_instruction();
-        })
-    }
-
     /// The unbudgeted fused loop — the cold-phase path the whole run's
-    /// throughput hangs on. Identical record streams and accounting to
-    /// [`SkipLog::region_loop`], with the per-record overhead stripped:
-    /// the byte and record counters are *derived once at region end* from
-    /// the stream-length deltas (the incremental accounting is a pure
-    /// function of the record counts, so the sums are equal by
-    /// associativity), the fetch-line dedup register lives in a local,
-    /// and the ext-table spills — which CPU-retired streams never take —
-    /// are outlined cold. A budget-free region can never truncate, so
-    /// nothing observes the counters mid-region and the deferred
-    /// write-back is invisible; on a functional fault the counters are
-    /// settled before the error propagates, exactly as the per-record
-    /// path leaves them.
+    /// throughput hangs on. Identical record streams to
+    /// [`SkipLog::record`], with the fetch-line dedup register kept in the
+    /// sink. A budget-free region can never truncate, and every counter
+    /// derives from the ring lengths, so nothing is settled afterwards —
+    /// also not on a functional fault.
     fn region_loop_fast<const MEM: bool, const BR: bool>(
         &mut self,
         cpu: &mut Cpu,
         n: u64,
     ) -> Result<(), ExecError> {
-        let (mem0, br0) = (self.mem.n, self.br.n);
-        let SkipLog { mem, br, keep, last_fetch_line, .. } = &mut *self;
+        let SkipLog { mem, br, evicted, keep, last_fetch_line, .. } = &mut *self;
         let mut sink: FastSink<'_, MEM, BR> =
-            FastSink { mem, br, keep: *keep, last_line: *last_fetch_line, spill_bytes: 0 };
+            FastSink { mem, br, evicted, keep: *keep, last_line: *last_fetch_line };
         let res = cpu.step_n_sink(n, &mut sink);
-        let FastSink { last_line, spill_bytes, .. } = sink;
-
-        // Settle the deferred accounting and the peak — also on a fault,
-        // so the counters cover every instruction retired before it.
-        let mem_delta = self.mem.n - mem0;
-        let br_delta = self.br.n - br0;
-        let tag_words = self.mem.n.div_ceil(TAGS_PER_WORD) - mem0.div_ceil(TAGS_PER_WORD);
-        self.last_fetch_line = last_line;
-        self.appended += (mem_delta + br_delta) as u64;
-        self.bytes += mem_delta * MEM_RECORD_BYTES
-            + tag_words * TAG_WORD_BYTES
-            + br_delta * BRANCH_RECORD_BYTES
-            + spill_bytes;
-        if self.bytes > self.peak_bytes {
-            self.peak_bytes = self.bytes;
-        }
+        *last_fetch_line = sink.last_line;
         res
     }
 
@@ -1182,31 +938,6 @@ impl SkipLog {
         window_floor(self.br.n, self.keep)..self.br.n
     }
 
-    /// Materializes memory record `i` (oldest record first).
-    ///
-    /// # Panics
-    ///
-    /// If `i` is outside [`SkipLog::mem_window`].
-    pub fn mem_at(&self, i: usize) -> MemRecord {
-        let window = self.mem_window();
-        assert!(window.contains(&i), "memory record {i} is outside the retained {window:?}");
-        let s = self.mem.slot(i);
-        let addr = self.mem.addr[s];
-        let tag = self.mem.tag(s);
-        let is_inst = tag & 1 != 0;
-        let is_store = tag & 2 != 0;
-        let side = self.mem.side[s];
-        let (pc, next_pc) = if side == SIDE_EXT {
-            let e = spill_at(&self.mem.ext, i);
-            (e.pc, e.next_pc)
-        } else if is_inst {
-            (addr, side as u64)
-        } else {
-            (side as u64, (side as u64).wrapping_add(4))
-        };
-        MemRecord { pc, next_pc, addr, is_inst, is_store }
-    }
-
     /// Materializes branch record `i` (oldest record first).
     ///
     /// # Panics
@@ -1215,48 +946,31 @@ impl SkipLog {
     pub fn branch_at(&self, i: usize) -> BranchRecord {
         let window = self.branch_window();
         assert!(window.contains(&i), "branch record {i} is outside the retained {window:?}");
-        let b = self.br.rec[self.br.slot(i)];
-        let taken = b.meta & BR_TAKEN != 0;
-        let kind = kind_from_meta(b.meta);
-        let target = b.target;
-        let (pc, next_pc) = if b.meta & BR_EXT != 0 {
-            let e = spill_at(&self.br.ext, i);
-            (e.pc, e.next_pc)
-        } else {
-            let pc = b.pc32 as u64;
-            (pc, if taken { target } else { pc.wrapping_add(4) })
-        };
-        BranchRecord { pc, next_pc, target, kind, taken }
+        let w = self.br.at(i);
+        let (kind, taken) = self.branch_kind_taken(i);
+        let (pc, target) = (word_pc(w), word_target(w));
+        BranchRecord { pc, next_pc: if taken { target } else { pc + 4 }, target, kind, taken }
     }
 
     /// Kind and outcome of branch record `i` without materializing its
-    /// PCs — the branch-reconstruction forward pass reads only the meta
-    /// column. `i` may lie below the window as long as the ring still
-    /// holds it ([`BranchRing::oldest`]).
+    /// PCs. `i` may lie below the window as long as the ring still holds
+    /// it ([`Ring::oldest`]).
+    #[inline]
     pub(crate) fn branch_kind_taken(&self, i: usize) -> (CtrlKind, bool) {
-        let meta = self.br.rec[self.br.slot(i)].meta;
-        (kind_from_meta(meta), meta & BR_TAKEN != 0)
+        let meta = word_meta(self.br.at(i));
+        (kind_from_meta(meta), meta & 1 != 0)
     }
 
     /// PC of in-window branch record `i`.
+    #[inline]
     pub(crate) fn branch_pc(&self, i: usize) -> Addr {
-        let b = self.br.rec[self.br.slot(i)];
-        if b.meta & BR_EXT != 0 {
-            spill_at(&self.br.ext, i).pc
-        } else {
-            b.pc32 as u64
-        }
+        word_pc(self.br.at(i))
     }
 
     /// Taken-path target of in-window branch record `i`.
+    #[inline]
     pub(crate) fn branch_target(&self, i: usize) -> Addr {
-        self.br.rec[self.br.slot(i)].target
-    }
-
-    /// The retained memory references, oldest first, materialized on the
-    /// fly.
-    pub fn mem_records(&self) -> impl ExactSizeIterator<Item = MemRecord> + '_ {
-        self.mem_window().map(move |i| self.mem_at(i))
+        word_target(self.br.at(i))
     }
 
     /// The retained control transfers, oldest first, materialized on the
@@ -1266,12 +980,12 @@ impl SkipLog {
     }
 
     /// The reverse cache scan's view of the retained references:
-    /// `(addr, is_inst)` newest-first, reading only the packed address and
-    /// tag columns (no record materialization, maximum scan locality).
+    /// `(addr, is_inst)` newest-first. `addr` reads with bit 0 clear,
+    /// which keeps its line.
     pub fn mem_refs_rev(&self) -> impl ExactSizeIterator<Item = (Addr, bool)> + '_ {
         self.mem_window().rev().map(move |i| {
-            let s = self.mem.slot(i);
-            (self.mem.addr[s], self.mem.tag(s) & 1 != 0)
+            let w = self.mem.at(i);
+            (w & !MEM_INST, w & MEM_INST != 0)
         })
     }
 
@@ -1285,15 +999,14 @@ impl SkipLog {
     /// logged *or* the budget truncated the region; distinguish with
     /// [`SkipLog::appended`] and [`SkipLog::truncated`].
     pub fn is_empty(&self) -> bool {
-        self.mem.n == 0 && self.br.n == 0
+        self.len() == 0
     }
 
-    /// Logged bytes of the packed stream, maintained incrementally
-    /// (address + side words, allocated tag-bitmap words, packed branch
-    /// records, and any ext-table spills). This is the size of the *full*
-    /// stream, whatever the retention window keeps resident.
+    /// Logged bytes of the packed stream: [`RECORD_BYTES`] per record.
+    /// This is the size of the *full* stream, whatever the retention
+    /// window keeps resident.
     pub fn approx_bytes(&self) -> usize {
-        self.bytes
+        RECORD_BYTES * self.len()
     }
 
     /// Panics unless a `pct` scan stays inside the retention window: a
@@ -1306,44 +1019,41 @@ impl SkipLog {
         );
     }
 
-    /// The memory-record index of [`SkipLog::mem_addrs`]`[0]`: spans and
+    /// The memory-record index of [`SkipLog::mem_words`]`[0]`: spans and
     /// cuts over that slice are relative to it.
     pub(crate) fn mem_base(&self) -> usize {
         self.mem.origin
     }
 
-    /// Raw memory-record address column, window-relative from
+    /// The memory records as packed words, window-relative from
     /// [`SkipLog::mem_base`] (the partitioned walker's random-access view;
-    /// span indices point into it).
+    /// span indices point into it). Each word is a line-preserving
+    /// address, so the walker reads it as one.
     ///
     /// # Panics
     ///
     /// If the memory ring has wrapped since the last
     /// [`SkipLog::finish_region`].
-    pub(crate) fn mem_addrs(&self) -> &[u64] {
+    pub(crate) fn mem_words(&self) -> &[u64] {
         assert!(self.mem.settled(), "finish_region must rotate the memory ring before it is read");
-        &self.mem.addr[..self.mem.n - self.mem.origin]
+        &self.mem.slots[..self.mem.n - self.mem.origin]
     }
 
     /// Takes the index box out for (re)building, recycling allocations and
-    /// resetting it on a geometry change.
+    /// re-keying it on a geometry change.
     fn take_index(&mut self, geom: &ReconGeometry) -> Box<ReconIndex> {
-        match self.index.take() {
-            Some(mut ix) => {
-                if ix.geom != *geom {
-                    ix.geom = *geom;
-                    ix.unseal();
-                }
-                ix
-            }
-            None => Box::new(ReconIndex::new(*geom)),
+        let mut ix = self.index.take().unwrap_or_else(|| Box::new(ReconIndex::new(*geom)));
+        if ix.geom != *geom {
+            ix.retarget(*geom);
         }
+        ix
     }
 
-    /// Seals the memory-side spans (L1I / L1D / L2) over the whole log:
-    /// the full seal, which serves every scan budget. The engines seal
-    /// only the window their budget reads ([`SkipLog::seal_mem_window`]);
-    /// this is its `pct = 100` case. Idempotent for an unchanged log and
+    /// Seals the memory-side spans (L1I / L1D / L2) over the whole log,
+    /// into the log's own index: the full seal, which serves every scan
+    /// budget, and the `pct = 100` case of [`SkipLog::seal_mem_window`].
+    /// The engines seal into indexes they own instead
+    /// ([`ReconIndex`]). Idempotent for an unchanged log and
     /// geometry. A truncated region holds no records, so its spans are
     /// empty.
     ///
@@ -1388,9 +1098,10 @@ impl SkipLog {
     }
 
     /// [`SkipLog::seal_mem_window`]'s body over an *external* index — the
-    /// per-configuration scratch a sweep replay owns, so N detailed
-    /// configurations can each key the same shared, immutable log without
-    /// touching it. `ix` must already be keyed for `geom` (see
+    /// follower's own index, or the per-configuration scratch a sweep
+    /// replay owns, so N detailed configurations can each key the same
+    /// shared, immutable log without touching it. `ix` must already be
+    /// keyed for `geom` (see
     /// [`ReconIndex::retarget`]). Spans hold indices relative to
     /// [`SkipLog::mem_base`].
     ///
@@ -1405,7 +1116,7 @@ impl SkipLog {
         assert!(n < CHAIN_NONE as usize, "{n} memory records overflow a u32 span index");
         let from = window_floor(n, pct);
         let base = self.mem_base();
-        let addrs = self.mem_addrs();
+        let words = self.mem_words();
         // Window-relative record positions of the budget window.
         let window = from - base..n - base;
         let (l1i_mask, l1d_mask, l2_mask) =
@@ -1419,8 +1130,8 @@ impl SkipLog {
         let (l1_cnt, l2_cnt) = ix.scratch.split_at_mut(geom.l1i_sets + geom.l1d_sets);
         let (l1i_cnt, l1d_cnt) = l1_cnt.split_at_mut(geom.l1i_sets);
         for j in window.clone() {
-            let addr = addrs[j];
-            if self.mem.tag(j) & 1 != 0 {
+            let addr = words[j];
+            if addr & MEM_INST != 0 {
                 l1i_cnt[((addr >> geom.l1i_line_shift) as usize) & l1i_mask] += 1;
             } else {
                 l1d_cnt[((addr >> geom.l1d_line_shift) as usize) & l1d_mask] += 1;
@@ -1455,8 +1166,8 @@ impl SkipLog {
         ix.l2_idx.clear();
         ix.l2_idx.resize(n - from, 0);
         for j in window {
-            let addr = addrs[j];
-            if self.mem.tag(j) & 1 != 0 {
+            let addr = words[j];
+            if addr & MEM_INST != 0 {
                 let s = ((addr >> geom.l1i_line_shift) as usize) & l1i_mask;
                 l1i_cnt[s] -= 1;
                 ix.l1i_idx[l1i_cnt[s] as usize] = j as u32;
@@ -1521,17 +1232,17 @@ impl SkipLog {
             if k == bits {
                 break;
             }
-            let (kind, taken) = self.branch_kind_taken(i);
-            if kind == CtrlKind::CondBranch {
-                hist |= (taken as u64) << k;
+            let w = self.br.at(i);
+            if word_is_cond(w) {
+                hist |= (w & 1) << k;
                 k += 1;
             }
         }
         // Everything older has left the ring; its newest outcomes are in
         // the register, newest in bit 0 (`bits` < 64, so it holds enough).
-        let evicted = (bits - k).min(self.br.ev_conds.min(64) as u32);
+        let evicted = (bits - k).min(self.evicted.conds.min(64) as u32);
         if evicted > 0 {
-            hist |= (self.br.ev_hist & ((1u64 << evicted) - 1)) << k;
+            hist |= (self.evicted.hist & ((1u64 << evicted) - 1)) << k;
             k += evicted;
         }
         if k == 0 {
@@ -1543,9 +1254,9 @@ impl SkipLog {
 
     /// [`SkipLog::seal_branch_index`]'s body over an *external* index,
     /// with the start GHR passed explicitly instead of read from
-    /// [`SkipLog::ghr_at_start`] — a sweep replay computes it from its own
-    /// predictor while the shared log stays immutable. `ix` must already
-    /// be keyed for `geom`.
+    /// [`SkipLog::ghr_at_start`] — the follower and each sweep replay read
+    /// it from their own predictor while the log stays immutable. `ix`
+    /// must already be keyed for `geom`.
     pub(crate) fn build_branch_index_into(
         &self,
         geom: &ReconGeometry,
@@ -1567,12 +1278,12 @@ impl SkipLog {
         let mask = (1u64 << geom.ghr_bits) - 1;
         let mut ghr = self.ghr_before(base, ghr_at_start, geom.ghr_bits);
         for i in base..n {
-            let (kind, taken) = self.branch_kind_taken(i);
+            let w = self.br.at(i);
             // Replicates `Gshare::index_with` on the running GHR: the key
             // a `BpReconstructor` forward pass would compute for record i.
-            let key = if kind == CtrlKind::CondBranch {
-                let k = (((self.branch_pc(i) >> 2) ^ ghr) & mask) as u32;
-                ghr = ((ghr << 1) | taken as u64) & mask;
+            let key = if word_is_cond(w) {
+                let k = (((word_pc(w) >> 2) ^ ghr) & mask) as u32;
+                ghr = ((ghr << 1) | (w & 1)) & mask;
                 k
             } else {
                 CHAIN_NONE
@@ -1602,8 +1313,8 @@ impl SkipLog {
         let mut lw = std::mem::take(&mut ix.scratch);
         lw.clear();
         for j in (0..len).rev() {
-            let i = base + j;
-            let (_, taken) = self.branch_kind_taken(i);
+            let w = self.br.at(base + j);
+            let taken = w & 1 != 0;
             let mut flags = 0u8;
             let key = ix.pht_key[j];
             if key != CHAIN_NONE {
@@ -1633,7 +1344,7 @@ impl SkipLog {
             }
             if taken {
                 flags |= BR_F_TAKEN;
-                let slot = ((self.branch_pc(i) >> 2) as usize) & btb_mask;
+                let slot = ((word_pc(w) >> 2) as usize) & btb_mask;
                 if btb_seen[slot >> 3] & (1 << (slot & 7)) == 0 {
                     btb_seen[slot >> 3] |= 1 << (slot & 7);
                     flags |= BR_F_BTB_LW;
@@ -1671,20 +1382,10 @@ impl SkipLog {
         ix.br_base = base;
     }
 
-    /// The sealed memory-side spans, if they still describe the current
-    /// columns. Consumers must additionally verify [`ReconIndex::geom`]
-    /// against their own structures before walking.
-    pub(crate) fn mem_index(&self) -> Option<&ReconIndex> {
-        let ix = self.index.as_deref()?;
-        (ix.mem_sealed == Some(self.mem.n)).then_some(ix)
-    }
-
-    /// The sealed branch-side columns, if they still describe the current
-    /// columns. Consumers must additionally verify the geometry, budget,
-    /// and [`ReconIndex::ghr_start`] before scanning.
-    pub(crate) fn branch_index(&self) -> Option<&ReconIndex> {
-        let ix = self.index.as_deref()?;
-        (ix.br_sealed == Some(self.br.n)).then_some(ix)
+    /// The index the public seals built, if any. Consumers check each
+    /// side's sealed length, geometry and budget before trusting it.
+    pub(crate) fn index(&self) -> Option<&ReconIndex> {
+        self.index.as_deref()
     }
 }
 
@@ -1795,10 +1496,10 @@ fn kind_to_u8(kind: CtrlKind) -> u8 {
     }
 }
 
-/// Decodes the kind bits of an in-memory meta byte (always valid: they
+/// Decodes the kind bits (1–3) of a branch word's meta (always valid: they
 /// were written from a [`CtrlKind`]).
 fn kind_from_meta(meta: u8) -> CtrlKind {
-    match (meta >> BR_KIND_SHIFT) & 7 {
+    match (meta >> 1) & 7 {
         0 => CtrlKind::CondBranch,
         1 => CtrlKind::Jump,
         2 => CtrlKind::Call,
@@ -1830,9 +1531,46 @@ mod tests {
         log
     }
 
+    /// The memory references oldest first, as `(addr, is_inst)`.
+    fn mem_refs(log: &SkipLog) -> Vec<(Addr, bool)> {
+        let mut refs: Vec<_> = log.mem_refs_rev().collect();
+        refs.reverse();
+        refs
+    }
+
+    const KINDS: [CtrlKind; 6] = [
+        CtrlKind::CondBranch,
+        CtrlKind::Jump,
+        CtrlKind::Call,
+        CtrlKind::IndirectCall,
+        CtrlKind::Return,
+        CtrlKind::IndirectJump,
+    ];
+
     #[test]
-    fn packed_branch_is_16_bytes() {
-        assert_eq!(std::mem::size_of::<PackedBranch>(), 16);
+    fn branch_words_round_trip_every_kind_and_outcome() {
+        for kind in KINDS {
+            for taken in [false, true] {
+                for (pc, target) in [(0, 0), (0x1_0000, 0x1_0040), (0xffff_fffc, 4)] {
+                    let w = branch_word(pc, target, kind, taken);
+                    let meta = word_meta(w);
+                    assert_eq!(
+                        (word_pc(w), word_target(w), kind_from_meta(meta), meta & 1 != 0),
+                        (pc, target, kind, taken),
+                        "{kind:?} {taken} {pc:#x} {target:#x}"
+                    );
+                    assert_eq!(word_is_cond(w), kind == CtrlKind::CondBranch);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn memory_words_keep_the_line_and_the_entry_type() {
+        let log =
+            SkipLog::from_records([(0x4001, false), (0x1_0000, true), (0x4003, false)], [], 0);
+        assert_eq!(mem_refs(&log), [(0x4000, false), (0x1_0000, true), (0x4002, false)]);
+        assert_eq!(log.approx_bytes(), 3 * RECORD_BYTES);
     }
 
     #[test]
@@ -1852,9 +1590,7 @@ mod tests {
             },
             100,
         );
-        let data: Vec<_> = log.mem_records().filter(|m| !m.is_inst).collect();
-        assert_eq!(data.len(), 2);
-        assert!(data[0].is_store && !data[1].is_store);
+        assert_eq!(log.mem_refs_rev().filter(|&(_, is_inst)| !is_inst).count(), 2);
         assert_eq!(log.branch_len(), 1);
         assert!(log.branch_at(0).taken);
     }
@@ -1872,7 +1608,7 @@ mod tests {
             },
             100,
         );
-        assert_eq!(log.mem_records().filter(|m| m.is_inst).count(), 1);
+        assert_eq!(log.mem_refs_rev().filter(|&(_, is_inst)| is_inst).count(), 1);
     }
 
     #[test]
@@ -1888,14 +1624,14 @@ mod tests {
             },
             500,
         );
-        assert_eq!(log.mem_records().filter(|m| m.is_inst).count(), 1);
+        assert_eq!(log.mem_refs_rev().filter(|&(_, is_inst)| is_inst).count(), 1);
         assert_eq!(log.branch_len(), 50);
     }
 
     #[test]
     fn packed_records_materialize_cpu_stream_exactly() {
-        // Record a real stream once into the packed log and once by hand
-        // into plain vectors; the materialized views must be identical.
+        // Record a real stream once into the packed log and once by hand;
+        // the views reconstruction reads must be identical.
         let mut a = Asm::new();
         let buf = a.data_zeros(4096);
         a.la(Reg::S0, buf);
@@ -1918,22 +1654,10 @@ mod tests {
             log.record(&r);
             if r.pc & LINE_MASK != last_line {
                 last_line = r.pc & LINE_MASK;
-                mem.push(MemRecord {
-                    pc: r.pc,
-                    next_pc: r.next_pc,
-                    addr: r.pc,
-                    is_inst: true,
-                    is_store: false,
-                });
+                mem.push((r.pc, true));
             }
             if let Some(m) = r.mem {
-                mem.push(MemRecord {
-                    pc: r.pc,
-                    next_pc: r.next_pc,
-                    addr: m.addr,
-                    is_inst: false,
-                    is_store: m.is_store,
-                });
+                mem.push((m.addr, false));
             }
             if let Some(b) = r.branch {
                 branches.push(BranchRecord {
@@ -1945,57 +1669,7 @@ mod tests {
                 });
             }
         }
-        assert_eq!(log.mem_records().collect::<Vec<_>>(), mem);
-        assert_eq!(log.branch_records().collect::<Vec<_>>(), branches);
-        // A real CPU stream needs no ext spills.
-        assert!(log.mem.ext.is_empty() && log.br.ext.is_empty());
-        // Reverse view agrees with the materialized records.
-        let rev: Vec<_> = log.mem_refs_rev().collect();
-        let expect: Vec<_> = mem.iter().rev().map(|m| (m.addr, m.is_inst)).collect();
-        assert_eq!(rev, expect);
-    }
-
-    #[test]
-    fn adversarial_records_roundtrip_via_ext_tables() {
-        // Synthetic records that defeat every derivation: a fetch whose pc
-        // differs from addr, a data record whose next_pc is not pc + 4,
-        // 64-bit pcs, and a branch whose next_pc contradicts its outcome.
-        let mem = vec![
-            MemRecord { pc: 0x10, next_pc: 0x9999, addr: 0x40, is_inst: true, is_store: false },
-            MemRecord {
-                pc: u64::MAX - 3,
-                next_pc: 0x14,
-                addr: 0x8000,
-                is_inst: false,
-                is_store: true,
-            },
-            MemRecord { pc: 0x20, next_pc: 0x24, addr: 0x20, is_inst: true, is_store: false },
-        ];
-        let branches = vec![
-            BranchRecord {
-                pc: 1 << 40,
-                next_pc: 0x30,
-                target: 0x5000,
-                kind: CtrlKind::Jump,
-                taken: true,
-            },
-            BranchRecord {
-                pc: 0x100,
-                next_pc: 0xdead,
-                target: 0x200,
-                kind: CtrlKind::CondBranch,
-                taken: false,
-            },
-            BranchRecord {
-                pc: 0x300,
-                next_pc: 0x304,
-                target: 0x400,
-                kind: CtrlKind::Return,
-                taken: false,
-            },
-        ];
-        let log = SkipLog::from_records(mem.clone(), branches.clone(), 7);
-        assert_eq!(log.mem_records().collect::<Vec<_>>(), mem);
+        assert_eq!(mem_refs(&log), mem);
         assert_eq!(log.branch_records().collect::<Vec<_>>(), branches);
     }
 
@@ -2040,22 +1714,12 @@ mod tests {
     fn incremental_bytes_match_layout_arithmetic() {
         let mut log = SkipLog::new(true, true, 0);
         for k in 0..70u64 {
-            log.push_mem(0x1000 + k * 4, 0x1004 + k * 4, 0x4000 + k * 8, false, false);
+            log.push_mem(0x4000 + k * 8, false);
         }
-        // 70 mem records: 3 tag words + 12 bytes each.
-        assert_eq!(log.approx_bytes(), 3 * TAG_WORD_BYTES + 70 * MEM_RECORD_BYTES);
-        log.push_branch(0x2000, 0x3000, 0x3000, CtrlKind::Jump, true);
-        assert_eq!(
-            log.approx_bytes(),
-            3 * TAG_WORD_BYTES + 70 * MEM_RECORD_BYTES + BRANCH_RECORD_BYTES
-        );
-        // An ext spill charges its table entry.
-        log.push_mem(0x9000, 0xffff, 0x8000, false, true);
-        assert_eq!(
-            log.approx_bytes(),
-            3 * TAG_WORD_BYTES + 71 * MEM_RECORD_BYTES + BRANCH_RECORD_BYTES + EXT_ENTRY_BYTES
-        );
-        assert_eq!(log.appended(), 72);
+        assert_eq!(log.approx_bytes(), 70 * RECORD_BYTES);
+        log.push_branch(0x2000, 0x3000, CtrlKind::Jump, true);
+        assert_eq!(log.approx_bytes(), 71 * RECORD_BYTES);
+        assert_eq!((log.appended(), log.peak_bytes()), (71, 71 * RECORD_BYTES));
     }
 
     #[test]
@@ -2083,7 +1747,7 @@ mod tests {
         let mut log = pool.take(true, true);
         // Overflow the budget so the log carries truncation state back.
         for k in 0..40u64 {
-            log.push_mem(0x1000, 0x1004, 0x4000 + 64 * k, false, false);
+            log.push_mem(0x4000 + 64 * k, false);
             log.note_instruction();
         }
         assert!(log.truncated());
@@ -2098,7 +1762,7 @@ mod tests {
         assert_eq!(again.appended(), 0);
         assert!(again.is_empty());
         for k in 0..40u64 {
-            again.push_mem(0x1000, 0x1004, 0x4000 + 64 * k, false, false);
+            again.push_mem(0x4000 + 64 * k, false);
             again.note_instruction();
         }
         assert!(again.truncated(), "budget must survive recycling");
@@ -2108,7 +1772,7 @@ mod tests {
         unbounded.put(again);
         let mut freed = unbounded.take(true, true);
         for k in 0..40u64 {
-            freed.push_mem(0x1000, 0x1004, 0x4000 + 64 * k, false, false);
+            freed.push_mem(0x4000 + 64 * k, false);
             freed.note_instruction();
         }
         assert!(!freed.truncated());
@@ -2154,32 +1818,24 @@ mod tests {
 
     #[test]
     fn window_seal_indexes_only_the_budget_window() {
-        let mem: Vec<_> = (0..1000u64)
-            .map(|k| MemRecord {
-                pc: 0x1000 + (k % 7) * 4,
-                next_pc: 0x1004 + (k % 7) * 4,
-                addr: 0x40_0000 + k * 200,
-                is_inst: false,
-                is_store: k % 3 == 0,
-            })
-            .collect();
+        let mem = (0..1000u64).map(|k| (0x40_0000 + k * 200, false));
         let mut log = SkipLog::from_records(mem, [], 0);
         let geom = paper_geometry();
         let n = log.mem_len();
         let pct = Pct::new(20);
         let cut = n - pct.of(n);
         log.seal_mem_window(&geom, pct);
-        let ix = log.mem_index().unwrap();
-        assert_eq!(ix.mem_from, cut);
+        let ix = log.index().unwrap();
+        assert_eq!((ix.mem_sealed, ix.mem_from), (Some(n), cut));
         assert_eq!(ix.l2_idx.len(), pct.of(n));
         assert!(ix.l2_idx.iter().all(|&i| i as usize >= cut));
         assert_eq!(ix.l1i_idx.len() + ix.l1d_idx.len(), pct.of(n));
         // The window seal already serves a narrower budget; a wider one
         // reseals over the whole log.
         log.seal_mem_window(&geom, Pct::new(10));
-        assert_eq!(log.mem_index().unwrap().mem_from, cut);
+        assert_eq!(log.index().unwrap().mem_from, cut);
         log.seal_mem_index(&geom);
-        let ix = log.mem_index().unwrap();
+        let ix = log.index().unwrap();
         assert_eq!((ix.mem_from, ix.l2_idx.len()), (0, n));
     }
 
@@ -2200,7 +1856,7 @@ mod tests {
         let mut log = SkipLog::from_records([], branches, start);
         for pct in [1, 20, 100] {
             log.seal_branch_index(&paper_geometry(), Pct::new(pct));
-            assert_eq!(log.branch_index().unwrap().ghr_final, start, "{pct}%");
+            assert_eq!(log.index().unwrap().ghr_final, start, "{pct}%");
         }
     }
 
@@ -2237,10 +1893,7 @@ mod tests {
             assert_eq!(fused.appended(), stepwise.appended());
             assert_eq!(fused.peak_bytes(), stepwise.peak_bytes());
             assert_eq!(fused.approx_bytes(), stepwise.approx_bytes());
-            assert_eq!(
-                fused.mem_records().collect::<Vec<_>>(),
-                stepwise.mem_records().collect::<Vec<_>>()
-            );
+            assert_eq!(mem_refs(&fused), mem_refs(&stepwise));
             assert_eq!(
                 fused.branch_records().collect::<Vec<_>>(),
                 stepwise.branch_records().collect::<Vec<_>>()
@@ -2296,12 +1949,10 @@ mod tests {
                 let at = format!("{keep}%, fused {fused}");
                 let window = log.mem_window();
                 assert_eq!(window, window_floor(full.mem_len(), Pct::new(keep))..full.mem_len());
-                let expect: Vec<_> = full.mem_records().skip(window.start).collect();
-                assert_eq!(log.mem_records().collect::<Vec<_>>(), expect, "{at}");
                 let rev: Vec<_> = full.mem_refs_rev().take(window.len()).collect();
                 assert_eq!(log.mem_refs_rev().collect::<Vec<_>>(), rev, "{at}");
-                let settled = &log.mem_addrs()[window.start - log.mem_base()..];
-                assert_eq!(settled, &full.mem_addrs()[window.start..], "{at}");
+                let settled = &log.mem_words()[window.start - log.mem_base()..];
+                assert_eq!(settled, &full.mem_words()[window.start..], "{at}");
                 let bwin = log.branch_window();
                 let expect: Vec<_> = full.branch_records().skip(bwin.start).collect();
                 assert_eq!(log.branch_records().collect::<Vec<_>>(), expect, "{at}");
@@ -2334,45 +1985,6 @@ mod tests {
             assert!(log.mem_len() > 200_000, "the region must be long");
             if keep.value() < 100 {
                 assert!(log.retained_slots().0 < log.mem_len() / 2);
-            }
-        }
-    }
-
-    #[test]
-    fn all_spill_streams_keep_bounded_spill_tables() {
-        // Every record spills, so without pruning the tables would hold
-        // the whole stream; under retention they track the window.
-        let keep = Pct::new(10);
-        let mut log = SkipLog::new(true, true, 0);
-        log.set_retention(keep);
-        for k in 0..50_000u64 {
-            let pc = (1 << 40) + k * 4;
-            log.push_mem(pc, pc + 4, 0x4000 + 8 * k, false, false);
-            log.push_branch(pc, pc + 8, pc + 4, CtrlKind::CondBranch, k % 2 == 0);
-            log.note_instruction();
-        }
-        log.finish_region();
-        let window = log.mem_window().len();
-        assert!(log.mem.ext.len() <= 2 * window && log.mem.ext.capacity() <= 4 * window);
-        assert!(log.br.ext.len() <= 2 * window && log.br.ext.capacity() <= 4 * window);
-        assert_eq!(
-            log.approx_bytes(),
-            50_000 * (MEM_RECORD_BYTES + BRANCH_RECORD_BYTES + 2 * EXT_ENTRY_BYTES)
-                + 50_000usize.div_ceil(TAGS_PER_WORD) * TAG_WORD_BYTES
-        );
-        let last = log.mem_at(log.mem_len() - 1);
-        assert_eq!((last.pc, last.next_pc), ((1 << 40) + 49_999 * 4, (1 << 40) + 50_000 * 4));
-    }
-
-    #[test]
-    fn tag_rotation_matches_column_rotation() {
-        let tags: Vec<u64> = (0..4u64).map(|w| w.wrapping_mul(0x9e37_79b9_7f4a_7c15)).collect();
-        let slot = |t: &[u64], s: usize| (t[s / TAGS_PER_WORD] >> ((s % TAGS_PER_WORD) * 2)) & 3;
-        for k in [0, 1, 31, 32, 33, 64, 100, 127] {
-            let mut rotated = tags.clone();
-            rotate_tags(&mut rotated, k);
-            for s in 0..128 {
-                assert_eq!(slot(&rotated, s), slot(&tags, (s + k) % 128), "k {k}, slot {s}");
             }
         }
     }

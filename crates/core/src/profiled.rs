@@ -69,7 +69,11 @@ impl ReuseProfile {
 /// Tracks last-touch positions of 64-byte lines (data and instruction) over
 /// the skip region, then records, for each cluster reference, how many
 /// pre-cluster instructions a warm window must include to contain its
-/// previous use.
+/// previous use. Cluster fetches count at line granularity, as the skip
+/// log and the SMARTS warmer see them: a fetch is a reference only when
+/// its line differs from the previous fetch's, so straight-line code
+/// inside one line does not flood the histogram with intra-cluster
+/// distance-0 entries.
 ///
 /// # Errors
 ///
@@ -120,10 +124,14 @@ pub fn profile_reuse(
         }
     };
 
+    let mut prev_iline = None;
     cpu.step_n(cluster_len, |r| {
         let iline = r.pc & LINE_MASK;
-        note(&mut profile, last_touch.get(&iline).copied());
-        touch(&mut last_touch, iline, pos);
+        if prev_iline != Some(iline) {
+            prev_iline = Some(iline);
+            note(&mut profile, last_touch.get(&iline).copied());
+            touch(&mut last_touch, iline, pos);
+        }
         if let Some(m) = r.mem {
             let dline = m.addr & LINE_MASK;
             note(&mut profile, last_touch.get(&dline).copied());
@@ -177,9 +185,11 @@ mod tests {
     #[test]
     fn mrrl_includes_compulsory_and_intra_cluster() {
         let mut a = Asm::new();
+        let base = a.here();
         let data = a.data_zeros(256);
         a.la(Reg::S1, data);
         a.nop();
+        let skip = (a.here() - base) / 4;
         // Cluster: two touches of the same (previously untouched) line:
         // first compulsory, second intra-cluster.
         a.ld(Reg::T0, 128, Reg::S1);
@@ -187,11 +197,41 @@ mod tests {
         a.halt();
         let p = a.finish().unwrap();
         let mut cpu = Cpu::new(&p).unwrap();
-        let prof = profile_reuse(&mut cpu, 3, 2, ReusePolicy::Mrrl).unwrap();
-        // MRRL counts both data refs (0-distance) plus instruction-line
-        // reuse records.
-        assert!(prof.considered >= 2);
-        assert!(prof.back_distances.contains(&0));
+        let prof = profile_reuse(&mut cpu, skip, 2, ReusePolicy::Mrrl).unwrap();
+        // MRRL counts both data refs (0-distance) plus the cluster's one
+        // instruction-line reuse record.
+        assert_eq!(prof.considered, 3);
+        assert_eq!(prof.back_distances.iter().filter(|&&d| d == 0).count(), 2);
+    }
+
+    #[test]
+    fn a_loop_inside_one_line_counts_one_fetch() {
+        // Skip: touch a data line, then spin a one-line loop. Cluster: the
+        // same loop reloading that line every iteration. The loop's
+        // fetches are one reference, not one per instruction.
+        let mut a = Asm::new();
+        let base = a.here();
+        let data = a.data_zeros(64);
+        a.la(Reg::S1, data);
+        a.ld(Reg::T1, 0, Reg::S1);
+        a.li(Reg::T0, 1_000);
+        let prologue = (a.here() - base) / 4;
+        let top = a.bind_new("top");
+        a.ld(Reg::T1, 0, Reg::S1);
+        a.addi(Reg::T0, Reg::T0, -1);
+        a.bne(Reg::T0, Reg::ZERO, top);
+        a.halt();
+        let p = a.finish().unwrap();
+        assert!(p.text_end() - (base & !63) <= 64, "the program fits one line");
+        let skip = prologue + 3 * 10;
+        let cluster = 3 * 20;
+        let mut cpu = Cpu::new(&p).unwrap();
+        let prof = profile_reuse(&mut cpu, skip, cluster, ReusePolicy::Mrrl).unwrap();
+        // One fetch reference plus 20 loads.
+        assert_eq!(prof.considered, 21);
+        assert_eq!(prof.back_distances.iter().filter(|&&d| d > 0).count(), 2);
+        // Covering the two pre-cluster reuses takes a nonzero window.
+        assert!(prof.warm_window(Pct::new(100), skip) > 0);
     }
 
     #[test]

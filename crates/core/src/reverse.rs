@@ -187,15 +187,16 @@ pub fn reconstruct_caches_partitioned(
     pct: Pct,
     _workers: usize,
 ) -> (ReconStats, ReconTiming) {
-    reconstruct_caches_partitioned_with(hier, log, log.mem_index(), pct)
+    reconstruct_caches_partitioned_with(hier, log, log.index(), pct)
 }
 
 /// [`reconstruct_caches_partitioned`] over an explicitly supplied index —
-/// the sweep engine's entry point, where the sealed log is shared
-/// (immutable) across configurations and each replay builds its own
-/// per-geometry index into external scratch. The geometry check and the
-/// on-the-spot seal are applied here, so both entry points run the exact
-/// same code on the exact same inputs.
+/// the engines' entry point, where the follower or the sweep replay seals
+/// each window into scratch it owns and the log stays immutable. The index
+/// is used only if its memory side was sealed over exactly this log's
+/// records, for this hierarchy's geometry, reaching back to this budget's
+/// cut; otherwise an index is sealed on the spot. Both entry points thus
+/// run the exact same code on the exact same inputs.
 pub(crate) fn reconstruct_caches_partitioned_with(
     hier: &mut MemHierarchy,
     log: &SkipLog,
@@ -210,7 +211,9 @@ pub(crate) fn reconstruct_caches_partitioned_with(
     // Any seal reaching back to the cut serves this budget; the walk
     // stops at the cut either way.
     let local;
-    let ix = match index.filter(|ix| ix.geom.mem_key() == geom.mem_key() && ix.mem_from <= cut) {
+    let ix = match index.filter(|ix| {
+        ix.mem_sealed == Some(n) && ix.geom.mem_key() == geom.mem_key() && ix.mem_from <= cut
+    }) {
         Some(ix) => ix,
         None => {
             let mut ix = ReconIndex::new(geom);
@@ -220,7 +223,7 @@ pub(crate) fn reconstruct_caches_partitioned_with(
         }
     };
     let mut timing = ReconTiming::default();
-    let addrs = log.mem_addrs();
+    let addrs = log.mem_words();
     let cut = cut - log.mem_base();
     hier.begin_reconstruction();
 
@@ -325,16 +328,16 @@ impl<'log> BpReconstructor<'log> {
     /// or if the log holds `u32::MAX` or more branch records (see
     /// [`SkipLog::seal_branch_index`]).
     pub fn new(pred: &mut Predictor, log: &'log SkipLog, pct: Pct) -> BpReconstructor<'log> {
-        BpReconstructor::with_index(pred, log, log.branch_index(), log.ghr_at_start, pct)
+        BpReconstructor::with_index(pred, log, log.index(), log.ghr_at_start, pct)
     }
 
     /// [`BpReconstructor::new`] over an explicitly supplied index and
-    /// start GHR — the sweep engine's entry point, where the sealed log is
-    /// shared (immutable) across configurations, each replay builds its
-    /// branch index into external scratch, and the start GHR comes from
-    /// the replay's own predictor instead of the log's `ghr_at_start`
-    /// field. The seal check and the on-the-spot seal are applied here,
-    /// identically for both entry points.
+    /// start GHR — the engines' entry point, where the log stays immutable,
+    /// the follower or the sweep replay seals the branch side into scratch
+    /// it owns, and the start GHR comes from the reconstructing predictor
+    /// instead of the log's `ghr_at_start` field. The seal check and the
+    /// on-the-spot seal are applied here, identically for both entry
+    /// points.
     pub(crate) fn with_index(
         pred: &mut Predictor,
         log: &'log SkipLog,
@@ -349,13 +352,15 @@ impl<'log> BpReconstructor<'log> {
         let n = log.branch_len();
         let budget = pct.of(n);
 
-        // The seal is usable only for this exact predictor geometry, scan
-        // budget, and start GHR: every PHT key hashes the running GHR, and
-        // the columns cover only the budget window, with the flush
-        // last-writer bits placed relative to it (see `BR_F_PHT_FLUSH_LW`).
+        // The seal is usable only over exactly this log's records, for
+        // this exact predictor geometry, scan budget, and start GHR: every
+        // PHT key hashes the running GHR, and the columns cover only the
+        // budget window, with the flush last-writer bits placed relative to
+        // it (see `BR_F_PHT_FLUSH_LW`).
         let geom = pred_geometry(pred);
         let index = match index.filter(|ix| {
-            ix.geom.ghr_bits == geom.ghr_bits
+            ix.br_sealed == Some(n)
+                && ix.geom.ghr_bits == geom.ghr_bits
                 && ix.geom.btb_entries == geom.btb_entries
                 && ix.br_pct == Some(pct)
                 && ix.ghr_start == ghr_at_start
@@ -788,6 +793,57 @@ mod tests {
         r.before_predict(&mut p, 0x1000, PredCtrlKind::CondBranch);
         // Second demand for an already-reconstructed entry consumes nothing.
         assert_eq!(r.stats().branch_scanned, scanned_once);
+    }
+
+    /// A log of `n` loads and stores striding by `stride` bytes, each
+    /// followed by a conditional branch at one of `pcs` PCs.
+    fn mixed_log(n: u64, stride: u64, pcs: u64) -> SkipLog {
+        let mut log = SkipLog::new(true, true, 0);
+        for k in 0..n {
+            let pc = 0x1_0000 + (k % 16) * 4;
+            log.record(&mem_retired(2 * k, pc, 0x40_0000 + k * stride, k % 3 == 0));
+            log.record(&branch_retired(2 * k + 1, 0x2_0000 + (k % pcs) * 4, k % 3 != 0, pc));
+        }
+        log
+    }
+
+    #[test]
+    fn stale_indexes_are_resealed_on_the_spot() {
+        // An index sealed over another log, as given and after a retarget
+        // that re-keys it without rebuilding: its spans, cut and PHT keys
+        // still describe that log, so both reconstructions must ignore it
+        // and seal on the spot.
+        let machine = crate::MachineConfig::paper();
+        let geom = ReconGeometry::of_machine(&machine);
+        let pct = Pct::new(50);
+        let old = mixed_log(3000, 64, 37);
+        let mut sealed = ReconIndex::new(geom);
+        old.build_mem_index_into(&geom, pct, &mut sealed);
+        old.build_branch_index_into(&geom, 0, pct, &mut sealed);
+        let mut retargeted = sealed.clone();
+        retargeted.retarget(geom);
+        let log = mixed_log(4000, 192, 53);
+
+        let caches = |index: Option<&ReconIndex>| {
+            let mut hier = MemHierarchy::new(machine.hier.clone());
+            let (stats, _) = reconstruct_caches_partitioned_with(&mut hier, &log, index, pct);
+            let sets: Vec<_> = [&hier.l1i, &hier.l1d, &hier.l2]
+                .iter()
+                .flat_map(|c| (0..c.num_sets()).map(|set| c.dump_set(set)))
+                .collect();
+            (stats, sets)
+        };
+        let branches = |index: Option<&ReconIndex>| {
+            let mut p = Predictor::new(machine.pred);
+            let mut bp = BpReconstructor::with_index(&mut p, &log, index, 0, pct);
+            bp.exhaust(&mut p);
+            (bp.stats(), format!("{p:?}"))
+        };
+        let (cache, bp) = (caches(None), branches(None));
+        for (stale, what) in [(&sealed, "sealed for another log"), (&retargeted, "retargeted")] {
+            assert_eq!(caches(Some(stale)), cache, "{what}");
+            assert_eq!(branches(Some(stale)), bp, "{what}");
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@ use crate::profiled::{profile_reuse, ReusePolicy};
 use crate::reverse::{
     reconstruct_caches_partitioned_with, BpReconstructor, ReconStats, ReconTiming,
 };
-use crate::{ClusterWindow, Pct, SkipLog, WarmupPolicy};
+use crate::{ClusterWindow, SkipLog, WarmupPolicy};
 
 /// Errors surfaced by the sampled simulator.
 ///
@@ -478,14 +478,11 @@ pub(crate) fn policy_decouples(policy: WarmupPolicy) -> bool {
 }
 
 /// A borrowed view of the reconstruction index a window should consult,
-/// decoupled from where that index lives. The in-process engines read it
-/// out of the log's own sealed box ([`SkipLog::mem_index`] /
-/// [`SkipLog::branch_index`]); the sweep engine builds it into external
-/// per-task scratch because the shared `Arc<SkipLog>` is immutable and its
-/// index is geometry-keyed while each sweep config has its own geometry.
-/// A `None` side carries no prebuilt index, and reconstruction seals one
-/// on the spot. `ghr_at_start` is the global history the predictor held
-/// when the skip region began — the branch-key seed (§3.2).
+/// decoupled from where that index lives: the follower's own scratch
+/// ([`follower_window`]) or a slot of the sweep replay's arena. A `None`
+/// side carries no prebuilt index, and reconstruction seals one on the
+/// spot. `ghr_at_start` is the global history the predictor held when the
+/// skip region began — the branch-key seed (§3.2).
 pub(crate) struct WindowIndex<'l> {
     pub mem: Option<&'l ReconIndex>,
     pub br: Option<&'l ReconIndex>,
@@ -503,8 +500,8 @@ pub(crate) struct WindowIndex<'l> {
 /// [`follower_window`] — and the sweep engine's per-config replay
 /// (`crate::sweep`). That sharing is what makes bit-identity an invariant
 /// by construction rather than a property to re-verify per call site.
-/// `log` is `Some` exactly when the reverse policy sealed a log for this
-/// window, paired with the index view the reconstruction should read.
+/// `log` is `Some` exactly when the reverse policy logged this window's
+/// skip region, paired with the index view the reconstruction should read.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn detailed_window<S: RetireSource + ?Sized>(
     machine: &MachineConfig,
@@ -571,12 +568,15 @@ pub(crate) fn detailed_window<S: RetireSource + ?Sized>(
     Ok(())
 }
 
-/// The in-process wrapper over [`detailed_window`]: seals the log's own
-/// boxed index for this machine's geometry, then hands the sealed view
-/// down. `log.ghr_at_start` is filled in *here*, from the follower's
-/// predictor, because the leader has no predictor — and during a skip
-/// region the predictor is untouched, so the value is identical to what
-/// sealing-time capture would record.
+/// The in-process wrapper over [`detailed_window`]: seals the window's
+/// memory and branch indexes into `ix`, the follower's own scratch keyed
+/// for this machine's geometry, then hands the sealed view down. The
+/// reader seals, so the functional leader only steps and logs, and no log
+/// in flight carries an index. The start GHR is read *here*, from the
+/// follower's predictor: during a skip region the predictor is untouched,
+/// so it is the GHR the region began with. Both seals cover only the
+/// budget window the reverse walks read, and are charged to the warm phase
+/// alongside the reconstruction.
 #[allow(clippy::too_many_arguments)]
 fn follower_window<S: RetireSource + ?Sized>(
     machine: &MachineConfig,
@@ -585,43 +585,31 @@ fn follower_window<S: RetireSource + ?Sized>(
     pred: &mut Predictor,
     src: &mut S,
     len: u64,
-    log: Option<&mut SkipLog>,
+    log: Option<&SkipLog>,
+    ix: &mut ReconIndex,
     outcome: &mut SampleOutcome,
 ) -> Result<(), SimError> {
-    let log: Option<&SkipLog> = match log {
-        None => None,
-        Some(log) => {
-            let WarmupPolicy::Reverse { cache, bp, pct } = policy else {
-                unreachable!("only the reverse policy seals skip logs");
-            };
-            if !log.truncated() {
-                log.ghr_at_start = pred.gshare.ghr();
-                // Sealing is idempotent: under the pipeline the leader
-                // already sealed the memory side, so only the branch side
-                // (whose keys need the GHR just captured) is built here.
-                // Both seals cover only the budget window the reverse
-                // walks read. Charged to the warm phase alongside the
-                // reconstruction.
-                let t = Instant::now();
-                let geom = ReconGeometry::of_machine(machine);
-                if cache {
-                    log.seal_mem_window(&geom, pct);
-                }
-                if bp {
-                    log.seal_branch_index(&geom, pct);
-                }
-                outcome.phases.warm += t.elapsed();
-            }
-            Some(log)
-        }
-    };
     let log = log.map(|log| {
-        let ix = WindowIndex {
-            mem: log.mem_index(),
-            br: log.branch_index(),
-            ghr_at_start: log.ghr_at_start,
+        let WarmupPolicy::Reverse { cache, bp, pct } = policy else {
+            unreachable!("only the reverse policy logs skip regions");
         };
-        (log, ix)
+        let ghr_at_start = pred.gshare.ghr();
+        if log.truncated() {
+            // Degraded cluster: `detailed_window` counts it and skips
+            // reconstruction; the view is never read.
+            return (log, WindowIndex { mem: None, br: None, ghr_at_start });
+        }
+        let t = Instant::now();
+        let geom = ix.geom;
+        if cache {
+            log.build_mem_index_into(&geom, pct, ix);
+        }
+        if bp {
+            log.build_branch_index_into(&geom, ghr_at_start, pct, ix);
+        }
+        outcome.phases.warm += t.elapsed();
+        let ix = &*ix;
+        (log, WindowIndex { mem: cache.then_some(ix), br: bp.then_some(ix), ghr_at_start })
     });
     detailed_window(machine, policy, hier, pred, src, len, log, outcome)
 }
@@ -660,6 +648,7 @@ pub(crate) fn run_windows(
     // schedule alone so results never depend on the thread count.
     let mut hier = MemHierarchy::new(machine.hier.clone());
     let mut pred = Predictor::new(machine.pred);
+    let mut index = ReconIndex::new(ReconGeometry::of_machine(machine));
 
     // Pooled across regions (and shards) so logging never pays
     // reallocation growth.
@@ -669,7 +658,7 @@ pub(crate) fn run_windows(
         outcome.skipped_insts += skip;
 
         // ---- cold / warm phases over the skip region -------------------
-        let mut sealed: Option<&mut SkipLog> = None;
+        let mut logged: Option<&SkipLog> = None;
         match policy {
             WarmupPolicy::None => {
                 let t = Instant::now();
@@ -695,14 +684,14 @@ pub(crate) fn run_windows(
             WarmupPolicy::Reverse { cache, bp, .. } => {
                 // Cold phase with logging: "no analysis is performed
                 // between clusters except for logging". Stepping and
-                // recording are fused into one monomorphized loop. The GHR
-                // snapshot is filled in by `follower_window`, which owns
-                // the predictor.
+                // recording are fused into one monomorphized loop.
+                // `follower_window`, which owns the predictor, reads the
+                // GHR snapshot and seals.
                 let t = Instant::now();
                 log.reset(cache, bp, 0);
                 log.record_region(cpu, skip)?;
                 outcome.phases.cold += t.elapsed();
-                sealed = Some(&mut log);
+                logged = Some(&log);
             }
             WarmupPolicy::Mrrl { coverage } | WarmupPolicy::Blrl { coverage } => {
                 let reuse = if matches!(policy, WarmupPolicy::Mrrl { .. }) {
@@ -729,7 +718,17 @@ pub(crate) fn run_windows(
         }
 
         // ---- reconstruction + hot phase --------------------------------
-        follower_window(machine, policy, &mut hier, &mut pred, cpu, w.len, sealed, &mut outcome)?;
+        follower_window(
+            machine,
+            policy,
+            &mut hier,
+            &mut pred,
+            cpu,
+            w.len,
+            logged,
+            &mut index,
+            &mut outcome,
+        )?;
         pos = w.end();
     }
     pool.put(log);
@@ -762,9 +761,9 @@ pub(crate) struct PipelineCtx<'a> {
 
 /// One unit of leader → follower work: a cluster's length, the retire
 /// trace the leader recorded while stepping through it, and — for the
-/// reverse policy — the skip region's sealed log. The follower sends the
-/// item back once done, so traces and logs recycle instead of
-/// reallocating.
+/// reverse policy — the skip region's log (records only; the follower
+/// seals). The follower sends the item back once done, so traces and logs
+/// recycle instead of reallocating.
 struct HotItem {
     len: u64,
     trace: RetireTrace,
@@ -777,8 +776,8 @@ struct HotItem {
 /// under the reverse policy) *and* cluster regions (recording their
 /// retire traces), and emits one [`HotItem`] per window into a bounded
 /// channel; the detailed follower consumes items strictly in schedule
-/// order, reconstructing from each sealed log and timing each hot cluster
-/// from its trace. Cold-phase
+/// order, sealing and reconstructing from each log and timing each hot
+/// cluster from its trace. Cold-phase
 /// time thus hides under warm + hot time; results are bit-identical to
 /// [`run_windows`] because both sides execute the same deterministic
 /// computations on the same inputs — the leader's architectural state
@@ -805,13 +804,12 @@ pub(crate) fn run_windows_pipelined(
     debug_assert!(ctx.depth >= 2, "depth 1 is the sequential engine");
     debug_assert!(policy_decouples(policy), "caller must gate on policy_decouples");
     let t0 = Instant::now();
-    let (cache, bp, pct, logging) = match policy {
-        WarmupPolicy::Reverse { cache, bp, pct } => (cache, bp, pct, true),
-        _ => (false, false, Pct::new(100), false),
+    let (cache, bp, logging) = match policy {
+        WarmupPolicy::Reverse { cache, bp, .. } => (cache, bp, true),
+        _ => (false, false, false),
     };
     let mut leader_out = SampleOutcome::empty(policy);
     let mut leader_err: Option<SimError> = None;
-    let geom = ReconGeometry::of_machine(machine);
 
     let follower_result = thread::scope(|scope| {
         let (tx, rx) = mpsc::sync_channel::<HotItem>(ctx.depth - 1);
@@ -851,17 +849,7 @@ pub(crate) fn run_windows_pipelined(
             let log = if logging {
                 let mut log = pool.take(cache, bp);
                 match log.record_region(cpu, skip) {
-                    Ok(()) => {
-                        // Seal the memory-side spans over the budget
-                        // window on the leader's clock — this work
-                        // overlaps the follower's detailed simulation.
-                        // The branch side needs the follower's GHR
-                        // snapshot, so it seals over there.
-                        if cache {
-                            log.seal_mem_window(&geom, pct);
-                        }
-                        Some(log)
-                    }
+                    Ok(()) => Some(log),
                     Err(e) => {
                         leader_out.phases.cold += t.elapsed();
                         pool.put(log);
@@ -959,7 +947,8 @@ fn follower_loop(
     // here exactly as the sequential engine cold-starts it per shard.
     let mut hier = MemHierarchy::new(machine.hier.clone());
     let mut pred = Predictor::new(machine.pred);
-    while let Ok(mut item) = rx.recv() {
+    let mut index = ReconIndex::new(ReconGeometry::of_machine(machine));
+    while let Ok(item) = rx.recv() {
         follower_window(
             machine,
             policy,
@@ -967,7 +956,8 @@ fn follower_loop(
             &mut pred,
             &mut item.trace.cursor(),
             item.len,
-            item.log.as_mut(),
+            item.log.as_ref(),
+            &mut index,
             &mut outcome,
         )?;
         // The leader may already be gone (deadline, error); a dead

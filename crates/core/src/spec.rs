@@ -579,7 +579,7 @@ impl<'a> RunSpec<'a> {
     /// at every thread count.
     ///
     /// The budget is measured against the packed in-memory layout
-    /// (~12.25 bytes per memory record, 16 per branch — DESIGN.md §9),
+    /// ([`crate::RECORD_BYTES`] = 8 bytes per record — DESIGN.md §9),
     /// enforced once per retired instruction so an instruction's records
     /// are kept or discarded together.
     pub fn log_budget_bytes(mut self, bytes: usize) -> Self {

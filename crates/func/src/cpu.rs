@@ -105,19 +105,55 @@ impl std::fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// Error raised when a program image fails to load (undecodable text word).
+/// Error raised when a program image fails to load.
+///
+/// Every PC and every direct-transfer target must be a 32-bit, 4-byte
+/// aligned address: the simulator's skip logs pack a branch's PC and target
+/// into one 64-bit record.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct LoadError {
-    /// Address of the bad word.
-    pub addr: Addr,
-    /// The decode failure.
-    pub cause: DecodeError,
+pub enum LoadError {
+    /// A text word does not decode.
+    Decode {
+        /// Address of the bad word.
+        addr: Addr,
+        /// The decode failure.
+        cause: DecodeError,
+    },
+    /// The text segment is misaligned or reaches past 32 bits.
+    TextOutOfRange {
+        /// First text address.
+        base: Addr,
+        /// One past the last text address.
+        end: Addr,
+    },
+    /// A conditional branch or `jal` targets a misaligned address or one
+    /// past 32 bits.
+    TargetOutOfRange {
+        /// Address of the transfer.
+        pc: Addr,
+        /// Its target.
+        target: Addr,
+    },
 }
 
 impl std::fmt::Display for LoadError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "bad instruction at {:#x}: {}", self.addr, self.cause)
+        match self {
+            LoadError::Decode { addr, cause } => write!(f, "bad instruction at {addr:#x}: {cause}"),
+            LoadError::TextOutOfRange { base, end } => {
+                write!(f, "text segment {base:#x}..{end:#x} is not 4-byte aligned within 32 bits")
+            }
+            LoadError::TargetOutOfRange { pc, target } => write!(
+                f,
+                "transfer at {pc:#x} targets {target:#x}, not a 4-byte aligned 32-bit address"
+            ),
+        }
     }
+}
+
+/// Is `addr` a 4-byte aligned address below 2³²?
+fn packable(addr: Addr) -> bool {
+    addr < 1 << 32 && addr.is_multiple_of(INST_BYTES)
 }
 
 impl std::error::Error for LoadError {}
@@ -171,13 +207,21 @@ struct Predecoded {
 
 impl Predecoded {
     fn load(program: &Program) -> Result<Predecoded, LoadError> {
+        let (base, end) = (program.text_base(), program.text_end());
+        if !packable(base) || end > 1 << 32 {
+            return Err(LoadError::TextOutOfRange { base, end });
+        }
         let mut code = Vec::with_capacity(program.text().len());
         for (i, &word) in program.text().iter().enumerate() {
-            let addr = program.text_base() + i as u64 * INST_BYTES;
-            let inst = Inst::decode(word).map_err(|cause| LoadError { addr, cause })?;
+            let addr = base + i as u64 * INST_BYTES;
+            let inst = Inst::decode(word).map_err(|cause| LoadError::Decode { addr, cause })?;
             let sem = inst.semantic();
             let target = if sem.class.is_cond_branch() || sem.class == SemClass::Jal {
-                addr.wrapping_add(sem.imm as u64)
+                let target = addr.wrapping_add(sem.imm as u64);
+                if !packable(target) {
+                    return Err(LoadError::TargetOutOfRange { pc: addr, target });
+                }
+                target
             } else {
                 0
             };
@@ -225,7 +269,9 @@ impl Cpu {
     ///
     /// # Errors
     ///
-    /// Returns [`LoadError`] if any text word fails to decode.
+    /// Returns [`LoadError`] if any text word fails to decode, or if the
+    /// text or a direct-transfer target is not a 4-byte aligned 32-bit
+    /// address.
     pub fn new(program: &Program) -> Result<Cpu, LoadError> {
         let pre = Arc::new(Predecoded::load(program)?);
         let mut mem = Memory::new();

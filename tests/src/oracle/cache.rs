@@ -9,7 +9,7 @@
 //! [`Cache`]: rsr_cache::Cache
 
 use rsr_cache::{
-    AccessKind, AccessOutcome, Addr, CacheConfig, CacheStats, ReconOutcome, WritePolicy,
+    AccessKind, AccessOutcome, Addr, CacheConfig, CacheStats, ReconOutcome, WayDump, WritePolicy,
 };
 
 const NOT_RECON: u8 = u8::MAX;
@@ -303,11 +303,11 @@ impl RefCache {
         }
     }
 
-    /// Content of one set as `(tag, valid, rank, reconstructed)` tuples.
-    pub fn dump_set(&self, set: usize) -> Vec<(u64, bool, u8, bool)> {
+    /// Content of one set, one [`WayDump`] per way.
+    pub fn dump_set(&self, set: usize) -> Vec<WayDump> {
         self.set_lines_ref(set)
             .iter()
-            .map(|l| (l.tag, l.valid, l.rank, l.is_reconstructed()))
+            .map(|l| (l.tag, l.valid, l.dirty, l.rank, l.is_reconstructed()))
             .collect()
     }
 

@@ -18,6 +18,6 @@ mod warm;
 
 pub use branch::{RefBtb, RefGshare, RefRas};
 pub use cache::RefCache;
-pub use reverse::{reconstruct_caches, RefBpReconstructor};
+pub use reverse::{reconstruct_caches, reconstruct_refs, RefBpReconstructor};
 pub use timing::ref_simulate_cluster;
 pub use warm::ref_warm;

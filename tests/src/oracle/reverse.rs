@@ -3,12 +3,15 @@
 //! branch-predictor reconstructor with incremental per-entry counter
 //! inference. The library's sealed-index paths must reproduce both bit
 //! for bit: same counters, same cache contents, same predictor state.
+//!
+//! Both read plain records, so they can run from a [`SkipLog`] or from
+//! any other layout that holds the same references and transfers.
 
 use std::collections::HashMap;
 
 use rsr_branch::{CounterInference, PredCtrlKind, Predictor, RasOp};
 use rsr_cache::{MemHierarchy, ReconOutcome};
-use rsr_core::{Pct, ReconStats, SkipLog};
+use rsr_core::{BranchRecord, Pct, ReconStats, SkipLog};
 use rsr_isa::{Addr, CtrlKind};
 use rsr_timing::PredictHook;
 
@@ -18,16 +21,24 @@ use rsr_timing::PredictHook;
 /// unified L2; the scan stops early once every set of every level is
 /// reconstructed.
 pub fn reconstruct_caches(hier: &mut MemHierarchy, log: &SkipLog, pct: Pct) -> ReconStats {
+    reconstruct_refs(hier, log.mem_refs_rev().take(pct.of(log.mem_len())))
+}
+
+/// [`reconstruct_caches`] over `refs`, the in-budget references as
+/// `(addr, is_inst)`, newest first.
+pub fn reconstruct_refs(
+    hier: &mut MemHierarchy,
+    refs: impl Iterator<Item = (Addr, bool)>,
+) -> ReconStats {
     let mut stats = ReconStats::default();
     hier.begin_reconstruction();
-    let budget = pct.of(log.mem_len());
     // Completion flags per level: once a level is fully reconstructed,
     // further probes of it are pure no-ops (`SetComplete`), so they are
     // counted as ignored without touching the cache at all.
     let mut l1i_done = hier.l1i.fully_reconstructed();
     let mut l1d_done = hier.l1d.fully_reconstructed();
     let mut l2_done = hier.l2.fully_reconstructed();
-    for (addr, is_inst) in log.mem_refs_rev().take(budget) {
+    for (addr, is_inst) in refs {
         if l1i_done && l1d_done && l2_done {
             break;
         }
@@ -62,8 +73,9 @@ pub fn reconstruct_caches(hier: &mut MemHierarchy, log: &SkipLog, pct: Pct) -> R
 /// [`CounterInference`] keyed in a hash map, until the probed PHT/BTB
 /// entry is reconstructed or the budget runs out.
 #[derive(Debug)]
-pub struct RefBpReconstructor<'log> {
-    log: &'log SkipLog,
+pub struct RefBpReconstructor {
+    /// The region's transfers, oldest first.
+    records: Vec<BranchRecord>,
     /// GHR value seen by record *i* (used for its PHT index).
     ghr_before: Vec<u64>,
     /// Reverse records consumed so far.
@@ -76,19 +88,35 @@ pub struct RefBpReconstructor<'log> {
     stats: ReconStats,
 }
 
-impl<'log> RefBpReconstructor<'log> {
+impl RefBpReconstructor {
     /// Prepares reconstruction for one skip region: clears reconstructed
     /// bits, rebuilds the GHR and the RAS.
-    pub fn new(pred: &mut Predictor, log: &'log SkipLog, pct: Pct) -> RefBpReconstructor<'log> {
+    pub fn new(pred: &mut Predictor, log: &SkipLog, pct: Pct) -> RefBpReconstructor {
+        RefBpReconstructor::from_records(
+            pred,
+            log.branch_records().collect(),
+            log.ghr_at_start,
+            pct,
+        )
+    }
+
+    /// [`RefBpReconstructor::new`] over `records`, the region's whole
+    /// branch stream oldest first, entered with `ghr_at_start`.
+    pub fn from_records(
+        pred: &mut Predictor,
+        records: Vec<BranchRecord>,
+        ghr_at_start: u64,
+        pct: Pct,
+    ) -> RefBpReconstructor {
         pred.gshare.begin_reconstruction();
         pred.btb.begin_reconstruction();
 
-        let n = log.branch_len();
+        let n = records.len();
         let budget = pct.of(n);
         let mut ghr_before = Vec::with_capacity(n);
-        let mut ghr = log.ghr_at_start;
+        let mut ghr = ghr_at_start;
         let mask = pred.gshare.ghr_mask();
-        for b in log.branch_records() {
+        for b in &records {
             ghr_before.push(ghr);
             if b.kind == CtrlKind::CondBranch {
                 ghr = ((ghr << 1) | b.taken as u64) & mask;
@@ -96,18 +124,15 @@ impl<'log> RefBpReconstructor<'log> {
         }
         pred.gshare.set_ghr(ghr);
 
-        let ras_ops = (0..n).rev().take(budget).filter_map(|i| {
-            let b = log.branch_at(i);
-            match b.kind {
-                CtrlKind::Call | CtrlKind::IndirectCall => Some(RasOp::Push(b.pc + 4)),
-                CtrlKind::Return => Some(RasOp::Pop),
-                _ => None,
-            }
+        let ras_ops = records.iter().rev().take(budget).filter_map(|b| match b.kind {
+            CtrlKind::Call | CtrlKind::IndirectCall => Some(RasOp::Push(b.pc + 4)),
+            CtrlKind::Return => Some(RasOp::Pop),
+            _ => None,
         });
         pred.ras.reconstruct(ras_ops);
 
         RefBpReconstructor {
-            log,
+            records,
             ghr_before,
             consumed: 0,
             budget,
@@ -137,10 +162,10 @@ impl<'log> RefBpReconstructor<'log> {
             }
             return false;
         }
-        let i = self.log.branch_len() - 1 - self.consumed;
+        let i = self.records.len() - 1 - self.consumed;
         self.consumed += 1;
         self.stats.branch_scanned += 1;
-        let b = self.log.branch_at(i);
+        let b = self.records[i];
         if b.kind == CtrlKind::CondBranch {
             let idx = pred.gshare.index_with(b.pc, self.ghr_before[i]);
             if !pred.gshare.is_reconstructed(idx) {
@@ -202,7 +227,7 @@ impl<'log> RefBpReconstructor<'log> {
     }
 }
 
-impl PredictHook for RefBpReconstructor<'_> {
+impl PredictHook for RefBpReconstructor {
     fn before_predict(&mut self, pred: &mut Predictor, pc: Addr, kind: PredCtrlKind) {
         if kind == PredCtrlKind::CondBranch {
             let idx = pred.gshare.index(pc);

@@ -163,3 +163,109 @@ fn mrrl_handles_degenerate_regions() {
     .unwrap();
     assert_eq!(out.clusters.len(), 10);
 }
+
+#[test]
+fn programs_whose_pcs_do_not_fit_a_branch_record_fail_to_load() {
+    use rsr_func::LoadError;
+    use rsr_isa::{Inst, Op};
+    let load = |text_base: u64, build: &dyn Fn(&mut Asm)| {
+        let mut a = Asm::with_layout(text_base, 0x1000_0000, 0x7fff_ff00);
+        build(&mut a);
+        a.halt();
+        let program = a.finish().unwrap();
+        let cpu = Cpu::new(&program).map(|_| ());
+        if let Err(e) = cpu {
+            // The sampled engines surface the same typed error.
+            let run = sample(&program, SamplingRegimen::new(2, 10), 1_000, WarmupPolicy::None, 1);
+            assert_eq!(run.unwrap_err(), SimError::Load(e));
+        }
+        cpu
+    };
+    let nops = |a: &mut Asm| {
+        for _ in 0..7 {
+            a.nop();
+        }
+    };
+    // Text that reaches past 32 bits, and text that is misaligned.
+    assert_eq!(
+        load(0xffff_fff0, &nops),
+        Err(LoadError::TextOutOfRange { base: 0xffff_fff0, end: 0x1_0000_0010 })
+    );
+    assert_eq!(
+        load(0x1_0002, &nops),
+        Err(LoadError::TextOutOfRange { base: 0x1_0002, end: 0x1_0022 })
+    );
+    // Direct transfers whose targets leave 32 bits: a forward `jal` off
+    // the top, and a backward one that wraps below zero.
+    let jal = |imm: i32| {
+        move |a: &mut Asm| {
+            a.emit(Inst::new(Op::Jal, 0, 0, 0, imm));
+        }
+    };
+    assert_eq!(
+        load(0xffff_ff00, &jal(0x200)),
+        Err(LoadError::TargetOutOfRange { pc: 0xffff_ff00, target: 0x1_0000_0100 })
+    );
+    assert_eq!(
+        load(0x1_0000, &jal(-0x2_0000)),
+        Err(LoadError::TargetOutOfRange {
+            pc: 0x1_0000,
+            target: 0x1_0000u64.wrapping_sub(0x2_0000)
+        })
+    );
+    // The last 32-bit word still loads.
+    assert_eq!(
+        load(0xffff_fff0, &|a: &mut Asm| {
+            a.nop();
+            a.nop();
+            a.nop();
+        }),
+        Ok(())
+    );
+}
+
+#[test]
+fn an_indirect_jump_to_an_unpackable_target_faults_at_the_next_fetch() {
+    use rsr_func::ExecError;
+    use rsr_isa::CtrlKind;
+    let program = |target: u64| {
+        let mut a = Asm::new();
+        a.li(Reg::T0, 2_000);
+        let top = a.bind_new("top");
+        a.addi(Reg::T0, Reg::T0, -1);
+        a.bne(Reg::T0, Reg::ZERO, top);
+        a.li(Reg::T1, target as i64);
+        a.jr(Reg::T1);
+        a.finish().unwrap()
+    };
+    let base = Asm::new().here();
+    for target in [1u64 << 33, base + 2] {
+        let program = program(target);
+        let fault = ExecError::PcOutOfText { pc: target };
+        // The jump is logged, with its target truncated; the fetch right
+        // after it faults, so the region ends in the error.
+        let mut cpu = Cpu::new(&program).unwrap();
+        let mut log = SkipLog::new(true, true, 0);
+        assert_eq!(log.record_region(&mut cpu, 1_000_000), Err(fault));
+        let last = log.branch_at(log.branch_len() - 1);
+        assert_eq!((last.kind, last.taken), (CtrlKind::IndirectJump, true));
+        assert_ne!(last.target, target, "{target:#x} does not fit a record");
+
+        // Every engine fails the run with that fault.
+        let cold = || {
+            ColdSpec::new(&program)
+                .regimen(SamplingRegimen::new(4, 100))
+                .total_insts(10_000)
+                .seed(1)
+        };
+        let policy = WarmupPolicy::Reverse { cache: true, bp: true, pct: Pct::new(20) };
+        let detail = || DetailSpec::new(&machine()).policy(policy);
+        let want = SimError::Exec(fault);
+        assert_eq!(RunSpec::from_parts(cold(), detail()).run().unwrap_err(), want, "depth 1");
+        let piped = RunSpec::from_parts(cold(), detail().pipeline_depth(2)).run().unwrap_err();
+        assert_eq!(piped, want, "depth 2");
+        let swept =
+            SweepSpec::new(cold()).config("a", detail()).config("b", detail()).run().unwrap_err();
+        assert_eq!(swept, want, "2-config sweep");
+    }
+}

@@ -1,21 +1,35 @@
-//! Packed-vs-legacy skip-log equivalence: the structure-of-arrays log must
-//! be observationally identical to the padded array-of-structs
-//! representation it replaced — same record streams, same reverse
-//! reconstruction outcomes, same budget-truncation decisions — while
-//! resident bytes shrink at least 2x on real reference streams.
+//! Packed-vs-seed skip-log equivalence: the one-word-per-record log must
+//! reconstruct exactly as the padded array-of-structs records of the seed
+//! layout do — every cache set, the whole predictor and every
+//! `ReconStats` counter — and decide budget truncation the same way,
+//! while resident bytes shrink 4x on real reference streams.
+//!
+//! The seed records are reconstructed by the tests-crate oracles (the
+//! sequential full scan and the hash-map counter inference), so each
+//! comparison also pins the sealed-index paths to them.
 
 use rsr_branch::{Predictor, PredictorConfig};
-use rsr_cache::{HierarchyConfig, MemHierarchy};
+use rsr_cache::{HierarchyConfig, MemHierarchy, WayDump};
 use rsr_core::{
-    reconstruct_caches_partitioned, BpReconstructor, BranchRecord, MemRecord, Pct, ReconStats,
-    SkipLog,
+    reconstruct_caches_partitioned, BpReconstructor, BranchRecord, Pct, ReconStats, SkipLog,
 };
 use rsr_func::{BranchRec, Cpu, MemAccess, Retired};
+use rsr_integration::oracle::{reconstruct_refs, RefBpReconstructor};
 use rsr_integration::tiny;
-use rsr_isa::{CtrlKind, Inst, MemWidth, Op};
+use rsr_isa::{Addr, CtrlKind, Inst, MemWidth, Op};
 use rsr_workloads::Benchmark;
 
 const LINE_MASK: u64 = !63;
+
+/// One memory reference in the seed layout: every field the paper lists.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+struct MemRecord {
+    pc: Addr,
+    next_pc: Addr,
+    addr: Addr,
+    is_inst: bool,
+    is_store: bool,
+}
 
 /// The seed representation, replicated verbatim: padded 32-byte AoS
 /// records, per-append size recomputation, whole-log discard on budget
@@ -94,10 +108,10 @@ fn workload_stream(bench: Benchmark, n: u64) -> Vec<Retired> {
     (0..n).map(|_| cpu.step().unwrap()).collect()
 }
 
-/// A deterministic adversarial stream: synthetic records with 64-bit PCs,
-/// mismatched fetch addresses, non-sequential data next_pcs, and branches
-/// whose next_pc contradicts their outcome — everything the packed
-/// derivations cannot represent inline and must spill losslessly.
+/// A deterministic adversarial stream: synthetic records with 64-bit PCs
+/// and targets, non-sequential next PCs, and branches whose next_pc
+/// contradicts their outcome — records no CPU retires, and the packed
+/// log truncates.
 fn adversarial_stream(n: u64) -> Vec<Retired> {
     let mut state = 0x9e3779b97f4a7c15u64;
     let mut rng = move || {
@@ -151,34 +165,65 @@ fn packed_replay(stream: &[Retired], budget: Option<usize>) -> SkipLog {
     log
 }
 
-/// Full reconstruction state from one log: cache recon stats, every set's
-/// MRU-ordered tags at every level, and the predictor's observable state
-/// after an eager BP pass.
-fn reconstruct_all(log: &SkipLog, pct: Pct) -> (ReconStats, Vec<Vec<u64>>, u64, ReconStats) {
-    let mut hier = MemHierarchy::new(HierarchyConfig::paper());
-    let (cache_stats, _) = reconstruct_caches_partitioned(&mut hier, log, pct, 1);
-    let mut tags = Vec::new();
+/// Every set's content `(tag, valid, dirty, rank, reconstructed)` at every
+/// level.
+fn all_set_dumps(hier: &MemHierarchy) -> Vec<Vec<WayDump>> {
+    let mut sets = Vec::new();
     for cache in [&hier.l1i, &hier.l1d, &hier.l2] {
         for set in 0..cache.num_sets() {
-            tags.push(cache.set_tags_mru_order(set));
+            sets.push(cache.dump_set(set));
         }
     }
-    let mut pred = Predictor::new(PredictorConfig::default());
+    sets
+}
+
+/// Everything one reconstruction leaves behind: the cache counters, every
+/// cache set, the branch counters after an eager pass, and the whole
+/// predictor's `Debug` form.
+#[derive(Debug, PartialEq)]
+struct Reconstructed {
+    cache: ReconStats,
+    sets: Vec<Vec<WayDump>>,
+    bp: ReconStats,
+    pred: String,
+}
+
+/// Reconstruction from the packed log through the library's sealed-index
+/// paths.
+fn reconstruct_packed(log: &SkipLog, pct: Pct) -> Reconstructed {
+    let mut hier = MemHierarchy::new(HierarchyConfig::paper());
+    let (cache, _) = reconstruct_caches_partitioned(&mut hier, log, pct, 1);
+    let mut pred = Predictor::new(PredictorConfig::paper());
     let mut bp = BpReconstructor::new(&mut pred, log, pct);
     bp.exhaust(&mut pred);
-    (cache_stats, tags, pred.gshare.ghr(), bp.stats())
+    Reconstructed { cache, sets: all_set_dumps(&hier), bp: bp.stats(), pred: format!("{pred:?}") }
+}
+
+/// Reconstruction from the seed layout's records through the oracles.
+fn reconstruct_seed(log: &LegacyLog, pct: Pct) -> Reconstructed {
+    let mut hier = MemHierarchy::new(HierarchyConfig::paper());
+    let refs = log.mem.iter().rev().take(pct.of(log.mem.len())).map(|m| (m.addr, m.is_inst));
+    let cache = reconstruct_refs(&mut hier, refs);
+    let mut pred = Predictor::new(PredictorConfig::paper());
+    let mut bp = RefBpReconstructor::from_records(&mut pred, log.branches.clone(), 0, pct);
+    bp.exhaust(&mut pred);
+    Reconstructed { cache, sets: all_set_dumps(&hier), bp: bp.stats(), pred: format!("{pred:?}") }
 }
 
 #[test]
 fn packed_log_materializes_identical_records() {
-    for stream in [
-        workload_stream(Benchmark::Mcf, 30_000),
-        workload_stream(Benchmark::Twolf, 30_000),
-        adversarial_stream(5_000),
-    ] {
+    // What reconstruction reads of a CPU-retired stream: every reference's
+    // line and entry type, and every transfer whole.
+    for stream in
+        [workload_stream(Benchmark::Mcf, 30_000), workload_stream(Benchmark::Twolf, 30_000)]
+    {
         let legacy = legacy_replay(&stream, None);
         let packed = packed_replay(&stream, None);
-        assert_eq!(packed.mem_records().collect::<Vec<_>>(), legacy.mem);
+        let seed_refs: Vec<_> =
+            legacy.mem.iter().rev().map(|m| (m.addr & LINE_MASK, m.is_inst)).collect();
+        let packed_refs: Vec<_> =
+            packed.mem_refs_rev().map(|(addr, is_inst)| (addr & LINE_MASK, is_inst)).collect();
+        assert_eq!(packed_refs, seed_refs);
         assert_eq!(packed.branch_records().collect::<Vec<_>>(), legacy.branches);
         assert_eq!(packed.appended(), legacy.appended);
         assert!(!packed.truncated());
@@ -187,23 +232,15 @@ fn packed_log_materializes_identical_records() {
 
 #[test]
 fn reconstruction_outcomes_match_across_representations() {
-    // Reconstructing from the directly-recorded packed log and from a
-    // packed log rebuilt out of the legacy record vectors must agree on
-    // everything observable: ReconStats, final cache tags and LRU order at
-    // every level, and the predictor's reconstructed state.
+    // Reconstructing from the packed log and from the seed layout's
+    // records must agree on everything observable: ReconStats, every set
+    // of every cache level, and the predictor's whole reconstructed state.
     for stream in [workload_stream(Benchmark::Mcf, 40_000), workload_stream(Benchmark::Gcc, 40_000)]
     {
         let legacy = legacy_replay(&stream, None);
         let packed = packed_replay(&stream, None);
-        let from_legacy =
-            SkipLog::from_records(legacy.mem.iter().copied(), legacy.branches.iter().copied(), 0);
         for pct in [Pct::new(20), Pct::new(100)] {
-            let a = reconstruct_all(&packed, pct);
-            let b = reconstruct_all(&from_legacy, pct);
-            assert_eq!(a.0, b.0, "cache ReconStats diverged at {pct:?}");
-            assert_eq!(a.1, b.1, "cache tags diverged at {pct:?}");
-            assert_eq!(a.2, b.2, "reconstructed GHR diverged at {pct:?}");
-            assert_eq!(a.3, b.3, "BP ReconStats diverged at {pct:?}");
+            assert_eq!(reconstruct_packed(&packed, pct), reconstruct_seed(&legacy, pct), "{pct}");
         }
     }
 }
@@ -236,17 +273,15 @@ fn budget_truncation_decisions_agree() {
 
 #[test]
 fn packed_log_halves_resident_bytes_on_real_streams() {
+    // One 8-byte word per record against the seed's padded 32 bytes.
     for bench in [Benchmark::Mcf, Benchmark::Twolf, Benchmark::Gcc] {
         let stream = workload_stream(bench, 50_000);
         let legacy = legacy_replay(&stream, None);
         let packed = packed_replay(&stream, None);
-        let ratio = legacy.peak_bytes as f64 / packed.peak_bytes() as f64;
-        assert!(
-            ratio >= 2.0,
-            "{bench:?}: packed log must halve resident bytes, got {ratio:.2}x \
-             ({} -> {})",
+        assert_eq!(
             legacy.peak_bytes,
-            packed.peak_bytes()
+            4 * packed.peak_bytes(),
+            "{bench:?}: packed log must take a quarter of the seed's bytes"
         );
     }
 }

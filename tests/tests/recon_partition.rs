@@ -4,7 +4,8 @@
 //! reverse scan and the demand-driven hash-map inference — with the same
 //! `ReconStats`, the same cache contents in MRU order, and the same
 //! reconstructed predictor state. This holds for arbitrary record
-//! streams, including ext-spill records, over-budget truncated logs, and
+//! streams, including 64-bit PCs and targets the packed records truncate,
+//! over-budget truncated logs, and
 //! logs that are unsealed, mutated after sealing, or sealed for another
 //! geometry or budget; for budget-window seals, which index only the
 //! newest `pct` of the log and derive the GHR at the window's start; and
@@ -15,7 +16,7 @@
 
 use proptest::prelude::*;
 use rsr_branch::{PredCtrlKind, Predictor};
-use rsr_cache::MemHierarchy;
+use rsr_cache::{MemHierarchy, WayDump};
 use rsr_core::{
     reconstruct_caches_partitioned, BpReconstructor, MachineConfig, Pct, ReconGeometry, ReconStats,
     RunSpec, SampleOutcome, SamplingRegimen, SkipLog, WarmupPolicy,
@@ -39,8 +40,8 @@ fn all_set_tags(hier: &MemHierarchy) -> Vec<Vec<u64>> {
 }
 
 /// Synthesizes an adversarial retired stream from raw words: 64-bit PCs
-/// and targets that force ext-spill records, non-sequential next PCs, and
-/// every control kind.
+/// and targets the packed branch records truncate, non-sequential next
+/// PCs, and every control kind.
 fn stream_from_words(words: &[u64]) -> Vec<Retired> {
     let kinds = [
         CtrlKind::CondBranch,
@@ -54,7 +55,7 @@ fn stream_from_words(words: &[u64]) -> Vec<Retired> {
         .iter()
         .enumerate()
         .map(|(seq, &r)| {
-            // 48-bit PCs like real streams (bit 45 forces ext-spill).
+            // 48-bit PCs, past what a branch record keeps.
             let pc =
                 if r % 5 == 0 { (r | (1 << 45)) % (1 << 48) } else { 0x1_0000 + (r % 4096) * 4 };
             let next_pc = if r % 3 == 0 { r.rotate_left(17) } else { pc.wrapping_add(4) };
@@ -102,9 +103,9 @@ fn retained_log_from(stream: &[Retired], budget: Option<usize>, keep: Pct) -> Sk
     log
 }
 
-/// Every set's full content `(tag, valid, rank, reconstructed)` at every
-/// level.
-fn all_set_dumps(hier: &MemHierarchy) -> Vec<Vec<(u64, bool, u8, bool)>> {
+/// Every set's full content `(tag, valid, dirty, rank, reconstructed)` at
+/// every level.
+fn all_set_dumps(hier: &MemHierarchy) -> Vec<Vec<WayDump>> {
     let mut sets = Vec::new();
     for cache in [&hier.l1i, &hier.l1d, &hier.l2] {
         for set in 0..cache.num_sets() {
@@ -134,7 +135,7 @@ fn demand_probes(stream: &[Retired]) -> Vec<(u64, PredCtrlKind)> {
 #[derive(Debug, PartialEq)]
 struct Reconstructed {
     cache: ReconStats,
-    sets: Vec<Vec<(u64, bool, u8, bool)>>,
+    sets: Vec<Vec<WayDump>>,
     eager: (ReconStats, String),
     demand: (ReconStats, String),
 }
@@ -273,7 +274,7 @@ fn assert_bp_state_equal(
     pred: &Predictor,
     bp: &BpReconstructor<'_>,
     ref_pred: &Predictor,
-    ref_bp: &RefBpReconstructor<'_>,
+    ref_bp: &RefBpReconstructor,
     what: &str,
     pct: Pct,
 ) {
@@ -333,7 +334,7 @@ fn assert_bp_demand_equivalence(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Arbitrary synthetic record streams (ext-spill PCs and targets,
+    /// Arbitrary synthetic record streams (64-bit PCs and targets,
     /// every control kind, random stores) reconstruct bit-identically
     /// through the partitioned index at any budget and L2 width. The
     /// 4-bit-history machine makes the branch window seal meet both GHR
@@ -439,11 +440,11 @@ fn retained_windows_with_few_conditionals_use_the_evicted_history() {
 }
 
 #[test]
-fn all_spill_streams_materialize_and_reconstruct_under_retention() {
-    // Every record spills: 64-bit PCs defeat both packed derivations. The
-    // retained window still materializes every spilled record exactly
-    // while the spills below the floor are dropped, and the accounting
-    // still charges every spill of the full stream.
+fn wide_pc_streams_reconstruct_identically_under_retention() {
+    // Every PC is past 32 bits, so every branch record keeps a truncated
+    // PC and target. Retained windows still reconstruct every cache set,
+    // the whole predictor and every counter exactly as the full log does,
+    // and account the full stream.
     let stream: Vec<Retired> = (0..20_000u64)
         .map(|k| {
             let pc = (1u64 << 40) + k * 4;
@@ -469,13 +470,14 @@ fn all_spill_streams_materialize_and_reconstruct_under_retention() {
     for pct in [1, 20].map(Pct::new) {
         let log = retained_log_from(&stream, None, pct);
         assert_eq!(log.approx_bytes(), full.approx_bytes());
-        let window = log.mem_window();
-        let expect: Vec<_> = full.mem_records().skip(window.start).collect();
-        assert_eq!(log.mem_records().collect::<Vec<_>>(), expect, "{pct}");
-        let bwin = log.branch_window();
-        let expect: Vec<_> = full.branch_records().skip(bwin.start).collect();
-        assert_eq!(log.branch_records().collect::<Vec<_>>(), expect, "{pct}");
-        assert_retention_equivalence(&machine(), &stream, None, 0, pct, "all-spill");
+        for seal in [false, true] {
+            assert_eq!(
+                reconstruct_all(&machine(), &log, &stream, pct, seal),
+                reconstruct_all(&machine(), &full, &stream, pct, seal),
+                "{pct}, sealed {seal}"
+            );
+        }
+        assert_retention_equivalence(&machine(), &stream, None, 0, pct, "wide PCs");
     }
 }
 

@@ -18,7 +18,7 @@
 
 use proptest::prelude::*;
 use rsr_branch::{Predictor, PredictorConfig};
-use rsr_cache::{HierAccess, HierarchyConfig, MemHierarchy};
+use rsr_cache::{HierAccess, HierarchyConfig, MemHierarchy, WayDump};
 use rsr_core::{skip_with_smarts_warming, BpReconstructor, Pct, ReconGeometry, SkipLog};
 use rsr_func::{Cpu, ExecError};
 use rsr_integration::oracle::ref_simulate_cluster;
@@ -280,7 +280,7 @@ struct Observed {
     pc: u64,
     hier_stats: rsr_cache::HierarchyStats,
     cache_stats: [rsr_cache::CacheStats; 3],
-    sets: Vec<Vec<(u64, bool, u8, bool)>>,
+    sets: Vec<Vec<WayDump>>,
     pred: String,
     recon: Option<rsr_core::ReconStats>,
 }

@@ -6,7 +6,7 @@
 //! statistics, per-set dumps, predictions, counters, and reconstructed
 //! state. Streams include random access/branch mixes, reverse
 //! reconstruction with budget cuts, and real [`SkipLog`] replays with
-//! ext-spill records and over-budget truncation.
+//! wide-PC records and over-budget truncation.
 
 use proptest::prelude::*;
 use rsr_branch::{Btb, Counter2, Gshare, Ras, RasOp};
@@ -278,8 +278,8 @@ proptest! {
 }
 
 /// Synthesizes an adversarial retired stream: 48-bit PCs with bit 45 set on
-/// a stride (forcing ext-spill side records), non-sequential next PCs,
-/// stores, and every control kind.
+/// a stride (past the 32 bits a branch record keeps), non-sequential next
+/// PCs, stores, and every control kind.
 fn stream_from_words(words: &[u64]) -> Vec<Retired> {
     let kinds = [
         CtrlKind::CondBranch,
@@ -318,7 +318,7 @@ fn stream_from_words(words: &[u64]) -> Vec<Retired> {
         .collect()
 }
 
-/// Replays a real skip log — ext-spill records included, optionally
+/// Replays a real skip log — wide-PC records included, optionally
 /// budget-truncated — through paired SoA/reference structures: the memory
 /// column drives an L1-like and an L2-like cache pair (reverse scan at a
 /// 20 % budget cut, then rank normalization), the branch column drives a
@@ -342,8 +342,8 @@ fn assert_log_replay_equivalent(log: &SkipLog, what: &str) {
         assert_cache_state(&c, &r, what);
     }
 
-    // Branch pair: materialized records (the ext path resolves spilled
-    // PCs) drive functional warm updates and BTB installs forward.
+    // Branch pair: materialized records drive functional warm updates and
+    // BTB installs forward.
     let mut g = Gshare::new(12);
     let mut rg = RefGshare::new(12);
     let mut b = Btb::new(4096);
@@ -370,7 +370,7 @@ fn assert_log_replay_equivalent(log: &SkipLog, what: &str) {
 }
 
 #[test]
-fn skip_log_replays_with_ext_spill_records_stay_equivalent() {
+fn skip_log_replays_with_wide_pc_records_stay_equivalent() {
     let words: Vec<u64> = (0..4000u64).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15)).collect();
     let stream = stream_from_words(&words);
     let mut log = SkipLog::new(true, true, 0);
@@ -378,7 +378,7 @@ fn skip_log_replays_with_ext_spill_records_stay_equivalent() {
         log.record(r);
     }
     assert!(log.mem_len() > 0 && log.branch_len() > 0);
-    assert_log_replay_equivalent(&log, "ext-spill");
+    assert_log_replay_equivalent(&log, "wide PCs");
 }
 
 #[test]

@@ -7,14 +7,15 @@
 //! Every case runs one window twice from the same warmed start, once on
 //! the live CPU and once on a cursor over a trace recorded from a copy of
 //! it, and compares the returned [`HotStats`] (or typed error), the
-//! instruction the window stopped at, every cache set and hierarchy
-//! statistic, and the whole predictor. The cases cover all nine workloads
+//! instruction the window stopped at, every cache set (tags, valid and
+//! dirty bits, ranks, reconstructed marks) and hierarchy statistic, and
+//! the whole predictor. The cases cover all nine workloads
 //! at test scale, with and without on-demand branch-predictor
 //! reconstruction, plus a window that halts midway and one that jumps out
 //! of the text segment.
 
 use rsr_branch::{Predictor, PredictorConfig};
-use rsr_cache::{HierAccess, HierarchyConfig, MemHierarchy};
+use rsr_cache::{HierAccess, HierarchyConfig, MemHierarchy, WayDump};
 use rsr_core::{skip_with_smarts_warming, BpReconstructor, Pct, ReconGeometry, SkipLog};
 use rsr_func::{Cpu, ExecError, RetireSource, RetireTrace};
 use rsr_integration::tiny;
@@ -30,7 +31,7 @@ struct Observed {
     consumed: u64,
     hier_stats: rsr_cache::HierarchyStats,
     cache_stats: [rsr_cache::CacheStats; 3],
-    sets: Vec<Vec<(u64, bool, u8, bool)>>,
+    sets: Vec<Vec<WayDump>>,
     pred: String,
     recon: Option<rsr_core::ReconStats>,
 }
