@@ -253,12 +253,25 @@ submit_job() {
   ./target/release/rsr submit twolf --addr "$serve_addr" \
     --clusters 8 --len 300 -n 100000 --seed 7
 }
+# The leading field is the job's content address, which names its cache
+# entry on disk: a drift orphans every stored result, so it is pinned.
+serve_hash=84a3074fa5c085bc
+check_hash() {
+  local got
+  got=$(cut -d' ' -f1 <<<"$2")
+  if [ "$got" != "$serve_hash" ]; then
+    echo "ci: serve $1 content hash $got (want $serve_hash)"
+    exit 1
+  fi
+}
 cold=$(submit_job)
 echo "ci: serve cold: $cold"
 grep -q "computed:" <<<"$cold"
+check_hash cold "$cold"
 hit=$(submit_job)
 echo "ci: serve hit:  $hit"
 grep -q "cache_hit:" <<<"$hit"
+check_hash hit "$hit"
 strip_run_details() { sed 's/^[0-9a-f]* [a-z_]*: //; s/, [0-9]* attempts*$//' <<<"$1"; }
 if [ "$(strip_run_details "$cold")" != "$(strip_run_details "$hit")" ]; then
   echo "ci: serve cache hit drifted from the computed result"

@@ -52,7 +52,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use rsr_func::{ArchState, Cpu, PAGE_BYTES};
-use rsr_isa::Program;
+use rsr_isa::{Fnv, Program};
 
 use crate::fault::FaultInjector;
 use crate::log::LogPool;
@@ -108,28 +108,21 @@ impl ShardCheckpoint {
 /// FNV-1a over the architectural registers and dirty pages — cheap
 /// relative to the page copies themselves, and order-sensitive.
 fn checkpoint_checksum(arch: &ArchState, pages: &[(u64, Vec<u8>)]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut mix = |bytes: &[u8]| {
-        for &b in bytes {
-            h = (h ^ b as u64).wrapping_mul(PRIME);
-        }
-    };
-    mix(&arch.pc.to_le_bytes());
-    for r in &arch.iregs {
-        mix(&r.to_le_bytes());
+    let mut h = Fnv::new();
+    h.u64(arch.pc);
+    for &r in &arch.iregs {
+        h.u64(r);
     }
     for r in &arch.fregs {
-        mix(&r.to_bits().to_le_bytes());
+        h.u64(r.to_bits());
     }
-    mix(&arch.icount.to_le_bytes());
-    mix(&[arch.halted as u8]);
+    h.u64(arch.icount);
+    h.u8(arch.halted as u8);
     for (page_no, bytes) in pages {
-        mix(&page_no.to_le_bytes());
-        mix(bytes);
+        h.u64(*page_no);
+        h.bytes(bytes);
     }
-    h
+    h.finish()
 }
 
 /// Places the canonical shard boundaries: contiguous window runs, cut as

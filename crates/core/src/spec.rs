@@ -19,7 +19,7 @@
 
 use std::time::{Duration, Instant};
 
-use rsr_isa::Program;
+use rsr_isa::{Fnv, Program};
 
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::log::check_indexable;
@@ -231,17 +231,9 @@ impl<'a> ColdSpec<'a> {
     /// Everything [`ColdSpec::build_schedule`] rejects.
     pub fn content_hash(&self) -> Result<u64, SimError> {
         let schedule = self.build_schedule()?;
-        let mut h = Fnv::new();
-        h.u64(self.program.text_base());
-        h.u64(self.program.text().len() as u64);
-        for &w in self.program.text() {
-            h.bytes(&w.to_le_bytes());
-        }
-        h.u64(self.program.data_base());
-        h.u64(self.program.data().len() as u64);
-        h.bytes(self.program.data());
-        h.u64(self.program.entry());
-        h.u64(self.program.stack_top());
+        // The image prefix is the program's memoized digest, so only the
+        // first hash of a shared program pays for folding its image.
+        let mut h = Fnv::resume(self.program.image_digest());
         h.u64(schedule.total_insts());
         h.u64(schedule.windows().len() as u64);
         for w in schedule.windows() {
@@ -712,34 +704,6 @@ impl<'a> RunSpec<'a> {
             return Err(SimError::Spec("run_full needs a nonzero total_insts"));
         }
         run_full_once(self.cold.program, &self.detail.machine, self.cold.total_insts)
-    }
-}
-
-/// Streaming FNV-1a, the workspace's standing choice for cheap
-/// content/corruption hashing (shard checkpoints use the same constants).
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    fn u8(&mut self, v: u8) {
-        self.bytes(&[v]);
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 

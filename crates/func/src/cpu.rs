@@ -24,7 +24,7 @@ use rsr_isa::{
     INST_BYTES,
 };
 
-use crate::Memory;
+use crate::{Memory, PAGE_BYTES};
 
 /// A memory access performed by a retired instruction.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -158,6 +158,17 @@ fn packable(addr: Addr) -> bool {
 
 impl std::error::Error for LoadError {}
 
+/// Stack pages [`Cpu::new`] reserves frames for beyond the loaded image.
+const STACK_RESERVE_PAGES: usize = 16;
+
+/// Pages the byte span `[base, base + len)` touches.
+fn span_pages(base: Addr, len: u64) -> usize {
+    if len == 0 {
+        return 0;
+    }
+    (base.saturating_add(len - 1) / PAGE_BYTES - base / PAGE_BYTES + 1) as usize
+}
+
 /// A snapshot of the architectural register state (everything except
 /// memory), used by checkpoint libraries to restore a CPU without cloning
 /// its full memory image.
@@ -275,6 +286,11 @@ impl Cpu {
     pub fn new(program: &Program) -> Result<Cpu, LoadError> {
         let pre = Arc::new(Predecoded::load(program)?);
         let mut mem = Memory::new();
+        mem.reserve_pages(
+            span_pages(program.text_base(), program.text_len())
+                + span_pages(program.data_base(), program.data().len() as u64)
+                + STACK_RESERVE_PAGES,
+        );
         // Text lives in memory too (the I-cache indexes real addresses).
         for (i, &word) in program.text().iter().enumerate() {
             mem.write_u32(program.text_base() + i as u64 * INST_BYTES, word);

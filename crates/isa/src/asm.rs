@@ -279,6 +279,7 @@ impl Asm {
             data: self.data,
             entry,
             stack_top: self.stack_top,
+            digest: std::sync::OnceLock::new(),
         })
     }
 

@@ -6,7 +6,9 @@
 //! * [`Op`] / [`Inst`] — the operation set and decoded instruction form,
 //! * a fixed 32-bit binary encoding ([`Inst::encode`] / [`Inst::decode`]),
 //! * an assembler with labels and pseudo-instructions ([`Asm`]),
-//! * [`Program`] — a loadable image (text + data + entry point).
+//! * [`Program`] — a loadable image (text + data + entry point),
+//! * [`Fnv`] — the streaming FNV-1a hash behind content addresses and
+//!   checksums.
 //!
 //! The ISA is deliberately RISC-V-flavored: 32 integer registers (`x0`
 //! hardwired to zero, `x1` the link register, `x2` the stack pointer) and 32
@@ -31,6 +33,7 @@
 
 mod asm;
 mod encode;
+mod fnv;
 mod inst;
 mod op;
 mod program;
@@ -38,6 +41,7 @@ mod sem;
 
 pub use asm::{Asm, AsmError, Label};
 pub use encode::{DecodeError, EncodeError, B_OFFSET_RANGE, I_IMM_RANGE, J_OFFSET_RANGE};
+pub use fnv::Fnv;
 pub use inst::{CtrlKind, Inst, MemWidth};
 pub use op::{Op, OpClass};
 pub use program::Program;

@@ -5,7 +5,7 @@
 //! log format's magic/version/checksum discipline):
 //!
 //! ```text
-//! "RSRC" | version u16 | spec_hash u64 | payload_len u64 | payload | fnv64(payload)
+//! "RSRC" | version u16 | spec_hash u64 | payload_len u64 | payload | Fnv::hash(payload)
 //! ```
 //!
 //! The file ends exactly at the checksum — total length pins
@@ -36,6 +36,7 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use rsr_core::{Pct, ReconStats, SampleOutcome, WarmupPolicy};
+use rsr_isa::Fnv;
 use rsr_stats::{ClusterSample, Z_95};
 
 /// Magic bytes opening every cache entry.
@@ -361,14 +362,6 @@ fn decode_policy(cur: &mut Cursor<'_>) -> Result<WarmupPolicy, CacheError> {
     }
 }
 
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// Serializes a full cache entry for `hash` (public so the adversarial
 /// round-trip suite can mutate real entries).
 pub fn encode_entry(hash: u64, outcome: &CachedOutcome) -> Vec<u8> {
@@ -379,7 +372,7 @@ pub fn encode_entry(hash: u64, outcome: &CachedOutcome) -> Vec<u8> {
     out.extend_from_slice(&hash.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     out.extend_from_slice(&payload);
-    out.extend_from_slice(&fnv64(&payload).to_le_bytes());
+    out.extend_from_slice(&Fnv::hash(&payload).to_le_bytes());
     out
 }
 
@@ -422,7 +415,7 @@ pub fn decode_entry(bytes: &[u8], want_hash: u64) -> Result<CachedOutcome, Cache
     let mut want_sum = [0u8; 8];
     want_sum.copy_from_slice(&bytes[bytes.len() - TRAILER_LEN..]);
     let want_sum = u64::from_le_bytes(want_sum);
-    let got_sum = fnv64(payload);
+    let got_sum = Fnv::hash(payload);
     if got_sum != want_sum {
         return corrupt(format!("checksum {got_sum:016x}, expected {want_sum:016x}"));
     }

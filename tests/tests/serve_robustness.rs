@@ -121,6 +121,32 @@ fn cache_hit_is_bit_identical_to_a_standalone_run() {
 }
 
 #[test]
+fn every_answer_carries_the_specs_content_address() {
+    // Computed and cached answers alike report `job_content_hash` of the
+    // spec on every program: the address the on-disk cache is keyed by,
+    // whether or not the daemon's shared program already memoized its
+    // image digest.
+    let dir = scratch("address");
+    let daemon = Daemon::start(config(&dir)).expect("daemon starts");
+    let addr = daemon.local_addr().to_string();
+    for bench in Benchmark::ALL {
+        let spec = JobSpec { bench, n_clusters: 4, total_insts: 40_000, ..job(11) };
+        let want = rsr_serve::job_content_hash(&spec, &tiny(bench)).expect("hashable");
+        for expected in [ResultSource::Computed, ResultSource::CacheHit] {
+            match submit(&addr, &spec, true) {
+                Response::Done { hash, source, .. } if source == expected => {
+                    assert_eq!(hash, want, "{bench}: {expected:?} answer's hash");
+                }
+                other => panic!("{bench}: wanted {expected:?}, answered {other:?}"),
+            }
+        }
+    }
+    let stats = daemon.drain();
+    assert_eq!((stats.completed, stats.cache_hits, stats.failed), (9, 9, 0));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn worker_panic_heals_within_budget_and_fails_typed_without() {
     // Budget left: the panic consumes one supervised attempt, the retry
     // completes, and nothing about the result betrays the detour.
