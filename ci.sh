@@ -205,7 +205,9 @@ fi
 # reference. The committed fig5 row (wall_ratio ~0.25) is not directly
 # comparable at scale 0.05 (fixed overheads dominate shorter windows),
 # so the reference is a pinned smoke-scale measurement of the same grid
-# (~0.43 on this code; the pre-refactor replay path measured ~0.74).
+# (~0.30 on this code, the median of 9 runs on a 2-vCPU host; an earlier
+# fused capture-then-replay sweep read ~0.43, the pre-refactor replay path
+# ~0.74).
 # Bit-identity is hard everywhere; timing advisory on <= 2-core hosts.
 if ./target/release/rsr bench --scale 0.05 --sweep-configs 20 \
     --out target/BENCH_sweep.grid.json; then
@@ -221,7 +223,7 @@ if ./target/release/rsr bench --scale 0.05 --sweep-configs 20 \
   done
   grid_ratio=$(grep -m1 '"wall_ratio"' target/BENCH_sweep.grid.json | sed 's/[^0-9.]//g')
   if awk -v s="$grid_ratio" 'BEGIN { exit !(s > 0.55) }'; then
-    echo "ci: sweep replay regressed: 20-config wall_ratio $grid_ratio (bound 0.55 = ~1.25x pinned 0.43)"
+    echo "ci: sweep replay regressed: 20-config wall_ratio $grid_ratio (bound 0.55; pinned reference ~0.30)"
     if [ "$(nproc)" -gt 2 ]; then
       exit 1
     else

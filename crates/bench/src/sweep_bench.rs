@@ -83,13 +83,15 @@ pub struct SweepSample {
     pub est_ipc_max: f64,
     /// Records captured by the shared cold pass (per config; identical).
     pub log_records: u64,
-    /// Wall seconds of the shared functional cold pass.
+    /// Busy seconds of the shared functional cold pass
+    /// (`SweepOutcome::cold_wall`), overlapped with the replay.
     pub cold_seconds: f64,
-    /// Wall seconds of detailed replay per swept config — the marginal
-    /// cost of adding one more configuration to the sweep,
-    /// `(sweep_wall − cold_wall) / configs`. Tracks the detailed-window
-    /// kernels (cache hierarchy + predictor + reconstruction) in
-    /// isolation from the amortized cold pass.
+    /// Seconds of detailed replay per swept config — the marginal cost
+    /// of adding one more configuration to the sweep: the mean of the
+    /// configs' own replay times (`SampleOutcome::wall`). Tracks the
+    /// detailed-window kernels (cache hierarchy + predictor +
+    /// reconstruction) in isolation from the amortized cold pass, which
+    /// runs on its own thread under the replay.
     pub detail_seconds_per_config: f64,
     /// End-to-end wall seconds of the sweep (cold pass + all replays).
     pub sweep_wall_seconds: f64,
@@ -211,8 +213,12 @@ pub fn run_sweep_sample(
         est_ipc_max: ipcs.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
         log_records: out.configs[0].outcome.log_records,
         cold_seconds: out.cold_wall.as_secs_f64(),
-        detail_seconds_per_config: (sweep_wall - out.cold_wall.as_secs_f64()).max(0.0)
-            / grid.len().max(1) as f64,
+        detail_seconds_per_config: out
+            .configs
+            .iter()
+            .map(|c| c.outcome.wall.as_secs_f64())
+            .sum::<f64>()
+            / out.configs.len().max(1) as f64,
         sweep_wall_seconds: sweep_wall,
         standalone_wall_seconds: standalone_wall,
         wall_ratio: sweep_wall / standalone_wall.max(1e-9),

@@ -43,18 +43,19 @@ pub enum FaultKind {
     /// The targeted worker group sleeps briefly before simulating — a
     /// straggler. Results must be unaffected; deadlines may trip.
     SlowShard,
-    /// The targeted group's pipeline *leader* (the functional producer of
-    /// [`crate::RunSpec::pipeline_depth`] runs) panics before emitting any
-    /// work item. Surfaces as [`crate::SimError::ShardPanicked`] and heals
-    /// by retry exactly like [`FaultKind::WorkerPanic`]. A no-op when the
-    /// pipeline is not engaged (`pipeline_depth` resolves to 1, or the
-    /// policy does not decouple).
+    /// The targeted group's functional *leader* panics before emitting any
+    /// window: the producer of a pipelined run (see
+    /// [`crate::RunSpec::pipeline_depth`]) or a sweep's capture thread.
+    /// Surfaces as [`crate::SimError::ShardPanicked`] and heals by retry
+    /// exactly like [`FaultKind::WorkerPanic`]. A no-op in a standalone
+    /// run whose pipeline is not engaged (`pipeline_depth` resolves to 1,
+    /// or the policy does not decouple).
     LeaderPanic,
-    /// The targeted group's pipeline *follower* (the detailed consumer
-    /// thread) panics before simulating anything. The panic payload crosses
-    /// the leader/follower join and the scoped-thread boundary intact, so
-    /// it still surfaces as [`crate::SimError::ShardPanicked`]. A no-op
-    /// where [`FaultKind::LeaderPanic`] is.
+    /// The targeted group's detailed *follower* panics before simulating
+    /// anything: a pipelined run's consumer thread, or a sweep's replay.
+    /// The panic payload crosses the thread boundary intact, so it still
+    /// surfaces as [`crate::SimError::ShardPanicked`]. A no-op where
+    /// [`FaultKind::LeaderPanic`] is.
     FollowerPanic,
     /// *Service-level*: the targeted job's result-cache entry is written
     /// with a flipped payload byte, as if the disk lied. The group index is
@@ -253,16 +254,16 @@ impl FaultInjector {
         self.take(FaultKind::SlowShard, group).then_some(SLOW_SHARD_DELAY)
     }
 
-    /// The panic message to raise in `group`'s pipeline leader, if armed.
+    /// The panic message to raise in `group`'s functional leader, if armed.
     pub(crate) fn leader_panic_message(&self, group: usize) -> Option<String> {
         self.take(FaultKind::LeaderPanic, group)
-            .then(|| format!("injected fault: group {group} pipeline leader panic"))
+            .then(|| format!("injected fault: group {group} leader panic"))
     }
 
-    /// The panic message to raise in `group`'s pipeline follower, if armed.
+    /// The panic message to raise in `group`'s detailed follower, if armed.
     pub(crate) fn follower_panic_message(&self, group: usize) -> Option<String> {
         self.take(FaultKind::FollowerPanic, group)
-            .then(|| format!("injected fault: group {group} pipeline follower panic"))
+            .then(|| format!("injected fault: group {group} follower panic"))
     }
 
     /// Should the result-cache entry written for job `job` be damaged

@@ -750,28 +750,6 @@ impl SkipLog {
         (self.mem.slots.len(), self.br.slots.len())
     }
 
-    /// Pre-sizes the record rings for an expected region shape. Purely
-    /// an allocation hint — contents and accounting are
-    /// capacity-independent — but it spares a fresh log the doubling
-    /// reallocations (mmap/munmap round trips at these ring sizes)
-    /// when many logs are built back to back, as the sweep capture pass
-    /// does.
-    pub(crate) fn reserve_records(&mut self, mem: usize, branches: usize) {
-        let slots = |n: usize| self.keep.of(n).next_power_of_two().max(MIN_RING);
-        if self.log_mem {
-            self.mem.slots.reserve(slots(mem));
-        }
-        if self.log_branches {
-            self.br.slots.reserve(slots(branches));
-        }
-    }
-
-    /// Records logged per stream `(mem, branches)` — the shape hint
-    /// [`SkipLog::reserve_records`] wants for the next same-sized region.
-    pub(crate) fn record_counts(&self) -> (usize, usize) {
-        (self.mem.n, self.br.n)
-    }
-
     /// Did this region exhaust its budget? A truncated log holds nothing:
     /// its history is incomplete, so reconstruction must not run from it.
     /// See the type-level docs for how this interacts with
@@ -1403,8 +1381,8 @@ impl SkipLog {
 /// ([`LogPool::retaining`]) — about `keep` of the region's logged bytes,
 /// up to 2× for the power-of-two rounding. The pool is bounded at
 /// [`LogPool::MAX_POOLED`] entries, so a worker's resident log memory is
-/// roughly `max(pipeline_depth, pooled)` such rings, and with a log budget
-/// of `B` bytes never above that many `B`.
+/// roughly one such ring per window it keeps in flight, and with a log
+/// budget of `B` bytes never above that many `B`.
 #[derive(Debug)]
 pub struct LogPool {
     free: Vec<SkipLog>,
@@ -1412,44 +1390,23 @@ pub struct LogPool {
     budget: Option<usize>,
     /// Retention window stamped onto every log handed out.
     keep: Pct,
-    /// Retention bound on the free list (see [`pool_bound`]).
-    bound: usize,
-}
-
-/// Most windows a worker group keeps in flight at once: the pipeline's
-/// deepest supported depth, and the per-shard window count the sweep's
-/// fused capture pass holds before replaying. Every recycling pool in the
-/// engine is sized from this one anchor through [`pool_bound`], so the
-/// bounds stay mutually consistent instead of drifting as ad-hoc
-/// constants.
-pub const IN_FLIGHT_WINDOWS: usize = 8;
-
-/// The retention bound for a recycling pool shared by `workers` consumers:
-/// one buffer per in-flight window per worker. Pools must drop returns
-/// beyond this so a burst (a shard with many windows, a wide replay
-/// fan-out) can never ratchet resident memory permanently upward.
-pub const fn pool_bound(workers: usize) -> usize {
-    IN_FLIGHT_WINDOWS * if workers == 0 { 1 } else { workers }
 }
 
 impl LogPool {
     /// Most logs the pool retains; extra [`LogPool::put`]s are dropped so
-    /// the free list can never outgrow the windows that feed it (one
-    /// owning worker — see [`pool_bound`]).
-    pub const MAX_POOLED: usize = pool_bound(1);
+    /// a burst can never ratchet resident memory permanently upward. It
+    /// covers the windows a worker group keeps in flight: `depth + 1` in
+    /// a pipelined shard (3 at the auto depth), and in a sweep the
+    /// capture channel's bound (2) plus the window in capture and the
+    /// window in replay, 4 in all. The leaders' trace pools share this
+    /// bound.
+    pub const MAX_POOLED: usize = 8;
 
     /// An empty pool whose logs carry `budget` (see
     /// [`crate::RunSpec::log_budget_bytes`]), retaining up to
-    /// [`LogPool::MAX_POOLED`] — the single-consumer bound.
+    /// [`LogPool::MAX_POOLED`].
     pub fn new(budget: Option<usize>) -> LogPool {
-        LogPool::with_bound(budget, LogPool::MAX_POOLED)
-    }
-
-    /// Like [`LogPool::new`] but with an explicit retention bound, for
-    /// pools feeding more than one consumer (pass [`pool_bound`] of the
-    /// worker count).
-    pub fn with_bound(budget: Option<usize>, bound: usize) -> LogPool {
-        LogPool { free: Vec::new(), budget, keep: Pct::new(100), bound }
+        LogPool { free: Vec::new(), budget, keep: Pct::new(100) }
     }
 
     /// Sets the retention window of every log handed out (default 100 %,
@@ -1474,7 +1431,7 @@ impl LogPool {
     /// Returns a log's allocations to the pool (dropped once the pool's
     /// retention bound is already held).
     pub fn put(&mut self, log: SkipLog) {
-        if self.free.len() < self.bound {
+        if self.free.len() < LogPool::MAX_POOLED {
             self.free.push(log);
         }
     }

@@ -740,9 +740,10 @@ pub(crate) fn run_windows(
 /// the channel depth, the run guards the leader must observe between
 /// regions, and the identifiers its errors are reported under.
 pub(crate) struct PipelineCtx<'a> {
-    /// Bounded channel capacity + 1: at most `depth` work items (each one
-    /// log retention window plus one cluster's retire trace) exist at
-    /// once — `depth - 1` queued plus one in the follower's hands.
+    /// Bounded channel capacity + 1: at most `depth + 1` windows (each
+    /// one log retention window plus one cluster's retire trace) exist at
+    /// once — `depth - 1` queued, one in the follower's hands and one the
+    /// leader is recording.
     pub depth: usize,
     /// The run's absolute deadline; the leader checks it between regions
     /// so a run past its budget aborts at shard granularity even with the
@@ -759,31 +760,155 @@ pub(crate) struct PipelineCtx<'a> {
     pub total_shards: usize,
 }
 
-/// One unit of leader → follower work: a cluster's length, the retire
-/// trace the leader recorded while stepping through it, and — for the
-/// reverse policy — the skip region's log (records only; the follower
-/// seals). The follower sends the item back once done, so traces and logs
+/// One captured window on its way from a functional [`Leader`] to the
+/// detailed side: the skip region's length and, when the leader logs, its
+/// log (records only; the reader seals), plus the cluster's retire trace.
+/// The consumer sends the window back once done, so traces and logs
 /// recycle instead of reallocating.
-struct HotItem {
-    len: u64,
-    trace: RetireTrace,
-    log: Option<SkipLog>,
+pub(crate) struct CapturedWindow {
+    /// Instructions skipped before the cluster.
+    pub skip: u64,
+    /// Cluster length in instructions.
+    pub len: u64,
+    /// What the cluster retired. A trace that stops early carries the
+    /// leader's error, so the consumer fails at the same instruction the
+    /// sequential engine would.
+    pub trace: RetireTrace,
+    /// The skip region's log; `None` when the leader logs no stream.
+    pub log: Option<SkipLog>,
+}
+
+/// The functional leader of both decoupled engines: the pipelined shard
+/// engine ([`run_windows_pipelined`]) and the sweep's capture thread
+/// (`crate::sweep`). Per window it steps the skip region (logging it into
+/// a pooled log), records the cluster's retire trace, and sends one
+/// [`CapturedWindow`] into a bounded channel, reclaiming the buffers of
+/// windows the consumer has sent back as it goes.
+pub(crate) struct Leader<'p> {
+    pool: &'p mut LogPool,
+    /// The `(cache, bp)` streams each skip region logs; `None` steps skip
+    /// regions bare and sends no log.
+    streams: Option<(bool, bool)>,
+    traces: Vec<RetireTrace>,
+    /// The run's absolute deadline, checked before each window so a run
+    /// past its budget aborts at shard granularity even with the leader
+    /// ahead of its consumer.
+    deadline: Option<Instant>,
+    total_shards: usize,
+    /// Time spent stepping, logging and recording: the cold phase.
+    pub cold: Duration,
+}
+
+impl<'p> Leader<'p> {
+    /// A leader for worker group `group`. An armed
+    /// [`crate::FaultKind::LeaderPanic`] fires here, before any window is
+    /// captured.
+    pub fn new(
+        pool: &'p mut LogPool,
+        streams: Option<(bool, bool)>,
+        deadline: Option<Instant>,
+        total_shards: usize,
+        injector: Option<&FaultInjector>,
+        group: usize,
+    ) -> Leader<'p> {
+        if let Some(msg) = injector.and_then(|inj| inj.leader_panic_message(group)) {
+            std::panic::panic_any(msg);
+        }
+        Leader { pool, streams, traces: Vec::new(), deadline, total_shards, cold: Duration::ZERO }
+    }
+
+    /// Captures `windows`, the windows of canonical shard `shard`, from
+    /// dynamic instruction index `pos`, and sends them down `tx` in
+    /// schedule order. Returns `Ok(true)` once every window is sent and
+    /// `Ok(false)` when the consumer hung up: it failed, and its error is
+    /// schedule-earlier than anything the leader could still produce.
+    ///
+    /// # Errors
+    ///
+    /// The leader's own failure: [`SimError::DeadlineExceeded`] (checked
+    /// before each window, reporting `shard` as completed), or a
+    /// functional fault. A fault inside a cluster is sent with its trace
+    /// first, so the consumer reaches it in order.
+    pub fn capture(
+        &mut self,
+        cpu: &mut Cpu,
+        mut pos: u64,
+        windows: &[ClusterWindow],
+        shard: usize,
+        tx: &mpsc::SyncSender<CapturedWindow>,
+        recycle: &mpsc::Receiver<CapturedWindow>,
+    ) -> Result<bool, SimError> {
+        for w in windows {
+            if self.deadline.is_some_and(|at| Instant::now() >= at) {
+                return Err(SimError::DeadlineExceeded {
+                    completed_shards: shard,
+                    total_shards: self.total_shards,
+                });
+            }
+            self.reclaim(recycle);
+            let skip = w.start - pos;
+
+            // ---- cold phase: skip region (logged or plain) -------------
+            let t = Instant::now();
+            let log = match self.streams {
+                Some((cache, bp)) => {
+                    let mut log = self.pool.take(cache, bp);
+                    match log.record_region(cpu, skip) {
+                        Ok(()) => Ok(Some(log)),
+                        Err(e) => {
+                            self.pool.put(log);
+                            Err(e)
+                        }
+                    }
+                }
+                None => cpu.step_n(skip, |_| ()).map(|()| None),
+            };
+            let log = log.inspect_err(|_| self.cold += t.elapsed())?;
+
+            // ---- cold phase: the leader stays the functional reference
+            // by stepping through the cluster, recording what retires for
+            // the consumer, so the next skip starts from this cluster's
+            // end -------------------------------------------------------
+            let mut trace = self.traces.pop().unwrap_or_default();
+            let stepped = trace.record(cpu, w.len);
+            self.cold += t.elapsed();
+            if tx.send(CapturedWindow { skip, len: w.len, trace, log }).is_err() {
+                return Ok(false);
+            }
+            stepped?;
+            pos = w.end();
+        }
+        Ok(true)
+    }
+
+    /// Returns the buffers of every window the consumer has sent back to
+    /// the pools. Traces share the log pool's bound.
+    pub fn reclaim(&mut self, recycle: &mpsc::Receiver<CapturedWindow>) {
+        while let Ok(w) = recycle.try_recv() {
+            if let Some(log) = w.log {
+                self.pool.put(log);
+            }
+            if self.traces.len() < LogPool::MAX_POOLED {
+                self.traces.push(w.trace);
+            }
+        }
+    }
 }
 
 /// The decoupled leader/follower engine for one canonical shard.
 ///
-/// The functional leader runs ahead, executing skip regions (logging them
-/// under the reverse policy) *and* cluster regions (recording their
-/// retire traces), and emits one [`HotItem`] per window into a bounded
-/// channel; the detailed follower consumes items strictly in schedule
-/// order, sealing and reconstructing from each log and timing each hot
-/// cluster from its trace. Cold-phase
-/// time thus hides under warm + hot time; results are bit-identical to
-/// [`run_windows`] because both sides execute the same deterministic
-/// computations on the same inputs — the leader's architectural state
-/// never depends on the follower's microarchitectural state, and the
-/// follower's window half is literally the same function
-/// ([`follower_window`]) the sequential engine calls.
+/// The functional [`Leader`] runs ahead on the calling thread, executing
+/// skip regions (logging them under the reverse policy) *and* cluster
+/// regions (recording their retire traces), and emits one
+/// [`CapturedWindow`] per window into a bounded channel; the detailed
+/// follower thread consumes them strictly in schedule order, sealing and
+/// reconstructing from each log and timing each hot cluster from its
+/// trace. Cold-phase time thus hides under warm + hot time; results are
+/// bit-identical to [`run_windows`] because both sides execute the same
+/// deterministic computations on the same inputs — the leader's
+/// architectural state never depends on the follower's
+/// microarchitectural state, and the follower's window half is literally
+/// the same function ([`follower_window`]) the sequential engine calls.
 ///
 /// Error precedence mirrors the sequential engine: the follower fails at
 /// the schedule-earliest faulty window (it processes in order and never
@@ -796,7 +921,7 @@ pub(crate) fn run_windows_pipelined(
     machine: &MachineConfig,
     policy: WarmupPolicy,
     cpu: &mut Cpu,
-    mut pos: u64,
+    pos: u64,
     windows: &[ClusterWindow],
     pool: &mut LogPool,
     ctx: &PipelineCtx<'_>,
@@ -804,91 +929,26 @@ pub(crate) fn run_windows_pipelined(
     debug_assert!(ctx.depth >= 2, "depth 1 is the sequential engine");
     debug_assert!(policy_decouples(policy), "caller must gate on policy_decouples");
     let t0 = Instant::now();
-    let (cache, bp, logging) = match policy {
-        WarmupPolicy::Reverse { cache, bp, .. } => (cache, bp, true),
-        _ => (false, false, false),
+    let streams = match policy {
+        WarmupPolicy::Reverse { cache, bp, .. } => Some((cache, bp)),
+        _ => None,
     };
-    let mut leader_out = SampleOutcome::empty(policy);
+    let mut cold = Duration::ZERO;
     let mut leader_err: Option<SimError> = None;
 
     let follower_result = thread::scope(|scope| {
-        let (tx, rx) = mpsc::sync_channel::<HotItem>(ctx.depth - 1);
-        // Unbounded return path for drained items; capacity is still
-        // bounded by the number of items in flight (≤ depth).
-        let (recycle_tx, recycle_rx) = mpsc::channel::<HotItem>();
-        let mut traces: Vec<RetireTrace> = Vec::new();
+        let (tx, rx) = mpsc::sync_channel::<CapturedWindow>(ctx.depth - 1);
+        // Unbounded return path for drained windows; capacity is still
+        // bounded by the number of windows in flight (≤ depth).
+        let (recycle_tx, recycle_rx) = mpsc::channel::<CapturedWindow>();
         let injector = ctx.injector;
         let group = ctx.group;
         let follower =
             scope.spawn(move || follower_loop(machine, policy, rx, recycle_tx, injector, group));
 
-        if let Some(inj) = ctx.injector {
-            if let Some(msg) = inj.leader_panic_message(ctx.group) {
-                std::panic::panic_any(msg);
-            }
-        }
-
-        for w in windows {
-            if let Some(deadline) = ctx.deadline {
-                if Instant::now() >= deadline {
-                    leader_err = Some(SimError::DeadlineExceeded {
-                        completed_shards: ctx.shard,
-                        total_shards: ctx.total_shards,
-                    });
-                    break;
-                }
-            }
-            let skip = w.start - pos;
-            leader_out.skipped_insts += skip;
-            while let Ok(used) = recycle_rx.try_recv() {
-                reclaim(used, pool, &mut traces);
-            }
-
-            // ---- cold phase: skip region (logged or plain) -------------
-            let t = Instant::now();
-            let log = if logging {
-                let mut log = pool.take(cache, bp);
-                match log.record_region(cpu, skip) {
-                    Ok(()) => Some(log),
-                    Err(e) => {
-                        leader_out.phases.cold += t.elapsed();
-                        pool.put(log);
-                        leader_err = Some(e.into());
-                        break;
-                    }
-                }
-            } else {
-                match cpu.step_n(skip, |_| ()) {
-                    Ok(()) => None,
-                    Err(e) => {
-                        leader_out.phases.cold += t.elapsed();
-                        leader_err = Some(e.into());
-                        break;
-                    }
-                }
-            };
-
-            // ---- cold phase: the leader stays the functional reference
-            // by stepping through the cluster, recording what retires for
-            // the follower, so the next skip starts from this cluster's
-            // end. A trace that stops early carries its error to the
-            // follower, which fails at the same instruction the
-            // sequential engine would -----------------------------------
-            let mut trace = traces.pop().unwrap_or_default();
-            let stepped = trace.record(cpu, w.len);
-            leader_out.phases.cold += t.elapsed();
-            if tx.send(HotItem { len: w.len, trace, log }).is_err() {
-                // The follower hung up early — it failed; its error (taken
-                // from the join below) is schedule-earlier than anything
-                // the leader could still produce.
-                break;
-            }
-            if let Err(e) = stepped {
-                leader_err = Some(e.into());
-                break;
-            }
-            pos = w.end();
-        }
+        let mut leader =
+            Leader::new(pool, streams, ctx.deadline, ctx.total_shards, ctx.injector, ctx.group);
+        leader_err = leader.capture(cpu, pos, windows, ctx.shard, &tx, &recycle_rx).err();
 
         // Sealing the channel lets the follower drain and exit.
         drop(tx);
@@ -898,49 +958,35 @@ pub(crate) fn run_windows_pipelined(
             // supervisor's catch_unwind sees the original payload.
             Err(payload) => std::panic::resume_unwind(payload),
         };
-        while let Ok(used) = recycle_rx.try_recv() {
-            reclaim(used, pool, &mut traces);
-        }
+        leader.reclaim(&recycle_rx);
+        cold = leader.cold;
         joined
     });
 
     // Follower errors win (they are schedule-earliest; see above), then
     // the leader's.
-    let follower_out = follower_result?;
+    let mut outcome = follower_result?;
     if let Some(e) = leader_err {
         return Err(e);
     }
-    leader_out.absorb(&follower_out);
-    leader_out.wall = t0.elapsed();
-    Ok(leader_out)
+    outcome.phases.cold += cold;
+    outcome.wall = t0.elapsed();
+    Ok(outcome)
 }
 
-/// Returns a drained [`HotItem`]'s buffers to the leader's pools. Traces
-/// share the log pool's bound: one per window in flight.
-fn reclaim(item: HotItem, pool: &mut LogPool, traces: &mut Vec<RetireTrace>) {
-    if let Some(log) = item.log {
-        pool.put(log);
-    }
-    if traces.len() < LogPool::MAX_POOLED {
-        traces.push(item.trace);
-    }
-}
-
-/// The follower thread: consume [`HotItem`]s in order, run the shared
-/// per-window detailed half on a replay of each cluster's trace, and send
-/// each drained item back for reuse.
+/// The follower thread: consume [`CapturedWindow`]s in order, run the
+/// shared per-window detailed half on a replay of each cluster's trace,
+/// and send each drained window back for reuse.
 fn follower_loop(
     machine: &MachineConfig,
     policy: WarmupPolicy,
-    rx: mpsc::Receiver<HotItem>,
-    recycle: mpsc::Sender<HotItem>,
+    rx: mpsc::Receiver<CapturedWindow>,
+    recycle: mpsc::Sender<CapturedWindow>,
     injector: Option<&FaultInjector>,
     group: usize,
 ) -> Result<SampleOutcome, SimError> {
-    if let Some(inj) = injector {
-        if let Some(msg) = inj.follower_panic_message(group) {
-            std::panic::panic_any(msg);
-        }
+    if let Some(msg) = injector.and_then(|inj| inj.follower_panic_message(group)) {
+        std::panic::panic_any(msg);
     }
     let mut outcome = SampleOutcome::empty(policy);
     // The follower owns the shard's microarchitectural state, cold-started
@@ -948,21 +994,22 @@ fn follower_loop(
     let mut hier = MemHierarchy::new(machine.hier.clone());
     let mut pred = Predictor::new(machine.pred);
     let mut index = ReconIndex::new(ReconGeometry::of_machine(machine));
-    while let Ok(item) = rx.recv() {
+    while let Ok(w) = rx.recv() {
+        outcome.skipped_insts += w.skip;
         follower_window(
             machine,
             policy,
             &mut hier,
             &mut pred,
-            &mut item.trace.cursor(),
-            item.len,
-            item.log.as_ref(),
+            &mut w.trace.cursor(),
+            w.len,
+            w.log.as_ref(),
             &mut index,
             &mut outcome,
         )?;
         // The leader may already be gone (deadline, error); a dead
-        // recycle channel just means the item is dropped.
-        let _ = recycle.send(item);
+        // recycle channel just means the window is dropped.
+        let _ = recycle.send(w);
     }
     Ok(outcome)
 }

@@ -6,8 +6,8 @@
 //! microarchitectures therefore only needs the functional pass once:
 //! [`SweepSpec`] runs the cold half a single time, capturing per window
 //! the cluster's retire trace (a [`RetireTrace`]: what the cluster
-//! retired, 64 bytes per instruction) plus the sealed skip log of its skip
-//! region (shared behind an [`Arc`]), then replays the detailed half once
+//! retired, 64 bytes per instruction) plus the skip log of its skip
+//! region, then replays the detailed half once
 //! per named [`DetailSpec`] against the captured window. A 20-config
 //! sweep costs ~1 cold pass + 20 hot slices instead of 20 full runs. The
 //! captured logs keep resident only the widest config's scan-budget window
@@ -44,67 +44,60 @@
 //! still sees exactly the standalone engine's inputs in the standalone
 //! engine's order.
 //!
-//! Capture and replay are *fused per canonical shard*: a worker group
-//! captures one shard's windows, immediately replays them through every
-//! config, then recycles the logs and traces (via [`LogPool`] and a trace
-//! pool, both bounded by [`pool_bound`]) for the next shard.
-//! The alternative — capturing the whole schedule before any replay —
-//! retains every window's log and trace at once (when captures also held
-//! CPU images, gigabytes at fig5 scale, and measurably
-//! page-fault-bound); fusing bounds the resident
-//! footprint to one shard's windows per group and faults each buffer in
-//! once. Outcomes are unaffected: per-shard replay state is the canonical
-//! cold-start either way, and per-shard outcomes merge through
+//! **Capture streams into replay.** Per worker group, a capture thread
+//! owns the group's [`Cpu`] and its log and trace pools, and runs the
+//! same functional [`Leader`] as the pipelined standalone engine: it
+//! steps each skip region (logging it), records each cluster's trace,
+//! and sends the window through a bounded channel. The calling thread
+//! replays every window through every config as it arrives and sends it
+//! back for reuse. So the functional pass of the next windows runs on one
+//! core while the configs replay the current one on the others, and a
+//! group holds at most [`CHANNEL_BOUND`] + 2 windows at once: the queued
+//! ones, the one in capture and the one in replay. The
+//! alternative — capturing the whole schedule, or a whole shard, before
+//! replaying it — idles every replay core during capture and retains
+//! every captured window's log and trace at once. Outcomes are
+//! unaffected: each config's hierarchy and predictor still cold-start at
+//! every canonical shard boundary, and per-shard outcomes merge through
 //! [`SampleOutcome::absorb`] in schedule order, exactly like the
 //! standalone sharded runner.
 //!
-//! The fused pass runs under the same supervision as a normal sharded
+//! The streamed pass runs under the same supervision as a normal sharded
 //! run — scout checkpoints, panic capture, checksum verification, retries,
 //! deadline, log budget — via the generic [`run_sharded_with`]
 //! orchestrator, so fault healing behaves identically through the sweep
-//! path.
+//! path. Errors resolve as in the pipelined engine: the replay side
+//! never runs ahead of the capture, so its error is the schedule-earliest
+//! and wins; a replay error hangs up the channel, which stops the
+//! capture; a panic on either side reaches the shard supervisor with its
+//! own payload.
 
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::thread;
 use std::time::{Duration, Instant};
 
 use rsr_branch::Predictor;
 use rsr_cache::MemHierarchy;
-use rsr_func::{Cpu, RetireTrace};
+use rsr_func::Cpu;
 
 use crate::fault::FaultInjector;
-use crate::log::{
-    check_indexable, pool_bound, LogPool, MemKey, ReconGeometry, ReconIndex, SkipLog,
-};
+use crate::log::{check_indexable, LogPool, MemKey, ReconGeometry, ReconIndex, SkipLog};
 use crate::policy::Pct;
-use crate::sampler::{detailed_window, policy_decouples, WindowIndex};
+use crate::sampler::{detailed_window, policy_decouples, CapturedWindow, Leader, WindowIndex};
 use crate::shard::{check_deadline, run_sharded_with, GroupCtx, RunGuards};
 use crate::spec::{ColdSpec, DetailSpec};
 use crate::{SampleOutcome, SimError, WarmupPolicy};
 
-/// One captured cluster window: the cluster's retire trace and the sealed
-/// log of the skip region that led to it. Both are immutable once
-/// captured; every config replays the same window.
-struct SealedWindow {
-    /// Instructions skipped before this cluster.
-    skip: u64,
-    /// Cluster length in instructions.
-    len: u64,
-    /// What the cluster retired, recorded by the capture pass.
-    trace: RetireTrace,
-    /// The skip region's sealed, immutable log — `None` when no config
-    /// logs any stream.
-    log: Option<Arc<SkipLog>>,
-}
+/// Windows the capture channel queues between a group's capture thread
+/// and its replay: the pipeline's auto depth. A group holds at most this
+/// many plus two windows at once (the one in capture, the one in replay).
+const CHANNEL_BOUND: usize = 2;
 
-/// One shard's fused capture+replay result: per-config outcomes in
-/// registration order, how the shard's wall split between the shared
-/// capture and each config's replay, and the shard's index telemetry.
-struct ShardResult {
-    outcomes: Vec<SampleOutcome>,
+/// One worker group's sweep result: per-shard replays in schedule order,
+/// and the group's capture time.
+struct GroupSweep {
+    shards: Vec<ShardReplay>,
     capture: Duration,
-    replays: Vec<Duration>,
-    index_builds: u64,
-    index_builds_shared: u64,
 }
 
 /// The per-config result of a sweep.
@@ -125,16 +118,21 @@ pub struct SweepConfigOutcome {
 pub struct SweepOutcome {
     /// Per-config outcomes, in registration order.
     pub configs: Vec<SweepConfigOutcome>,
-    /// Wall share of the functional capture work: the slowest group's
-    /// summed per-shard capture time. Capture interleaves with replay
-    /// shard by shard, but this is the cold pass a standalone run would
-    /// also have paid, so it anchors [`SweepOutcome::amortization`].
+    /// Time the functional capture took: the slowest group's capture
+    /// thread, summed over its windows. Capture runs on its own thread,
+    /// overlapped with replay, so `cold_wall` plus the replay time can
+    /// exceed [`SweepOutcome::wall`]; on a host with fewer free cores
+    /// than the sweep has threads it also counts time the capture thread
+    /// waited to run. It stands for the cold pass a standalone run would
+    /// also have paid, which is what anchors
+    /// [`SweepOutcome::amortization`].
     pub cold_wall: Duration,
-    /// Total wall time of the sweep (capture + every replay).
+    /// Total wall time of the sweep (capture overlapped with every
+    /// replay).
     pub wall: Duration,
     /// Canonical shard count of the captured schedule.
     pub shards: usize,
-    /// Shard-group retries the fused pass needed (see
+    /// Shard-group retries the streamed pass needed (see
     /// [`crate::RunSpec::max_shard_retries`]).
     pub shard_retries: u64,
     /// Reconstruction indexes actually built across the sweep.
@@ -154,10 +152,12 @@ pub struct SweepOutcome {
 }
 
 impl SweepOutcome {
-    /// The sweep's amortization ratio: the summed per-config replay wall
-    /// plus one cold pass, over what N standalone runs would have cost
-    /// (N × (cold + replay)). Below 1.0 means the sweep saved time;
-    /// `1/N + ε` is the ideal for hot-slice-dominated configs.
+    /// The sweep's amortization ratio in work, not wall: the summed
+    /// per-config replay time plus one cold pass, over what N standalone
+    /// runs would have cost (N × cold + the same replay time). Below 1.0
+    /// means the sweep saved work; `1/N + ε` is the ideal for
+    /// hot-slice-dominated configs. It does not credit the overlap of
+    /// capture with replay, which shows only in [`SweepOutcome::wall`].
     pub fn amortization(&self) -> f64 {
         let replay: Duration = self.configs.iter().map(|c| c.outcome.wall).sum();
         let standalone =
@@ -293,19 +293,20 @@ impl<'a> SweepSpec<'a> {
         Ok(())
     }
 
-    /// Runs the sweep: one supervised pass over the schedule that, per
-    /// canonical shard, captures the cold windows once and replays them
-    /// through every config in registration order (windows-outer, with
-    /// per-window index sharing and shared retire traces — see the module
-    /// docs).
+    /// Runs the sweep: one supervised pass over the schedule in which a
+    /// capture thread per worker group captures each cold window once and
+    /// streams it to the calling thread, which replays it through every
+    /// config in registration order (windows-outer, with per-window index
+    /// sharing and shared retire traces — see the module docs).
     ///
     /// # Errors
     ///
     /// [`SimError::Spec`] from [`SweepSpec::validate`], and for logging
     /// configs whose skip regions could log more records than a u32 index
     /// addresses; [`SimError::DeadlineExceeded`] when the cold half's deadline
-    /// expires (checked at every shard boundary); otherwise as the
-    /// underlying engines.
+    /// expires (checked by the replay at every shard boundary, so
+    /// `completed_shards` counts shards every config has replayed);
+    /// otherwise as the underlying engines.
     pub fn run(&self) -> Result<SweepOutcome, SimError> {
         self.validate()?;
         let t_total = Instant::now();
@@ -322,110 +323,85 @@ impl<'a> SweepSpec<'a> {
             deadline: self.cold.deadline_instant(),
             max_retries: self.cold.max_shard_retries,
             injector: injector.as_ref(),
-            // The capture side is purely functional; the pipeline layer
-            // belongs to the standalone engines.
+            // Read only by the standalone engines' group body; the sweep
+            // always streams capture into replay.
             pipeline_depth: 1,
         };
+        let guards = &guards;
         let details: Vec<&DetailSpec> = self.configs.iter().map(|(_, d)| d).collect();
+        let details = &details[..];
         // One capture serves every config, so its logs keep the widest
         // scan budget any of them reconstructs under.
         let retention =
             details.iter().map(|d| d.policy.scan_budget()).max().unwrap_or(Pct::new(100));
+        let streams = (log_cache || log_bp).then_some((log_cache, log_bp));
 
-        // ---- fused pass: capture each shard once, replay it N ways -----
+        // ---- streamed pass: capture each window once, replay it N ways --
         let body = |cpu: &mut Cpu, ctx: GroupCtx<'_>| {
-            let mut out = Vec::with_capacity(ctx.shards.len());
-            // Capture buffers recycle shard to shard: a shard's sealed
-            // logs and traces are dead once every config has replayed
-            // it, so the group's resident footprint is one shard's
-            // windows, not the whole schedule's. `appended`/`peak_bytes`/
-            // truncation are capacity-independent, so pooled logs match
-            // the standalone path's accounting bit for bit. Both pools
-            // share the [`pool_bound`] retention policy.
-            let bound = pool_bound(replay_workers);
-            let mut pool = LogPool::with_bound(guards.log_budget, bound).retaining(retention);
-            let mut traces: Vec<RetireTrace> = Vec::new();
-            // Replay scratch recycled shard to shard: the index arena's
-            // column allocations are the expensive part.
-            let mut scratch = ReplayScratch::default();
-            // Column-size hint carried across this group's regions: a
-            // growing log would otherwise re-discover its size through
-            // doubling reallocations, and at fig5 column sizes every
-            // doubling is an mmap/munmap round trip.
-            let mut hint = (0usize, 0usize);
-            for (i, r) in ctx.shards.iter().enumerate() {
-                let shard = ctx.first_shard + i;
-                check_deadline(&guards, shard, ctx.total_shards)?;
-
-                // -- capture this shard's windows --
-                let t_capture = Instant::now();
-                let mut pos = ctx.shard_starts[shard];
-                let mut windows = Vec::with_capacity(r.len());
-                for w in &ctx.windows[r.clone()] {
-                    let skip = w.start - pos;
-                    let log = if log_cache || log_bp {
-                        let mut log = pool.take(log_cache, log_bp);
-                        log.reserve_records(hint.0, hint.1);
-                        log.record_region(cpu, skip)?;
-                        hint = log.record_counts();
-                        Some(Arc::new(log))
-                    } else {
-                        cpu.step_n(skip, |_| ())?;
-                        None
-                    };
-                    let mut trace = traces.pop().unwrap_or_default();
-                    trace.record(cpu, w.len)?;
-                    windows.push(SealedWindow { skip, len: w.len, trace, log });
-                    pos = w.end();
-                }
-                let capture = t_capture.elapsed();
-
-                // -- replay the captured shard through every config --
-                let replay = replay_windows(&windows, &details, replay_workers, &mut scratch)?;
-
-                // -- recycle the shard's capture buffers --
-                for w in windows {
-                    if let Some(log) = w.log {
-                        if let Ok(log) = Arc::try_unwrap(log) {
-                            pool.put(log);
+            thread::scope(|s| {
+                let (tx, rx) = mpsc::sync_channel::<CapturedWindow>(CHANNEL_BOUND);
+                let (recycle_tx, recycle_rx) = mpsc::channel::<CapturedWindow>();
+                let capture = s.spawn(move || {
+                    // Logs and traces recycle through the replay's return
+                    // channel, so the pool only ever refills the windows
+                    // in flight.
+                    let mut pool = LogPool::new(guards.log_budget).retaining(retention);
+                    let mut leader = Leader::new(
+                        &mut pool,
+                        streams,
+                        guards.deadline,
+                        ctx.total_shards,
+                        guards.injector,
+                        ctx.index,
+                    );
+                    for (i, r) in ctx.shards.iter().enumerate() {
+                        let shard = ctx.first_shard + i;
+                        let (pos, windows) = (ctx.shard_starts[shard], &ctx.windows[r.clone()]);
+                        if !leader.capture(cpu, pos, windows, shard, &tx, &recycle_rx)? {
+                            break;
                         }
                     }
-                    if traces.len() < bound {
-                        traces.push(w.trace);
-                    }
-                }
-                out.push(ShardResult {
-                    outcomes: replay.outcomes,
-                    capture,
-                    replays: replay.replays,
-                    index_builds: replay.index_builds,
-                    index_builds_shared: replay.index_builds_shared,
+                    Ok::<_, SimError>(leader.cold)
                 });
-            }
-            Ok(out)
+                let replayed = replay_group(&rx, &recycle_tx, ctx, guards, details, replay_workers);
+                // Hanging up stops a capture blocked on the full channel.
+                drop(rx);
+                let captured = match capture.join() {
+                    Ok(r) => r,
+                    // Re-raise the capture thread's panic here so the shard
+                    // supervisor's catch_unwind sees the original payload.
+                    Err(payload) => std::panic::resume_unwind(payload),
+                };
+                // The replay never runs ahead of the capture, so its error
+                // is the schedule-earliest; then the capture's.
+                let shards = replayed?;
+                let capture = captured?;
+                debug_assert_eq!(
+                    shards.len(),
+                    ctx.shards.len(),
+                    "a clean capture sends every window"
+                );
+                Ok(GroupSweep { shards, capture })
+            })
         };
         let (groups, shard_retries) = run_sharded_with(
             self.cold.program,
             &schedule,
             capture_threads,
             self.cold.shard_span,
-            &guards,
+            guards,
             &body,
         )?;
 
         // ---- merge: shard results arrive grouped, in schedule order ----
-        let total_shards: usize = groups.iter().map(Vec::len).sum();
-        let cold_wall = groups
-            .iter()
-            .map(|g| g.iter().map(|s| s.capture).sum::<Duration>())
-            .max()
-            .unwrap_or(Duration::ZERO);
+        let total_shards: usize = groups.iter().map(|g| g.shards.len()).sum();
+        let cold_wall = groups.iter().map(|g| g.capture).max().unwrap_or(Duration::ZERO);
         let mut configs = Vec::with_capacity(self.configs.len());
         for (c, (name, _)) in self.configs.iter().enumerate() {
             let mut outcome = SampleOutcome::empty(self.configs[c].1.policy);
             // `absorb` is exactly the standalone sharded runner's merge,
             // applied in the same schedule order.
-            for s in groups.iter().flatten() {
+            for s in groups.iter().flat_map(|g| &g.shards) {
                 outcome.absorb(&s.outcomes[c]);
             }
             outcome.shard_retries += shard_retries;
@@ -433,12 +409,12 @@ impl<'a> SweepSpec<'a> {
             // slowest group's summed share.
             outcome.wall = groups
                 .iter()
-                .map(|g| g.iter().map(|s| s.replays[c]).sum::<Duration>())
+                .map(|g| g.shards.iter().map(|s| s.replays[c]).sum::<Duration>())
                 .max()
                 .unwrap_or(Duration::ZERO);
             configs.push(SweepConfigOutcome { name: name.clone(), outcome });
         }
-        let all = || groups.iter().flatten();
+        let all = || groups.iter().flat_map(|g| &g.shards);
 
         Ok(SweepOutcome {
             configs,
@@ -635,12 +611,12 @@ fn plan_window(
 /// view.
 fn replay_one(
     st: &mut ConfigReplay<'_>,
-    w: &SealedWindow,
+    w: &CapturedWindow,
     plan: WindowPlan,
     arena: &IndexArena,
 ) -> Result<(), SimError> {
     st.outcome.skipped_insts += w.skip;
-    let log = w.log.as_deref().map(|log| {
+    let log = w.log.as_ref().map(|log| {
         let view = if log.truncated() {
             // Degraded cluster: `detailed_window` counts it and skips
             // reconstruction; the view is never read.
@@ -670,7 +646,7 @@ fn replay_one(
 /// `first` is the chunk's first config's index in the whole config list.
 fn replay_chunk_window(
     configs: &mut [ConfigReplay<'_>],
-    w: &SealedWindow,
+    w: &CapturedWindow,
     plans: &[WindowPlan],
     first: usize,
     arena: &IndexArena,
@@ -684,17 +660,50 @@ fn replay_chunk_window(
     Ok(())
 }
 
-/// Replays one captured shard through every config: windows-outer, with
-/// per-window index planning, then the configs fanned across `workers`
-/// contiguous chunks. The first chunk runs on the calling thread and each
-/// other chunk on a scoped worker; all of them read the same immutable
-/// window.
-fn replay_windows<'d>(
-    windows: &[SealedWindow],
+/// The replay side of one worker group, on the calling thread: per
+/// canonical shard, check the deadline, then replay the shard's windows
+/// as the capture thread sends them. Stops early, without an error of its
+/// own, when the capture hangs up; the capture's join result says why.
+/// An armed [`crate::FaultKind::FollowerPanic`] fires here, before any
+/// window is replayed.
+fn replay_group(
+    rx: &Receiver<CapturedWindow>,
+    recycle: &Sender<CapturedWindow>,
+    ctx: GroupCtx<'_>,
+    guards: &RunGuards<'_>,
+    details: &[&DetailSpec],
+    workers: usize,
+) -> Result<Vec<ShardReplay>, SimError> {
+    if let Some(msg) = guards.injector.and_then(|inj| inj.follower_panic_message(ctx.index)) {
+        std::panic::panic_any(msg);
+    }
+    let mut scratch = ReplayScratch::default();
+    let mut out = Vec::with_capacity(ctx.shards.len());
+    for (i, r) in ctx.shards.iter().enumerate() {
+        let shard = ctx.first_shard + i;
+        check_deadline(guards, shard, ctx.total_shards)?;
+        match replay_shard(rx, recycle, r.len(), details, workers, &mut scratch)? {
+            Some(replay) => out.push(replay),
+            None => break,
+        }
+    }
+    Ok(out)
+}
+
+/// Replays one shard's `windows` windows through every config as they
+/// arrive on `rx`, returning each to `recycle` once replayed:
+/// windows-outer, with per-window index planning, then the configs fanned
+/// across `workers` contiguous chunks. The first chunk runs on the calling
+/// thread and each other chunk on a scoped worker; all of them read the
+/// same immutable window. `None` when the channel closes mid-shard.
+fn replay_shard<'d>(
+    rx: &Receiver<CapturedWindow>,
+    recycle: &Sender<CapturedWindow>,
+    windows: usize,
     details: &[&'d DetailSpec],
     workers: usize,
     scratch: &mut ReplayScratch,
-) -> Result<ShardReplay, SimError> {
+) -> Result<Option<ShardReplay>, SimError> {
     let n = details.len();
     let workers = workers.clamp(1, n);
     let mut builds = 0u64;
@@ -715,9 +724,10 @@ fn replay_windows<'d>(
     }
     scratch.memo.plans.resize(n, WindowPlan::default());
 
-    for w in windows {
+    for _ in 0..windows {
+        let Ok(w) = rx.recv() else { return Ok(None) };
         // -- leader: build each distinct index once for this window --
-        if let Some(log) = w.log.as_deref().filter(|l| !l.truncated()) {
+        if let Some(log) = w.log.as_ref().filter(|l| !l.truncated()) {
             plan_window(
                 log,
                 &mut chunks,
@@ -733,16 +743,18 @@ fn replay_windows<'d>(
         let arena = &scratch.arena;
         let plans = &scratch.memo.plans[..];
         let mut result: Result<(), SimError> = Ok(());
-        std::thread::scope(|s| {
+        let window = &w;
+        thread::scope(|s| {
             let (lead, rest) = chunks.split_at_mut(1);
             let mut first = lead[0].len();
             let mut handles = Vec::with_capacity(rest.len());
             for configs in rest.iter_mut() {
                 let f = first;
                 first += configs.len();
-                handles.push(s.spawn(move || replay_chunk_window(configs, w, plans, f, arena)));
+                handles
+                    .push(s.spawn(move || replay_chunk_window(configs, window, plans, f, arena)));
             }
-            result = replay_chunk_window(&mut lead[0], w, plans, 0, arena);
+            result = replay_chunk_window(&mut lead[0], window, plans, 0, arena);
             for h in handles {
                 let r = match h.join() {
                     Ok(r) => r,
@@ -756,6 +768,8 @@ fn replay_windows<'d>(
             }
         });
         result?;
+        // The capture may already be gone; then the window just drops.
+        let _ = recycle.send(w);
     }
 
     let mut outcomes = Vec::with_capacity(n);
@@ -764,5 +778,5 @@ fn replay_windows<'d>(
         outcomes.push(st.outcome);
         replays.push(st.replay);
     }
-    Ok(ShardReplay { outcomes, replays, index_builds: builds, index_builds_shared: shared })
+    Ok(Some(ShardReplay { outcomes, replays, index_builds: builds, index_builds_shared: shared }))
 }

@@ -30,7 +30,9 @@
 //! Admissions append `+ <hash> <canonical job>` to an fsynced journal in
 //! the cache directory and settlements append `- <hash>`; on startup the
 //! pending set (admitted minus settled, tolerating a torn final line) is
-//! re-queued and the journal is compacted. A kill mid-queue therefore
+//! re-queued and the journal is compacted (rewritten, synced and renamed
+//! into place; skipped when it already holds exactly the pending set, as
+//! an empty journal does on an empty cache). A kill mid-queue therefore
 //! loses no admitted work, and a clean drain leaves an empty journal.
 //!
 //! ## Shutdown
@@ -45,7 +47,7 @@ use std::fs::File;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -210,11 +212,16 @@ impl Journal {
     }
 
     /// Rewrites the journal to exactly `pending` and reopens the handle
-    /// (the rewrite replaces the inode the old handle pointed at).
-    fn compact(&mut self, pending: &[(u64, String)]) -> io::Result<()> {
+    /// (the rewrite replaces the inode the old handle pointed at). When
+    /// `current`, the journal's text as last read, already is that text,
+    /// there is nothing to compact and the synced rewrite is skipped.
+    fn compact(&mut self, pending: &[(u64, String)], current: Option<&str>) -> io::Result<()> {
         let mut contents = String::new();
         for (hash, canonical) in pending {
             contents.push_str(&format!("+ {hash:016x} {canonical}\n"));
+        }
+        if current == Some(contents.as_str()) {
+            return Ok(());
         }
         cache::rewrite_journal(&self.dir, &contents)?;
         self.file = cache::open_journal_file(&self.dir)?;
@@ -222,11 +229,10 @@ impl Journal {
     }
 }
 
-/// Replays the journal: admissions minus settlements, in admission
+/// Replays the journal text: admissions minus settlements, in admission
 /// order. Malformed lines (torn tails from a crash mid-append) are
 /// skipped, not fatal.
-fn recover_pending(dir: &Path) -> io::Result<Vec<(u64, String)>> {
-    let text = cache::read_journal(dir)?;
+fn recover_pending(text: &str) -> Vec<(u64, String)> {
     let mut order: Vec<u64> = Vec::new();
     let mut live: HashMap<u64, String> = HashMap::new();
     for line in text.lines() {
@@ -242,7 +248,7 @@ fn recover_pending(dir: &Path) -> io::Result<Vec<(u64, String)>> {
             }
         }
     }
-    Ok(order.into_iter().filter_map(|h| live.remove(&h).map(|c| (h, c))).collect())
+    order.into_iter().filter_map(|h| live.remove(&h).map(|c| (h, c))).collect()
 }
 
 struct Counters {
@@ -354,10 +360,11 @@ impl Daemon {
     /// Any [`io::Error`] from the cache directory, journal, or listener.
     pub fn start(cfg: ServeConfig) -> io::Result<Daemon> {
         let result_cache = ResultCache::open(&cfg.cache_dir)?;
-        let pending = recover_pending(&cfg.cache_dir)?;
+        let text = cache::read_journal(&cfg.cache_dir)?;
+        let pending = recover_pending(&text);
         let mut journal =
             Journal { dir: cfg.cache_dir.clone(), file: cache::open_journal_file(&cfg.cache_dir)? };
-        journal.compact(&pending)?;
+        journal.compact(&pending, Some(&text))?;
 
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
@@ -517,7 +524,7 @@ fn drain_and_stop(shared: &Shared) -> u64 {
     if st.mode != Mode::Stopped {
         st.mode = Mode::Stopped;
         // Every admitted job settled, so the journal compacts to empty.
-        let _ = st.journal.compact(&[]);
+        let _ = st.journal.compact(&[], None);
         shared.cv.notify_all();
     }
     let settled = st.stats.completed + st.stats.failed;
@@ -865,7 +872,7 @@ mod tests {
             1u64, 2u64, 1u64
         );
         std::fs::write(dir.join(cache::JOURNAL_NAME), text).unwrap();
-        let pending = recover_pending(&dir).unwrap();
+        let pending = recover_pending(&cache::read_journal(&dir).unwrap());
         assert_eq!(pending.len(), 1, "one admitted job unsettled");
         assert_eq!(pending[0].0, 2);
         assert_eq!(pending[0].1, canonical);

@@ -4,7 +4,7 @@ use rsr_branch::{Predictor, PredictorConfig};
 use rsr_cache::{HierarchyConfig, MemHierarchy};
 use rsr_core::{
     reconstruct_caches_partitioned, BpReconstructor, ColdSpec, DetailSpec, Pct, RunSpec,
-    SamplingRegimen, SimError, SkipLog, SweepSpec, WarmupPolicy,
+    SamplingRegimen, Schedule, SimError, SkipLog, SweepSpec, WarmupPolicy,
 };
 use rsr_func::Cpu;
 use rsr_integration::{machine, sample, tiny};
@@ -87,6 +87,43 @@ fn halting_program_inside_schedule_is_an_error() {
     let swept =
         SweepSpec::new(cold()).config("a", detail()).config("b", detail()).run().unwrap_err();
     assert_eq!(swept, err, "2-config sweep");
+
+    // A halt in a later shard, after several of its windows replayed. The
+    // systematic schedule puts 20 clusters of 100 instructions 500 apart,
+    // and a 2 500-instruction span cuts every shard after the first at
+    // exactly five windows, so window 14 is the fourth or fifth window of
+    // shard 2. The sweep's capture thread runs ahead of its replay across
+    // the shard boundaries; the halt must still surface as the standalone
+    // engines' error, whether it strikes a skip region or a cluster.
+    let schedule = Schedule::systematic(SamplingRegimen::new(20, 100), 10_000, 3);
+    let w = schedule.windows()[14];
+    for halt_at in [w.start - 50, w.start + 50] {
+        let mut a = Asm::new();
+        for _ in 0..halt_at {
+            a.nop();
+        }
+        a.halt();
+        let program = a.finish().unwrap();
+        let cold = || ColdSpec::new(&program).schedule(schedule.clone()).shard_span(2_500);
+        for policy in
+            [WarmupPolicy::None, WarmupPolicy::Reverse { cache: true, bp: true, pct: Pct::new(20) }]
+        {
+            let detail = || DetailSpec::new(&machine()).policy(policy);
+            let err = RunSpec::from_parts(cold(), detail().pipeline_depth(1)).run().unwrap_err();
+            assert!(matches!(err, SimError::Exec(_)), "halt at {halt_at}: got {err:?}");
+            let piped = RunSpec::from_parts(cold(), detail().pipeline_depth(2)).run().unwrap_err();
+            assert_eq!(piped, err, "halt at {halt_at}, {policy:?}: depth 2");
+            for replay in [1, 4] {
+                let swept = SweepSpec::new(cold())
+                    .config("a", detail())
+                    .config("b", detail())
+                    .replay_threads(replay)
+                    .run()
+                    .unwrap_err();
+                assert_eq!(swept, err, "halt at {halt_at}, {policy:?}: sweep at replay {replay}");
+            }
+        }
+    }
 }
 
 #[test]

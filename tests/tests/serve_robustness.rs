@@ -358,6 +358,39 @@ fn kill_mid_queue_resumes_from_the_journal_on_restart() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The journal file's inode: a compaction replaces the file by rename,
+/// so a start that skips the rewrite leaves the inode unchanged.
+#[cfg(unix)]
+fn journal_inode(dir: &std::path::Path) -> u64 {
+    use std::os::unix::fs::MetadataExt;
+    std::fs::metadata(dir.join("queue.journal")).expect("journal exists").ino()
+}
+
+#[cfg(unix)]
+#[test]
+fn start_compacts_the_journal_only_when_it_holds_settled_lines() {
+    // An empty directory: the start creates an empty journal and has
+    // nothing to compact, so a restart finds the same file untouched.
+    let dir = scratch("compact");
+    Daemon::start(config(&dir)).expect("daemon starts").abort();
+    let created = journal_inode(&dir);
+    Daemon::start(config(&dir)).expect("daemon restarts").abort();
+    assert_eq!(journal_inode(&dir), created, "an empty journal must not be rewritten");
+
+    // Settled lines: admitted and settled jobs compact away, so the start
+    // rewrites the journal to the empty pending set.
+    let canonical = job(30).canonical_json();
+    let settled = format!("+ {:016x} {canonical}\n- {:016x}\n", 7u64, 7u64);
+    std::fs::write(dir.join("queue.journal"), &settled).unwrap();
+    let before = journal_inode(&dir);
+    let daemon = Daemon::start(config(&dir)).expect("daemon starts");
+    assert_eq!(daemon.stats().resumed, 0, "a settled job is not resumed");
+    daemon.abort();
+    assert_ne!(journal_inode(&dir), before, "settled lines must be compacted");
+    assert_eq!(std::fs::read_to_string(dir.join("queue.journal")).unwrap(), "");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn drain_stops_the_daemon_and_later_requests_are_refused() {
     let dir = scratch("drain");

@@ -2,9 +2,9 @@
 //! every per-config outcome bit-identical to its standalone run.
 //!
 //! `SweepSpec` shares one functional capture (cluster retire traces +
-//! sealed skip logs behind `Arc`) across all configs, then replays the detailed half
-//! per config through the same `detailed_window` code path the standalone
-//! engines use. The contract mirrors the pipeline's: the sweep is a pure
+//! skip logs, streamed from a capture thread) across all configs, and
+//! replays the detailed half per config through the same
+//! `detailed_window` code path the standalone engines use. The contract mirrors the pipeline's: the sweep is a pure
 //! wall-clock optimization, so for every config and every parallelism
 //! setting — capture/replay threads, standalone pipeline depth — the
 //! sampled estimate and every deterministic
@@ -424,7 +424,7 @@ fn replay_widths_agree_under_log_budget_truncation() {
 
 #[test]
 fn replay_widths_heal_shard_faults_identically() {
-    // A worker panic in the fused capture+replay pass heals by one retry
+    // A worker panic in the streamed capture+replay pass heals by one retry
     // at either replay width, to the fault-free outcome.
     let plan = FaultPlan::new().with(FaultKind::WorkerPanic, 0);
     let [serial, fanned] = sweep_pair(None, Some(plan));
@@ -434,5 +434,46 @@ fn replay_widths_heal_shard_faults_identically() {
     for ((s, f), c) in serial.configs.iter().zip(&fanned.configs).zip(&clean.configs) {
         assert_equivalent(&s.outcome, &f.outcome, &format!("{} healed, replay 1 vs 4", s.name));
         assert_equivalent(&s.outcome, &c.outcome, &format!("{} healed vs clean", s.name));
+    }
+}
+
+#[test]
+fn capture_and_replay_panics_heal_and_fail_typed_at_every_replay_width() {
+    // The sweep's capture thread runs the pipeline's leader and its
+    // replay is the follower: `LeaderPanic` strikes the capture thread,
+    // `FollowerPanic` the replaying thread. Either panic crosses the
+    // thread boundary with its payload, heals by one retry to the
+    // fault-free outcome, and without a retry surfaces typed.
+    let [clean, _] = sweep_pair(None, None);
+    for (kind, what) in [(FaultKind::LeaderPanic, "leader"), (FaultKind::FollowerPanic, "follower")]
+    {
+        for replay in [1usize, 4] {
+            let run = |retries: u32| {
+                let plan = FaultPlan::new().with(kind, 0);
+                let mut sweep = SweepSpec::new(cold().fault_plan(plan).max_shard_retries(retries))
+                    .replay_threads(replay);
+                for (name, m, policy) in config_axis() {
+                    sweep = sweep.config(name, DetailSpec::new(&m).policy(policy));
+                }
+                sweep.run()
+            };
+            let healed = run(1).unwrap_or_else(|e| panic!("{kind:?} at replay {replay}: {e:?}"));
+            assert_eq!(healed.shard_retries, 1, "{kind:?} at replay {replay}: one retry");
+            for (h, c) in healed.configs.iter().zip(&clean.configs) {
+                assert_equivalent(
+                    &h.outcome,
+                    &c.outcome,
+                    &format!("{} after {kind:?} heal at replay {replay}", h.name),
+                );
+            }
+            match run(0) {
+                Err(SimError::ShardPanicked { index: 0, message }) => {
+                    assert!(message.contains(what), "payload lost: `{message}`");
+                }
+                other => {
+                    panic!("{kind:?} at replay {replay}: expected ShardPanicked, got {other:?}")
+                }
+            }
+        }
     }
 }
