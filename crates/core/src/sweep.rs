@@ -62,6 +62,18 @@
 //! [`SampleOutcome::absorb`] in schedule order, exactly like the
 //! standalone sharded runner.
 //!
+//! **The capture thread exits last.** It returns only after the replay
+//! hangs up the return channel, so it outlives every replay worker of
+//! its group. The order changes no outcome; it keeps memory steady.
+//! glibc hands a new thread the malloc arena that the last exiting
+//! thread released. The next sweep's capture thread allocates first in
+//! its group (no replay worker starts before its first window arrives),
+//! so it gets back the arena that already holds its pools' freed
+//! buffers. When a replay worker exited last instead, the capture thread
+//! could take that worker's small arena and grow it by a whole pool
+//! while its own old arena stayed resident: a 20-config mcf sweep then
+//! peaked anywhere from 47 to 69 MiB from one run to the next.
+//!
 //! The streamed pass runs under the same supervision as a normal sharded
 //! run — scout checkpoints, panic capture, checksum verification, retries,
 //! deadline, log budget — via the generic [`run_sharded_with`]
@@ -354,18 +366,32 @@ impl<'a> SweepSpec<'a> {
                         guards.injector,
                         ctx.index,
                     );
+                    let mut captured = Ok(());
                     for (i, r) in ctx.shards.iter().enumerate() {
                         let shard = ctx.first_shard + i;
                         let (pos, windows) = (ctx.shard_starts[shard], &ctx.windows[r.clone()]);
-                        if !leader.capture(cpu, pos, windows, shard, &tx, &recycle_rx)? {
-                            break;
+                        match leader.capture(cpu, pos, windows, shard, &tx, &recycle_rx) {
+                            Ok(true) => {}
+                            Ok(false) => break,
+                            Err(e) => {
+                                captured = Err(e);
+                                break;
+                            }
                         }
                     }
-                    Ok::<_, SimError>(leader.cold)
+                    // Outlive the replay: hang up so it drains, then wait
+                    // for it to hang up the return channel, so this thread
+                    // exits after every replay worker of its group (see
+                    // "The capture thread exits last" in the module docs).
+                    drop(tx);
+                    recycle_rx.iter().for_each(drop);
+                    captured.map(|()| leader.cold)
                 });
                 let replayed = replay_group(&rx, &recycle_tx, ctx, guards, details, replay_workers);
-                // Hanging up stops a capture blocked on the full channel.
+                // Hanging up stops a capture blocked on the full channel,
+                // and releases one waiting for the replay to end.
                 drop(rx);
+                drop(recycle_tx);
                 let captured = match capture.join() {
                     Ok(r) => r,
                     // Re-raise the capture thread's panic here so the shard
