@@ -6,14 +6,16 @@ cd "$(dirname "$0")"
 
 cargo build --release --workspace
 cargo test -q --workspace
-# The supervision layer's fault matrix, by name: a fast, loud signal when
-# only the fault-tolerance paths regress.
+# The fault matrix of the one streaming engine, by name: a replay-worker
+# panic must fail typed at depth 2 and in sweeps, and deadlines and log
+# budgets must abort or degrade identically at every depth and replay
+# width — a fast, loud signal when only the failure paths regress.
 cargo test -q -p rsr-integration --test fault_injection
 # The packed-log equivalence suite, by name: the compact representation
 # must stay observationally identical to the seed's record layout.
 cargo test -q -p rsr-integration --test packed_equivalence
 # The leader/follower pipeline suite, by name: pipelined runs must stay
-# bit-identical to the sequential engine at every (threads, depth).
+# bit-identical to the sequential engine at every depth, across cuts.
 cargo test -q -p rsr-integration --test pipeline_equivalence
 # The partitioned-reconstruction suite, by name: index-driven per-set
 # reverse scans and the indexed demand scan must stay bit-identical to the
@@ -30,9 +32,9 @@ cargo test -q -p rsr-integration --test recon_partition
 # workloads under None, S$BP, and R$BP 20%/100% must never drift.
 cargo test -q -p rsr-integration --test golden
 # The sweep-engine suite, by name: every config of a one-cold-pass sweep
-# must stay bit-identical to its standalone run — including mixed-budget
-# sweeps, whose shared capture retains the widest config's window — and
-# supervision must compose unchanged through the capture pass.
+# must stay bit-identical to its standalone run at every replay width and
+# across cuts — including mixed-budget sweeps, whose shared capture
+# retains the widest config's window.
 cargo test -q -p rsr-integration --test sweep_equivalence
 # The service fault matrix, by name: worker panics, corrupt cache entries,
 # deadlines, overload shedding, stalls, and kill-and-restart recovery all
@@ -61,8 +63,9 @@ cargo test -q -p rsr-integration --test timing_core_equivalence
 # fail with the same typed error at the same instruction when a window
 # halts or leaves the text segment.
 cargo test -q -p rsr-integration --test trace_equivalence
-# The nine-workload matrix, by name: pipeline depth {1, 2} and sweep
-# replay width {1, 4} must equal the standalone run on every workload.
+# The nine-workload matrix, by name: with no cut and with a forced 20k
+# span, pipeline depth {1, 2} and sweep replay width {1, 4} must equal the
+# standalone depth-1 run on every workload.
 cargo test -q -p rsr-integration --test workload_matrix
 # The warm-equivalence suite, by name: the inlined SMARTS warmer, which
 # skips a fetch probe that repeats the previous fetch's I-cache line, must

@@ -73,17 +73,14 @@ fn main() {
         let seed = exp.seed;
         let program = exp.program(b).clone();
 
-        let on_demand: SampleOutcome = RunSpec::new(&program, &machine)
-            .regimen(regimen)
-            .total_insts(total)
-            .policy(WarmupPolicy::Reverse { cache: true, bp: true, pct: Pct::new(20) })
-            .seed(seed)
+        let on_demand: SampleOutcome = exp
+            .sampled_spec(b, WarmupPolicy::Reverse { cache: true, bp: true, pct: Pct::new(20) })
             .run()
             .expect("on-demand run");
 
         // Eager variant: same pipeline, but the reconstructor consumes its
-        // entire budget before the cluster starts. Carryover state, as in
-        // the sampler proper.
+        // entire budget before the cluster starts. State carries across
+        // the whole run, as in the sampler proper under the harness span.
         let schedule = Schedule::generate(regimen, total, seed);
         let mut cpu = Cpu::new(&program).expect("loads");
         let mut hier = MemHierarchy::new(machine.hier.clone());

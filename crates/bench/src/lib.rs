@@ -15,10 +15,12 @@
 //!
 //! Environment knobs: `RSR_SCALE` (default 1.0) scales run lengths and
 //! cluster counts; `RSR_SEED` (default 42) moves cluster positions;
-//! `RSR_BENCH` restricts to a comma-separated benchmark list;
-//! `RSR_THREADS` (default 1) shards every sampled run across worker
-//! threads — per-cluster results are identical at any thread count, only
-//! the wall column moves.
+//! `RSR_BENCH` restricts to a comma-separated benchmark list.
+//!
+//! Every sampled run goes through [`Experiment::sampled_spec`], which sets
+//! `shard_span(u64::MAX)`: state carries across the whole run and no
+//! canonical cut resets it, which is the paper's model (each cluster
+//! inherits the warm state of everything before it).
 //!
 //! ## Reading the time columns
 //!
@@ -76,8 +78,6 @@ pub struct Experiment {
     pub scale: f64,
     /// Cluster-position seed (`RSR_SEED`).
     pub seed: u64,
-    /// Shard worker threads per sampled run (`RSR_THREADS`).
-    pub threads: usize,
     /// The simulated machine.
     pub machine: MachineConfig,
     /// Benchmarks to run (`RSR_BENCH` or all nine).
@@ -96,11 +96,6 @@ impl Experiment {
             .unwrap_or(1.0)
             .clamp(0.001, 100.0);
         let seed = std::env::var("RSR_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(42);
-        let threads = std::env::var("RSR_THREADS")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .unwrap_or(1)
-            .max(1);
         let benches = match std::env::var("RSR_BENCH") {
             Ok(list) => {
                 list.split(',').filter_map(|n| Benchmark::from_name(n.trim())).collect::<Vec<_>>()
@@ -111,7 +106,6 @@ impl Experiment {
         Experiment {
             scale,
             seed,
-            threads,
             machine: MachineConfig::paper(),
             benches,
             programs: HashMap::new(),
@@ -197,23 +191,25 @@ impl Experiment {
         s
     }
 
-    /// Runs one warm-up policy on one benchmark.
-    pub fn run_policy(&mut self, b: Benchmark, policy: WarmupPolicy) -> PolicyResult {
-        let total = self.total_insts(b);
-        let regimen = self.regimen(b);
-        let seed = self.seed;
-        let threads = self.threads;
-        let machine = self.machine.clone();
-        let (true_ipc, _) = self.true_ipc(b);
-        let program = self.program(b);
-        let outcome = RunSpec::new(program, &machine)
+    /// The spec every sampled harness run goes through: the benchmark's
+    /// scaled regimen and run length, the experiment's seed and machine,
+    /// `policy`, and no canonical cuts (`shard_span(u64::MAX)`), so every
+    /// cluster inherits the whole run's warm state as in the paper.
+    pub fn sampled_spec(&mut self, b: Benchmark, policy: WarmupPolicy) -> RunSpec<'_> {
+        let (total, regimen, seed) = (self.total_insts(b), self.regimen(b), self.seed);
+        self.program(b);
+        RunSpec::new(&self.programs[&b], &self.machine)
             .regimen(regimen)
             .total_insts(total)
             .policy(policy)
             .seed(seed)
-            .threads(threads)
-            .run()
-            .expect("sampled run");
+            .shard_span(u64::MAX)
+    }
+
+    /// Runs one warm-up policy on one benchmark.
+    pub fn run_policy(&mut self, b: Benchmark, policy: WarmupPolicy) -> PolicyResult {
+        let (true_ipc, _) = self.true_ipc(b);
+        let outcome = self.sampled_spec(b, policy).run().expect("sampled run");
         PolicyResult::new(outcome, true_ipc)
     }
 }
@@ -242,8 +238,8 @@ impl PolicyResult {
         self.outcome.predicts_true_ipc(self.true_ipc)
     }
 
-    /// Measured elapsed wall-clock seconds. At one thread this equals the
-    /// summed phase times; sharded runs finish in less.
+    /// Measured elapsed wall-clock seconds. At pipeline depth 1 this
+    /// equals the summed phase times; pipelined runs finish in less.
     pub fn wall_seconds(&self) -> f64 {
         self.outcome.wall.as_secs_f64()
     }

@@ -26,9 +26,7 @@ pub struct BenchSample {
     pub scale: f64,
     /// Schedule seed.
     pub seed: u64,
-    /// Shard worker threads.
-    pub threads: usize,
-    /// Resolved intra-shard pipeline depth (1 = sequential engine).
+    /// Resolved pipeline depth (1 = sequential engine).
     pub pipeline_depth: usize,
     /// Total instructions in the sampled run.
     pub total_insts: u64,
@@ -36,7 +34,7 @@ pub struct BenchSample {
     pub clusters: usize,
     /// Instructions per cluster.
     pub cluster_len: u64,
-    /// The run's IPC estimate (bit-identical at any thread count).
+    /// The run's IPC estimate (bit-identical at any pipeline depth).
     pub est_ipc: f64,
     /// Cold-phase throughput: functionally skipped instructions (all of
     /// them logged through the fused loop) per second of cold time, in
@@ -63,21 +61,18 @@ pub struct BenchSample {
     pub log_bytes_peak: usize,
     /// Records appended to skip logs across the run.
     pub log_records: u64,
-    /// Cold-phase busy seconds (summed across shard workers; overlaps
-    /// wall-clock time with the hot/warm phases when the pipeline or
-    /// multiple threads are engaged, so phase seconds can sum past
+    /// Cold-phase busy seconds (overlaps wall-clock time with the hot/warm
+    /// phases when the pipeline is engaged, so phase seconds can sum past
     /// `wall_seconds`).
     pub cold_seconds: f64,
-    /// Hot-phase busy seconds (summed across shard workers; see
-    /// `cold_seconds` on overlap).
+    /// Hot-phase busy seconds (see `cold_seconds` on overlap).
     pub hot_seconds: f64,
     /// End-to-end wall-clock seconds of the sampled run.
     pub wall_seconds: f64,
-    /// Fraction of summed phase busy time hidden by thread- and
-    /// pipeline-level overlap: `1 − wall/Σphases`, clamped at 0. `None`
-    /// (emitted as JSON `null`) for a structurally sequential run —
-    /// one thread at pipeline depth 1 — where no overlap machinery is
-    /// engaged and a `0.000000` would misread as "overlap tried and
+    /// Fraction of summed phase busy time hidden by pipeline overlap:
+    /// `1 − wall/Σphases`, clamped at 0. `None` (emitted as JSON `null`)
+    /// for a structurally sequential run — pipeline depth 1 — where no
+    /// overlap machinery is engaged and a `0.000000` would misread as "overlap tried and
     /// failed" rather than "not applicable".
     pub overlap_efficiency: Option<f64>,
 }
@@ -89,7 +84,6 @@ impl BenchSample {
             .str("bench", self.bench)
             .f64("scale", self.scale)
             .raw("seed", self.seed)
-            .raw("threads", self.threads)
             .raw("pipeline_depth", self.pipeline_depth)
             .raw("total_insts", self.total_insts)
             .raw("clusters", self.clusters)
@@ -116,15 +110,9 @@ impl BenchSample {
 /// given scale, plus a standalone reconstruction micro-pass, and returns
 /// the derived metrics. Deterministic for fixed `(scale, seed)` except the
 /// timing fields; `pipeline_depth` 0 means auto (hardware-aware).
-pub fn run_bench_sample(
-    scale: f64,
-    seed: u64,
-    threads: usize,
-    pipeline_depth: usize,
-) -> BenchSample {
+pub fn run_bench_sample(scale: f64, seed: u64, pipeline_depth: usize) -> BenchSample {
     let bench = Benchmark::Mcf;
     let scale = scale.clamp(0.001, 100.0);
-    let threads = threads.max(1);
     let program = bench.build(&WorkloadParams::default());
     let machine = rsr_core::MachineConfig::paper();
     let total = ((bench.default_instructions() as f64 * scale) as u64).max(100_000);
@@ -138,7 +126,6 @@ pub fn run_bench_sample(
         .total_insts(total)
         .policy(WarmupPolicy::Reverse { cache: true, bp: true, pct })
         .seed(seed)
-        .threads(threads)
         .pipeline_depth(pipeline_depth);
     let resolved_depth = run_spec.resolved_pipeline_depth();
     let outcome = run_spec.run().expect("bench-sample run");
@@ -176,7 +163,6 @@ pub fn run_bench_sample(
         bench: bench.name(),
         scale,
         seed,
-        threads,
         pipeline_depth: resolved_depth,
         total_insts: total,
         clusters: n_clusters,
@@ -194,7 +180,7 @@ pub fn run_bench_sample(
         cold_seconds: cold_secs,
         hot_seconds: hot_secs,
         wall_seconds: outcome.wall.as_secs_f64(),
-        overlap_efficiency: if threads == 1 && resolved_depth == 1 {
+        overlap_efficiency: if resolved_depth == 1 {
             None // structurally sequential: no overlap machinery engaged
         } else {
             Some(outcome.overlap_efficiency())
@@ -207,12 +193,12 @@ pub fn run_bench_sample(
 /// — on a single-core host, where auto resolves to 1, the matrix is one
 /// row. Estimates are bit-identical across rows; only the timing-derived
 /// fields vary.
-pub fn run_bench_matrix(scale: f64, seed: u64, threads: usize) -> Vec<BenchSample> {
-    let auto = run_bench_sample(scale, seed, threads, 0);
+pub fn run_bench_matrix(scale: f64, seed: u64) -> Vec<BenchSample> {
+    let auto = run_bench_sample(scale, seed, 0);
     if auto.pipeline_depth == 1 {
         return vec![auto];
     }
-    let depth1 = run_bench_sample(scale, seed, threads, 1);
+    let depth1 = run_bench_sample(scale, seed, 1);
     vec![depth1, auto]
 }
 
@@ -234,7 +220,7 @@ mod tests {
 
     #[test]
     fn smoke_scale_emission_has_sane_metrics() {
-        let s = run_bench_sample(0.01, 42, 1, 1);
+        let s = run_bench_sample(0.01, 42, 1);
         assert_eq!(s.bench, "mcf");
         assert_eq!(s.pipeline_depth, 1);
         assert!(s.est_ipc > 0.0);
@@ -248,7 +234,7 @@ mod tests {
         assert!(s.log_bytes_peak > 0);
         assert!(s.log_records > 0);
         assert!(s.wall_seconds > 0.0);
-        // Sequential single-thread run: overlap is not applicable.
+        // Depth-1 run: overlap is not applicable.
         assert_eq!(s.overlap_efficiency, None);
         assert!(s.to_json().contains("\"overlap_efficiency\": null"));
     }
@@ -259,7 +245,6 @@ mod tests {
             bench: "mcf",
             scale: 1.0,
             seed: 42,
-            threads: 4,
             pipeline_depth: 2,
             total_insts: 1_000_000,
             clusters: 30,
@@ -281,14 +266,13 @@ mod tests {
         };
         let json = s.to_json();
         // Shape checks a strict parser would also enforce: one object,
-        // all twenty-two keys, no trailing comma before the brace.
+        // all twenty-one keys, no trailing comma before the brace.
         assert!(json.starts_with("{\n") && json.ends_with("}\n"));
         assert!(!json.contains(",\n}"));
         for key in [
             "bench",
             "scale",
             "seed",
-            "threads",
             "pipeline_depth",
             "total_insts",
             "clusters",
@@ -316,7 +300,7 @@ mod tests {
 
     #[test]
     fn json_array_wraps_objects_without_breaking_shape() {
-        let s = run_bench_sample(0.01, 42, 1, 1);
+        let s = run_bench_sample(0.01, 42, 1);
         let arr = to_json_array(&[s.clone(), s]);
         assert!(arr.starts_with("[\n{") && arr.ends_with("}\n]\n"));
         assert_eq!(arr.matches("\"bench\":").count(), 2);
@@ -327,16 +311,12 @@ mod tests {
     #[test]
     fn ipc_matches_direct_runspec_at_any_thread_count() {
         // The emitter must not perturb the sampled result: same spec, same
-        // estimate, and neither thread count nor pipeline depth may move
-        // it.
-        let one = run_bench_sample(0.01, 7, 1, 1);
-        let four = run_bench_sample(0.01, 7, 4, 1);
-        let piped = run_bench_sample(0.01, 7, 1, 2);
-        assert_eq!(one.est_ipc, four.est_ipc);
-        assert_eq!(one.log_records, four.log_records);
-        assert_eq!(one.log_bytes_peak, four.log_bytes_peak);
+        // estimate, and the pipeline's capture thread may not move it.
+        let one = run_bench_sample(0.01, 7, 1);
+        let piped = run_bench_sample(0.01, 7, 2);
         assert_eq!(one.est_ipc, piped.est_ipc);
         assert_eq!(one.log_records, piped.log_records);
+        assert_eq!(one.log_bytes_peak, piped.log_bytes_peak);
         assert_eq!(piped.pipeline_depth, 2);
     }
 }

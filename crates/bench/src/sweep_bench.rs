@@ -65,8 +65,6 @@ pub struct SweepSample {
     pub seed: u64,
     /// Detailed configs fanned out from the one cold pass.
     pub sweep_configs: usize,
-    /// Worker threads (cold capture and per-config replay).
-    pub threads: usize,
     /// Configs replayed concurrently per captured window (resolved).
     pub replay_threads: usize,
     /// Total instructions in the sampled run.
@@ -117,7 +115,6 @@ impl SweepSample {
             .f64("scale", self.scale)
             .raw("seed", self.seed)
             .raw("sweep_configs", self.sweep_configs)
-            .raw("threads", self.threads)
             .raw("replay_threads", self.replay_threads)
             .raw("total_insts", self.total_insts)
             .raw("clusters", self.clusters)
@@ -152,12 +149,10 @@ pub fn run_sweep_sample(
     scale: f64,
     seed: u64,
     n_configs: usize,
-    threads: usize,
     replay_threads: usize,
 ) -> SweepSample {
     let bench = Benchmark::Mcf;
     let scale = scale.clamp(0.001, 100.0);
-    let threads = threads.max(1);
     let program = bench.build(&WorkloadParams::default());
     let total = ((bench.default_instructions() as f64 * scale) as u64).max(100_000);
     let spec = bench.default_regimen();
@@ -169,10 +164,8 @@ pub fn run_sweep_sample(
         SweepSpec::new(ColdSpec::new(&program).regimen(regimen).total_insts(total).seed(seed))
             .replay_threads(replay_threads);
     for point in &grid {
-        sweep = sweep.config(
-            point.name.clone(),
-            DetailSpec::new(&point.machine()).policy(sweep_policy()).threads(threads),
-        );
+        sweep = sweep
+            .config(point.name.clone(), DetailSpec::new(&point.machine()).policy(sweep_policy()));
     }
     let out: SweepOutcome = sweep.run().expect("sweep run");
 
@@ -187,7 +180,6 @@ pub fn run_sweep_sample(
             .total_insts(total)
             .policy(sweep_policy())
             .seed(seed)
-            .threads(threads)
             .run()
             .expect("standalone reference run");
         standalone_wall += alone.wall.as_secs_f64();
@@ -203,7 +195,6 @@ pub fn run_sweep_sample(
         scale,
         seed,
         sweep_configs: grid.len(),
-        threads,
         replay_threads: out.replay_threads,
         total_insts: total,
         clusters: n_clusters,
@@ -264,7 +255,7 @@ mod tests {
 
     #[test]
     fn smoke_scale_sweep_is_bit_identical_and_amortized() {
-        let s = run_sweep_sample(0.01, 42, 3, 1, 1);
+        let s = run_sweep_sample(0.01, 42, 3, 1);
         assert_eq!(s.bench, "mcf");
         assert_eq!(s.sweep_configs, 3);
         assert_eq!(s.replay_threads, 1);
@@ -285,7 +276,6 @@ mod tests {
             scale: 1.0,
             seed: 42,
             sweep_configs: 20,
-            threads: 4,
             replay_threads: 2,
             total_insts: 8_000_000,
             clusters: 60,
@@ -311,7 +301,6 @@ mod tests {
             "scale",
             "seed",
             "sweep_configs",
-            "threads",
             "replay_threads",
             "total_insts",
             "clusters",

@@ -48,7 +48,7 @@ pub enum Command {
         /// Instructions to simulate.
         n: u64,
     },
-    /// `rsr sample <bench> [--policy P] [--pct N] [--clusters N] [--len N] [-n INSTS] [--seed S] [--threads T] [--pipeline-depth D] [--max-shard-retries R] [--log-budget BYTES] [--deadline-secs S]`
+    /// `rsr sample <bench> [--policy P] [--pct N] [--clusters N] [--len N] [-n INSTS] [--seed S] [--pipeline-depth D] [--log-budget BYTES] [--deadline-secs S]`
     Sample {
         /// Workload to sample.
         bench: Benchmark,
@@ -62,13 +62,9 @@ pub enum Command {
         n: u64,
         /// Schedule seed.
         seed: u64,
-        /// Shard worker threads (1 = sequential; results are identical).
-        threads: usize,
-        /// Intra-shard leader/follower pipeline depth (0 = auto; results
-        /// are identical at any depth).
+        /// Leader/follower pipeline depth (0 = auto; results are
+        /// identical at any depth).
         pipeline_depth: usize,
-        /// Shard-fault retry budget (`None` = engine default).
-        max_shard_retries: Option<u32>,
         /// Per-region RSR log cap in bytes (`None` = unbounded).
         log_budget: Option<usize>,
         /// Wall-clock deadline in seconds (`None` = unbounded).
@@ -87,7 +83,7 @@ pub enum Command {
         /// Replay count.
         replays: usize,
     },
-    /// `rsr sweep <bench> [--configs N] [--policy P] [--pct N] [--clusters N] [--len N] [-n INSTS] [--seed S] [--threads T] [--replay-threads W] [--out PATH]`
+    /// `rsr sweep <bench> [--configs N] [--policy P] [--pct N] [--clusters N] [--len N] [-n INSTS] [--seed S] [--replay-threads W] [--out PATH]`
     Sweep {
         /// Workload to sweep.
         bench: Benchmark,
@@ -105,23 +101,19 @@ pub enum Command {
         n: u64,
         /// Schedule seed.
         seed: u64,
-        /// Worker threads for the cold capture and each config's replay.
-        threads: usize,
         /// Configs replayed concurrently per captured window (0 = auto).
         replay_threads: usize,
         /// Destination for the JSON rows (`None` = stdout).
         out: Option<String>,
     },
-    /// `rsr bench [--scale S] [--seed N] [--threads T] [--pipeline-depth D] [--replay-threads W] [--sweep-configs N] [--sweep-smoke] [--out PATH]`
+    /// `rsr bench [--scale S] [--seed N] [--pipeline-depth D] [--replay-threads W] [--sweep-configs N] [--sweep-smoke] [--out PATH]`
     Bench {
         /// Run-length scale factor relative to the default regimen.
         scale: f64,
         /// Schedule seed.
         seed: u64,
-        /// Shard worker threads (results are identical at any count).
-        threads: usize,
-        /// Intra-shard leader/follower pipeline depth (0 = auto; 0 also
-        /// emits a depth-1 + auto-depth matrix instead of one object).
+        /// Leader/follower pipeline depth (0 = auto; 0 also emits a
+        /// depth-1 + auto-depth matrix instead of one object).
         pipeline_depth: usize,
         /// Configs replayed concurrently per captured window in the
         /// sweep rows (0 = auto).
@@ -275,7 +267,7 @@ pub enum CliError {
     /// ran and failed, which keeps its engine exit class.
     Service(ServiceError),
     /// The daemon ran the job and it failed; the typed wire class maps
-    /// back onto the engine exit codes (deadline 7, shard/panic 6, …).
+    /// back onto the engine exit codes (deadline 7, panic 6, …).
     Job {
         /// The daemon's failure class.
         class: FailClass,
@@ -324,7 +316,7 @@ impl CliError {
     /// | 3 | program load failure |
     /// | 4 | execution fault |
     /// | 5 | degenerate run spec |
-    /// | 6 | shard fault (lost/panicked worker, corrupt checkpoint) |
+    /// | 6 | engine panic |
     /// | 7 | deadline exceeded |
     /// | 8 | service error (daemon unreachable, overloaded, draining) |
     /// | 1 | anything else |
@@ -338,15 +330,13 @@ impl CliError {
             CliError::Sim(SimError::Load(_)) => 3,
             CliError::Sim(SimError::Exec(_)) => 4,
             CliError::Sim(SimError::Spec(_)) => 5,
-            CliError::Sim(e) if e.is_shard_fault() || matches!(e, SimError::ShardFailed { .. }) => {
-                6
-            }
+            CliError::Sim(SimError::Panicked { .. }) => 6,
             CliError::Sim(SimError::DeadlineExceeded { .. }) => 7,
             CliError::Sim(_) => 1,
             CliError::Service(_) => 8,
             CliError::Job { class, .. } => match class {
                 FailClass::Deadline => 7,
-                FailClass::Panic | FailClass::Shard => 6,
+                FailClass::Panic => 6,
                 FailClass::Spec => 5,
                 FailClass::Sim => 1,
             },
@@ -388,32 +378,30 @@ commands:
   trace  <bench> [-n N]         print the first N retired instructions (default 20)
   run    <bench> [-n INSTS]     full cycle-accurate run (default 1000000)
   sample <bench> [--policy P] [--pct N] [--clusters N] [--len N] [-n INSTS] [--seed S]
-         [--threads T] [--pipeline-depth D] [--max-shard-retries R] [--log-budget BYTES]
-         [--deadline-secs S]
-                                sampled simulation (defaults: r$bp 20%, 30x1000, 2M, seed 42,
-                                1 thread; --threads shards the schedule, results identical;
-                                --pipeline-depth overlaps cold fast-forward with recon+hot
-                                inside each shard, 0 = auto, results identical at any depth;
-                                retries heal shard faults, --log-budget degrades over-budget
-                                clusters to stale-state warmup, --deadline-secs aborts cleanly)
+         [--pipeline-depth D] [--log-budget BYTES] [--deadline-secs S]
+                                sampled simulation (defaults: r$bp 20%, 30x1000, 2M, seed 42;
+                                --pipeline-depth overlaps cold fast-forward with recon+hot,
+                                0 = auto, results identical at any depth; --log-budget
+                                degrades over-budget clusters to stale-state warmup,
+                                --deadline-secs aborts cleanly)
   sweep  <bench> [--configs N] [--policy P] [--pct N] [--clusters N] [--len N] [-n INSTS]
-         [--seed S] [--threads T] [--replay-threads W] [--out PATH]
+         [--seed S] [--replay-threads W] [--out PATH]
                                 design-space sweep: one functional cold pass fanned
                                 across N machine variants (L1D capacity x gshare history
                                 grid around the paper geometry); emits one JSON row per
                                 config (est_ipc, 95% CI, per-structure recon telemetry,
                                 shared amortization ratio) to PATH or stdout (defaults:
-                                8 configs, r$bp 20%, 30x1000, 2M, seed 42, 1 thread;
+                                8 configs, r$bp 20%, 30x1000, 2M, seed 42;
                                 --replay-threads replays W configs concurrently per
                                 captured window, 0 = auto; per-config results are
                                 bit-identical to standalone runs at any worker count)
-  bench  [--scale S] [--seed N] [--threads T] [--pipeline-depth D] [--replay-threads W]
+  bench  [--scale S] [--seed N] [--pipeline-depth D] [--replay-threads W]
          [--sweep-configs N] [--sweep-smoke] [--serve-smoke] [--out PATH]
                                 reproducible perf trajectory: runs mcf under r$bp 20%
                                 and emits BENCH_sample.json-shaped metrics (cold-phase
                                 MIPS, recon ns/record per structure, peak log bytes, wall
-                                seconds) to PATH or stdout (defaults: scale 1.0, seed 42,
-                                1 thread; default depth 0 emits a [depth-1, auto] array;
+                                seconds) to PATH or stdout (defaults: scale 1.0, seed 42;
+                                default depth 0 emits a [depth-1, auto] array;
                                 --sweep-configs N appends a sweep row fanning N configs
                                 out of one cold pass, --sweep-smoke = 4-config shorthand;
                                 --serve-smoke appends a service row: an in-process daemon
@@ -422,7 +410,7 @@ commands:
          [--default-deadline-secs S] [--scale S]
                                 job daemon over localhost TCP: schedules submitted sampled
                                 runs across the core budget, dedupes identical in-flight
-                                specs, supervises each job (panic/shard-fault retries with
+                                specs, supervises each job (panic retries with
                                 deterministic backoff, per-job deadlines, load shedding),
                                 and answers repeat submissions bit-identically from a
                                 crash-safe content-addressed result cache; a kill mid-queue
@@ -445,7 +433,7 @@ commands:
 
 policies: none | fp | s$ | sbp | s$bp | r$ | rbp | r$bp | mrrl | blrl
 benchmarks: ammp art gcc mcf parser perl twolf vortex vpr
-exit codes: 0 ok | 1 other | 2 usage | 3 load | 4 exec | 5 spec | 6 shard fault | 7 deadline
+exit codes: 0 ok | 1 other | 2 usage | 3 load | 4 exec | 5 spec | 6 engine panic | 7 deadline
             8 service (daemon unreachable, overloaded, or draining)";
 
 /// Parses a warm-up policy name plus an optional percentage.
@@ -560,9 +548,7 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
                 len: nonzero(flags.parsed("--len", 1000)?, "--len")?,
                 n: flags.parsed("-n", 2_000_000)?,
                 seed: flags.parsed("--seed", 42)?,
-                threads: flags.parsed("--threads", 1)?,
                 pipeline_depth: flags.parsed("--pipeline-depth", 0)?,
-                max_shard_retries: flags.parsed_opt("--max-shard-retries")?,
                 log_budget: flags.parsed_opt("--log-budget")?,
                 deadline_secs: flags.parsed_opt("--deadline-secs")?,
             }
@@ -583,7 +569,6 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
                 len: nonzero(flags.parsed("--len", 1000)?, "--len")?,
                 n: flags.parsed("-n", 2_000_000)?,
                 seed: flags.parsed("--seed", 42)?,
-                threads: flags.parsed("--threads", 1)?,
                 replay_threads: flags.parsed("--replay-threads", 0)?,
                 out: flags.value("--out").map(str::to_string),
             }
@@ -591,7 +576,6 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
         "bench" => Command::Bench {
             scale: flags.parsed("--scale", 1.0)?,
             seed: flags.parsed("--seed", 42)?,
-            threads: flags.parsed("--threads", 1)?,
             pipeline_depth: flags.parsed("--pipeline-depth", 0)?,
             replay_threads: flags.parsed("--replay-threads", 0)?,
             sweep_configs: flags.parsed("--sweep-configs", 0)?,
@@ -674,17 +658,18 @@ mod tests {
     #[test]
     fn parses_sample_with_flags() {
         let cmd = parse(&argv(
-            "sample mcf --policy r$ --pct 40 --clusters 12 --len 500 -n 100000 --seed 7 --threads 4",
+            "sample mcf --policy r$ --pct 40 --clusters 12 --len 500 -n 100000 --seed 7 \
+             --pipeline-depth 4",
         ))
         .unwrap();
         match cmd {
-            Command::Sample { bench, policy, clusters, len, n, seed, threads, .. } => {
+            Command::Sample { bench, policy, clusters, len, n, seed, pipeline_depth, .. } => {
                 assert_eq!(bench, Benchmark::Mcf);
                 assert_eq!(
                     policy,
                     WarmupPolicy::Reverse { cache: true, bp: false, pct: Pct::new(40) }
                 );
-                assert_eq!((clusters, len, n, seed, threads), (12, 500, 100_000, 7, 4));
+                assert_eq!((clusters, len, n, seed, pipeline_depth), (12, 500, 100_000, 7, 4));
             }
             other => panic!("parsed {other:?}"),
         }
@@ -692,12 +677,9 @@ mod tests {
 
     #[test]
     fn parses_guard_flags() {
-        let cmd =
-            parse(&argv("sample mcf --max-shard-retries 3 --log-budget 65536 --deadline-secs 90"))
-                .unwrap();
+        let cmd = parse(&argv("sample mcf --log-budget 65536 --deadline-secs 90")).unwrap();
         match cmd {
-            Command::Sample { max_shard_retries, log_budget, deadline_secs, .. } => {
-                assert_eq!(max_shard_retries, Some(3));
+            Command::Sample { log_budget, deadline_secs, .. } => {
                 assert_eq!(log_budget, Some(65_536));
                 assert_eq!(deadline_secs, Some(90));
             }
@@ -732,25 +714,7 @@ mod tests {
         assert_eq!(CliError::from(SimError::Load(load)).exit_code(), 3);
         assert_eq!(CliError::from(SimError::Exec(ExecError::Halted)).exit_code(), 4);
         assert_eq!(CliError::from(SimError::Spec("bad")).exit_code(), 5);
-        assert_eq!(CliError::from(SimError::Shard { index: 1 }).exit_code(), 6);
-        assert_eq!(
-            CliError::from(SimError::ShardPanicked { index: 2, message: "boom".into() })
-                .exit_code(),
-            6
-        );
-        assert_eq!(
-            CliError::from(SimError::CheckpointCorrupt { index: 1, expected: 1, found: 2 })
-                .exit_code(),
-            6
-        );
-        assert_eq!(
-            CliError::from(SimError::ShardFailed {
-                index: 0,
-                source: Box::new(SimError::Spec("inner")),
-            })
-            .exit_code(),
-            6
-        );
+        assert_eq!(CliError::from(SimError::Panicked { message: "boom".into() }).exit_code(), 6);
         assert_eq!(
             CliError::from(SimError::DeadlineExceeded { completed_shards: 1, total_shards: 4 })
                 .exit_code(),
@@ -768,8 +732,7 @@ mod tests {
                 len,
                 n,
                 seed,
-                threads,
-                max_shard_retries,
+                pipeline_depth,
                 log_budget,
                 deadline_secs,
                 ..
@@ -778,8 +741,8 @@ mod tests {
                     policy,
                     WarmupPolicy::Reverse { cache: true, bp: true, pct: Pct::new(20) }
                 );
-                assert_eq!((clusters, len, n, seed, threads), (30, 1000, 2_000_000, 42, 1));
-                assert_eq!((max_shard_retries, log_budget, deadline_secs), (None, None, None));
+                assert_eq!((clusters, len, n, seed, pipeline_depth), (30, 1000, 2_000_000, 42, 0));
+                assert_eq!((log_budget, deadline_secs), (None, None));
             }
             other => panic!("parsed {other:?}"),
         }
@@ -824,7 +787,6 @@ mod tests {
             Command::Bench {
                 scale: 1.0,
                 seed: 42,
-                threads: 1,
                 pipeline_depth: 0,
                 replay_threads: 0,
                 sweep_configs: 0,
@@ -835,14 +797,13 @@ mod tests {
         );
         assert_eq!(
             parse(&argv(
-                "bench --scale 0.05 --seed 7 --threads 4 --pipeline-depth 2 \
+                "bench --scale 0.05 --seed 7 --pipeline-depth 2 \
                  --replay-threads 2 --sweep-configs 20 --out BENCH_sample.json"
             ))
             .unwrap(),
             Command::Bench {
                 scale: 0.05,
                 seed: 7,
-                threads: 4,
                 pipeline_depth: 2,
                 replay_threads: 2,
                 sweep_configs: 20,
@@ -866,23 +827,21 @@ mod tests {
     #[test]
     fn sweep_flags_and_defaults() {
         match parse(&argv("sweep mcf")).unwrap() {
-            Command::Sweep {
-                bench, configs, policy, clusters, len, n, seed, threads, out, ..
-            } => {
+            Command::Sweep { bench, configs, policy, clusters, len, n, seed, out, .. } => {
                 assert_eq!(bench, Benchmark::Mcf);
                 assert_eq!(configs, 8);
                 assert_eq!(
                     policy,
                     WarmupPolicy::Reverse { cache: true, bp: true, pct: Pct::new(20) }
                 );
-                assert_eq!((clusters, len, n, seed, threads), (30, 1000, 2_000_000, 42, 1));
+                assert_eq!((clusters, len, n, seed), (30, 1000, 2_000_000, 42));
                 assert_eq!(out, None);
             }
             other => panic!("parsed {other:?}"),
         }
         match parse(&argv(
             "sweep twolf --configs 20 --policy r$ --pct 40 --clusters 12 --len 500 -n 100000 \
-             --seed 7 --threads 4 --replay-threads 4 --out rows.json",
+             --seed 7 --replay-threads 4 --out rows.json",
         ))
         .unwrap()
         {
@@ -1027,7 +986,6 @@ mod tests {
         let job = |class| CliError::Job { class, message: "m".into(), attempts: 2 };
         assert_eq!(job(FailClass::Deadline).exit_code(), 7);
         assert_eq!(job(FailClass::Panic).exit_code(), 6);
-        assert_eq!(job(FailClass::Shard).exit_code(), 6);
         assert_eq!(job(FailClass::Spec).exit_code(), 5);
         assert_eq!(job(FailClass::Sim).exit_code(), 1);
         assert!(job(FailClass::Panic).to_string().contains("panic"));

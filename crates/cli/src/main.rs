@@ -196,26 +196,18 @@ fn execute(cmd: Command) -> Result<(), CliError> {
             len,
             n,
             seed,
-            threads,
             pipeline_depth,
-            max_shard_retries,
             log_budget,
             deadline_secs,
         } => {
-            // 0 workers means "run it yourself" — same as 1.
-            let threads = threads.max(1);
             let p = build(bench);
             let mut spec = RunSpec::new(&p, &machine)
                 .regimen(SamplingRegimen::new(clusters, len))
                 .total_insts(n)
                 .policy(policy)
                 .seed(seed)
-                .threads(threads)
                 .pipeline_depth(pipeline_depth);
             let depth = spec.resolved_pipeline_depth();
-            if let Some(r) = max_shard_retries {
-                spec = spec.max_shard_retries(r);
-            }
             if let Some(b) = log_budget {
                 spec = spec.log_budget_bytes(b);
             }
@@ -229,13 +221,11 @@ fn execute(cmd: Command) -> Result<(), CliError> {
                 out.ipc_error_bound_95(),
                 out.clusters.len()
             );
-            if out.clusters_degraded > 0 || out.shard_retries > 0 {
+            if out.clusters_degraded > 0 {
                 outln!(
-                    "guards: {} cluster{} degraded to stale-state warmup, {} shard retr{}",
+                    "guards: {} cluster{} degraded to stale-state warmup",
                     out.clusters_degraded,
-                    if out.clusters_degraded == 1 { "" } else { "s" },
-                    out.shard_retries,
-                    if out.shard_retries == 1 { "y" } else { "ies" }
+                    if out.clusters_degraded == 1 { "" } else { "s" }
                 );
             }
             outln!(
@@ -247,31 +237,17 @@ fn execute(cmd: Command) -> Result<(), CliError> {
                 out.log_bytes_peak / 1024
             );
             outln!(
-                "wall: {:.3}s on {} thread{}, pipeline depth {}{}",
+                "wall: {:.3}s, pipeline depth {}{}",
                 out.wall.as_secs_f64(),
-                threads,
-                if threads == 1 { "" } else { "s" },
                 depth,
-                if threads > 1 || depth > 1 {
+                if depth > 1 {
                     format!(" ({:.0}% of busy time overlapped)", 100.0 * out.overlap_efficiency())
                 } else {
                     String::new()
                 }
             );
         }
-        Command::Sweep {
-            bench,
-            configs,
-            policy,
-            clusters,
-            len,
-            n,
-            seed,
-            threads,
-            replay_threads,
-            out,
-        } => {
-            let threads = threads.max(1);
+        Command::Sweep { bench, configs, policy, clusters, len, n, seed, replay_threads, out } => {
             let p = build(bench);
             let grid = rsr_bench::sweep_grid(configs);
             let mut sweep = SweepSpec::new(
@@ -282,10 +258,8 @@ fn execute(cmd: Command) -> Result<(), CliError> {
             )
             .replay_threads(replay_threads);
             for point in &grid {
-                sweep = sweep.config(
-                    point.name.clone(),
-                    DetailSpec::new(&point.machine()).policy(policy).threads(threads),
-                );
+                sweep = sweep
+                    .config(point.name.clone(), DetailSpec::new(&point.machine()).policy(policy));
             }
             let outcome = sweep.run()?;
             let amortization = outcome.amortization();
@@ -347,7 +321,6 @@ fn execute(cmd: Command) -> Result<(), CliError> {
         Command::Bench {
             scale,
             seed,
-            threads,
             pipeline_depth,
             replay_threads,
             sweep_configs,
@@ -361,9 +334,9 @@ fn execute(cmd: Command) -> Result<(), CliError> {
             // single object (the pre-matrix shape). Requested sweep and
             // service rows ride along at the end of the array.
             let samples = if pipeline_depth == 0 {
-                rsr_bench::run_bench_matrix(scale, seed, threads)
+                rsr_bench::run_bench_matrix(scale, seed)
             } else {
-                vec![rsr_bench::run_bench_sample(scale, seed, threads, pipeline_depth)]
+                vec![rsr_bench::run_bench_sample(scale, seed, pipeline_depth)]
             };
             let sweep_n = if sweep_configs > 0 {
                 sweep_configs
@@ -372,9 +345,8 @@ fn execute(cmd: Command) -> Result<(), CliError> {
             } else {
                 0
             };
-            let sweep_row = (sweep_n > 0).then(|| {
-                rsr_bench::run_sweep_sample(scale, seed, sweep_n, threads, replay_threads)
-            });
+            let sweep_row = (sweep_n > 0)
+                .then(|| rsr_bench::run_sweep_sample(scale, seed, sweep_n, replay_threads));
             let serve_row = serve_smoke.then(|| rsr_bench::run_serve_sample(scale, seed, 2));
             let extras: Vec<String> = sweep_row
                 .iter()

@@ -1,60 +1,48 @@
-//! Deterministic fault injection for the sharded engine.
+//! Deterministic fault injection for the run engine and the job service.
 //!
 //! Sampling methodologies earn their keep by completing many independent
-//! regions, so a production run must degrade — not die — when a worker
-//! panics, a checkpoint is lost in transit, or the reference log outgrows
+//! regions, so a production run must fail typed — not die — when one of
+//! its threads panics, and must degrade when the reference log outgrows
 //! its budget. None of those paths can be trusted untested, and none occur
 //! naturally in a deterministic simulator, so this module provides the
-//! test harness the supervision layer is built against: a [`FaultPlan`]
-//! describes exactly which faults strike which worker groups (and how many
-//! times), and a [`FaultInjector`] arms the plan at run time, metering each
-//! fault so a retried attempt deterministically succeeds once the fault's
-//! fire budget is spent.
+//! test harness they are built against: a [`FaultPlan`] describes exactly
+//! which faults strike which targets (and how many times), and a
+//! [`FaultInjector`] arms the plan at run time, metering each fault so a
+//! retried attempt deterministically succeeds once the fault's fire
+//! budget is spent.
 //!
-//! Injection is keyed by *worker group* (the schedule-ordered unit of
-//! supervision and retry in [`crate::RunSpec::threads`] runs), so a plan is
-//! meaningful at any thread count: at one thread the whole run is group 0.
+//! The run engine is one stream, so its faults target group 0; the job
+//! service keys its per-job faults by admission order.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
 use std::time::Duration;
 
-/// The failure modes the sharded engine can be made to exhibit.
+/// The failure modes the run engine and the job service can be made to
+/// exhibit.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum FaultKind {
-    /// The targeted worker group panics before simulating anything
-    /// (exercises `catch_unwind` supervision and
-    /// [`crate::SimError::ShardPanicked`]).
+    /// *Service-level*: the targeted job's supervised worker panics before
+    /// simulating anything (exercises the daemon's `catch_unwind` and its
+    /// job retries). The group index is the job's admission order. Ignored
+    /// by the run engine itself.
     WorkerPanic,
-    /// The scout never delivers the targeted group's checkpoint, as if the
-    /// channel died (exercises [`crate::SimError::Shard`] and retry from
-    /// the supervisor's retained copy). A no-op for group 0 and for
-    /// single-threaded runs, which use no checkpoints.
-    DropCheckpoint,
-    /// The targeted group's checkpoint is delivered with a corrupted
-    /// checksum (exercises verification and
-    /// [`crate::SimError::CheckpointCorrupt`]). A no-op where
-    /// [`FaultKind::DropCheckpoint`] is.
-    CorruptCheckpoint,
     /// The run behaves as if [`crate::RunSpec::log_budget_bytes`] were
     /// zero: every logging skip region exhausts its budget and degrades to
     /// the paper's no-history (stale-state) fallback. Group-independent.
     ExhaustLogBudget,
-    /// The targeted worker group sleeps briefly before simulating — a
-    /// straggler. Results must be unaffected; deadlines may trip.
-    SlowShard,
-    /// The targeted group's functional *leader* panics before emitting any
-    /// window: the producer of a pipelined run (see
-    /// [`crate::RunSpec::pipeline_depth`]) or a sweep's capture thread.
-    /// Surfaces as [`crate::SimError::ShardPanicked`] and heals by retry
-    /// exactly like [`FaultKind::WorkerPanic`]. A no-op in a standalone
-    /// run whose pipeline is not engaged (`pipeline_depth` resolves to 1,
-    /// or the policy does not decouple).
+    /// The run's functional *leader* panics on the calling thread before
+    /// emitting any window: a pipelined run's producer (see
+    /// [`crate::RunSpec::pipeline_depth`]) or a sweep's capture. Surfaces
+    /// as [`crate::SimError::Panicked`] once the replay thread is
+    /// released. A no-op in a standalone run whose
+    /// pipeline is not engaged (`pipeline_depth` resolves to 1, or the
+    /// policy does not decouple).
     LeaderPanic,
-    /// The targeted group's detailed *follower* panics before simulating
-    /// anything: a pipelined run's consumer thread, or a sweep's replay.
-    /// The panic payload crosses the thread boundary intact, so it still
-    /// surfaces as [`crate::SimError::ShardPanicked`]. A no-op where
+    /// The run's detailed *replay* panics on its own thread before
+    /// simulating anything: the consumer of a pipelined run or of a sweep.
+    /// The payload crosses the thread boundary and surfaces as
+    /// [`crate::SimError::Panicked`]. A no-op where
     /// [`FaultKind::LeaderPanic`] is.
     FollowerPanic,
     /// *Service-level*: the targeted job's result-cache entry is written
@@ -73,17 +61,10 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// The kinds the sharded *run engine* injects (the
-    /// [`FaultPlan::from_seed`] universe).
-    pub const ENGINE: [FaultKind; 7] = [
-        FaultKind::WorkerPanic,
-        FaultKind::DropCheckpoint,
-        FaultKind::CorruptCheckpoint,
-        FaultKind::ExhaustLogBudget,
-        FaultKind::SlowShard,
-        FaultKind::LeaderPanic,
-        FaultKind::FollowerPanic,
-    ];
+    /// The kinds the *run engine* injects (the [`FaultPlan::from_seed`]
+    /// universe).
+    pub const ENGINE: [FaultKind; 3] =
+        [FaultKind::ExhaustLogBudget, FaultKind::LeaderPanic, FaultKind::FollowerPanic];
 
     /// The kinds a serving daemon injects per *job* (group = admission
     /// order): supervised-worker panics, stuck jobs, and lying cache
@@ -92,26 +73,24 @@ impl FaultKind {
         [FaultKind::WorkerPanic, FaultKind::StallJob, FaultKind::CorruptCacheEntry];
 }
 
-/// How long a [`FaultKind::SlowShard`] straggler sleeps per fire.
-pub const SLOW_SHARD_DELAY: Duration = Duration::from_millis(20);
-
 /// How long a [`FaultKind::StallJob`] worker hangs per fire — long enough
 /// that a millisecond-scale job deadline trips deterministically, short
 /// enough to keep fault-matrix tests fast.
 pub const STALL_JOB_DELAY: Duration = Duration::from_millis(150);
 
-/// One planned fault: a kind, the worker group it strikes (in schedule
-/// order), and how many times it fires before letting attempts through.
+/// One planned fault: a kind, the group it strikes, and how many times it
+/// fires before letting attempts through.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct Fault {
     /// What goes wrong.
     pub kind: FaultKind,
-    /// Worker-group index the fault targets (ignored by group-independent
-    /// kinds such as [`FaultKind::ExhaustLogBudget`]).
+    /// The target: 0 for the run engine's one stream, the admission order
+    /// for service-level kinds (ignored by group-independent kinds such as
+    /// [`FaultKind::ExhaustLogBudget`]).
     pub group: usize,
     /// Times the fault fires before the injector lets the target succeed.
-    /// `fires = 1` with one retry allowed recovers; `fires` greater than
-    /// the retry budget fails the run with the fault's typed error.
+    /// Against a daemon job, `fires = 1` with one retry allowed recovers;
+    /// `fires` greater than the retry budget fails the job typed.
     pub fires: u32,
 }
 
@@ -147,8 +126,8 @@ impl FaultPlan {
     }
 
     /// Derives a plan of `n` engine faults ([`FaultKind::ENGINE`]) over
-    /// worker groups `0..groups` from a seed — the same seed always yields
-    /// the same plan, so randomized fault sweeps are replayable from their
+    /// groups `0..groups` from a seed — the same seed always yields the
+    /// same plan, so randomized fault sweeps are replayable from their
     /// seed alone.
     pub fn from_seed(seed: u64, n: usize, groups: usize) -> FaultPlan {
         FaultPlan::from_seed_with_kinds(seed, n, groups, &FaultKind::ENGINE)
@@ -188,16 +167,16 @@ impl FaultPlan {
 
     /// Does this plan force the log budget to zero
     /// ([`FaultKind::ExhaustLogBudget`])? Evaluated once per run, before
-    /// any worker starts, so degradation stays thread-count-invariant.
+    /// the stream starts, so degradation is the same at every depth.
     pub fn forces_log_exhaustion(&self) -> bool {
         self.faults.iter().any(|f| f.kind == FaultKind::ExhaustLogBudget && f.fires > 0)
     }
 }
 
-/// The armed form of a [`FaultPlan`]: shared by the scout, every worker,
-/// and the retry supervisor, it meters each `(kind, group)` fault's
-/// remaining fires under a mutex so concurrent workers and sequential
-/// retries all draw from one deterministic budget.
+/// The armed form of a [`FaultPlan`]: shared by both sides of a run's
+/// stream, or by a daemon's workers and their retries, it meters each
+/// `(kind, group)` fault's remaining fires under a mutex so every attempt
+/// draws from one deterministic budget.
 ///
 /// Public so service layers (the `rsr serve` daemon) can arm the same
 /// plans against per-*job* supervision: the service-level probes
@@ -233,37 +212,16 @@ impl FaultInjector {
         }
     }
 
-    /// The panic message to raise in `group`'s worker body, if armed.
-    pub(crate) fn panic_message(&self, group: usize) -> Option<String> {
-        self.take(FaultKind::WorkerPanic, group)
-            .then(|| format!("injected fault: worker group {group} panic"))
+    /// The panic message to raise in the stream's functional leader, if
+    /// armed.
+    pub(crate) fn leader_panic_message(&self) -> Option<String> {
+        self.take(FaultKind::LeaderPanic, 0).then(|| "injected fault: leader panic".to_string())
     }
 
-    /// Should the scout withhold `group`'s checkpoint?
-    pub(crate) fn drop_checkpoint(&self, group: usize) -> bool {
-        self.take(FaultKind::DropCheckpoint, group)
-    }
-
-    /// Should the scout deliver `group`'s checkpoint with a bad checksum?
-    pub(crate) fn corrupt_checkpoint(&self, group: usize) -> bool {
-        self.take(FaultKind::CorruptCheckpoint, group)
-    }
-
-    /// How long `group`'s worker should straggle before simulating.
-    pub(crate) fn slow_delay(&self, group: usize) -> Option<Duration> {
-        self.take(FaultKind::SlowShard, group).then_some(SLOW_SHARD_DELAY)
-    }
-
-    /// The panic message to raise in `group`'s functional leader, if armed.
-    pub(crate) fn leader_panic_message(&self, group: usize) -> Option<String> {
-        self.take(FaultKind::LeaderPanic, group)
-            .then(|| format!("injected fault: group {group} leader panic"))
-    }
-
-    /// The panic message to raise in `group`'s detailed follower, if armed.
-    pub(crate) fn follower_panic_message(&self, group: usize) -> Option<String> {
-        self.take(FaultKind::FollowerPanic, group)
-            .then(|| format!("injected fault: group {group} follower panic"))
+    /// The panic message to raise in the stream's detailed replay, if
+    /// armed.
+    pub(crate) fn follower_panic_message(&self) -> Option<String> {
+        self.take(FaultKind::FollowerPanic, 0).then(|| "injected fault: follower panic".to_string())
     }
 
     /// Should the result-cache entry written for job `job` be damaged
@@ -280,8 +238,8 @@ impl FaultInjector {
     }
 
     /// The panic message to raise in job `job`'s supervised worker, if a
-    /// [`FaultKind::WorkerPanic`] is armed against it. Service-level alias
-    /// of the engine's worker-panic probe, keyed by job admission order.
+    /// [`FaultKind::WorkerPanic`] is armed against it. Service-level,
+    /// keyed by job admission order.
     pub fn job_panic_message(&self, job: usize) -> Option<String> {
         self.take(FaultKind::WorkerPanic, job)
             .then(|| format!("injected fault: job {job} worker panic"))
@@ -316,17 +274,13 @@ mod tests {
     #[test]
     fn injector_meters_fires_across_attempts() {
         let plan = FaultPlan::new()
-            .with_repeated(FaultKind::WorkerPanic, 1, 2)
-            .with(FaultKind::DropCheckpoint, 2);
+            .with_repeated(FaultKind::LeaderPanic, 0, 2)
+            .with(FaultKind::FollowerPanic, 1);
         let inj = FaultInjector::new(&plan);
-        assert!(inj.panic_message(1).is_some(), "first attempt fires");
-        assert!(inj.panic_message(1).is_some(), "second attempt fires");
-        assert!(inj.panic_message(1).is_none(), "budget spent; retry succeeds");
-        assert!(inj.panic_message(0).is_none(), "untargeted group untouched");
-        assert!(inj.drop_checkpoint(2));
-        assert!(!inj.drop_checkpoint(2));
-        assert!(!inj.corrupt_checkpoint(2));
-        assert!(inj.slow_delay(0).is_none());
+        assert!(inj.leader_panic_message().is_some(), "first attempt fires");
+        assert!(inj.leader_panic_message().is_some(), "second attempt fires");
+        assert!(inj.leader_panic_message().is_none(), "budget spent; retry succeeds");
+        assert!(inj.follower_panic_message().is_none(), "the engine's stream is group 0");
     }
 
     #[test]
@@ -366,10 +320,10 @@ mod tests {
 
     #[test]
     fn duplicate_entries_accumulate() {
-        let plan = FaultPlan::new().with(FaultKind::SlowShard, 3).with(FaultKind::SlowShard, 3);
+        let plan = FaultPlan::new().with(FaultKind::StallJob, 3).with(FaultKind::StallJob, 3);
         let inj = FaultInjector::new(&plan);
-        assert_eq!(inj.slow_delay(3), Some(SLOW_SHARD_DELAY));
-        assert_eq!(inj.slow_delay(3), Some(SLOW_SHARD_DELAY));
-        assert_eq!(inj.slow_delay(3), None);
+        assert_eq!(inj.stall_delay(3), Some(STALL_JOB_DELAY));
+        assert_eq!(inj.stall_delay(3), Some(STALL_JOB_DELAY));
+        assert_eq!(inj.stall_delay(3), None);
     }
 }

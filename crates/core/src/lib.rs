@@ -15,18 +15,18 @@
 //!   inference, BTB);
 //! * [`RunSpec`] — the one entry point for single simulations: a
 //!   composition of a [`ColdSpec`] (the workload half: program, schedule,
-//!   supervision knobs) and a [`DetailSpec`] (the microarchitecture half:
-//!   machine geometry, policy, parallelism), run sequentially or sharded
-//!   across threads with bit-identical results, with wall-clock phase
+//!   guard knobs) and a [`DetailSpec`] (the microarchitecture half:
+//!   machine geometry, policy, pipeline depth), run as one stream with
+//!   bit-identical results at every depth, with wall-clock phase
 //!   accounting for the paper's speed comparisons;
 //! * [`SweepSpec`] — the design-space sweep engine: one cold half fanned
 //!   out across N named detailed halves, paying the functional pass once
 //!   and replaying each config from the shared sealed logs with outcomes
 //!   bit-identical to standalone runs;
-//! * [`FaultPlan`] — deterministic fault injection for the sharded
-//!   engine's supervision layer (worker panics, lost or corrupted
-//!   checkpoints, log-budget exhaustion, stragglers), driving the retry
-//!   and degradation guards configured on [`RunSpec`].
+//! * [`FaultPlan`] — deterministic fault injection (leader and replay
+//!   panics, log-budget exhaustion, and the job service's per-job
+//!   faults), driving the typed-failure and degradation guards configured
+//!   on [`RunSpec`].
 //!
 //! ```no_run
 //! use rsr_core::{MachineConfig, Pct, RunSpec, SamplingRegimen, WarmupPolicy};
@@ -40,7 +40,6 @@
 //!     .total_insts(8_000_000)
 //!     .policy(WarmupPolicy::Reverse { cache: true, bp: true, pct: Pct::new(20) })
 //!     .seed(42)
-//!     .threads(4)
 //!     .run()?;
 //! println!("IPC estimate: {:.3}", outcome.est_ipc());
 //! # Ok(())
@@ -54,13 +53,10 @@ pub mod profiled;
 mod regimen;
 pub mod reverse;
 mod sampler;
-mod shard;
 mod spec;
 mod sweep;
 
-pub use crate::fault::{
-    Fault, FaultInjector, FaultKind, FaultPlan, SLOW_SHARD_DELAY, STALL_JOB_DELAY,
-};
+pub use crate::fault::{Fault, FaultInjector, FaultKind, FaultPlan, STALL_JOB_DELAY};
 pub use crate::log::{BranchRecord, LogPool, ReconGeometry, SkipLog, RECORD_BYTES};
 pub use crate::policy::{Pct, WarmupPolicy};
 pub use crate::profiled::{profile_reuse, ReusePolicy, ReuseProfile};

@@ -458,9 +458,9 @@ impl ReconGeometry {
 /// the branch side's sealed PHT-key column and final GHR.
 ///
 /// The side that reads an index seals it, into scratch it owns: the
-/// detailed follower keeps one per shard and rebuilds it every window,
-/// and the sweep replay keeps an arena of them keyed by geometry. A skip
-/// log in flight between the functional leader and the follower therefore
+/// sequential engine keeps one per run and rebuilds it every window, and
+/// the stream's replay keeps an arena of them keyed by geometry. A skip
+/// log in flight between the functional leader and the replay therefore
 /// carries records only. The log's own boxed index serves only the public
 /// `seal_*` calls ([`SkipLog::seal_mem_window`],
 /// [`SkipLog::seal_branch_index`]).
@@ -1371,7 +1371,7 @@ impl SkipLog {
 ///
 /// Skip-region logging dominates the cold phase, and every log is a set of
 /// packed record rings that grow to roughly one region's retained
-/// footprint; allocating them fresh per shard (or per in-flight pipeline
+/// footprint; allocating them fresh per region (or per in-flight pipeline
 /// item) pays that growth repeatedly. The pool recycles the rings instead:
 /// [`LogPool::take`] hands out a cleared log with its capacity (and the
 /// run's budget and retention window) intact, [`LogPool::put`] returns it.
@@ -1395,10 +1395,10 @@ pub struct LogPool {
 impl LogPool {
     /// Most logs the pool retains; extra [`LogPool::put`]s are dropped so
     /// a burst can never ratchet resident memory permanently upward. It
-    /// covers the windows a worker group keeps in flight: `depth + 1` in
-    /// a pipelined shard (3 at the auto depth), and in a sweep the
-    /// capture channel's bound (2) plus the window in capture and the
-    /// window in replay, 4 in all. The leaders' trace pools share this
+    /// covers the windows a run keeps in flight: `depth + 1` in a
+    /// pipelined run (3 at the auto depth), and in a sweep the capture
+    /// channel's bound (2) plus the window in capture and the window in
+    /// replay, 4 in all. The leaders' trace pools share this
     /// bound.
     pub const MAX_POOLED: usize = 8;
 

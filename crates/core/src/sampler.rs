@@ -4,14 +4,16 @@
 //! continuously from window to window, as the paper's SMARTS baseline and
 //! stale-state model require: what a cluster sees is the accumulated state
 //! of the whole run so far, refreshed by the configured warm-up over its
-//! own skip region. The only reset points are the *canonical shard
-//! boundaries* of [`crate::shard`] — checkpoint-style deliberate
-//! cold-starts, placed from the schedule alone, that the warm-up policy
-//! repairs — which is what lets [`crate::RunSpec::threads`] distribute a
-//! run across worker threads without changing a single per-cluster CPI.
+//! own skip region. The only reset points are the *canonical cuts* of
+//! [`crate::RunSpec::shard_span`]: checkpoint-style deliberate
+//! cold-starts, placed from the schedule alone by [`partition_by_span`],
+//! that the warm-up policy repairs. Both engines — [`run_windows`] here
+//! and the capture/replay stream of `crate::sweep` — reset at exactly
+//! those windows, so they agree bit for bit.
 
+use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
-use std::thread;
 use std::time::{Duration, Instant};
 
 use rsr_branch::{Predictor, PredictorConfig};
@@ -32,8 +34,8 @@ use crate::{ClusterWindow, SkipLog, WarmupPolicy};
 /// Errors surfaced by the sampled simulator.
 ///
 /// Marked `#[non_exhaustive]`: downstream crates must keep a wildcard arm
-/// so new failure classes (as with [`SimError::Spec`] and
-/// [`SimError::Shard`]) can be added without a breaking release.
+/// so new failure classes (as with [`SimError::Spec`]) can be added
+/// without a breaking release.
 #[non_exhaustive]
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SimError {
@@ -45,78 +47,22 @@ pub enum SimError {
     /// The [`RunSpec`] was inconsistent or incomplete (e.g. no regimen and
     /// no schedule, or a regimen denser than the sampled-run limit).
     Spec(&'static str),
-    /// A shard worker was lost without producing an outcome (the scout
-    /// pass died — or was made to drop the checkpoint — before delivering
-    /// it).
-    Shard {
-        /// Index of the lost worker group, in schedule order.
-        index: usize,
-    },
-    /// A shard worker panicked; the payload is surfaced, not swallowed.
-    ShardPanicked {
-        /// Index of the panicked worker group, in schedule order.
-        index: usize,
+    /// The engine panicked, on the calling thread or on the run's replay
+    /// thread; the payload is surfaced, not swallowed.
+    Panicked {
         /// The panic payload, downcast from `&str`/`String`.
         message: String,
     },
-    /// A shard checkpoint failed checksum verification between the scout
-    /// and a worker.
-    CheckpointCorrupt {
-        /// Index of the worker group whose checkpoint was corrupted.
-        index: usize,
-        /// Checksum the checkpoint claimed.
-        expected: u64,
-        /// Checksum recomputed from its contents.
-        found: u64,
-    },
     /// The run's [`RunSpec::deadline`] expired before every canonical
-    /// shard completed. Counts are in canonical shards (schedule order),
-    /// so they mean the same thing at any thread count; in a parallel run
-    /// they reflect the earliest worker to trip, i.e. the prefix of the
-    /// schedule known complete.
+    /// shard completed. Counts are in canonical shards, the stretches
+    /// between the schedule's state cuts (see [`RunSpec::shard_span`]).
     DeadlineExceeded {
-        /// Canonical shards fully simulated before the abort.
+        /// Canonical shards fully simulated before the abort: the cuts
+        /// the run had passed.
         completed_shards: usize,
         /// Canonical shards the schedule holds.
         total_shards: usize,
     },
-    /// A simulation error inside a shard worker, wrapped with the group
-    /// index for context. The underlying error is reachable through
-    /// [`std::error::Error::source`].
-    ShardFailed {
-        /// Index of the failing worker group, in schedule order.
-        index: usize,
-        /// The underlying failure.
-        source: Box<SimError>,
-    },
-}
-
-impl SimError {
-    /// `true` for failures of the shard *infrastructure* — a panicked
-    /// worker, a lost or corrupted checkpoint — which a retry from the
-    /// retained checkpoint can plausibly heal. Deterministic simulation
-    /// errors (`Load`, `Exec`, `Spec`) and deadline aborts are not
-    /// retryable: they would fail identically again.
-    pub fn is_shard_fault(&self) -> bool {
-        matches!(
-            self,
-            SimError::Shard { .. }
-                | SimError::ShardPanicked { .. }
-                | SimError::CheckpointCorrupt { .. }
-        )
-    }
-
-    /// The worker-group index this error names, if any (including through
-    /// a [`SimError::ShardFailed`] wrapper).
-    pub fn shard_index(&self) -> Option<usize> {
-        match self {
-            SimError::Shard { index }
-            | SimError::ShardPanicked { index, .. }
-            | SimError::CheckpointCorrupt { index, .. }
-            | SimError::ShardFailed { index, .. } => Some(*index),
-            _ => None,
-        }
-    }
 }
 
 impl std::fmt::Display for SimError {
@@ -125,21 +71,11 @@ impl std::fmt::Display for SimError {
             SimError::Load(e) => write!(f, "load failed: {e}"),
             SimError::Exec(e) => write!(f, "execution failed: {e}"),
             SimError::Spec(msg) => write!(f, "invalid run spec: {msg}"),
-            SimError::Shard { index } => write!(f, "shard {index} worker lost"),
-            SimError::ShardPanicked { index, message } => {
-                write!(f, "shard {index} worker panicked: {message}")
-            }
-            SimError::CheckpointCorrupt { index, expected, found } => write!(
-                f,
-                "shard {index} checkpoint corrupt: checksum {found:#018x}, expected {expected:#018x}"
-            ),
+            SimError::Panicked { message } => write!(f, "engine panicked: {message}"),
             SimError::DeadlineExceeded { completed_shards, total_shards } => write!(
                 f,
                 "deadline exceeded with {completed_shards}/{total_shards} shards complete"
             ),
-            SimError::ShardFailed { index, source } => {
-                write!(f, "shard {index} failed: {source}")
-            }
         }
     }
 }
@@ -149,7 +85,6 @@ impl std::error::Error for SimError {
         match self {
             SimError::Load(e) => Some(e),
             SimError::Exec(e) => Some(e),
-            SimError::ShardFailed { source, .. } => Some(source.as_ref()),
             _ => None,
         }
     }
@@ -164,6 +99,61 @@ impl From<LoadError> for SimError {
 impl From<ExecError> for SimError {
     fn from(e: ExecError) -> Self {
         SimError::Exec(e)
+    }
+}
+
+/// Runs one engine entry point with its panics typed: a panic anywhere in
+/// the run, including one the stream re-raises from its replay thread,
+/// becomes [`SimError::Panicked`] carrying the payload's message.
+pub(crate) fn typed_panics<T>(run: impl FnOnce() -> Result<T, SimError>) -> Result<T, SimError> {
+    catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|payload| {
+        let message = if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "non-string panic payload".to_string()
+        };
+        Err(SimError::Panicked { message })
+    })
+}
+
+/// Places the canonical shards: contiguous window runs, cut as soon as a
+/// shard spans at least `shard_span` instructions. Depends only on the
+/// schedule and `shard_span`; microarchitectural state resets to fresh at
+/// the start of every shard but the first (and at integration-test
+/// scales, where the total is below `shard_span`, the whole run is one
+/// shard, i.e. plain continuous carryover).
+pub(crate) fn partition_by_span(windows: &[ClusterWindow], shard_span: u64) -> Vec<Range<usize>> {
+    let shard_span = shard_span.max(1);
+    let mut out = Vec::new();
+    let mut start = 0usize;
+    let mut start_pos = 0u64;
+    for (i, w) in windows.iter().enumerate() {
+        if w.end() - start_pos >= shard_span {
+            out.push(start..i + 1);
+            start = i + 1;
+            start_pos = w.end();
+        }
+    }
+    if start < windows.len() {
+        out.push(start..windows.len());
+    }
+    out
+}
+
+/// Errors out with [`SimError::DeadlineExceeded`] once `deadline` has
+/// passed; `completed` counts the canonical shards already behind the run.
+pub(crate) fn check_deadline(
+    deadline: Option<Instant>,
+    completed: usize,
+    total: usize,
+) -> Result<(), SimError> {
+    match deadline {
+        Some(at) if Instant::now() >= at => {
+            Err(SimError::DeadlineExceeded { completed_shards: completed, total_shards: total })
+        }
+        _ => Ok(()),
     }
 }
 
@@ -187,11 +177,10 @@ impl MachineConfig {
 
 /// Simulation time spent in each phase of a sampled simulation.
 ///
-/// These are per-phase *busy* times. In a sharded run they are summed
-/// across workers, and under the leader/follower pipeline
-/// ([`RunSpec::pipeline_depth`] > 1) the cold phase runs concurrently with
-/// the warm and hot phases, so phases overlap in wall-clock terms and
-/// their sum can exceed [`SampleOutcome::wall`]. See
+/// These are per-phase *busy* times. Under the leader/follower pipeline
+/// ([`RunSpec::pipeline_depth`] > 1) the cold phase runs on the capture
+/// thread concurrently with the warm and hot phases, so phases overlap in
+/// wall-clock terms and their sum can exceed [`SampleOutcome::wall`]. See
 /// [`SampleOutcome::overlap_efficiency`] for how much of the busy time was
 /// hidden.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -226,14 +215,12 @@ pub struct SampleOutcome {
     /// cluster IPC is not; estimates and confidence tests therefore live
     /// in CPI space and are inverted for reporting.
     pub cpi_clusters: ClusterSample,
-    /// Per-phase simulation busy time (summed across shard workers and
-    /// pipeline stages).
+    /// Per-phase simulation busy time (summed across pipeline stages).
     pub phases: PhaseTimes,
     /// Elapsed wall-clock time for the whole run. Smaller than
-    /// `phases.total()` whenever work overlaps — across shard workers
-    /// ([`RunSpec::threads`]) or across pipeline stages inside a shard
-    /// ([`RunSpec::pipeline_depth`]); only a sequential single-thread run
-    /// has `wall ≈ phases.total()` plus scheduling overhead.
+    /// `phases.total()` whenever the pipeline overlaps the capture with
+    /// the detailed side ([`RunSpec::pipeline_depth`]); a depth-1 run has
+    /// `wall ≈ phases.total()` plus scheduling overhead.
     pub wall: Duration,
     /// Hot (cycle-accurate) instructions simulated.
     pub hot_insts: u64,
@@ -255,16 +242,12 @@ pub struct SampleOutcome {
     pub recon: ReconStats,
     /// Per-structure reconstruction wall time (L1, L2, PHT, BTB). Unlike
     /// [`SampleOutcome::recon`], this is operational telemetry — it varies
-    /// run to run and across thread counts.
+    /// from run to run.
     pub recon_timing: ReconTiming,
     /// Clusters whose skip-region log hit [`RunSpec::log_budget_bytes`]
     /// and were degraded to the paper's no-history (stale-state) fallback:
     /// the log is discarded and no reconstruction runs for that cluster.
     pub clusters_degraded: u64,
-    /// Shard-group retry attempts the supervisor made (0 in a fault-free
-    /// run). Like [`SampleOutcome::wall`], this is operational telemetry,
-    /// not part of the deterministic estimate.
-    pub shard_retries: u64,
 }
 
 impl SampleOutcome {
@@ -286,7 +269,6 @@ impl SampleOutcome {
             recon: ReconStats::default(),
             recon_timing: ReconTiming::default(),
             clusters_degraded: 0,
-            shard_retries: 0,
         }
     }
 
@@ -296,8 +278,7 @@ impl SampleOutcome {
     /// Cluster IPC/CPI vectors are concatenated (keeping schedule order),
     /// phase times and instruction/log/warm counters are summed,
     /// reconstruction counters accumulate, and `log_bytes_peak` takes the
-    /// maximum (each worker's log is a separate allocation, so peaks do
-    /// not add).
+    /// maximum (it is the peak of one skip region, so peaks do not add).
     pub fn absorb(&mut self, other: &SampleOutcome) {
         for &ipc in other.clusters.values() {
             self.clusters.push(ipc);
@@ -317,7 +298,6 @@ impl SampleOutcome {
         self.recon.accumulate(&other.recon);
         self.recon_timing.accumulate(&other.recon_timing);
         self.clusters_degraded += other.clusters_degraded;
-        self.shard_retries += other.shard_retries;
     }
 
     /// The sample's IPC estimate: the inverse of the mean per-cluster CPI
@@ -353,8 +333,7 @@ impl SampleOutcome {
     /// Fraction of per-phase busy time hidden by overlap:
     /// `1 − wall / phases.total()`, clamped to `[0, 1)`.
     ///
-    /// Zero for a sequential single-thread run (wall ≈ sum of phases);
-    /// positive when shard-level threading or the intra-shard
+    /// Zero for a depth-1 run (wall ≈ sum of phases); positive when the
     /// leader/follower pipeline runs phases concurrently. Operational
     /// telemetry, like [`SampleOutcome::wall`] — never part of the
     /// deterministic estimate.
@@ -466,10 +445,10 @@ fn warm_region(
 }
 
 /// Can `policy`'s skip-region work run decoupled from the detailed
-/// follower? True exactly when the skip region touches no
+/// side? True exactly when the skip region touches no
 /// microarchitectural state: the no-warm-up baseline just fast-forwards,
 /// and the reverse policy only *logs* (reconstruction happens at the
-/// cluster boundary, on the follower's side of the channel). SMARTS,
+/// cluster boundary, on the replay's side of the channel). SMARTS,
 /// fixed-period, and the reuse-profiled baselines warm the follower's
 /// hierarchy/predictor *during* the skip, so leader and follower would
 /// share mutable state — they cannot be pipelined.
@@ -478,8 +457,8 @@ pub(crate) fn policy_decouples(policy: WarmupPolicy) -> bool {
 }
 
 /// A borrowed view of the reconstruction index a window should consult,
-/// decoupled from where that index lives: the follower's own scratch
-/// ([`follower_window`]) or a slot of the sweep replay's arena. A `None`
+/// decoupled from where that index lives: the sequential engine's own
+/// scratch ([`follower_window`]) or a slot of the stream replay's arena. A `None`
 /// side carries no prebuilt index, and reconstruction seals one on the
 /// spot. `ghr_at_start` is the global history the predictor held when the
 /// skip region began — the branch-key seed (§3.2).
@@ -493,13 +472,13 @@ pub(crate) struct WindowIndex<'l> {
 /// (reverse policy only), then the cycle-accurate hot cluster, then
 /// bookkeeping. The cluster's instructions come from `src`: the live CPU
 /// in the sequential engine, a replay of the recorded cluster trace in the
-/// pipeline's follower and the sweep's replays.
+/// stream's replay.
 ///
-/// Shared verbatim by the sequential engine ([`run_windows`]), the
-/// pipelined follower thread ([`run_windows_pipelined`]) — both via
-/// [`follower_window`] — and the sweep engine's per-config replay
-/// (`crate::sweep`). That sharing is what makes bit-identity an invariant
-/// by construction rather than a property to re-verify per call site.
+/// Shared verbatim by the sequential engine ([`run_windows`], via
+/// [`follower_window`]) and the stream's per-config replay
+/// (`crate::sweep`), which serves both pipelined standalone runs and
+/// sweeps. That sharing is what makes bit-identity an invariant by
+/// construction rather than a property to re-verify per call site.
 /// `log` is `Some` exactly when the reverse policy logged this window's
 /// skip region, paired with the index view the reconstruction should read.
 #[allow(clippy::too_many_arguments)]
@@ -568,13 +547,11 @@ pub(crate) fn detailed_window<S: RetireSource + ?Sized>(
     Ok(())
 }
 
-/// The in-process wrapper over [`detailed_window`]: seals the window's
-/// memory and branch indexes into `ix`, the follower's own scratch keyed
-/// for this machine's geometry, then hands the sealed view down. The
-/// reader seals, so the functional leader only steps and logs, and no log
-/// in flight carries an index. The start GHR is read *here*, from the
-/// follower's predictor: during a skip region the predictor is untouched,
-/// so it is the GHR the region began with. Both seals cover only the
+/// The sequential engine's wrapper over [`detailed_window`]: seals the
+/// window's memory and branch indexes into `ix`, scratch keyed for this
+/// machine's geometry, then hands the sealed view down. The start GHR is
+/// read *here*, from the predictor: during a logged skip region the
+/// predictor is untouched, so it is the GHR the region began with. Both seals cover only the
 /// budget window the reverse walks read, and are charged to the warm phase
 /// alongside the reconstruction.
 #[allow(clippy::too_many_arguments)]
@@ -618,152 +595,137 @@ fn follower_window<S: RetireSource + ?Sized>(
 /// positioned at dynamic instruction index `pos` (which must precede or
 /// equal the first window's start).
 ///
-/// This is the sequential engine under both [`RunSpec::run`] paths: the
-/// single-thread run uses it over the whole schedule, the sharded run
-/// gives each worker a contiguous slice of windows and a checkpoint-
-/// restored `cpu`. Each window builds its hierarchy and predictor from
-/// scratch (see the module docs), so any contiguous partition of the
-/// schedule produces identical per-cluster results.
+/// This is the sequential engine behind [`RunSpec::run`] at pipeline
+/// depth 1 and for every policy that warms during its skip regions; it
+/// runs once over the whole schedule. Hierarchy and predictor state
+/// carries from window to window and resets to fresh only at the
+/// canonical cuts [`partition_by_span`] places for `shard_span`; the
+/// deadline is checked before every canonical shard, so a cluster
+/// mid-simulation always finishes first.
 ///
 /// `pool` supplies the skip-region log and carries the log budget
 /// ([`RunSpec::log_budget_bytes`]); a region that exhausts it degrades its
 /// cluster to the paper's no-history fallback (stale state, no
 /// reconstruction), counted in [`SampleOutcome::clusters_degraded`]. The
 /// decision depends only on the region's own deterministic record stream,
-/// so degradation never varies with the thread count or pipeline depth.
+/// so degradation never varies with the pipeline depth.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_windows(
     machine: &MachineConfig,
     policy: WarmupPolicy,
     cpu: &mut Cpu,
     mut pos: u64,
     windows: &[ClusterWindow],
+    shard_span: u64,
+    deadline: Option<Instant>,
     pool: &mut LogPool,
 ) -> Result<SampleOutcome, SimError> {
     let mut outcome = SampleOutcome::empty(policy);
-
-    // One call = one canonical shard: microarchitectural state starts cold
-    // here and then carries over from window to window, exactly as the
-    // paper's continuously-warmed baseline does. Shard boundaries are the
-    // only reset points (see `crate::shard`), and they are placed from the
-    // schedule alone so results never depend on the thread count.
     let mut hier = MemHierarchy::new(machine.hier.clone());
     let mut pred = Predictor::new(machine.pred);
     let mut index = ReconIndex::new(ReconGeometry::of_machine(machine));
 
-    // Pooled across regions (and shards) so logging never pays
-    // reallocation growth.
+    // Pooled across regions so logging never pays reallocation growth.
     let mut log = pool.take(true, true);
-    for w in windows {
-        let skip = w.start - pos;
-        outcome.skipped_insts += skip;
-
-        // ---- cold / warm phases over the skip region -------------------
-        let mut logged: Option<&SkipLog> = None;
-        match policy {
-            WarmupPolicy::None => {
-                let t = Instant::now();
-                cpu.step_n(skip, |_| ())?;
-                outcome.phases.cold += t.elapsed();
-            }
-            WarmupPolicy::Smarts { cache, bp } => {
-                let t = Instant::now();
-                outcome.warm_updates += warm_region(cpu, &mut hier, &mut pred, skip, cache, bp)?;
-                outcome.phases.warm += t.elapsed();
-            }
-            WarmupPolicy::FixedPeriod { pct } => {
-                let warm_part = pct.of(skip as usize) as u64;
-                let cold_part = skip - warm_part;
-                let t = Instant::now();
-                cpu.step_n(cold_part, |_| ())?;
-                outcome.phases.cold += t.elapsed();
-                let t = Instant::now();
-                outcome.warm_updates +=
-                    warm_region(cpu, &mut hier, &mut pred, warm_part, true, true)?;
-                outcome.phases.warm += t.elapsed();
-            }
-            WarmupPolicy::Reverse { cache, bp, .. } => {
-                // Cold phase with logging: "no analysis is performed
-                // between clusters except for logging". Stepping and
-                // recording are fused into one monomorphized loop.
-                // `follower_window`, which owns the predictor, reads the
-                // GHR snapshot and seals.
-                let t = Instant::now();
-                log.reset(cache, bp, 0);
-                log.record_region(cpu, skip)?;
-                outcome.phases.cold += t.elapsed();
-                logged = Some(&log);
-            }
-            WarmupPolicy::Mrrl { coverage } | WarmupPolicy::Blrl { coverage } => {
-                let reuse = if matches!(policy, WarmupPolicy::Mrrl { .. }) {
-                    ReusePolicy::Mrrl
-                } else {
-                    ReusePolicy::Blrl
-                };
-                // Profiling pass over the skip/cluster pair (the analysis
-                // cost RSR avoids); charged to the warm phase.
-                let t = Instant::now();
-                let snapshot = cpu.clone();
-                let profile = profile_reuse(cpu, skip, w.len, reuse)?;
-                let window = profile.warm_window(coverage, skip);
-                *cpu = snapshot;
-                outcome.phases.warm += t.elapsed();
-
-                let t = Instant::now();
-                cpu.step_n(skip - window, |_| ())?;
-                outcome.phases.cold += t.elapsed();
-                let t = Instant::now();
-                outcome.warm_updates += warm_region(cpu, &mut hier, &mut pred, window, true, true)?;
-                outcome.phases.warm += t.elapsed();
-            }
+    let shards = partition_by_span(windows, shard_span);
+    for (shard, range) in shards.iter().enumerate() {
+        check_deadline(deadline, shard, shards.len())?;
+        if shard > 0 {
+            // A canonical cut: the state restarts cold, as at a live-point
+            // restore, and the warm-up policy repairs it.
+            hier = MemHierarchy::new(machine.hier.clone());
+            pred = Predictor::new(machine.pred);
         }
+        for w in &windows[range.clone()] {
+            let skip = w.start - pos;
+            outcome.skipped_insts += skip;
 
-        // ---- reconstruction + hot phase --------------------------------
-        follower_window(
-            machine,
-            policy,
-            &mut hier,
-            &mut pred,
-            cpu,
-            w.len,
-            logged,
-            &mut index,
-            &mut outcome,
-        )?;
-        pos = w.end();
+            // ---- cold / warm phases over the skip region ---------------
+            let mut logged: Option<&SkipLog> = None;
+            match policy {
+                WarmupPolicy::None => {
+                    let t = Instant::now();
+                    cpu.step_n(skip, |_| ())?;
+                    outcome.phases.cold += t.elapsed();
+                }
+                WarmupPolicy::Smarts { cache, bp } => {
+                    let t = Instant::now();
+                    outcome.warm_updates +=
+                        warm_region(cpu, &mut hier, &mut pred, skip, cache, bp)?;
+                    outcome.phases.warm += t.elapsed();
+                }
+                WarmupPolicy::FixedPeriod { pct } => {
+                    let warm_part = pct.of(skip as usize) as u64;
+                    let cold_part = skip - warm_part;
+                    let t = Instant::now();
+                    cpu.step_n(cold_part, |_| ())?;
+                    outcome.phases.cold += t.elapsed();
+                    let t = Instant::now();
+                    outcome.warm_updates +=
+                        warm_region(cpu, &mut hier, &mut pred, warm_part, true, true)?;
+                    outcome.phases.warm += t.elapsed();
+                }
+                WarmupPolicy::Reverse { cache, bp, .. } => {
+                    // Cold phase with logging: "no analysis is performed
+                    // between clusters except for logging". Stepping and
+                    // recording are fused into one monomorphized loop.
+                    // `follower_window`, which owns the predictor, reads
+                    // the GHR snapshot and seals.
+                    let t = Instant::now();
+                    log.reset(cache, bp, 0);
+                    log.record_region(cpu, skip)?;
+                    outcome.phases.cold += t.elapsed();
+                    logged = Some(&log);
+                }
+                WarmupPolicy::Mrrl { coverage } | WarmupPolicy::Blrl { coverage } => {
+                    let reuse = if matches!(policy, WarmupPolicy::Mrrl { .. }) {
+                        ReusePolicy::Mrrl
+                    } else {
+                        ReusePolicy::Blrl
+                    };
+                    // Profiling pass over the skip/cluster pair (the
+                    // analysis cost RSR avoids); charged to the warm phase.
+                    let t = Instant::now();
+                    let snapshot = cpu.clone();
+                    let profile = profile_reuse(cpu, skip, w.len, reuse)?;
+                    let window = profile.warm_window(coverage, skip);
+                    *cpu = snapshot;
+                    outcome.phases.warm += t.elapsed();
+
+                    let t = Instant::now();
+                    cpu.step_n(skip - window, |_| ())?;
+                    outcome.phases.cold += t.elapsed();
+                    let t = Instant::now();
+                    outcome.warm_updates +=
+                        warm_region(cpu, &mut hier, &mut pred, window, true, true)?;
+                    outcome.phases.warm += t.elapsed();
+                }
+            }
+
+            // ---- reconstruction + hot phase ----------------------------
+            follower_window(
+                machine,
+                policy,
+                &mut hier,
+                &mut pred,
+                cpu,
+                w.len,
+                logged,
+                &mut index,
+                &mut outcome,
+            )?;
+            pos = w.end();
+        }
     }
     pool.put(log);
     outcome.wall = outcome.phases.total();
     Ok(outcome)
 }
 
-/// Everything a pipelined shard needs beyond [`run_windows`]'s arguments:
-/// the channel depth, the run guards the leader must observe between
-/// regions, and the identifiers its errors are reported under.
-pub(crate) struct PipelineCtx<'a> {
-    /// Bounded channel capacity + 1: at most `depth + 1` windows (each
-    /// one log retention window plus one cluster's retire trace) exist at
-    /// once — `depth - 1` queued, one in the follower's hands and one the
-    /// leader is recording.
-    pub depth: usize,
-    /// The run's absolute deadline; the leader checks it between regions
-    /// so a run past its budget aborts at shard granularity even with the
-    /// leader ahead of the follower.
-    pub deadline: Option<Instant>,
-    /// Fault injector, for the leader/follower panic faults.
-    pub injector: Option<&'a FaultInjector>,
-    /// Worker-group index (the supervision/retry unit) errors report.
-    pub group: usize,
-    /// Canonical shards already completed before this one, for
-    /// [`SimError::DeadlineExceeded`].
-    pub shard: usize,
-    /// Canonical shards in the whole schedule.
-    pub total_shards: usize,
-}
-
-/// One captured window on its way from a functional [`Leader`] to the
-/// detailed side: the skip region's length and, when the leader logs, its
-/// log (records only; the reader seals), plus the cluster's retire trace.
-/// The consumer sends the window back once done, so traces and logs
+/// One captured window on its way from the functional [`Leader`] to the
+/// stream's replay: the skip region's length and, when the leader logs,
+/// its log (records only; the reader seals), plus the cluster's retire
+/// trace. The replay sends the window back once done, so traces and logs
 /// recycle instead of reallocating.
 pub(crate) struct CapturedWindow {
     /// Instructions skipped before the cluster.
@@ -771,117 +733,105 @@ pub(crate) struct CapturedWindow {
     /// Cluster length in instructions.
     pub len: u64,
     /// What the cluster retired. A trace that stops early carries the
-    /// leader's error, so the consumer fails at the same instruction the
+    /// leader's error, so the replay fails at the same instruction the
     /// sequential engine would.
     pub trace: RetireTrace,
     /// The skip region's log; `None` when the leader logs no stream.
     pub log: Option<SkipLog>,
 }
 
-/// The functional leader of both decoupled engines: the pipelined shard
-/// engine ([`run_windows_pipelined`]) and the sweep's capture thread
-/// (`crate::sweep`). Per window it steps the skip region (logging it into
-/// a pooled log), records the cluster's retire trace, and sends one
-/// [`CapturedWindow`] into a bounded channel, reclaiming the buffers of
-/// windows the consumer has sent back as it goes.
+/// The functional leader of the stream, on the calling thread.
+/// Per window it steps the skip region (logging it into a pooled log),
+/// records the cluster's retire trace, and sends one [`CapturedWindow`]
+/// into a bounded channel, reclaiming the buffers of windows the replay
+/// has sent back as it goes.
 pub(crate) struct Leader<'p> {
     pool: &'p mut LogPool,
     /// The `(cache, bp)` streams each skip region logs; `None` steps skip
     /// regions bare and sends no log.
     streams: Option<(bool, bool)>,
     traces: Vec<RetireTrace>,
-    /// The run's absolute deadline, checked before each window so a run
-    /// past its budget aborts at shard granularity even with the leader
-    /// ahead of its consumer.
-    deadline: Option<Instant>,
-    total_shards: usize,
     /// Time spent stepping, logging and recording: the cold phase.
     pub cold: Duration,
 }
 
 impl<'p> Leader<'p> {
-    /// A leader for worker group `group`. An armed
-    /// [`crate::FaultKind::LeaderPanic`] fires here, before any window is
-    /// captured.
+    /// A leader over `pool`. An armed [`crate::FaultKind::LeaderPanic`]
+    /// fires here, before any window is captured.
     pub fn new(
         pool: &'p mut LogPool,
         streams: Option<(bool, bool)>,
-        deadline: Option<Instant>,
-        total_shards: usize,
         injector: Option<&FaultInjector>,
-        group: usize,
     ) -> Leader<'p> {
-        if let Some(msg) = injector.and_then(|inj| inj.leader_panic_message(group)) {
+        if let Some(msg) = injector.and_then(FaultInjector::leader_panic_message) {
             std::panic::panic_any(msg);
         }
-        Leader { pool, streams, traces: Vec::new(), deadline, total_shards, cold: Duration::ZERO }
+        Leader { pool, streams, traces: Vec::new(), cold: Duration::ZERO }
     }
 
-    /// Captures `windows`, the windows of canonical shard `shard`, from
-    /// dynamic instruction index `pos`, and sends them down `tx` in
-    /// schedule order. Returns `Ok(true)` once every window is sent and
-    /// `Ok(false)` when the consumer hung up: it failed, and its error is
-    /// schedule-earlier than anything the leader could still produce.
+    /// Captures every window of `shards` (ranges into `windows`, in
+    /// schedule order) from the program's start, and sends them down `tx`
+    /// in order. Stops early, without an error of its own, when the
+    /// replay hangs up: it failed, and its error is schedule-earlier than
+    /// anything the leader could still produce.
     ///
     /// # Errors
     ///
     /// The leader's own failure: [`SimError::DeadlineExceeded`] (checked
-    /// before each window, reporting `shard` as completed), or a
-    /// functional fault. A fault inside a cluster is sent with its trace
-    /// first, so the consumer reaches it in order.
+    /// before each window, counting the shards before the window's own as
+    /// completed), or a functional fault. A fault inside a cluster is
+    /// sent with its trace first, so the replay reaches it in order.
     pub fn capture(
         &mut self,
         cpu: &mut Cpu,
-        mut pos: u64,
         windows: &[ClusterWindow],
-        shard: usize,
+        shards: &[Range<usize>],
+        deadline: Option<Instant>,
         tx: &mpsc::SyncSender<CapturedWindow>,
         recycle: &mpsc::Receiver<CapturedWindow>,
-    ) -> Result<bool, SimError> {
-        for w in windows {
-            if self.deadline.is_some_and(|at| Instant::now() >= at) {
-                return Err(SimError::DeadlineExceeded {
-                    completed_shards: shard,
-                    total_shards: self.total_shards,
-                });
-            }
-            self.reclaim(recycle);
-            let skip = w.start - pos;
+    ) -> Result<(), SimError> {
+        let mut pos = 0u64;
+        for (shard, range) in shards.iter().enumerate() {
+            for w in &windows[range.clone()] {
+                check_deadline(deadline, shard, shards.len())?;
+                self.reclaim(recycle);
+                let skip = w.start - pos;
 
-            // ---- cold phase: skip region (logged or plain) -------------
-            let t = Instant::now();
-            let log = match self.streams {
-                Some((cache, bp)) => {
-                    let mut log = self.pool.take(cache, bp);
-                    match log.record_region(cpu, skip) {
-                        Ok(()) => Ok(Some(log)),
-                        Err(e) => {
-                            self.pool.put(log);
-                            Err(e)
+                // ---- cold phase: skip region (logged or plain) ---------
+                let t = Instant::now();
+                let log = match self.streams {
+                    Some((cache, bp)) => {
+                        let mut log = self.pool.take(cache, bp);
+                        match log.record_region(cpu, skip) {
+                            Ok(()) => Ok(Some(log)),
+                            Err(e) => {
+                                self.pool.put(log);
+                                Err(e)
+                            }
                         }
                     }
-                }
-                None => cpu.step_n(skip, |_| ()).map(|()| None),
-            };
-            let log = log.inspect_err(|_| self.cold += t.elapsed())?;
+                    None => cpu.step_n(skip, |_| ()).map(|()| None),
+                };
+                let log = log.inspect_err(|_| self.cold += t.elapsed())?;
 
-            // ---- cold phase: the leader stays the functional reference
-            // by stepping through the cluster, recording what retires for
-            // the consumer, so the next skip starts from this cluster's
-            // end -------------------------------------------------------
-            let mut trace = self.traces.pop().unwrap_or_default();
-            let stepped = trace.record(cpu, w.len);
-            self.cold += t.elapsed();
-            if tx.send(CapturedWindow { skip, len: w.len, trace, log }).is_err() {
-                return Ok(false);
+                // ---- cold phase: the leader stays the functional
+                // reference by stepping through the cluster, recording
+                // what retires for the replay, so the next skip starts
+                // from this cluster's end ---------------------------------
+                let mut trace = self.traces.pop().unwrap_or_default();
+                let stepped = trace.record(cpu, w.len);
+                self.cold += t.elapsed();
+                if tx.send(CapturedWindow { skip, len: w.len, trace, log }).is_err() {
+                    return Ok(());
+                }
+                stepped?;
+                pos = w.end();
             }
-            stepped?;
-            pos = w.end();
         }
-        Ok(true)
+        Ok(())
     }
 
-    /// Returns the buffers of every window the consumer has sent back to
+    /// Returns the buffers of every window the replay has sent back to
     /// the pools. Traces share the log pool's bound.
     pub fn reclaim(&mut self, recycle: &mpsc::Receiver<CapturedWindow>) {
         while let Ok(w) = recycle.try_recv() {
@@ -893,125 +843,6 @@ impl<'p> Leader<'p> {
             }
         }
     }
-}
-
-/// The decoupled leader/follower engine for one canonical shard.
-///
-/// The functional [`Leader`] runs ahead on the calling thread, executing
-/// skip regions (logging them under the reverse policy) *and* cluster
-/// regions (recording their retire traces), and emits one
-/// [`CapturedWindow`] per window into a bounded channel; the detailed
-/// follower thread consumes them strictly in schedule order, sealing and
-/// reconstructing from each log and timing each hot cluster from its
-/// trace. Cold-phase time thus hides under warm + hot time; results are
-/// bit-identical to [`run_windows`] because both sides execute the same
-/// deterministic computations on the same inputs — the leader's
-/// architectural state never depends on the follower's
-/// microarchitectural state, and the follower's window half is literally
-/// the same function ([`follower_window`]) the sequential engine calls.
-///
-/// Error precedence mirrors the sequential engine: the follower fails at
-/// the schedule-earliest faulty window (it processes in order and never
-/// runs ahead of the leader), so its error wins over the leader's; a
-/// panic on either side is resumed on the caller's thread and surfaces
-/// through the shard supervisor as [`SimError::ShardPanicked`]. On a
-/// deadline trip the leader stops producing and the follower drains the
-/// queue before the error is returned.
-pub(crate) fn run_windows_pipelined(
-    machine: &MachineConfig,
-    policy: WarmupPolicy,
-    cpu: &mut Cpu,
-    pos: u64,
-    windows: &[ClusterWindow],
-    pool: &mut LogPool,
-    ctx: &PipelineCtx<'_>,
-) -> Result<SampleOutcome, SimError> {
-    debug_assert!(ctx.depth >= 2, "depth 1 is the sequential engine");
-    debug_assert!(policy_decouples(policy), "caller must gate on policy_decouples");
-    let t0 = Instant::now();
-    let streams = match policy {
-        WarmupPolicy::Reverse { cache, bp, .. } => Some((cache, bp)),
-        _ => None,
-    };
-    let mut cold = Duration::ZERO;
-    let mut leader_err: Option<SimError> = None;
-
-    let follower_result = thread::scope(|scope| {
-        let (tx, rx) = mpsc::sync_channel::<CapturedWindow>(ctx.depth - 1);
-        // Unbounded return path for drained windows; capacity is still
-        // bounded by the number of windows in flight (≤ depth).
-        let (recycle_tx, recycle_rx) = mpsc::channel::<CapturedWindow>();
-        let injector = ctx.injector;
-        let group = ctx.group;
-        let follower =
-            scope.spawn(move || follower_loop(machine, policy, rx, recycle_tx, injector, group));
-
-        let mut leader =
-            Leader::new(pool, streams, ctx.deadline, ctx.total_shards, ctx.injector, ctx.group);
-        leader_err = leader.capture(cpu, pos, windows, ctx.shard, &tx, &recycle_rx).err();
-
-        // Sealing the channel lets the follower drain and exit.
-        drop(tx);
-        let joined = match follower.join() {
-            Ok(result) => result,
-            // Re-raise the follower's panic on this thread so the shard
-            // supervisor's catch_unwind sees the original payload.
-            Err(payload) => std::panic::resume_unwind(payload),
-        };
-        leader.reclaim(&recycle_rx);
-        cold = leader.cold;
-        joined
-    });
-
-    // Follower errors win (they are schedule-earliest; see above), then
-    // the leader's.
-    let mut outcome = follower_result?;
-    if let Some(e) = leader_err {
-        return Err(e);
-    }
-    outcome.phases.cold += cold;
-    outcome.wall = t0.elapsed();
-    Ok(outcome)
-}
-
-/// The follower thread: consume [`CapturedWindow`]s in order, run the
-/// shared per-window detailed half on a replay of each cluster's trace,
-/// and send each drained window back for reuse.
-fn follower_loop(
-    machine: &MachineConfig,
-    policy: WarmupPolicy,
-    rx: mpsc::Receiver<CapturedWindow>,
-    recycle: mpsc::Sender<CapturedWindow>,
-    injector: Option<&FaultInjector>,
-    group: usize,
-) -> Result<SampleOutcome, SimError> {
-    if let Some(msg) = injector.and_then(|inj| inj.follower_panic_message(group)) {
-        std::panic::panic_any(msg);
-    }
-    let mut outcome = SampleOutcome::empty(policy);
-    // The follower owns the shard's microarchitectural state, cold-started
-    // here exactly as the sequential engine cold-starts it per shard.
-    let mut hier = MemHierarchy::new(machine.hier.clone());
-    let mut pred = Predictor::new(machine.pred);
-    let mut index = ReconIndex::new(ReconGeometry::of_machine(machine));
-    while let Ok(w) = rx.recv() {
-        outcome.skipped_insts += w.skip;
-        follower_window(
-            machine,
-            policy,
-            &mut hier,
-            &mut pred,
-            &mut w.trace.cursor(),
-            w.len,
-            w.log.as_ref(),
-            &mut index,
-            &mut outcome,
-        )?;
-        // The leader may already be gone (deadline, error); a dead
-        // recycle channel just means the window is dropped.
-        let _ = recycle.send(w);
-    }
-    Ok(outcome)
 }
 
 /// The full-trace cycle-accurate baseline behind [`RunSpec::run_full`].
@@ -1278,10 +1109,10 @@ mod tests {
 
     #[test]
     fn merge_concatenates_in_schedule_order() {
-        // absorb() is the sharded runner's merge: cluster vectors
-        // concatenate, counters sum, the log peak maxes. Replaying the
-        // canonical shards by hand and merging must reproduce the engine
-        // bit for bit.
+        // absorb() merges outcomes of consecutive windows: cluster vectors
+        // concatenate, counters sum, the log peak maxes. Running each
+        // canonical shard from fresh state and merging must reproduce the
+        // engine's in-place cuts bit for bit.
         let machine = quick_machine();
         let program = program();
         let policy = WarmupPolicy::Reverse { cache: true, bp: true, pct: Pct::new(50) };
@@ -1295,15 +1126,17 @@ mod tests {
             .run()
             .unwrap();
 
-        let shards = crate::shard::partition_by_span(windows, span);
+        let shards = partition_by_span(windows, span);
         assert!(shards.len() >= 2, "span must split this schedule");
         let mut cpu = Cpu::new(&program).unwrap();
         let mut merged = SampleOutcome::empty(policy);
         let mut pool = LogPool::new(None);
         let mut pos = 0u64;
         for r in &shards {
-            let out = run_windows(&machine, policy, &mut cpu, pos, &windows[r.clone()], &mut pool)
-                .unwrap();
+            let slice = &windows[r.clone()];
+            let out =
+                run_windows(&machine, policy, &mut cpu, pos, slice, u64::MAX, None, &mut pool)
+                    .unwrap();
             merged.absorb(&out);
             pos = windows[r.end - 1].end();
         }
@@ -1316,6 +1149,49 @@ mod tests {
         assert_eq!(merged.warm_updates, whole.warm_updates);
         assert_eq!(merged.recon, whole.recon);
         assert_eq!(merged.log_bytes_peak, whole.log_bytes_peak);
+    }
+
+    fn w(start: u64, len: u64) -> ClusterWindow {
+        ClusterWindow { start, len }
+    }
+
+    #[test]
+    fn span_partition_covers_contiguously() {
+        let windows: Vec<ClusterWindow> = (0..10).map(|i| w(i * 1000 + 200, 300)).collect();
+        for span in [1u64, 500, 1_000, 2_500, 10_000, 1_000_000] {
+            let ranges = partition_by_span(&windows, span);
+            assert_eq!(ranges.first().unwrap().start, 0);
+            assert_eq!(ranges.last().unwrap().end, windows.len());
+            for pair in ranges.windows(2) {
+                assert_eq!(pair[0].end, pair[1].start, "gap or overlap");
+            }
+            assert!(ranges.iter().all(|r| !r.is_empty()));
+        }
+        // Larger-than-total span: the whole run is one shard (carryover
+        // everywhere — the seed semantics).
+        assert_eq!(partition_by_span(&windows, 1_000_000), vec![0..10]);
+        // One-instruction span: every window is its own shard.
+        assert_eq!(partition_by_span(&windows, 1).len(), windows.len());
+    }
+
+    #[test]
+    fn span_partition_is_independent_of_anything_but_the_schedule() {
+        let windows: Vec<ClusterWindow> = (0..7).map(|i| w(i * 900 + 100, 400)).collect();
+        let a = partition_by_span(&windows, 2_000);
+        let b = partition_by_span(&windows, 2_000);
+        assert_eq!(a, b);
+        // Boundary falls exactly where the cumulative span crosses 2000
+        // (window 2 ends at 2300).
+        assert_eq!(a.first(), Some(&(0..3)));
+    }
+
+    #[test]
+    fn panics_become_typed_errors() {
+        let r: Result<(), SimError> = typed_panics(|| panic!("boom {}", 7));
+        assert_eq!(r, Err(SimError::Panicked { message: "boom 7".to_string() }));
+        let r: Result<(), SimError> = typed_panics(|| std::panic::panic_any("static"));
+        assert_eq!(r, Err(SimError::Panicked { message: "static".to_string() }));
+        assert_eq!(typed_panics(|| Ok(3)), Ok(3));
     }
 
     #[test]

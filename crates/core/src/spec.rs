@@ -3,11 +3,11 @@
 //!
 //! The run API is split along the paper's own seam: everything that shapes
 //! the *functional* pass — the workload, the schedule it is sampled under,
-//! and the supervision knobs that guard the cold engine — lives in
-//! [`ColdSpec`], while everything the *detailed* pass needs — the machine
-//! geometry, the warm-up policy, and the thread/pipeline parallelism
-//! knobs — lives in [`DetailSpec`]. A [`RunSpec`] is a thin
-//! composition of the two, so the familiar builder keeps working verbatim;
+//! and the guard knobs of the cold engine — lives in [`ColdSpec`], while
+//! everything the *detailed* pass needs — the machine geometry, the
+//! warm-up policy, and the pipeline depth — lives in [`DetailSpec`]. A
+//! [`RunSpec`] is a thin composition of the two, so the familiar builder
+//! keeps working verbatim;
 //! a [`crate::SweepSpec`] pairs one cold half with many detailed halves to
 //! amortize a single functional pass across a design-space sweep.
 //!
@@ -19,21 +19,22 @@
 
 use std::time::{Duration, Instant};
 
+use rsr_func::Cpu;
 use rsr_isa::{Fnv, Program};
 
-use crate::fault::{FaultInjector, FaultPlan};
-use crate::log::check_indexable;
-use crate::sampler::{policy_decouples, run_full_once};
-use crate::shard::{run_sharded, RunGuards};
+use crate::fault::FaultPlan;
+use crate::log::{check_indexable, LogPool};
+use crate::sampler::{policy_decouples, run_full_once, run_windows, typed_panics};
+use crate::sweep::stream;
 use crate::{
     FullOutcome, MachineConfig, Pct, SampleOutcome, SamplingRegimen, Schedule, SimError,
     WarmupPolicy,
 };
 
 /// The workload half of a run: the program, how it is sampled, and the
-/// supervision knobs of the functional (cold) engine. Owns everything
-/// needed to produce sealed per-shard skip logs; knows nothing about cache
-/// or predictor geometry.
+/// guard knobs of the functional (cold) engine. Owns everything needed to
+/// produce the skip logs; knows nothing about cache or predictor
+/// geometry.
 #[derive(Clone, Debug)]
 pub struct ColdSpec<'a> {
     pub(crate) program: &'a Program,
@@ -42,7 +43,6 @@ pub struct ColdSpec<'a> {
     pub(crate) total_insts: u64,
     pub(crate) seed: u64,
     pub(crate) shard_span: u64,
-    pub(crate) max_shard_retries: u32,
     pub(crate) log_budget: Option<usize>,
     pub(crate) deadline: Option<Duration>,
     pub(crate) fault_plan: Option<FaultPlan>,
@@ -50,8 +50,8 @@ pub struct ColdSpec<'a> {
 
 impl<'a> ColdSpec<'a> {
     /// Starts a cold half for `program` with the same defaults as
-    /// [`RunSpec::new`]: seed 0, the default shard span and retry budget,
-    /// no regimen/schedule, no budget, deadline, or fault plan.
+    /// [`RunSpec::new`]: seed 0, the default shard span, no
+    /// regimen/schedule, no budget, deadline, or fault plan.
     pub fn new(program: &'a Program) -> ColdSpec<'a> {
         ColdSpec {
             program,
@@ -60,7 +60,6 @@ impl<'a> ColdSpec<'a> {
             total_insts: 0,
             seed: 0,
             shard_span: RunSpec::DEFAULT_SHARD_SPAN,
-            max_shard_retries: RunSpec::DEFAULT_MAX_SHARD_RETRIES,
             log_budget: None,
             deadline: None,
             fault_plan: None,
@@ -104,14 +103,6 @@ impl<'a> ColdSpec<'a> {
     /// [`RunSpec::shard_span`].
     pub fn shard_span(mut self, shard_span: u64) -> Self {
         self.shard_span = shard_span.max(1);
-        self
-    }
-
-    /// Sets the shard-group retry budget (default
-    /// [`RunSpec::DEFAULT_MAX_SHARD_RETRIES`]). See
-    /// [`RunSpec::max_shard_retries`].
-    pub fn max_shard_retries(mut self, retries: u32) -> Self {
-        self.max_shard_retries = retries;
         self
     }
 
@@ -215,14 +206,14 @@ impl<'a> ColdSpec<'a> {
     /// can influence the *deterministic* outcome of a run: the full
     /// program image (text, data, entry, stack) and the materialized
     /// schedule it is sampled under, plus the shard span (which places the
-    /// deliberate cold-start boundaries) and the resolved log budget
-    /// (which decides stale-state degradation).
+    /// deliberate cold-start cuts) and the resolved log budget (which
+    /// decides stale-state degradation).
     ///
-    /// Deliberately excluded: retry budgets and deadlines (they decide
-    /// *whether* a run completes, never what a completed run reports) and
-    /// the fault plan's healing faults — except forced log exhaustion,
-    /// which is folded in through the resolved budget. The schedule is
-    /// hashed in materialized form, so a regimen+seed pair and an explicit
+    /// Deliberately excluded: deadlines (they decide *whether* a run
+    /// completes, never what a completed run reports) and the fault plan's
+    /// panics — except forced log exhaustion, which is folded in through
+    /// the resolved budget. The schedule is hashed in materialized form,
+    /// so a regimen+seed pair and an explicit
     /// [`ColdSpec::schedule`] describing the same windows fingerprint
     /// identically.
     ///
@@ -269,7 +260,7 @@ impl<'a> ColdSpec<'a> {
 }
 
 /// The microarchitecture half of a run: machine geometry, warm-up policy,
-/// and the parallelism knobs of the detailed pass. Owns its
+/// and the pipeline depth of the detailed pass. Owns its
 /// [`MachineConfig`] (cloned at construction) so a detailed half is
 /// `Send + 'static` — it can cross threads and outlive the borrow it was
 /// built from, which the sweep engine and the planned service kernel both
@@ -278,7 +269,6 @@ impl<'a> ColdSpec<'a> {
 pub struct DetailSpec {
     pub(crate) machine: MachineConfig,
     pub(crate) policy: WarmupPolicy,
-    pub(crate) threads: usize,
     pub(crate) pipeline_depth: Option<usize>,
 }
 
@@ -291,12 +281,11 @@ const _: () = _assert_send::<DetailSpec>();
 impl DetailSpec {
     /// Starts a detailed half for a clone of `machine` with the same
     /// defaults as [`RunSpec::new`]: the paper's headline warm-up policy
-    /// (R$BP at 20 % analysis), one thread, and auto pipeline depth.
+    /// (R$BP at 20 % analysis) and auto pipeline depth.
     pub fn new(machine: &MachineConfig) -> DetailSpec {
         DetailSpec {
             machine: machine.clone(),
             policy: WarmupPolicy::Reverse { cache: true, bp: true, pct: Pct::new(20) },
-            threads: 1,
             pipeline_depth: None,
         }
     }
@@ -307,15 +296,8 @@ impl DetailSpec {
         self
     }
 
-    /// Sets the worker-thread count (default 1; 0 is treated as 1). See
-    /// [`RunSpec::threads`].
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Sets the intra-shard leader/follower pipeline depth (default 0 =
-    /// auto). See [`RunSpec::pipeline_depth`].
+    /// Sets the leader/follower pipeline depth (default 0 = auto). See
+    /// [`RunSpec::pipeline_depth`].
     pub fn pipeline_depth(mut self, depth: usize) -> Self {
         self.pipeline_depth = if depth == 0 { None } else { Some(depth) };
         self
@@ -330,12 +312,11 @@ impl DetailSpec {
     /// can influence the deterministic outcome: the warm-up policy and the
     /// full machine geometry (core, hierarchy, predictor).
     ///
-    /// Deliberately excluded: [`DetailSpec::threads`] and
-    /// [`DetailSpec::pipeline_depth`] — the engine is bit-identical across
-    /// every parallelism setting (locked down by the sharding and pipeline
-    /// equivalence suites), so
-    /// two specs differing only in those knobs are the *same* computation
-    /// and must share a fingerprint. Cache display names are likewise
+    /// Deliberately excluded: [`DetailSpec::pipeline_depth`] — the engine
+    /// is bit-identical at every depth (locked down by the pipeline
+    /// equivalence and workload-matrix suites), so two specs differing
+    /// only in depth are the *same* computation and must share a
+    /// fingerprint. Cache display names are likewise
     /// skipped.
     pub fn content_hash(&self) -> u64 {
         let mut h = Fnv::new();
@@ -388,17 +369,16 @@ impl DetailSpec {
     /// The pipeline depth a run of this half will actually use. An
     /// explicit [`DetailSpec::pipeline_depth`] is honored as given
     /// (clamped to ≥ 1); auto picks 2 when the policy decouples *and* the
-    /// host has at least two hardware threads per configured worker (each
-    /// pipelined worker occupies two cores — oversubscribing a smaller
-    /// host would just interleave leader and follower and regress wall
-    /// time), else 1.
+    /// host has at least two hardware threads (a pipelined run occupies
+    /// two cores — on one core leader and follower would just interleave
+    /// and regress wall time), else 1.
     pub fn resolved_pipeline_depth(&self) -> usize {
         if let Some(depth) = self.pipeline_depth {
             return depth.max(1);
         }
         let cores =
             std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1);
-        if policy_decouples(self.policy) && cores >= 2 * self.threads.max(1) {
+        if policy_decouples(self.policy) && cores >= 2 {
             2
         } else {
             1
@@ -427,7 +407,6 @@ impl DetailSpec {
 ///     .total_insts(8_000_000)
 ///     .policy(WarmupPolicy::Reverse { cache: true, bp: true, pct: Pct::new(20) })
 ///     .seed(42)
-///     .threads(4)
 ///     .run()?;
 /// println!("IPC estimate: {:.3}", outcome.est_ipc());
 /// # Ok(())
@@ -443,7 +422,7 @@ impl<'a> RunSpec<'a> {
     /// Starts a spec for `program` on a clone of `machine`.
     ///
     /// Defaults: the paper's headline warm-up policy (R$BP at 20 %
-    /// analysis), seed 0, one thread, and no regimen/schedule —
+    /// analysis), seed 0, auto pipeline depth, and no regimen/schedule —
     /// [`RunSpec::run`] requires one of [`RunSpec::regimen`] (plus
     /// [`RunSpec::total_insts`]) or [`RunSpec::schedule`].
     pub fn new(program: &'a Program, machine: &MachineConfig) -> RunSpec<'a> {
@@ -472,16 +451,12 @@ impl<'a> RunSpec<'a> {
 
     /// Default canonical shard span (instructions): long enough that
     /// integration-scale runs stay a single shard (pure carryover, the
-    /// seed semantics) while paper-scale runs (tens of millions of
-    /// instructions) split into enough shards to keep several workers
-    /// busy.
+    /// seed semantics), while paper-scale runs (tens of millions of
+    /// instructions) reset state every 4M instructions. The pinned
+    /// reference numbers (golden digests, the benchmark's pins) are taken
+    /// at this span; paper-faithful runs pass `u64::MAX` (see DESIGN.md
+    /// §7).
     pub const DEFAULT_SHARD_SPAN: u64 = 4_000_000;
-
-    /// Default shard-retry budget: one retry heals any single transient
-    /// worker fault without changing the estimate (retried groups replay
-    /// bit-identically), while a fault that persists still surfaces as a
-    /// typed error on the second attempt.
-    pub const DEFAULT_MAX_SHARD_RETRIES: u32 = 1;
 
     /// Sets the sampling regimen; [`RunSpec::run`] draws the schedule from
     /// it, [`RunSpec::total_insts`], and [`RunSpec::seed`].
@@ -520,44 +495,18 @@ impl<'a> RunSpec<'a> {
         self
     }
 
-    /// Sets the worker-thread count for [`RunSpec::run`] (default 1;
-    /// 0 is treated as 1). The schedule is split into *canonical shards*
-    /// at boundaries derived from the schedule alone (see
-    /// [`RunSpec::shard_span`]); with `n > 1` those shards are distributed
-    /// over up to `n` workers after a functional scout pass captures an
-    /// architectural checkpoint at each worker's boundary. Because the
-    /// shard boundaries never depend on the thread count, per-cluster
-    /// results are bit-identical for every `n` (see `DESIGN.md`,
-    /// "Parallel sampling").
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.detail = self.detail.threads(threads);
-        self
-    }
-
     /// Sets the canonical shard span in instructions (default
-    /// [`RunSpec::DEFAULT_SHARD_SPAN`]; 0 is treated as 1). Shard
-    /// boundaries are placed wherever the accumulated schedule span
-    /// reaches this value; microarchitectural state resets there — a
-    /// deliberate checkpoint-style cold-start repaired by the warm-up
-    /// policy — and carries over continuously everywhere else. Runs
-    /// shorter than one span therefore behave exactly like the classic
-    /// sequential simulator. Smaller spans expose more parallelism;
-    /// larger spans leave more continuous warming intact.
+    /// [`RunSpec::DEFAULT_SHARD_SPAN`]; 0 is treated as 1). A *cut* falls
+    /// before the first window whose preceding window ended at least this
+    /// far past the last cut; there every hierarchy and predictor resets
+    /// to fresh state — a deliberate checkpoint-style cold-start repaired
+    /// by the warm-up policy — and state carries over continuously
+    /// everywhere else. Runs shorter than one span therefore behave
+    /// exactly like the classic sequential simulator, and `u64::MAX`
+    /// never cuts (the paper's model: each cluster inherits the whole
+    /// run's state).
     pub fn shard_span(mut self, shard_span: u64) -> Self {
         self.cold = self.cold.shard_span(shard_span);
-        self
-    }
-
-    /// Sets how many times a failed shard group may be retried from its
-    /// retained checkpoint (default
-    /// [`RunSpec::DEFAULT_MAX_SHARD_RETRIES`]). Only shard-infrastructure
-    /// faults — a panicked worker, a lost or corrupted checkpoint
-    /// ([`SimError::is_shard_fault`]) — are retried; deterministic
-    /// simulation errors surface immediately. A healed run is bit-identical
-    /// to a fault-free one, with the attempt count recorded in
-    /// [`SampleOutcome::shard_retries`]. `0` fails fast on the first fault.
-    pub fn max_shard_retries(mut self, retries: u32) -> Self {
-        self.cold = self.cold.max_shard_retries(retries);
         self
     }
 
@@ -568,7 +517,7 @@ impl<'a> RunSpec<'a> {
     /// Degraded clusters are counted in
     /// [`SampleOutcome::clusters_degraded`]. Degradation depends only on
     /// each region's own deterministic record stream, so it is identical
-    /// at every thread count.
+    /// at every pipeline depth.
     ///
     /// The budget is measured against the packed in-memory layout
     /// ([`crate::RECORD_BYTES`] = 8 bytes per record — DESIGN.md §9),
@@ -582,35 +531,35 @@ impl<'a> RunSpec<'a> {
     /// Sets a wall-clock deadline for [`RunSpec::run`] (default
     /// unbounded). When it expires the run aborts cleanly with
     /// [`SimError::DeadlineExceeded`], carrying how many canonical shards
-    /// completed; the deadline is checked at shard granularity, so a
-    /// cluster mid-simulation always finishes first.
+    /// completed; the deadline is checked between windows, so a cluster
+    /// mid-simulation always finishes first.
     pub fn deadline(mut self, deadline: Duration) -> Self {
         self.cold = self.cold.deadline(deadline);
         self
     }
 
     /// Arms a deterministic [`FaultPlan`] for [`RunSpec::run`] (default
-    /// none). Every supervision path — panic capture, checkpoint
-    /// verification, retry, log-budget degradation — can be exercised this
-    /// way in tests; an empty plan is a fault-free run.
+    /// none). The typed-failure and degradation paths — leader and replay
+    /// panics, log-budget exhaustion — can be exercised this way in tests;
+    /// an empty plan is a fault-free run.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.cold = self.cold.fault_plan(plan);
         self
     }
 
-    /// Sets the intra-shard leader/follower pipeline depth (default 0 =
-    /// auto; see [`RunSpec::resolved_pipeline_depth`]). With depth `d > 1`
-    /// a functional *leader* runs ahead through skip and cluster regions,
-    /// emitting each cluster's `(retire trace, sealed skip log)` into a
-    /// channel holding at most `d` in-flight items, while a detailed
-    /// *follower* thread consumes them in schedule order — reconstruction
-    /// and hot simulation overlap the next regions' cold fast-forward.
-    /// Resident memory is bounded by `d` logs (each keeping its scan
-    /// budget's window, and capped by [`RunSpec::log_budget_bytes`] when
-    /// set) plus `d` cluster traces of 64 bytes per instruction.
-    /// Results are bit-identical for every depth; depth 1 is the
-    /// sequential engine. Depths above 1 only engage for policies whose
-    /// skip regions are purely functional
+    /// Sets the leader/follower pipeline depth (default 0 = auto; see
+    /// [`RunSpec::resolved_pipeline_depth`]). With depth `d > 1` a
+    /// functional *leader* on the calling thread runs ahead through skip
+    /// and cluster regions, sending each cluster's `(retire trace, skip
+    /// log)` into a channel queuing at most `d - 1` windows, while one
+    /// replay thread replays them in schedule order — the sweep's replay
+    /// with one config — so reconstruction and hot simulation overlap the
+    /// next regions' cold fast-forward. Resident memory is bounded by
+    /// `d + 1` logs (each keeping its scan budget's window, and capped by
+    /// [`RunSpec::log_budget_bytes`] when set) plus as many cluster traces
+    /// of 64 bytes per instruction. Results are bit-identical for every
+    /// depth; depth 1 is the sequential engine. Depths above 1 only engage
+    /// for policies whose skip regions are purely functional
     /// (`WarmupPolicy::Reverse` / `WarmupPolicy::None`).
     pub fn pipeline_depth(mut self, depth: usize) -> Self {
         self.detail = self.detail.pipeline_depth(depth);
@@ -640,44 +589,46 @@ impl<'a> RunSpec<'a> {
     /// [`SimError::Spec`] for degenerate specs (see
     /// [`ColdSpec::validate`] and [`RunSpec::build_schedule`]), and for a
     /// logging policy whose skip regions could log more records than a
-    /// u32 index addresses; [`SimError::DeadlineExceeded`] when a [`RunSpec::deadline`]
-    /// expires; otherwise as the underlying engine: load failures,
-    /// execution faults, a program halting before the schedule's last
-    /// cluster, or a shard fault (lost worker, panic, corrupt checkpoint)
-    /// that outlives [`RunSpec::max_shard_retries`].
+    /// u32 index addresses; [`SimError::DeadlineExceeded`] when a
+    /// [`RunSpec::deadline`] expires; [`SimError::Panicked`] when the
+    /// engine panics on either thread; otherwise as the underlying engine:
+    /// load failures, execution faults, or a program halting before the
+    /// schedule's last cluster.
     pub fn run(&self) -> Result<SampleOutcome, SimError> {
-        let schedule = self.cold.build_schedule()?;
-        if self.detail.policy.needs_log() {
-            check_indexable(&schedule)?;
-        }
-        let injector = self.cold.fault_plan.as_ref().map(FaultInjector::new);
-        let guards = RunGuards {
-            log_budget: self.cold.resolved_log_budget(),
-            deadline: self.cold.deadline_instant(),
-            max_retries: self.cold.max_shard_retries,
-            injector: injector.as_ref(),
-            pipeline_depth: self.detail.resolved_pipeline_depth(),
-        };
-        let t = Instant::now();
-        let mut outcome = run_sharded(
-            self.cold.program,
-            &self.detail.machine,
-            &schedule,
-            self.detail.policy,
-            self.detail.threads,
-            self.cold.shard_span,
-            &guards,
-        )?;
-        outcome.wall = t.elapsed();
-        Ok(outcome)
+        typed_panics(|| {
+            let schedule = self.cold.build_schedule()?;
+            let (machine, policy) = (&self.detail.machine, self.detail.policy);
+            if policy.needs_log() {
+                check_indexable(&schedule)?;
+            }
+            let t = Instant::now();
+            let depth = self.detail.resolved_pipeline_depth();
+            let mut outcome = if depth > 1 && policy_decouples(policy) {
+                let mut streamed = stream(&self.cold, &schedule, &[&self.detail], 1, depth - 1)?;
+                // One config in, one outcome out.
+                let mut outcome = streamed.outcomes.swap_remove(0);
+                outcome.phases.cold += streamed.capture;
+                outcome
+            } else {
+                let mut cpu = Cpu::new(self.cold.program)?;
+                let mut pool =
+                    LogPool::new(self.cold.resolved_log_budget()).retaining(policy.scan_budget());
+                let deadline = self.cold.deadline_instant();
+                let windows = schedule.windows();
+                let span = self.cold.shard_span;
+                run_windows(machine, policy, &mut cpu, 0, windows, span, deadline, &mut pool)?
+            };
+            outcome.wall = t.elapsed();
+            Ok(outcome)
+        })
     }
 
     /// The spec's content address: a canonical FNV-1a fingerprint folding
     /// [`ColdSpec::content_hash`] and [`DetailSpec::content_hash`].
     ///
     /// Because every completed run is a bit-identical function of the
-    /// fingerprinted inputs — at any thread count or pipeline depth — two
-    /// specs with equal content hashes
+    /// fingerprinted inputs — at any pipeline depth — two specs with equal
+    /// content hashes
     /// produce equal deterministic outcomes, which is what lets the
     /// `rsr serve` result cache and in-flight dedupe key on this value.
     ///
@@ -692,7 +643,7 @@ impl<'a> RunSpec<'a> {
     }
 
     /// Runs the full-trace cycle-accurate baseline ("true IPC") over
-    /// [`RunSpec::total_insts`] instructions. Ignores policy and threads.
+    /// [`RunSpec::total_insts`] instructions. Ignores policy and depth.
     ///
     /// # Errors
     ///
@@ -781,9 +732,7 @@ mod tests {
         let machine = MachineConfig::paper();
         let a = base_spec(&p, &machine).content_hash().unwrap();
         let b = base_spec(&p, &machine)
-            .threads(4)
             .pipeline_depth(2)
-            .max_shard_retries(9)
             .deadline(Duration::from_secs(3600))
             .content_hash()
             .unwrap();

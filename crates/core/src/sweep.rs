@@ -1,4 +1,4 @@
-//! The design-space sweep engine: one cold pass, many detailed configs.
+//! The capture/replay stream: one cold pass, one or many detailed configs.
 //!
 //! The skip log is *config-independent* — addresses and branch outcomes
 //! are properties of the workload's functional stream, not of any cache or
@@ -7,14 +7,17 @@
 //! [`SweepSpec`] runs the cold half a single time, capturing per window
 //! the cluster's retire trace (a [`RetireTrace`]: what the cluster
 //! retired, 64 bytes per instruction) plus the skip log of its skip
-//! region, then replays the detailed half once
-//! per named [`DetailSpec`] against the captured window. A 20-config
-//! sweep costs ~1 cold pass + 20 hot slices instead of 20 full runs. The
-//! captured logs keep resident only the widest config's scan-budget window
-//! (see [`SkipLog::set_retention`]), which serves every narrower budget.
+//! region, then replays the detailed half once per named [`DetailSpec`]
+//! against the captured window. A 20-config sweep costs ~1 cold pass + 20
+//! hot slices instead of 20 full runs. The captured logs keep resident
+//! only the widest config's scan-budget window (see
+//! [`SkipLog::set_retention`]), which serves every narrower budget.
+//!
+//! The same stream is the pipelined standalone engine: a
+//! [`crate::RunSpec`] at pipeline depth ≥ 2 is a stream with one config.
 //!
 //! **Replay is windows-outer, configs-inner** (DESIGN.md §16). Per
-//! captured window the replay leader builds each *distinct* reconstruction
+//! captured window the replay builds each *distinct* reconstruction
 //! index once into a pooled arena — memory spans keyed by `(cache-set
 //! geometry, scan pct)`, branch columns by `(PHT bits, BTB entries, scan
 //! pct, start GHR)`, each covering only the budget window — and every
@@ -39,51 +42,43 @@
 //! **Configs can replay in parallel.** The captured windows are immutable
 //! once sealed, so [`SweepSpec::replay_threads`] fans the config list
 //! across `std::thread::scope` workers in contiguous chunks; each chunk
-//! owns its configs' hierarchy/predictor state for the whole shard.
+//! owns its configs' hierarchy/predictor state for the whole run.
 //! Results are bit-identical at every worker count because each config
 //! still sees exactly the standalone engine's inputs in the standalone
-//! engine's order.
+//! engine's order. At every canonical cut (see
+//! [`crate::RunSpec::shard_span`]) every config's hierarchy and predictor
+//! restart cold in place, before the cut's first window replays.
 //!
-//! **Capture streams into replay.** Per worker group, a capture thread
-//! owns the group's [`Cpu`] and its log and trace pools, and runs the
-//! same functional [`Leader`] as the pipelined standalone engine: it
-//! steps each skip region (logging it), records each cluster's trace,
-//! and sends the window through a bounded channel. The calling thread
-//! replays every window through every config as it arrives and sends it
-//! back for reuse. So the functional pass of the next windows runs on one
-//! core while the configs replay the current one on the others, and a
-//! group holds at most [`CHANNEL_BOUND`] + 2 windows at once: the queued
-//! ones, the one in capture and the one in replay. The
-//! alternative — capturing the whole schedule, or a whole shard, before
-//! replaying it — idles every replay core during capture and retains
-//! every captured window's log and trace at once. Outcomes are
-//! unaffected: each config's hierarchy and predictor still cold-start at
-//! every canonical shard boundary, and per-shard outcomes merge through
-//! [`SampleOutcome::absorb`] in schedule order, exactly like the
-//! standalone sharded runner.
+//! **Capture streams into replay.** The calling thread runs the
+//! functional leader ([`Leader`]) and owns the CPU and the log and trace
+//! pools: it steps each skip region (logging it), records each cluster's
+//! trace, and sends the window through a bounded channel. One replay
+//! thread replays every window through every config as it arrives and
+//! sends it back for reuse. So the functional pass of the next windows
+//! runs on one core while the configs replay the current one, and a run
+//! holds at most the channel bound + 2 windows at once: the queued ones,
+//! the one in capture and the one in replay. The alternative — capturing
+//! the whole schedule before replaying it — idles every replay core
+//! during capture and retains every captured window's log and trace at
+//! once.
 //!
-//! **The capture thread exits last.** It returns only after the replay
-//! hangs up the return channel, so it outlives every replay worker of
-//! its group. The order changes no outcome; it keeps memory steady.
-//! glibc hands a new thread the malloc arena that the last exiting
-//! thread released. The next sweep's capture thread allocates first in
-//! its group (no replay worker starts before its first window arrives),
-//! so it gets back the arena that already holds its pools' freed
-//! buffers. When a replay worker exited last instead, the capture thread
-//! could take that worker's small arena and grow it by a whole pool
-//! while its own old arena stayed resident: a 20-config mcf sweep then
-//! peaked anywhere from 47 to 69 MiB from one run to the next.
+//! **One helper thread per run, and the pool owner outlives it.** glibc
+//! hands a new thread the malloc arena that the last exiting thread
+//! released, so which thread exits last decides where the next run's
+//! buffers land. The pools live on the calling thread, which joins the
+//! replay thread (and the replay thread joins its per-window workers), so
+//! the pool owner always exits last and its buffers always return to the
+//! same arena. An earlier layout ran the capture on a spawned thread and
+//! had to make it wait for the replay's workers; a depth-2 standalone run
+//! there read 2–3 MiB more peak RSS on mcf than with the leader on the
+//! calling thread.
 //!
-//! The streamed pass runs under the same supervision as a normal sharded
-//! run — scout checkpoints, panic capture, checksum verification, retries,
-//! deadline, log budget — via the generic [`run_sharded_with`]
-//! orchestrator, so fault healing behaves identically through the sweep
-//! path. Errors resolve as in the pipelined engine: the replay side
-//! never runs ahead of the capture, so its error is the schedule-earliest
-//! and wins; a replay error hangs up the channel, which stops the
-//! capture; a panic on either side reaches the shard supervisor with its
-//! own payload.
+//! Errors resolve in schedule order: the replay never runs ahead of the
+//! capture, so its error is the schedule-earliest and wins; a replay error
+//! hangs up the channel, which stops the capture; a panic on either side
+//! reaches the caller's `catch_unwind` with its own payload.
 
+use std::ops::Range;
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -95,22 +90,16 @@ use rsr_func::Cpu;
 use crate::fault::FaultInjector;
 use crate::log::{check_indexable, LogPool, MemKey, ReconGeometry, ReconIndex, SkipLog};
 use crate::policy::Pct;
-use crate::sampler::{detailed_window, policy_decouples, CapturedWindow, Leader, WindowIndex};
-use crate::shard::{check_deadline, run_sharded_with, GroupCtx, RunGuards};
+use crate::sampler::{
+    check_deadline, detailed_window, partition_by_span, policy_decouples, typed_panics,
+    CapturedWindow, Leader, WindowIndex,
+};
 use crate::spec::{ColdSpec, DetailSpec};
-use crate::{SampleOutcome, SimError, WarmupPolicy};
+use crate::{SampleOutcome, Schedule, SimError, WarmupPolicy};
 
-/// Windows the capture channel queues between a group's capture thread
-/// and its replay: the pipeline's auto depth. A group holds at most this
+/// Windows a sweep's capture channel queues. A sweep holds at most this
 /// many plus two windows at once (the one in capture, the one in replay).
 const CHANNEL_BOUND: usize = 2;
-
-/// One worker group's sweep result: per-shard replays in schedule order,
-/// and the group's capture time.
-struct GroupSweep {
-    shards: Vec<ShardReplay>,
-    capture: Duration,
-}
 
 /// The per-config result of a sweep.
 #[derive(Clone, Debug)]
@@ -120,8 +109,8 @@ pub struct SweepConfigOutcome {
     /// The config's sample outcome — bit-identical (in every
     /// deterministic field) to a standalone [`crate::RunSpec`] run of the
     /// same cold half and detailed half. `wall` is the config's replay
-    /// share alone (its slowest group's summed replay time); the shared
-    /// cold pass is reported once in [`SweepOutcome::cold_wall`].
+    /// share alone (its summed replay time); the shared cold pass is
+    /// reported once in [`SweepOutcome::cold_wall`].
     pub outcome: SampleOutcome,
 }
 
@@ -130,23 +119,19 @@ pub struct SweepConfigOutcome {
 pub struct SweepOutcome {
     /// Per-config outcomes, in registration order.
     pub configs: Vec<SweepConfigOutcome>,
-    /// Time the functional capture took: the slowest group's capture
-    /// thread, summed over its windows. Capture runs on its own thread,
-    /// overlapped with replay, so `cold_wall` plus the replay time can
-    /// exceed [`SweepOutcome::wall`]; on a host with fewer free cores
-    /// than the sweep has threads it also counts time the capture thread
-    /// waited to run. It stands for the cold pass a standalone run would
+    /// Time the functional capture took: the leader's busy time, summed
+    /// over its windows. Capture overlaps the replay thread, so
+    /// `cold_wall` plus the replay time can exceed
+    /// [`SweepOutcome::wall`]; on a host with fewer free cores than the
+    /// sweep has threads it also counts time the leader waited to run. It stands for the cold pass a standalone run would
     /// also have paid, which is what anchors
     /// [`SweepOutcome::amortization`].
     pub cold_wall: Duration,
     /// Total wall time of the sweep (capture overlapped with every
     /// replay).
     pub wall: Duration,
-    /// Canonical shard count of the captured schedule.
+    /// Canonical shard count of the captured schedule: its cuts + 1.
     pub shards: usize,
-    /// Shard-group retries the streamed pass needed (see
-    /// [`crate::RunSpec::max_shard_retries`]).
-    pub shard_retries: u64,
     /// Reconstruction indexes actually built across the sweep.
     pub index_builds: u64,
     /// Per-config index requests served by an already-built index in the
@@ -162,7 +147,6 @@ pub struct SweepOutcome {
     /// [`SweepSpec::resolved_replay_threads`]).
     pub replay_threads: usize,
 }
-
 impl SweepOutcome {
     /// The sweep's amortization ratio in work, not wall: the summed
     /// per-config replay time plus one cold pass, over what N standalone
@@ -193,14 +177,16 @@ impl SweepOutcome {
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let program = Benchmark::Mcf.build(&WorkloadParams::default());
 /// let machine = MachineConfig::paper();
+/// let mut big = machine.clone();
+/// big.hier.l1d.size_bytes *= 2;
 /// let sweep = SweepSpec::new(
 ///     ColdSpec::new(&program)
 ///         .regimen(SamplingRegimen::new(60, 3000))
 ///         .total_insts(8_000_000)
 ///         .seed(42),
 /// )
-/// .config("base", DetailSpec::new(&machine).threads(4))
-/// .config("big-l1d", DetailSpec::new(&machine).threads(4));
+/// .config("base", DetailSpec::new(&machine))
+/// .config("big-l1d", DetailSpec::new(&big));
 /// let out = sweep.run()?;
 /// for c in &out.configs {
 ///     println!("{}: IPC {:.3}", c.name, c.outcome.est_ipc());
@@ -230,8 +216,8 @@ impl<'a> SweepSpec<'a> {
     /// Sets how many configs replay concurrently per captured window
     /// (default 0 = auto; see [`SweepSpec::resolved_replay_threads`]).
     /// Results are bit-identical at every value: each worker chunk owns
-    /// its configs' microarchitectural state for the whole shard, so
-    /// every config sees the standalone engine's exact inputs.
+    /// its configs' microarchitectural state for the whole run, so every
+    /// config sees the standalone engine's exact inputs.
     pub fn replay_threads(mut self, threads: usize) -> Self {
         self.replay_threads = if threads == 0 { None } else { Some(threads) };
         self
@@ -247,26 +233,16 @@ impl<'a> SweepSpec<'a> {
         &self.configs
     }
 
-    /// The capture-pass worker count a run will actually use: the largest
-    /// [`DetailSpec::threads`] any registered config asks for.
-    pub fn resolved_capture_threads(&self) -> usize {
-        self.configs.iter().map(|(_, d)| d.threads.max(1)).max().unwrap_or(1)
-    }
-
     /// The replay fan-out a run will actually use. An explicit
     /// [`SweepSpec::replay_threads`] is honored as given (clamped to
-    /// ≥ 1); auto divides the host's hardware threads by the capture
-    /// groups ([`SweepSpec::resolved_capture_threads`]), so the two
-    /// parallelism layers never oversubscribe. Either way the result is
-    /// clamped to the config count (a wider fan-out would just idle).
+    /// ≥ 1); auto takes the host's hardware threads. Either way the result
+    /// is clamped to the config count (a wider fan-out would just idle).
     pub fn resolved_replay_threads(&self) -> usize {
         let n = self.configs.len().max(1);
         if let Some(t) = self.replay_threads {
             return t.clamp(1, n);
         }
-        let cores =
-            std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1);
-        (cores / self.resolved_capture_threads()).clamp(1, n)
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get).clamp(1, n)
     }
 
     /// Validates the sweep: the cold half must pass
@@ -305,153 +281,49 @@ impl<'a> SweepSpec<'a> {
         Ok(())
     }
 
-    /// Runs the sweep: one supervised pass over the schedule in which a
-    /// capture thread per worker group captures each cold window once and
-    /// streams it to the calling thread, which replays it through every
-    /// config in registration order (windows-outer, with per-window index
-    /// sharing and shared retire traces — see the module docs).
+    /// Runs the sweep: one pass over the schedule in which the calling
+    /// thread captures each cold window once and streams it to the replay
+    /// thread, which replays it through every config in registration
+    /// order (windows-outer, with per-window index sharing
+    /// and shared retire traces — see the module docs).
     ///
     /// # Errors
     ///
     /// [`SimError::Spec`] from [`SweepSpec::validate`], and for logging
     /// configs whose skip regions could log more records than a u32 index
-    /// addresses; [`SimError::DeadlineExceeded`] when the cold half's deadline
-    /// expires (checked by the replay at every shard boundary, so
-    /// `completed_shards` counts shards every config has replayed);
-    /// otherwise as the underlying engines.
+    /// addresses; [`SimError::DeadlineExceeded`] when the cold half's
+    /// deadline expires (checked by the replay at every canonical shard
+    /// and by the capture before every window, so `completed_shards`
+    /// counts the cuts passed); [`SimError::Panicked`] when either thread
+    /// panics; otherwise as the underlying engines.
     pub fn run(&self) -> Result<SweepOutcome, SimError> {
-        self.validate()?;
-        let t_total = Instant::now();
-        let schedule = self.cold.build_schedule()?;
-        let (log_cache, log_bp) = logging_signature(self.configs[0].1.policy);
-        if log_cache || log_bp {
-            check_indexable(&schedule)?;
-        }
-        let capture_threads = self.resolved_capture_threads();
-        let replay_workers = self.resolved_replay_threads();
-        let injector = self.cold.fault_plan.as_ref().map(FaultInjector::new);
-        let guards = RunGuards {
-            log_budget: self.cold.resolved_log_budget(),
-            deadline: self.cold.deadline_instant(),
-            max_retries: self.cold.max_shard_retries,
-            injector: injector.as_ref(),
-            // Read only by the standalone engines' group body; the sweep
-            // always streams capture into replay.
-            pipeline_depth: 1,
-        };
-        let guards = &guards;
-        let details: Vec<&DetailSpec> = self.configs.iter().map(|(_, d)| d).collect();
-        let details = &details[..];
-        // One capture serves every config, so its logs keep the widest
-        // scan budget any of them reconstructs under.
-        let retention =
-            details.iter().map(|d| d.policy.scan_budget()).max().unwrap_or(Pct::new(100));
-        let streams = (log_cache || log_bp).then_some((log_cache, log_bp));
-
-        // ---- streamed pass: capture each window once, replay it N ways --
-        let body = |cpu: &mut Cpu, ctx: GroupCtx<'_>| {
-            thread::scope(|s| {
-                let (tx, rx) = mpsc::sync_channel::<CapturedWindow>(CHANNEL_BOUND);
-                let (recycle_tx, recycle_rx) = mpsc::channel::<CapturedWindow>();
-                let capture = s.spawn(move || {
-                    // Logs and traces recycle through the replay's return
-                    // channel, so the pool only ever refills the windows
-                    // in flight.
-                    let mut pool = LogPool::new(guards.log_budget).retaining(retention);
-                    let mut leader = Leader::new(
-                        &mut pool,
-                        streams,
-                        guards.deadline,
-                        ctx.total_shards,
-                        guards.injector,
-                        ctx.index,
-                    );
-                    let mut captured = Ok(());
-                    for (i, r) in ctx.shards.iter().enumerate() {
-                        let shard = ctx.first_shard + i;
-                        let (pos, windows) = (ctx.shard_starts[shard], &ctx.windows[r.clone()]);
-                        match leader.capture(cpu, pos, windows, shard, &tx, &recycle_rx) {
-                            Ok(true) => {}
-                            Ok(false) => break,
-                            Err(e) => {
-                                captured = Err(e);
-                                break;
-                            }
-                        }
-                    }
-                    // Outlive the replay: hang up so it drains, then wait
-                    // for it to hang up the return channel, so this thread
-                    // exits after every replay worker of its group (see
-                    // "The capture thread exits last" in the module docs).
-                    drop(tx);
-                    recycle_rx.iter().for_each(drop);
-                    captured.map(|()| leader.cold)
-                });
-                let replayed = replay_group(&rx, &recycle_tx, ctx, guards, details, replay_workers);
-                // Hanging up stops a capture blocked on the full channel,
-                // and releases one waiting for the replay to end.
-                drop(rx);
-                drop(recycle_tx);
-                let captured = match capture.join() {
-                    Ok(r) => r,
-                    // Re-raise the capture thread's panic here so the shard
-                    // supervisor's catch_unwind sees the original payload.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                };
-                // The replay never runs ahead of the capture, so its error
-                // is the schedule-earliest; then the capture's.
-                let shards = replayed?;
-                let capture = captured?;
-                debug_assert_eq!(
-                    shards.len(),
-                    ctx.shards.len(),
-                    "a clean capture sends every window"
-                );
-                Ok(GroupSweep { shards, capture })
-            })
-        };
-        let (groups, shard_retries) = run_sharded_with(
-            self.cold.program,
-            &schedule,
-            capture_threads,
-            self.cold.shard_span,
-            guards,
-            &body,
-        )?;
-
-        // ---- merge: shard results arrive grouped, in schedule order ----
-        let total_shards: usize = groups.iter().map(|g| g.shards.len()).sum();
-        let cold_wall = groups.iter().map(|g| g.capture).max().unwrap_or(Duration::ZERO);
-        let mut configs = Vec::with_capacity(self.configs.len());
-        for (c, (name, _)) in self.configs.iter().enumerate() {
-            let mut outcome = SampleOutcome::empty(self.configs[c].1.policy);
-            // `absorb` is exactly the standalone sharded runner's merge,
-            // applied in the same schedule order.
-            for s in groups.iter().flat_map(|g| &g.shards) {
-                outcome.absorb(&s.outcomes[c]);
+        typed_panics(|| {
+            self.validate()?;
+            let t_total = Instant::now();
+            let schedule = self.cold.build_schedule()?;
+            let (log_cache, log_bp) = logging_signature(self.configs[0].1.policy);
+            if log_cache || log_bp {
+                check_indexable(&schedule)?;
             }
-            outcome.shard_retries += shard_retries;
-            // Groups run concurrently, so a config's replay wall is its
-            // slowest group's summed share.
-            outcome.wall = groups
+            let replay_threads = self.resolved_replay_threads();
+            let details: Vec<&DetailSpec> = self.configs.iter().map(|(_, d)| d).collect();
+            let streamed = stream(&self.cold, &schedule, &details, replay_threads, CHANNEL_BOUND)?;
+            let configs = self
+                .configs
                 .iter()
-                .map(|g| g.shards.iter().map(|s| s.replays[c]).sum::<Duration>())
-                .max()
-                .unwrap_or(Duration::ZERO);
-            configs.push(SweepConfigOutcome { name: name.clone(), outcome });
-        }
-        let all = || groups.iter().flat_map(|g| &g.shards);
-
-        Ok(SweepOutcome {
-            configs,
-            cold_wall,
-            wall: t_total.elapsed(),
-            shards: total_shards,
-            shard_retries,
-            index_builds: all().map(|s| s.index_builds).sum(),
-            index_builds_shared: all().map(|s| s.index_builds_shared).sum(),
-            restore_bytes: 0,
-            replay_threads: replay_workers,
+                .zip(streamed.outcomes)
+                .map(|((name, _), outcome)| SweepConfigOutcome { name: name.clone(), outcome })
+                .collect();
+            Ok(SweepOutcome {
+                configs,
+                cold_wall: streamed.capture,
+                wall: t_total.elapsed(),
+                shards: streamed.shards,
+                index_builds: streamed.index_builds,
+                index_builds_shared: streamed.index_builds_shared,
+                restore_bytes: 0,
+                replay_threads,
+            })
         })
     }
 }
@@ -485,9 +357,11 @@ struct WindowPlan {
     ghr: u64,
 }
 
-/// A pooled arena of reconstruction indexes. Per window the replay leader
-/// takes one slot per *distinct* memo key and builds into it; slots keep
-/// their column allocations across windows and shards
+/// A pooled arena of reconstruction indexes. Per window the replay
+/// takes one slot per *distinct* memo key and builds into it (a config
+/// that builds both sides puts them in one slot, as the sequential engine
+/// does with its one index); slots keep
+/// their column allocations across windows
 /// ([`ReconIndex::retarget`] re-keys without freeing), so steady-state
 /// index building allocates nothing.
 #[derive(Default)]
@@ -497,7 +371,8 @@ struct IndexArena {
 
 impl IndexArena {
     /// Slot `i`, grown on demand and re-keyed for `geom`.
-    fn slot(&mut self, i: usize, geom: ReconGeometry) -> &mut ReconIndex {
+    fn slot(&mut self, i: u32, geom: ReconGeometry) -> &mut ReconIndex {
+        let i = i as usize;
         while self.slots.len() <= i {
             self.slots.push(ReconIndex::new(geom));
         }
@@ -517,10 +392,9 @@ struct MemoScratch {
     plans: Vec<WindowPlan>,
 }
 
-/// One config's replay state, owned by one chunk for a whole shard: the
-/// hierarchy and predictor start cold at the shard boundary (the
-/// canonical cold-start) and evolve across the shard's windows exactly as
-/// a standalone run's would.
+/// One config's replay state, owned by one chunk for the whole run: the
+/// hierarchy and predictor evolve across windows exactly as a standalone
+/// run's would, and restart cold at every canonical cut.
 struct ConfigReplay<'d> {
     detail: &'d DetailSpec,
     geom: ReconGeometry,
@@ -548,22 +422,13 @@ impl<'d> ConfigReplay<'d> {
             replay: Duration::ZERO,
         }
     }
-}
 
-/// Group-level replay scratch recycled across shards: the index arena's
-/// columns and the memo vectors.
-#[derive(Default)]
-struct ReplayScratch {
-    arena: IndexArena,
-    memo: MemoScratch,
-}
-
-/// What one shard's replay produced, in config registration order.
-struct ShardReplay {
-    outcomes: Vec<SampleOutcome>,
-    replays: Vec<Duration>,
-    index_builds: u64,
-    index_builds_shared: u64,
+    /// A canonical cut: the hierarchy and predictor restart cold, exactly
+    /// where the sequential engine restarts its own.
+    fn cut(&mut self) {
+        self.hier = MemHierarchy::new(self.detail.machine.hier.clone());
+        self.pred = Predictor::new(self.detail.machine.pred);
+    }
 }
 
 /// Builds (or shares) this window's reconstruction indexes and fills one
@@ -584,6 +449,10 @@ fn plan_window(
     for (c, st) in chunks.iter_mut().flatten().enumerate() {
         let ghr = st.pred.gshare.ghr();
         let mut plan = WindowPlan { mem: None, br: None, ghr };
+        // The slot this config opened for its own memory build, if any:
+        // a slot holds one memory and one branch side, so the config's
+        // own branch build joins it rather than opening another.
+        let mut opened: Option<u32> = None;
         if st.want_cache {
             let key = (st.geom.mem_key(), st.pct);
             plan.mem = Some(match memo.mem.iter().find(|(k, _)| *k == key) {
@@ -595,10 +464,11 @@ fn plan_window(
                     let slot = used as u32;
                     used += 1;
                     let t = Instant::now();
-                    log.build_mem_index_into(&st.geom, st.pct, arena.slot(used - 1, st.geom));
+                    log.build_mem_index_into(&st.geom, st.pct, arena.slot(slot, st.geom));
                     st.outcome.phases.warm += t.elapsed();
                     *builds += 1;
                     memo.mem.push((key, slot));
+                    opened = Some(slot);
                     slot
                 }
             });
@@ -611,15 +481,17 @@ fn plan_window(
                     slot
                 }
                 None => {
-                    let slot = used as u32;
-                    used += 1;
+                    let (slot, ix) = match opened {
+                        // Already keyed to this config's geometry; re-keying
+                        // would unseal the memory side just built.
+                        Some(slot) => (slot, &mut arena.slots[slot as usize]),
+                        None => {
+                            used += 1;
+                            (used as u32 - 1, arena.slot(used as u32 - 1, st.geom))
+                        }
+                    };
                     let t = Instant::now();
-                    log.build_branch_index_into(
-                        &st.geom,
-                        ghr,
-                        st.pct,
-                        arena.slot(used - 1, st.geom),
-                    );
+                    log.build_branch_index_into(&st.geom, ghr, st.pct, ix);
                     st.outcome.phases.warm += t.elapsed();
                     *builds += 1;
                     memo.br.push((key, slot));
@@ -632,7 +504,7 @@ fn plan_window(
 }
 
 /// One config's replay of one window — the single [`detailed_window`]
-/// call site of the sweep engine, threading the window's shared log, a
+/// call site of the stream, threading the window's shared log, a
 /// fresh cursor over its shared trace, and this config's planned index
 /// view.
 fn replay_one(
@@ -686,58 +558,104 @@ fn replay_chunk_window(
     Ok(())
 }
 
-/// The replay side of one worker group, on the calling thread: per
-/// canonical shard, check the deadline, then replay the shard's windows
-/// as the capture thread sends them. Stops early, without an error of its
-/// own, when the capture hangs up; the capture's join result says why.
-/// An armed [`crate::FaultKind::FollowerPanic`] fires here, before any
-/// window is replayed.
-fn replay_group(
-    rx: &Receiver<CapturedWindow>,
-    recycle: &Sender<CapturedWindow>,
-    ctx: GroupCtx<'_>,
-    guards: &RunGuards<'_>,
-    details: &[&DetailSpec],
-    workers: usize,
-) -> Result<Vec<ShardReplay>, SimError> {
-    if let Some(msg) = guards.injector.and_then(|inj| inj.follower_panic_message(ctx.index)) {
-        std::panic::panic_any(msg);
-    }
-    let mut scratch = ReplayScratch::default();
-    let mut out = Vec::with_capacity(ctx.shards.len());
-    for (i, r) in ctx.shards.iter().enumerate() {
-        let shard = ctx.first_shard + i;
-        check_deadline(guards, shard, ctx.total_shards)?;
-        match replay_shard(rx, recycle, r.len(), details, workers, &mut scratch)? {
-            Some(replay) => out.push(replay),
-            None => break,
-        }
-    }
-    Ok(out)
+/// What one pass of the stream produced.
+pub(crate) struct Streamed {
+    /// Per-config outcomes, in the order the configs were given; each
+    /// `wall` is that config's summed replay time.
+    pub outcomes: Vec<SampleOutcome>,
+    /// The leader's busy time: the run's cold phase.
+    pub capture: Duration,
+    /// Canonical shards in the schedule: its cuts + 1.
+    pub shards: usize,
+    /// Reconstruction indexes built.
+    pub index_builds: u64,
+    /// Index requests served by a build another config triggered.
+    pub index_builds_shared: u64,
 }
 
-/// Replays one shard's `windows` windows through every config as they
-/// arrive on `rx`, returning each to `recycle` once replayed:
+/// The stream: the calling thread runs the functional [`Leader`] over
+/// the whole schedule and sends each window through a channel queuing at
+/// most `bound` windows; one replay thread replays every window through
+/// every config of `details`, fanned across `replay_workers` chunks. The
+/// one engine behind both [`SweepSpec::run`] and a pipelined
+/// [`crate::RunSpec::run`] (one config, `bound = depth - 1`).
+pub(crate) fn stream(
+    cold: &ColdSpec<'_>,
+    schedule: &Schedule,
+    details: &[&DetailSpec],
+    replay_workers: usize,
+    bound: usize,
+) -> Result<Streamed, SimError> {
+    let windows = schedule.windows();
+    let shards = partition_by_span(windows, cold.shard_span);
+    let shards = &shards[..];
+    let deadline = cold.deadline_instant();
+    let injector = cold.fault_plan.as_ref().map(FaultInjector::new);
+    let injector = injector.as_ref();
+    // One capture serves every config, so its logs keep the widest scan
+    // budget any of them reconstructs under.
+    let retention = details.iter().map(|d| d.policy.scan_budget()).max().unwrap_or(Pct::new(100));
+    let (log_cache, log_bp) =
+        details.first().map_or((false, false), |d| logging_signature(d.policy));
+    let streams = (log_cache || log_bp).then_some((log_cache, log_bp));
+    let mut cpu = Cpu::new(cold.program)?;
+
+    thread::scope(|s| {
+        let (tx, rx) = mpsc::sync_channel::<CapturedWindow>(bound);
+        let (recycle_tx, recycle_rx) = mpsc::channel::<CapturedWindow>();
+        let replayer = s.spawn(move || {
+            replay(&rx, &recycle_tx, shards, deadline, injector, details, replay_workers)
+        });
+        // Logs and traces recycle through the replay's return channel, so
+        // the pool only ever refills the windows in flight.
+        let mut pool = LogPool::new(cold.resolved_log_budget()).retaining(retention);
+        let mut leader = Leader::new(&mut pool, streams, injector);
+        let captured = leader.capture(&mut cpu, windows, shards, deadline, &tx, &recycle_rx);
+        // Hanging up lets the replay drain and return.
+        drop(tx);
+        let replayed = match replayer.join() {
+            Ok(r) => r,
+            // Re-raise the replay thread's panic here, payload intact.
+            Err(payload) => std::panic::resume_unwind(payload),
+        };
+        leader.reclaim(&recycle_rx);
+        // The replay never runs ahead of the capture, so its error is the
+        // schedule-earliest; then the capture's.
+        let mut streamed = replayed?;
+        streamed.capture = captured.map(|()| leader.cold)?;
+        Ok(streamed)
+    })
+}
+
+/// The replay side of the stream, on its own thread: per canonical
+/// shard, check the deadline and (past the first) cut every config's
+/// state, then replay the shard's windows as the leader sends them —
 /// windows-outer, with per-window index planning, then the configs fanned
-/// across `workers` contiguous chunks. The first chunk runs on the calling
+/// across `workers` contiguous chunks. The first chunk runs on the replay
 /// thread and each other chunk on a scoped worker; all of them read the
-/// same immutable window. `None` when the channel closes mid-shard.
-fn replay_shard<'d>(
+/// same immutable window. Stops early, without an error of its own, when
+/// the leader hangs up; the leader's own result says why. An armed
+/// [`crate::FaultKind::FollowerPanic`] fires here, before any window is
+/// replayed.
+fn replay(
     rx: &Receiver<CapturedWindow>,
     recycle: &Sender<CapturedWindow>,
-    windows: usize,
-    details: &[&'d DetailSpec],
+    shards: &[Range<usize>],
+    deadline: Option<Instant>,
+    injector: Option<&FaultInjector>,
+    details: &[&DetailSpec],
     workers: usize,
-    scratch: &mut ReplayScratch,
-) -> Result<Option<ShardReplay>, SimError> {
+) -> Result<Streamed, SimError> {
+    if let Some(msg) = injector.and_then(FaultInjector::follower_panic_message) {
+        std::panic::panic_any(msg);
+    }
     let n = details.len();
-    let workers = workers.clamp(1, n);
+    let workers = workers.clamp(1, n.max(1));
     let mut builds = 0u64;
     let mut shared = 0u64;
 
-    // Fresh per shard: the canonical cold-start. Chunks partition the
-    // config list contiguously and evenly.
-    let mut chunks: Vec<Vec<ConfigReplay<'d>>> = Vec::with_capacity(workers);
+    // Chunks partition the config list contiguously and evenly.
+    let mut chunks: Vec<Vec<ConfigReplay<'_>>> = Vec::with_capacity(workers);
     {
         let base = n / workers;
         let extra = n % workers;
@@ -748,61 +666,67 @@ fn replay_shard<'d>(
             at += take;
         }
     }
-    scratch.memo.plans.resize(n, WindowPlan::default());
+    let mut arena = IndexArena::default();
+    let mut memo = MemoScratch::default();
+    memo.plans.resize(n, WindowPlan::default());
 
-    for _ in 0..windows {
-        let Ok(w) = rx.recv() else { return Ok(None) };
-        // -- leader: build each distinct index once for this window --
-        if let Some(log) = w.log.as_ref().filter(|l| !l.truncated()) {
-            plan_window(
-                log,
-                &mut chunks,
-                &mut scratch.arena,
-                &mut scratch.memo,
-                &mut builds,
-                &mut shared,
-            );
+    'run: for (shard, range) in shards.iter().enumerate() {
+        check_deadline(deadline, shard, shards.len())?;
+        if shard > 0 {
+            chunks.iter_mut().flatten().for_each(ConfigReplay::cut);
         }
-
-        // -- every chunk replays the window; errors resolve in chunk
-        // order so the failing config is deterministic --
-        let arena = &scratch.arena;
-        let plans = &scratch.memo.plans[..];
-        let mut result: Result<(), SimError> = Ok(());
-        let window = &w;
-        thread::scope(|s| {
-            let (lead, rest) = chunks.split_at_mut(1);
-            let mut first = lead[0].len();
-            let mut handles = Vec::with_capacity(rest.len());
-            for configs in rest.iter_mut() {
-                let f = first;
-                first += configs.len();
-                handles
-                    .push(s.spawn(move || replay_chunk_window(configs, window, plans, f, arena)));
+        for _ in range.clone() {
+            let Ok(w) = rx.recv() else { break 'run };
+            // -- build each distinct index once for this window --
+            if let Some(log) = w.log.as_ref().filter(|l| !l.truncated()) {
+                plan_window(log, &mut chunks, &mut arena, &mut memo, &mut builds, &mut shared);
             }
-            result = replay_chunk_window(&mut lead[0], window, plans, 0, arena);
-            for h in handles {
-                let r = match h.join() {
-                    Ok(r) => r,
-                    // Re-raise with the worker's own payload intact so
-                    // the shard supervisor's catch_unwind sees it.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                };
-                if result.is_ok() {
-                    result = r;
+
+            // -- every chunk replays the window; errors resolve in chunk
+            // order so the failing config is deterministic --
+            let arena = &arena;
+            let plans = &memo.plans[..];
+            let mut result: Result<(), SimError> = Ok(());
+            let window = &w;
+            thread::scope(|s| {
+                let (lead, rest) = chunks.split_at_mut(1);
+                let mut first = lead[0].len();
+                let mut handles = Vec::with_capacity(rest.len());
+                for configs in rest.iter_mut() {
+                    let f = first;
+                    first += configs.len();
+                    handles.push(
+                        s.spawn(move || replay_chunk_window(configs, window, plans, f, arena)),
+                    );
                 }
-            }
-        });
-        result?;
-        // The capture may already be gone; then the window just drops.
-        let _ = recycle.send(w);
+                result = replay_chunk_window(&mut lead[0], window, plans, 0, arena);
+                for h in handles {
+                    let r = match h.join() {
+                        Ok(r) => r,
+                        // Re-raise with the worker's own payload intact.
+                        Err(payload) => std::panic::resume_unwind(payload),
+                    };
+                    if result.is_ok() {
+                        result = r;
+                    }
+                }
+            });
+            result?;
+            // The capture may already be gone; then the window just drops.
+            let _ = recycle.send(w);
+        }
     }
 
-    let mut outcomes = Vec::with_capacity(n);
-    let mut replays = Vec::with_capacity(n);
-    for st in chunks.into_iter().flatten() {
-        outcomes.push(st.outcome);
-        replays.push(st.replay);
-    }
-    Ok(Some(ShardReplay { outcomes, replays, index_builds: builds, index_builds_shared: shared }))
+    let outcomes = chunks
+        .into_iter()
+        .flatten()
+        .map(|st| SampleOutcome { wall: st.replay, ..st.outcome })
+        .collect();
+    Ok(Streamed {
+        outcomes,
+        capture: Duration::ZERO,
+        shards: shards.len(),
+        index_builds: builds,
+        index_builds_shared: shared,
+    })
 }

@@ -408,8 +408,8 @@ impl Cpu {
     /// Executes `n` instructions, handing each [`Retired`] result to
     /// `sink`. This is the fast-forward hot loop: monomorphizing the sink
     /// into the dispatch loop lets fused consumers (skip-region logging,
-    /// functional warming, reuse profiling, the shard scout) run without
-    /// per-instruction dispatch.
+    /// functional warming, reuse profiling) run without per-instruction
+    /// dispatch.
     ///
     /// Convenience closure form of [`Cpu::step_n_sink`]. The closure is
     /// *not* guaranteed to inline into the dispatch loop — LLVM routinely

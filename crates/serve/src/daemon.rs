@@ -4,20 +4,18 @@
 //! ## Scheduling
 //!
 //! A fixed worker pool (default: up to four, bounded by the host's cores)
-//! pulls jobs from a FIFO queue. Each job runs with
-//! `threads = cores / workers` and the intra-run pipeline depth pinned
-//! to 1, so the core-budget arithmetic holds at the service level too:
-//! `workers × threads × depth ≤ cores` — concurrent jobs never
-//! oversubscribe the host. Identical
+//! pulls jobs from a FIFO queue. Each job runs at pipeline depth 1, one
+//! thread per job, so concurrent jobs never oversubscribe the host:
+//! `workers ≤ cores`. Identical
 //! in-flight requests (equal content hashes) are deduped: later
 //! submitters join the first job's waiter list instead of queuing a
 //! duplicate.
 //!
 //! ## Supervision
 //!
-//! Every attempt runs under `catch_unwind`; a panic or a shard-
-//! infrastructure fault is retried up to [`ServeConfig::max_job_retries`]
-//! times with deterministic seed-derived exponential backoff
+//! Every attempt runs under `catch_unwind`; a panic — in the worker itself
+//! or typed by the engine as [`rsr_core::SimError::Panicked`] — is retried
+//! up to [`ServeConfig::max_job_retries`] times with deterministic seed-derived exponential backoff
 //! ([`backoff_delay`]). Per-job deadlines are anchored when a worker
 //! picks the job up — a stalled worker ([`FaultKind::StallJob`]) consumes
 //! the budget — and enforced inside the run by the existing
@@ -78,7 +76,7 @@ pub struct ServeConfig {
     /// Jobs that may wait beyond the running set; admission control sheds
     /// load once queued + running reaches `workers + queue_depth`.
     pub queue_depth: usize,
-    /// Supervised retry budget per job (panics and shard faults only).
+    /// Supervised retry budget per job (panics only).
     pub max_job_retries: u32,
     /// Base of the exponential backoff between retry attempts.
     pub backoff_base: Duration,
@@ -125,9 +123,8 @@ pub fn job_machine(job: &JobSpec) -> MachineConfig {
 }
 
 /// The cold (workload) half a job describes, over an already-built
-/// program. Parallelism is left at defaults; the daemon applies its core
-/// budget, and standalone verifiers may apply any — outcomes are
-/// bit-identical either way.
+/// program. Outcomes are bit-identical at any pipeline depth, so the
+/// daemon and standalone verifiers may each pick their own.
 pub fn job_cold_spec<'a>(job: &JobSpec, program: &'a Program) -> ColdSpec<'a> {
     let mut cold = ColdSpec::new(program)
         .regimen(SamplingRegimen::new(job.n_clusters, job.cluster_len))
@@ -289,7 +286,6 @@ struct Shared {
     handlers: Mutex<Vec<JoinHandle<()>>>,
     programs: Mutex<HashMap<&'static str, Arc<Program>>>,
     scale: f64,
-    per_job_threads: usize,
     admission_limit: usize,
     max_job_retries: u32,
     backoff_base: Duration,
@@ -370,7 +366,6 @@ impl Daemon {
         let addr = listener.local_addr()?;
         let cores = thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1);
         let workers = if cfg.workers == 0 { cores.min(4) } else { cfg.workers.max(1) };
-        let per_job_threads = (cores / workers).max(1);
 
         let mut state = State {
             mode: Mode::Running,
@@ -417,7 +412,6 @@ impl Daemon {
             handlers: Mutex::new(Vec::new()),
             programs: Mutex::new(HashMap::new()),
             scale: cfg.scale,
-            per_job_threads,
             admission_limit: workers + cfg.queue_depth,
             max_job_retries: cfg.max_job_retries,
             backoff_base: cfg.backoff_base,
@@ -464,7 +458,7 @@ impl Daemon {
             }
             self.shared.snapshot(&st)
         };
-        self.join_threads();
+        self.join_all();
         stats
     }
 
@@ -488,10 +482,10 @@ impl Daemon {
         }
         self.shared.cv.notify_all();
         self.shared.stop_accepting();
-        self.join_threads();
+        self.join_all();
     }
 
-    fn join_threads(&mut self) {
+    fn join_all(&mut self) {
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
@@ -701,8 +695,7 @@ fn worker_loop(shared: &Arc<Shared>) {
 fn fail_class(e: &SimError) -> FailClass {
     match e {
         SimError::DeadlineExceeded { .. } => FailClass::Deadline,
-        SimError::ShardPanicked { .. } => FailClass::Panic,
-        e if e.is_shard_fault() => FailClass::Shard,
+        SimError::Panicked { .. } => FailClass::Panic,
         SimError::Spec(_) => FailClass::Spec,
         _ => FailClass::Sim,
     }
@@ -719,7 +712,6 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 fn run_attempt(
-    shared: &Shared,
     job: &JobSpec,
     program: &Program,
     deadline: Option<Duration>,
@@ -728,10 +720,9 @@ fn run_attempt(
     if let Some(d) = deadline {
         cold = cold.deadline(d);
     }
-    // The service's core-budget arithmetic: each concurrent job gets
-    // cores/workers shard threads and nothing else, so the pool as a
-    // whole never oversubscribes the host.
-    let detail = job_detail_spec(job).threads(shared.per_job_threads).pipeline_depth(1);
+    // One thread per job: the pool as a whole never oversubscribes the
+    // host.
+    let detail = job_detail_spec(job).pipeline_depth(1);
     RunSpec::from_parts(cold, detail).run()
 }
 
@@ -766,11 +757,11 @@ fn process_job(shared: &Arc<Shared>, job: QueuedJob) {
             if let Some(message) = shared.injector.job_panic_message(job.index) {
                 panic!("{message}");
             }
-            run_attempt(shared, &job.spec, &program, remaining)
+            run_attempt(&job.spec, &program, remaining)
         }));
         let (retryable, class, message) = match attempt {
             Ok(Ok(outcome)) => break Ok(CachedOutcome::capture(&outcome)),
-            Ok(Err(e)) => (e.is_shard_fault(), fail_class(&e), e.to_string()),
+            Ok(Err(e)) => (matches!(e, SimError::Panicked { .. }), fail_class(&e), e.to_string()),
             Err(payload) => (true, FailClass::Panic, panic_text(payload)),
         };
         if retryable && attempts <= shared.max_job_retries {
@@ -854,7 +845,7 @@ mod tests {
             .regimen(SamplingRegimen::new(4, 100))
             .total_insts(20_000)
             .seed(42)
-            .threads(7)
+            .pipeline_depth(7)
             .content_hash()
             .unwrap();
         assert_eq!(via_job, standalone, "wire job and standalone spec share a content address");

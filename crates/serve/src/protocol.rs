@@ -387,10 +387,9 @@ impl ResultSource {
 pub enum FailClass {
     /// The per-job deadline expired ([`rsr_core::SimError::DeadlineExceeded`]).
     Deadline,
-    /// The supervised worker panicked and the retry budget is spent.
+    /// The supervised worker or the engine panicked and the retry budget
+    /// is spent.
     Panic,
-    /// A shard-infrastructure fault outlived the retry budget.
-    Shard,
     /// The job described an invalid spec ([`rsr_core::SimError::Spec`]).
     Spec,
     /// Any other deterministic simulation error (load/execution faults).
@@ -403,7 +402,6 @@ impl FailClass {
         match self {
             FailClass::Deadline => "deadline",
             FailClass::Panic => "panic",
-            FailClass::Shard => "shard",
             FailClass::Spec => "spec",
             FailClass::Sim => "sim",
         }
@@ -413,7 +411,6 @@ impl FailClass {
         match s {
             "deadline" => Ok(FailClass::Deadline),
             "panic" => Ok(FailClass::Panic),
-            "shard" => Ok(FailClass::Shard),
             "spec" => Ok(FailClass::Spec),
             "sim" => Ok(FailClass::Sim),
             other => err(format!("unknown failure class `{other}`")),

@@ -32,16 +32,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    consume as much of the log as it needs — it still stops early once
     //    every cache set is rebuilt (use 20% for the paper's speed sweet
     //    spot on long skip regions).
-    //    `.threads(4)` shards the schedule across four workers after a
-    //    functional scout pass; every per-cluster number is identical to
-    //    the single-threaded run.
     let policy = WarmupPolicy::Reverse { cache: true, bp: true, pct: Pct::new(100) };
     let sampled = RunSpec::new(&program, &machine)
         .regimen(SamplingRegimen::new(20, 2000))
         .total_insts(total)
         .policy(policy)
         .seed(42)
-        .threads(4)
         .run()?;
 
     println!(

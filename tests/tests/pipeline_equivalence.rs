@@ -2,16 +2,16 @@
 //! interplay.
 //!
 //! The pipeline's contract is that it is a pure wall-clock optimization:
-//! for every `(threads, pipeline_depth)` combination the sampled estimate
-//! and every deterministic counter must be bit-identical to the
-//! sequential seed path, because the follower consumes work items in
-//! schedule order and the leader's architectural stream never depends on
-//! the follower's microarchitectural state. Supervision must compose
-//! unchanged: a leader or follower panic surfaces as a typed shard fault
-//! and heals by retry from the pristine checkpoint, an over-budget region
-//! degrades the *follower's* reconstruction without desynchronizing the
-//! pipeline, and a deadline still aborts at shard granularity with the
-//! leader running ahead.
+//! at every pipeline depth the sampled estimate and every deterministic
+//! counter must be bit-identical to the sequential engine, because the
+//! replay consumes windows in schedule order and the leader's
+//! architectural stream never depends on the replay's microarchitectural
+//! state. The guards must compose unchanged: an over-budget region
+//! degrades the *replay's* reconstruction without desynchronizing the
+//! pipeline, forced exhaustion degrades identically at every depth, and a
+//! deadline still aborts with a shard count with the leader running
+//! ahead, and a panic on either side fails typed and leaves nothing behind
+//! that a rerun could trip over.
 
 use std::time::Duration;
 
@@ -22,22 +22,20 @@ use rsr_integration::{machine, tiny};
 use rsr_workloads::Benchmark;
 
 const TOTAL: u64 = 250_000;
-/// Same scale as `fault_injection.rs`: ~12 canonical shards, so 4 threads
-/// form several worker groups and each group pipelines several shards.
+/// Same scale as `fault_injection.rs`: ~12 canonical shards, so the
+/// stream cuts state several times mid-run.
 const SPAN: u64 = 20_000;
 
 fn rsr() -> WarmupPolicy {
     WarmupPolicy::Reverse { cache: true, bp: true, pct: Pct::new(20) }
 }
 
-/// The standard scenario (twolf, 12x600 clusters) with explicit pipeline
-/// depth and supervision knobs.
+/// The standard scenario (twolf, 12x600 clusters) with an explicit
+/// pipeline depth and fault plan.
 fn run_with(
     policy: WarmupPolicy,
-    threads: usize,
     depth: usize,
     plan: Option<FaultPlan>,
-    retries: u32,
 ) -> Result<SampleOutcome, SimError> {
     let program = tiny(Benchmark::Twolf);
     let machine = machine();
@@ -47,22 +45,20 @@ fn run_with(
         .policy(policy)
         .seed(9)
         .shard_span(SPAN)
-        .threads(threads)
-        .pipeline_depth(depth)
-        .max_shard_retries(retries);
+        .pipeline_depth(depth);
     if let Some(p) = plan {
         spec = spec.fault_plan(p);
     }
     spec.run()
 }
 
-/// The sequential reference: one thread, depth 1, no faults.
+/// The sequential reference: depth 1, no faults.
 fn baseline(policy: WarmupPolicy) -> SampleOutcome {
-    run_with(policy, 1, 1, None, 0).expect("sequential baseline must run")
+    run_with(policy, 1, None).expect("sequential baseline must run")
 }
 
-/// Everything deterministic two equivalent runs must agree on (wall-clock,
-/// phase times, and retry telemetry legitimately differ).
+/// Everything deterministic two equivalent runs must agree on (wall-clock
+/// and phase times legitimately differ).
 fn assert_equivalent(a: &SampleOutcome, b: &SampleOutcome, what: &str) {
     assert_eq!(a.clusters.values(), b.clusters.values(), "{what}: IPC clusters drifted");
     assert_eq!(a.cpi_clusters.values(), b.cpi_clusters.values(), "{what}: CPI clusters drifted");
@@ -79,12 +75,9 @@ fn assert_equivalent(a: &SampleOutcome, b: &SampleOutcome, what: &str) {
 #[test]
 fn pipelined_runs_are_bit_identical_to_sequential() {
     let base = baseline(rsr());
-    for threads in [1usize, 4] {
-        for depth in [1usize, 2, 4] {
-            let out = run_with(rsr(), threads, depth, None, 0)
-                .unwrap_or_else(|e| panic!("{threads}t x depth {depth}: {e}"));
-            assert_equivalent(&base, &out, &format!("{threads} threads, depth {depth}"));
-        }
+    for depth in [1usize, 2, 4] {
+        let out = run_with(rsr(), depth, None).unwrap_or_else(|e| panic!("depth {depth}: {e}"));
+        assert_equivalent(&base, &out, &format!("depth {depth}"));
     }
 }
 
@@ -95,7 +88,7 @@ fn none_policy_pipelines_bit_identically() {
     let base = baseline(WarmupPolicy::None);
     assert_eq!(base.log_records, 0, "None must not log");
     for depth in [2usize, 4] {
-        let out = run_with(WarmupPolicy::None, 1, depth, None, 0).expect("pipelined None runs");
+        let out = run_with(WarmupPolicy::None, depth, None).expect("pipelined None runs");
         assert_equivalent(&base, &out, &format!("None policy, depth {depth}"));
     }
 }
@@ -107,96 +100,63 @@ fn non_decoupling_policies_ignore_the_depth_knob() {
     // than desynchronize.
     let smarts = WarmupPolicy::Smarts { cache: true, bp: true };
     let base = baseline(smarts);
-    let out = run_with(smarts, 1, 4, None, 0).expect("SMARTS runs at depth 4");
+    let out = run_with(smarts, 4, None).expect("SMARTS runs at depth 4");
     assert_equivalent(&base, &out, "SMARTS with depth 4 requested");
     assert!(out.warm_updates > 0, "SMARTS must still warm");
 }
 
-#[test]
-fn leader_panic_heals_and_fails_typed_without_budget() {
+/// Runs the scenario at depth 2 and 4 with `kind` aimed at the stream,
+/// asserts the panic surfaced typed with `what` in its payload, then
+/// reruns it fault-free on the same thread. That rerun is the retry a job
+/// service makes, and it must reproduce the sequential baseline bit for
+/// bit: a panicked run leaves no poisoned pool or stray thread behind.
+fn panics_typed_then_heals(kind: FaultKind, what: &str) {
     let base = baseline(rsr());
-    for (threads, group) in [(1usize, 0usize), (4, 1)] {
-        let plan = FaultPlan::new().with(FaultKind::LeaderPanic, group);
-        let healed = run_with(rsr(), threads, 2, Some(plan.clone()), 1)
-            .unwrap_or_else(|e| panic!("{threads} threads: retry should heal, got {e}"));
-        assert_equivalent(&base, &healed, &format!("leader panic healed at {threads} threads"));
-        assert_eq!(healed.shard_retries, 1, "{threads} threads: exactly one retry");
-
-        match run_with(rsr(), threads, 2, Some(plan), 0) {
-            Err(SimError::ShardPanicked { index, message }) => {
-                assert_eq!(index, group, "{threads} threads: wrong group named");
-                assert!(message.contains("leader panic"), "payload lost: `{message}`");
+    for depth in [2usize, 4] {
+        match run_with(rsr(), depth, Some(FaultPlan::new().with(kind, 0))) {
+            Err(SimError::Panicked { message }) => {
+                assert!(message.contains(what), "depth {depth}: payload lost: `{message}`");
             }
-            other => panic!("{threads} threads: expected ShardPanicked, got {other:?}"),
+            other => panic!("depth {depth}: expected Panicked, got {other:?}"),
         }
+        let healed = run_with(rsr(), depth, None)
+            .unwrap_or_else(|e| panic!("depth {depth}: the rerun should heal, got {e}"));
+        assert_equivalent(&base, &healed, &format!("{kind:?} healed at depth {depth}"));
     }
 }
 
 #[test]
-fn follower_panic_crosses_the_thread_boundary_typed() {
-    let base = baseline(rsr());
-    for (threads, group) in [(1usize, 0usize), (4, 1)] {
-        let plan = FaultPlan::new().with(FaultKind::FollowerPanic, group);
-        let healed = run_with(rsr(), threads, 2, Some(plan.clone()), 1)
-            .unwrap_or_else(|e| panic!("{threads} threads: retry should heal, got {e}"));
-        assert_equivalent(&base, &healed, &format!("follower panic healed at {threads} threads"));
-        assert_eq!(healed.shard_retries, 1, "{threads} threads: exactly one retry");
+fn leader_panic_heals_and_fails_typed_without_budget() {
+    panics_typed_then_heals(FaultKind::LeaderPanic, "leader panic");
+}
 
-        // The panic payload must survive the follower join, the scoped
-        // leader thread, and the shard supervisor's catch_unwind.
-        match run_with(rsr(), threads, 2, Some(plan), 0) {
-            Err(SimError::ShardPanicked { index, message }) => {
-                assert_eq!(index, group, "{threads} threads: wrong group named");
-                assert!(message.contains("follower panic"), "payload lost: `{message}`");
-            }
-            other => panic!("{threads} threads: expected ShardPanicked, got {other:?}"),
-        }
-    }
+#[test]
+fn follower_panic_crosses_the_thread_boundary_typed() {
+    // The replay runs on its own thread: its payload must survive the join.
+    panics_typed_then_heals(FaultKind::FollowerPanic, "follower panic");
 }
 
 #[test]
 fn leader_and_follower_faults_are_inert_without_the_pipeline() {
     // At depth 1 the sequential engine runs: the pipeline faults must
-    // not fire (the run completes with zero retries consumed).
+    // not fire.
     let base = baseline(rsr());
     let plan = FaultPlan::new().with(FaultKind::LeaderPanic, 0).with(FaultKind::FollowerPanic, 0);
-    let out = run_with(rsr(), 1, 1, Some(plan), 0).expect("inert at depth 1");
+    let out = run_with(rsr(), 1, Some(plan)).expect("inert at depth 1");
     assert_equivalent(&base, &out, "pipeline faults at depth 1");
-    assert_eq!(out.shard_retries, 0);
 }
 
 #[test]
 fn fault_matrix_reruns_identically_under_the_pipeline() {
-    let base = baseline(rsr());
-    // Worker panic: the group body (including the pipeline) is retried
-    // from the pristine checkpoint.
-    let plan = FaultPlan::new().with(FaultKind::WorkerPanic, 1);
-    let healed = run_with(rsr(), 4, 2, Some(plan), 1).expect("worker panic heals");
-    assert_equivalent(&base, &healed, "worker panic + pipeline");
-    assert_eq!(healed.shard_retries, 1);
-
-    // Corrupt checkpoint: detected before the pipeline spins up, healed
-    // from the retained copy.
-    let plan = FaultPlan::new().with(FaultKind::CorruptCheckpoint, 2);
-    let healed = run_with(rsr(), 4, 2, Some(plan.clone()), 1).expect("corruption heals");
-    assert_equivalent(&base, &healed, "corrupt checkpoint + pipeline");
-    match run_with(rsr(), 4, 2, Some(plan), 0) {
-        Err(SimError::CheckpointCorrupt { index: 2, expected, found }) => {
-            assert_ne!(expected, found);
-        }
-        other => panic!("expected CheckpointCorrupt at group 2, got {other:?}"),
-    }
-
     // Forced log exhaustion: every logging region degrades, identically
-    // at every depth — the leader seals a truncated log and the follower
+    // at every depth — the leader sends a truncated log and the replay
     // skips reconstruction for it, with the pipeline staying in lockstep.
     let plan = FaultPlan::new().with(FaultKind::ExhaustLogBudget, 0);
-    let seq = run_with(rsr(), 1, 1, Some(plan.clone()), 0).expect("degradation is not failure");
+    let seq = run_with(rsr(), 1, Some(plan.clone())).expect("degradation is not failure");
     assert!(seq.clusters_degraded > 0, "zero budget must degrade");
-    for (threads, depth) in [(1usize, 2usize), (1, 4), (4, 2)] {
-        let out = run_with(rsr(), threads, depth, Some(plan.clone()), 0)
-            .expect("degradation is not failure");
-        assert_equivalent(&seq, &out, &format!("exhaustion at {threads}t x depth {depth}"));
+    for depth in [2usize, 4] {
+        let out = run_with(rsr(), depth, Some(plan.clone())).expect("degradation is not failure");
+        assert_equivalent(&seq, &out, &format!("exhaustion at depth {depth}"));
     }
 }
 
@@ -236,17 +196,15 @@ fn deadline_aborts_at_shard_granularity_with_the_leader_ahead() {
         .seed(9)
         .shard_span(SPAN)
         .pipeline_depth(4);
-    // An already-expired deadline: the leader observes it between regions
-    // (or the group supervisor before the first shard), drains the
-    // channel, and reports shard-granular progress.
-    for threads in [1usize, 4] {
-        match spec.clone().threads(threads).deadline(Duration::ZERO).run() {
-            Err(SimError::DeadlineExceeded { completed_shards, total_shards }) => {
-                assert_eq!(completed_shards, 0, "{threads} threads: nothing ran yet");
-                assert!(total_shards > 1, "{threads} threads: scenario must be sharded");
-            }
-            other => panic!("{threads} threads: expected DeadlineExceeded, got {other:?}"),
+    // An already-expired deadline: the replay observes it before the
+    // first shard and the leader before its first window; the run reports
+    // shard-granular progress.
+    match spec.clone().deadline(Duration::ZERO).run() {
+        Err(SimError::DeadlineExceeded { completed_shards, total_shards }) => {
+            assert_eq!(completed_shards, 0, "nothing ran yet");
+            assert!(total_shards > 1, "scenario must be cut");
         }
+        other => panic!("expected DeadlineExceeded, got {other:?}"),
     }
     // A generous deadline is invisible, pipelined or not.
     let base = baseline(rsr());
@@ -256,7 +214,7 @@ fn deadline_aborts_at_shard_granularity_with_the_leader_ahead() {
 
 #[test]
 fn overlap_efficiency_is_telemetry_bounded_by_one() {
-    let out = run_with(rsr(), 1, 2, None, 0).expect("pipelined run completes");
+    let out = run_with(rsr(), 2, None).expect("pipelined run completes");
     let eff = out.overlap_efficiency();
     assert!((0.0..1.0).contains(&eff), "overlap efficiency {eff} out of range");
     // Sequential runs cannot report overlap.

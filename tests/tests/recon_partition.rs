@@ -535,9 +535,9 @@ fn assert_outcomes_equivalent(a: &SampleOutcome, b: &SampleOutcome, what: &str) 
 
 #[test]
 fn sampled_runs_are_bit_identical_across_the_thread_depth_matrix() {
-    // The acceptance matrix: (threads, pipeline depth) in {1,4} x {1,2} —
-    // every combination must reproduce the sequential run's estimate and
-    // counters exactly.
+    // The acceptance matrix: pipeline depth {1, 2}, i.e. the sequential
+    // engine and the two-thread stream, across ~12 canonical cuts — both
+    // must reproduce the same estimate and counters exactly.
     let program = tiny(Benchmark::Twolf);
     let machine = machine();
     let base_spec = RunSpec::new(&program, &machine)
@@ -546,11 +546,7 @@ fn sampled_runs_are_bit_identical_across_the_thread_depth_matrix() {
         .policy(WarmupPolicy::Reverse { cache: true, bp: true, pct: Pct::new(20) })
         .seed(9)
         .shard_span(20_000);
-    let base = base_spec.clone().threads(1).pipeline_depth(1).run().unwrap();
-    for threads in [1usize, 4] {
-        for depth in [1usize, 2] {
-            let out = base_spec.clone().threads(threads).pipeline_depth(depth).run().unwrap();
-            assert_outcomes_equivalent(&base, &out, &format!("threads {threads}, depth {depth}"));
-        }
-    }
+    let base = base_spec.clone().pipeline_depth(1).run().unwrap();
+    let out = base_spec.pipeline_depth(2).run().unwrap();
+    assert_outcomes_equivalent(&base, &out, "depth 2");
 }

@@ -99,7 +99,7 @@ fn cache_hit_is_bit_identical_to_a_standalone_run() {
     let program = tiny(Benchmark::Twolf);
     let standalone = RunSpec::from_parts(
         rsr_serve::job_cold_spec(&spec, &program),
-        rsr_serve::job_detail_spec(&spec).threads(2),
+        rsr_serve::job_detail_spec(&spec).pipeline_depth(2),
     )
     .run()
     .expect("standalone run");

@@ -4,15 +4,16 @@
 //! `SweepSpec` shares one functional capture (cluster retire traces +
 //! skip logs, streamed from a capture thread) across all configs, and
 //! replays the detailed half per config through the same
-//! `detailed_window` code path the standalone engines use. The contract mirrors the pipeline's: the sweep is a pure
-//! wall-clock optimization, so for every config and every parallelism
-//! setting — capture/replay threads, standalone pipeline depth — the
-//! sampled estimate and every deterministic
-//! counter must equal the standalone `RunSpec` run of the same cold and
-//! detailed halves. Supervision must compose unchanged through the capture
-//! pass: worker panics and corrupt checkpoints heal by retry with the
-//! same healed outcome, and forced log exhaustion degrades every config's
-//! clusters identically.
+//! `detailed_window` code path the standalone engines use. The contract
+//! mirrors the pipeline's: the sweep is a pure wall-clock optimization, so
+//! for every config, every replay width and every standalone pipeline
+//! depth the sampled estimate and every deterministic counter must equal
+//! the standalone `RunSpec` run of the same cold and detailed halves —
+//! including across the canonical cuts, where every config's state
+//! restarts cold. Faults through the sweep path must settle the same way:
+//! a capture or replay panic fails typed and a rerun heals it, and forced
+//! log exhaustion degrades every config exactly as its standalone run.
+//! (Deadlines through the sweep are in `fault_injection`.)
 
 use rsr_core::{
     ColdSpec, DetailSpec, FaultKind, FaultPlan, MachineConfig, Pct, RunSpec, SampleOutcome,
@@ -23,7 +24,7 @@ use rsr_workloads::Benchmark;
 
 const TOTAL: u64 = 250_000;
 /// Same scale as `fault_injection.rs` / `pipeline_equivalence.rs`: ~12
-/// canonical shards, so 4 capture threads form several worker groups.
+/// canonical shards, so every config's state is cut several times.
 const SPAN: u64 = 20_000;
 const SEED: u64 = 9;
 
@@ -61,12 +62,17 @@ fn cold() -> ColdSpec<'static> {
         .shard_span(SPAN)
 }
 
-fn standalone(
+fn standalone(machine: &MachineConfig, policy: WarmupPolicy, depth: usize) -> SampleOutcome {
+    standalone_with(machine, policy, depth, FaultPlan::new()).expect("standalone run completes")
+}
+
+/// [`standalone`] under a fault plan.
+fn standalone_with(
     machine: &MachineConfig,
     policy: WarmupPolicy,
-    threads: usize,
     depth: usize,
-) -> SampleOutcome {
+    plan: FaultPlan,
+) -> Result<SampleOutcome, SimError> {
     let program = tiny(Benchmark::Twolf);
     RunSpec::new(&program, machine)
         .regimen(SamplingRegimen::new(12, 600))
@@ -74,14 +80,13 @@ fn standalone(
         .seed(SEED)
         .shard_span(SPAN)
         .policy(policy)
-        .threads(threads)
         .pipeline_depth(depth)
+        .fault_plan(plan)
         .run()
-        .expect("standalone run completes")
 }
 
-/// Everything deterministic two equivalent runs must agree on (wall-clock,
-/// phase times, and retry telemetry legitimately differ).
+/// Everything deterministic two equivalent runs must agree on (wall-clock
+/// and phase times legitimately differ).
 fn assert_equivalent(a: &SampleOutcome, b: &SampleOutcome, what: &str) {
     assert_eq!(a.clusters.values(), b.clusters.values(), "{what}: IPC clusters drifted");
     assert_eq!(a.cpi_clusters.values(), b.cpi_clusters.values(), "{what}: CPI clusters drifted");
@@ -95,19 +100,17 @@ fn assert_equivalent(a: &SampleOutcome, b: &SampleOutcome, what: &str) {
     assert_eq!(a.clusters_degraded, b.clusters_degraded, "{what}: clusters_degraded");
 }
 
-fn sweep_at(threads: usize, depth: usize) -> SweepOutcome {
-    sweep_at_replay(threads, depth, 1)
+fn sweep_at_replay(replay: usize) -> SweepOutcome {
+    sweep_with(FaultPlan::new(), replay).expect("sweep completes")
 }
 
-fn sweep_at_replay(threads: usize, depth: usize, replay: usize) -> SweepOutcome {
-    let mut sweep = SweepSpec::new(cold()).replay_threads(replay);
+/// The config-axis sweep at replay width `replay` under a fault plan.
+fn sweep_with(plan: FaultPlan, replay: usize) -> Result<SweepOutcome, SimError> {
+    let mut sweep = SweepSpec::new(cold().fault_plan(plan)).replay_threads(replay);
     for (name, m, policy) in config_axis() {
-        sweep = sweep.config(
-            name,
-            DetailSpec::new(&m).policy(policy).threads(threads).pipeline_depth(depth),
-        );
+        sweep = sweep.config(name, DetailSpec::new(&m).policy(policy));
     }
-    sweep.run().expect("sweep completes")
+    sweep.run()
 }
 
 #[test]
@@ -123,17 +126,15 @@ fn mixed_budget_sweeps_share_one_capture_at_the_widest_retention() {
         ("deep-ghr-20".to_string(), variant(32, 16), rsr(20)),
         ("paper-50".to_string(), machine(), rsr(50)),
     ];
-    for threads in [1usize, 4] {
-        let mut sweep = SweepSpec::new(cold()).replay_threads(1);
-        for (name, m, policy) in &axis {
-            sweep = sweep.config(name, DetailSpec::new(m).policy(*policy).threads(threads));
-        }
-        let out = sweep.run().expect("sweep completes");
-        for ((name, m, policy), got) in axis.iter().zip(&out.configs) {
-            let alone = standalone(m, *policy, threads, 1);
-            assert_equivalent(&alone, &got.outcome, &format!("{name} at {threads}t"));
-            assert!(got.outcome.recon.mem_scanned > 0, "{name}: must reconstruct");
-        }
+    let mut sweep = SweepSpec::new(cold()).replay_threads(1);
+    for (name, m, policy) in &axis {
+        sweep = sweep.config(name, DetailSpec::new(m).policy(*policy));
+    }
+    let out = sweep.run().expect("sweep completes");
+    for ((name, m, policy), got) in axis.iter().zip(&out.configs) {
+        let alone = standalone(m, *policy, 1);
+        assert_equivalent(&alone, &got.outcome, name);
+        assert!(got.outcome.recon.mem_scanned > 0, "{name}: must reconstruct");
     }
 }
 
@@ -142,60 +143,41 @@ fn sweep_outcomes_are_bit_identical_to_standalone_runs() {
     // The sequential references, one per config.
     let bases: Vec<(String, SampleOutcome)> = config_axis()
         .iter()
-        .map(|(name, m, policy)| (name.clone(), standalone(m, *policy, 1, 1)))
+        .map(|(name, m, policy)| (name.clone(), standalone(m, *policy, 1)))
         .collect();
-    for threads in [1usize, 4] {
-        for depth in [1usize, 2] {
-            let out = sweep_at(threads, depth);
-            assert_eq!(out.configs.len(), bases.len());
-            assert!(out.shards > 1, "scenario must be sharded");
-            for ((name, base), got) in bases.iter().zip(&out.configs) {
-                assert_eq!(&got.name, name, "config order must be registration order");
-                assert_equivalent(
-                    base,
-                    &got.outcome,
-                    &format!("{name} via sweep at {threads}t x depth {depth}"),
-                );
-                // The standalone run at the same parallelism agrees too
-                // (the sweep and pipeline contracts compose).
-                let (_, m, policy) = config_axis().into_iter().find(|(n, _, _)| n == name).unwrap();
-                let alone = standalone(&m, policy, threads, depth);
-                assert_equivalent(
-                    &alone,
-                    &got.outcome,
-                    &format!("{name} standalone at {threads}t x depth {depth}"),
-                );
-            }
-        }
+    let out = sweep_at_replay(1);
+    assert_eq!(out.configs.len(), bases.len());
+    assert!(out.shards > 1, "scenario must be cut");
+    for ((name, base), got) in bases.iter().zip(&out.configs) {
+        assert_eq!(&got.name, name, "config order must be registration order");
+        assert_equivalent(base, &got.outcome, &format!("{name} via sweep"));
+        // The pipelined standalone run agrees too (the sweep and pipeline
+        // contracts compose).
+        let (_, m, policy) = config_axis().into_iter().find(|(n, _, _)| n == name).unwrap();
+        let alone = standalone(&m, policy, 2);
+        assert_equivalent(&alone, &got.outcome, &format!("{name} standalone at depth 2"));
     }
 }
 
 #[test]
 fn replay_fanout_is_bit_identical_at_any_width() {
     // The config-parallel replay contract: worker chunks own their
-    // configs' state for the whole shard, so per-config outcomes are
+    // configs' state for the whole run, so per-config outcomes are
     // bit-identical at every fan-out — serial (1), an uneven partition
     // (3 → chunks of 2/1/1), and one config per worker (4), every chunk
-    // replaying the same shared traces. Composed with capture
-    // threads to cover the (threads × replay) product the CI smoke also
-    // probes.
+    // replaying the same shared traces and cutting state at the same
+    // windows.
     let bases: Vec<(String, SampleOutcome)> = config_axis()
         .iter()
-        .map(|(name, m, policy)| (name.clone(), standalone(m, *policy, 1, 1)))
+        .map(|(name, m, policy)| (name.clone(), standalone(m, *policy, 1)))
         .collect();
     for replay in [1usize, 3, 4] {
-        for threads in [1usize, 4] {
-            let out = sweep_at_replay(threads, 1, replay);
-            assert_eq!(out.replay_threads, replay, "explicit width is honored");
-            assert!(out.index_builds > 0, "reverse configs must build indexes");
-            assert!(out.index_builds_shared > 0, "shared-geometry configs must share");
-            for ((name, base), got) in bases.iter().zip(&out.configs) {
-                assert_equivalent(
-                    base,
-                    &got.outcome,
-                    &format!("{name} at replay {replay} ({threads}t)"),
-                );
-            }
+        let out = sweep_at_replay(replay);
+        assert_eq!(out.replay_threads, replay, "explicit width is honored");
+        assert!(out.index_builds > 0, "reverse configs must build indexes");
+        assert!(out.index_builds_shared > 0, "shared-geometry configs must share");
+        for ((name, base), got) in bases.iter().zip(&out.configs) {
+            assert_equivalent(base, &got.outcome, &format!("{name} at replay {replay}"));
         }
     }
 }
@@ -204,7 +186,7 @@ fn replay_fanout_is_bit_identical_at_any_width() {
 fn sweep_configs_actually_differ() {
     // Guard against a degenerate sweep where every config reads the same
     // geometry: the machine variants must produce different estimates.
-    let out = sweep_at(1, 1);
+    let out = sweep_at_replay(1);
     let ipcs: Vec<f64> = out.configs.iter().map(|c| c.outcome.est_ipc()).collect();
     assert!(
         ipcs.windows(2).any(|w| w[0] != w[1]),
@@ -222,7 +204,7 @@ fn none_policy_sweeps_without_logs() {
     for c in &out.configs {
         assert_eq!(c.outcome.log_records, 0, "{}: None must not log", c.name);
     }
-    let base = standalone(&m, WarmupPolicy::None, 1, 1);
+    let base = standalone(&m, WarmupPolicy::None, 1);
     assert_equivalent(&base, &out.configs[0].outcome, "none-a via sweep");
 }
 
@@ -293,78 +275,11 @@ fn build_time_validation_rejects_conflicting_runspecs() {
 }
 
 #[test]
-fn fault_matrix_heals_identically_through_the_sweep_path() {
-    let bases: Vec<(String, SampleOutcome)> = config_axis()
-        .iter()
-        .map(|(name, m, policy)| (name.clone(), standalone(m, *policy, 1, 1)))
-        .collect();
-
-    let faulted_sweep = |plan: FaultPlan, retries: u32| {
-        let mut sweep = SweepSpec::new(cold().fault_plan(plan).max_shard_retries(retries));
-        for (name, m, policy) in config_axis() {
-            sweep = sweep.config(name, DetailSpec::new(&m).policy(policy).threads(4));
-        }
-        sweep.run()
-    };
-
-    // Worker panic in capture group 1: healed from the pristine
-    // checkpoint, every config's outcome unchanged.
-    let healed = faulted_sweep(FaultPlan::new().with(FaultKind::WorkerPanic, 1), 1)
-        .expect("worker panic heals in the capture pass");
-    assert_eq!(healed.shard_retries, 1, "exactly one capture retry");
-    for ((name, base), got) in bases.iter().zip(&healed.configs) {
-        assert_equivalent(base, &got.outcome, &format!("{name} after worker-panic heal"));
-        assert_eq!(got.outcome.shard_retries, 1, "{name}: capture retries stamped per config");
-    }
-
-    // Corrupt checkpoint at capture group 2: detected by checksum, healed
-    // from the retained copy; without a retry budget it surfaces typed.
-    let healed = faulted_sweep(FaultPlan::new().with(FaultKind::CorruptCheckpoint, 2), 1)
-        .expect("corruption heals in the capture pass");
-    for ((name, base), got) in bases.iter().zip(&healed.configs) {
-        assert_equivalent(base, &got.outcome, &format!("{name} after corruption heal"));
-    }
-    match faulted_sweep(FaultPlan::new().with(FaultKind::CorruptCheckpoint, 2), 0) {
-        Err(SimError::CheckpointCorrupt { index: 2, expected, found }) => {
-            assert_ne!(expected, found);
-        }
-        other => panic!("expected CheckpointCorrupt at group 2, got {other:?}"),
-    }
-
-    // Worker panic without a budget: the typed error names the group.
-    match faulted_sweep(FaultPlan::new().with(FaultKind::WorkerPanic, 1), 0) {
-        Err(SimError::ShardPanicked { index: 1, .. }) => {}
-        other => panic!("expected ShardPanicked at group 1, got {other:?}"),
-    }
-
-    // Forced log exhaustion: the shared capture truncates every region,
-    // so every config degrades its clusters — identically to standalone.
-    let exhausted = faulted_sweep(FaultPlan::new().with(FaultKind::ExhaustLogBudget, 0), 0)
-        .expect("degradation is not failure");
-    for (name, m, policy) in config_axis() {
-        let program = tiny(Benchmark::Twolf);
-        let alone = RunSpec::new(&program, &m)
-            .regimen(SamplingRegimen::new(12, 600))
-            .total_insts(TOTAL)
-            .seed(SEED)
-            .shard_span(SPAN)
-            .policy(policy)
-            .threads(4)
-            .fault_plan(FaultPlan::new().with(FaultKind::ExhaustLogBudget, 0))
-            .run()
-            .expect("degradation is not failure");
-        assert!(alone.clusters_degraded > 0, "{name}: zero budget must degrade");
-        let got = exhausted.configs.iter().find(|c| c.name == name).unwrap();
-        assert_equivalent(&alone, &got.outcome, &format!("{name} under forced exhaustion"));
-    }
-}
-
-#[test]
 fn amortization_beats_standalone_accounting() {
     // The telemetry invariant (the perf claim itself is benched in
     // rsr-bench at fig5 scale): with >1 config the modeled amortization
     // ratio must be under 1.0 — the sweep pays the cold pass once.
-    let out = sweep_at(1, 1);
+    let out = sweep_at_replay(1);
     let ratio = out.amortization();
     assert!(
         ratio < 1.0,
@@ -375,15 +290,12 @@ fn amortization_beats_standalone_accounting() {
 }
 
 /// A serial sweep (`replay_threads = 1`) and a fan-out of one config per
-/// worker (4) under an optional log budget and fault plan.
-fn sweep_pair(budget: Option<usize>, plan: Option<FaultPlan>) -> [SweepOutcome; 2] {
+/// worker (4) under an optional log budget.
+fn sweep_pair(budget: Option<usize>) -> [SweepOutcome; 2] {
     [1usize, 4].map(|replay| {
         let mut cold = cold();
         if let Some(b) = budget {
             cold = cold.log_budget_bytes(b);
-        }
-        if let Some(p) = plan.clone() {
-            cold = cold.fault_plan(p).max_shard_retries(1);
         }
         let mut sweep = SweepSpec::new(cold).replay_threads(replay);
         for (name, m, policy) in config_axis() {
@@ -401,7 +313,7 @@ fn replay_widths_agree_under_log_budget_truncation() {
     // and indexes: every deterministic field agrees, with and without
     // budget-truncated logs.
     for budget in [None, Some(3_000)] {
-        let [serial, fanned] = sweep_pair(budget, None);
+        let [serial, fanned] = sweep_pair(budget);
         if budget.is_none() {
             assert!(serial.index_builds_shared > 0, "memo must share index builds");
             assert_eq!(serial.index_builds, fanned.index_builds, "builds are width-independent");
@@ -424,56 +336,73 @@ fn replay_widths_agree_under_log_budget_truncation() {
 
 #[test]
 fn replay_widths_heal_shard_faults_identically() {
-    // A worker panic in the streamed capture+replay pass heals by one retry
-    // at either replay width, to the fault-free outcome.
-    let plan = FaultPlan::new().with(FaultKind::WorkerPanic, 0);
-    let [serial, fanned] = sweep_pair(None, Some(plan));
-    assert_eq!(serial.shard_retries, 1, "exactly one healed retry");
-    assert_eq!(fanned.shard_retries, 1, "exactly one healed retry");
-    let [clean, _] = sweep_pair(None, None);
-    for ((s, f), c) in serial.configs.iter().zip(&fanned.configs).zip(&clean.configs) {
-        assert_equivalent(&s.outcome, &f.outcome, &format!("{} healed, replay 1 vs 4", s.name));
-        assert_equivalent(&s.outcome, &c.outcome, &format!("{} healed vs clean", s.name));
+    // Forced log exhaustion degrades every logging skip region to the
+    // stale-state fallback, and each cut then resets the degraded state:
+    // serial replay and the fan-out must degrade and recover the same
+    // clusters across every cut, equal to each config's standalone run
+    // under the same fault.
+    let plan = FaultPlan::new().with(FaultKind::ExhaustLogBudget, 0);
+    let serial = sweep_with(plan.clone(), 1).expect("degradation is not failure");
+    let fanned = sweep_with(plan.clone(), 4).expect("degradation is not failure");
+    assert!(serial.shards > 1, "the scenario must be cut");
+    for ((s, f), (_, m, policy)) in serial.configs.iter().zip(&fanned.configs).zip(config_axis()) {
+        assert!(s.outcome.clusters_degraded > 0, "{}: a zero budget must degrade", s.name);
+        assert_equivalent(&s.outcome, &f.outcome, &format!("{} at replay 1 vs 4", s.name));
+        let alone = standalone_with(&m, policy, 1, plan.clone()).expect("degradation");
+        assert_equivalent(&alone, &s.outcome, &format!("{} vs its standalone run", s.name));
     }
 }
 
 #[test]
 fn capture_and_replay_panics_heal_and_fail_typed_at_every_replay_width() {
-    // The sweep's capture thread runs the pipeline's leader and its
-    // replay is the follower: `LeaderPanic` strikes the capture thread,
-    // `FollowerPanic` the replaying thread. Either panic crosses the
-    // thread boundary with its payload, heals by one retry to the
-    // fault-free outcome, and without a retry surfaces typed.
-    let [clean, _] = sweep_pair(None, None);
+    // The sweep's calling thread runs the leader's capture and its replay
+    // thread is the follower: `LeaderPanic` strikes the capture,
+    // `FollowerPanic` the replay. Either panic surfaces typed with its
+    // payload, and the sweep rerun fault-free right after it heals to the
+    // clean outcome at the same width.
+    let clean = sweep_pair(None);
     for (kind, what) in [(FaultKind::LeaderPanic, "leader"), (FaultKind::FollowerPanic, "follower")]
     {
-        for replay in [1usize, 4] {
-            let run = |retries: u32| {
-                let plan = FaultPlan::new().with(kind, 0);
-                let mut sweep = SweepSpec::new(cold().fault_plan(plan).max_shard_retries(retries))
-                    .replay_threads(replay);
-                for (name, m, policy) in config_axis() {
-                    sweep = sweep.config(name, DetailSpec::new(&m).policy(policy));
-                }
-                sweep.run()
-            };
-            let healed = run(1).unwrap_or_else(|e| panic!("{kind:?} at replay {replay}: {e:?}"));
-            assert_eq!(healed.shard_retries, 1, "{kind:?} at replay {replay}: one retry");
-            for (h, c) in healed.configs.iter().zip(&clean.configs) {
-                assert_equivalent(
-                    &h.outcome,
-                    &c.outcome,
-                    &format!("{} after {kind:?} heal at replay {replay}", h.name),
-                );
-            }
-            match run(0) {
-                Err(SimError::ShardPanicked { index: 0, message }) => {
+        for (replay, clean) in [1usize, 4].into_iter().zip(&clean) {
+            match sweep_with(FaultPlan::new().with(kind, 0), replay) {
+                Err(SimError::Panicked { message }) => {
                     assert!(message.contains(what), "payload lost: `{message}`");
                 }
-                other => {
-                    panic!("{kind:?} at replay {replay}: expected ShardPanicked, got {other:?}")
-                }
+                other => panic!("{kind:?} at replay {replay}: expected Panicked, got {other:?}"),
+            }
+            let healed = sweep_at_replay(replay);
+            for (h, c) in healed.configs.iter().zip(&clean.configs) {
+                let what = format!("{} after {kind:?} at replay {replay}", h.name);
+                assert_equivalent(&h.outcome, &c.outcome, &what);
             }
         }
     }
+}
+
+#[test]
+fn fault_matrix_heals_identically_through_the_sweep_path() {
+    // Seed-derived engine fault plans (forced log exhaustion, leader and
+    // replay panics, aimed at the stream's group 0 or the inert group 1)
+    // through the sweep path: the sweep fails typed exactly when the
+    // pipelined standalone run of the same plan does, and otherwise every
+    // config equals its standalone run under the plan.
+    let (mut failed, mut degraded) = (0, 0);
+    for seed in 0..6u64 {
+        let plan = FaultPlan::from_seed(seed, 2, 2);
+        let swept = sweep_with(plan.clone(), 4);
+        for (k, (name, m, policy)) in config_axis().into_iter().enumerate() {
+            let what = format!("{name} under {plan:?}");
+            match (&swept, standalone_with(&m, policy, 2, plan.clone())) {
+                (Err(SimError::Panicked { .. }), Err(SimError::Panicked { .. })) => {}
+                (Ok(out), Ok(alone)) => assert_equivalent(&alone, &out.configs[k].outcome, &what),
+                (s, a) => panic!("{what}: sweep gave {:?}, standalone {:?}", s.is_ok(), a.is_ok()),
+            }
+        }
+        match &swept {
+            Err(_) => failed += 1,
+            Ok(out) if out.configs.iter().any(|c| c.outcome.clusters_degraded > 0) => degraded += 1,
+            Ok(_) => {}
+        }
+    }
+    assert!(failed > 0 && degraded > 0, "the seeds must reach a panic and a degradation");
 }

@@ -4,10 +4,14 @@
 //! standalone run on all nine workloads, not just the one the other
 //! suites exercise.
 //!
-//! One table-driven case per workload at test scale: pipeline depth
-//! {1, 2} under the reverse and no-warm-up policies, and a four-config
-//! sweep at replay width {1, 4}, each against the standalone depth-1 run
-//! of the same cold and detailed halves.
+//! One table-driven case per workload at test scale, on a span axis:
+//! unbounded (no canonical cut, the paper's model) and a forced 20k span
+//! that cuts the 200k-instruction run several times. Per span: pipeline
+//! depth {1, 2} under the reverse and no-warm-up policies, and a
+//! four-config sweep at replay width {1, 4}, each against the standalone
+//! depth-1 run of the same cold and detailed halves at the same span. The
+//! depth-1 engine and the stream reset state in place at the cuts
+//! independently, so agreement pins the cut placement on every workload.
 
 use rsr_core::{
     ColdSpec, DetailSpec, MachineConfig, Pct, RunSpec, SampleOutcome, SamplingRegimen, SweepSpec,
@@ -19,6 +23,9 @@ use rsr_workloads::Benchmark;
 
 const TOTAL: u64 = 200_000;
 const SEED: u64 = 5;
+/// The span axis: no cut at all, and a span that cuts a 200k run into
+/// several canonical shards.
+const SPANS: [u64; 2] = [u64::MAX, 20_000];
 
 fn regimen() -> SamplingRegimen {
     SamplingRegimen::new(8, 500)
@@ -50,14 +57,15 @@ fn standalone(
     program: &Program,
     m: &MachineConfig,
     policy: WarmupPolicy,
+    span: u64,
     depth: usize,
 ) -> SampleOutcome {
     RunSpec::new(program, m)
         .regimen(regimen())
         .total_insts(TOTAL)
         .seed(SEED)
+        .shard_span(span)
         .policy(policy)
-        .threads(1)
         .pipeline_depth(depth)
         .run()
         .unwrap_or_else(|e| panic!("{policy} at depth {depth}: {e}"))
@@ -80,34 +88,46 @@ fn assert_equivalent(a: &SampleOutcome, b: &SampleOutcome, what: &str) {
 fn pipeline_and_sweep_match_standalone_on_all_nine_workloads() {
     for bench in Benchmark::ALL {
         let program = tiny(bench);
-
-        // Pipeline depth: the follower times each cluster from the
-        // leader's trace.
-        for policy in [rsr(20), WarmupPolicy::None] {
-            let base = standalone(&program, &machine(), policy, 1);
-            assert_eq!(base.clusters.len(), 8, "{bench}/{policy}");
-            let piped = standalone(&program, &machine(), policy, 2);
-            assert_equivalent(&base, &piped, &format!("{bench}/{policy} depth 2"));
-        }
-
-        // Sweep replay width: every config replays the shared traces.
-        let bases: Vec<SampleOutcome> =
-            configs().iter().map(|(_, m, policy)| standalone(&program, m, *policy, 1)).collect();
-        assert!(bases.iter().all(|b| b.log_records > 0), "{bench}: reverse configs must log");
-        for replay in [1usize, 4] {
-            let cold = ColdSpec::new(&program).regimen(regimen()).total_insts(TOTAL).seed(SEED);
-            let mut sweep = SweepSpec::new(cold).replay_threads(replay);
-            for (name, m, policy) in configs() {
-                sweep = sweep.config(name, DetailSpec::new(&m).policy(policy));
+        for span in SPANS {
+            // Pipeline depth: the replay times each cluster from the
+            // leader's trace.
+            for policy in [rsr(20), WarmupPolicy::None] {
+                let base = standalone(&program, &machine(), policy, span, 1);
+                assert_eq!(base.clusters.len(), 8, "{bench}/{policy}");
+                let piped = standalone(&program, &machine(), policy, span, 2);
+                assert_equivalent(&base, &piped, &format!("{bench}/{policy} span {span} depth 2"));
             }
-            let out = sweep.run().unwrap_or_else(|e| panic!("{bench} sweep: {e}"));
-            assert_eq!(out.replay_threads, replay);
-            for (base, got) in bases.iter().zip(&out.configs) {
-                assert_equivalent(
-                    base,
-                    &got.outcome,
-                    &format!("{bench}/{} at replay width {replay}", got.name),
-                );
+
+            // Sweep replay width: every config replays the shared traces.
+            let bases: Vec<SampleOutcome> = configs()
+                .iter()
+                .map(|(_, m, policy)| standalone(&program, m, *policy, span, 1))
+                .collect();
+            assert!(bases.iter().all(|b| b.log_records > 0), "{bench}: reverse configs must log");
+            for replay in [1usize, 4] {
+                let cold = ColdSpec::new(&program)
+                    .regimen(regimen())
+                    .total_insts(TOTAL)
+                    .seed(SEED)
+                    .shard_span(span);
+                let mut sweep = SweepSpec::new(cold).replay_threads(replay);
+                for (name, m, policy) in configs() {
+                    sweep = sweep.config(name, DetailSpec::new(&m).policy(policy));
+                }
+                let out = sweep.run().unwrap_or_else(|e| panic!("{bench} sweep: {e}"));
+                assert_eq!(out.replay_threads, replay);
+                if span == u64::MAX {
+                    assert_eq!(out.shards, 1, "{bench}: an unbounded span never cuts");
+                } else {
+                    assert!(out.shards > 1, "{bench}: span {span} must cut a {TOTAL} run");
+                }
+                for (base, got) in bases.iter().zip(&out.configs) {
+                    assert_equivalent(
+                        base,
+                        &got.outcome,
+                        &format!("{bench}/{} span {span} at replay width {replay}", got.name),
+                    );
+                }
             }
         }
     }
