@@ -40,10 +40,12 @@ cargo test -q -p rsr-integration --test sweep_equivalence
 # deadlines, overload shedding, stalls, and kill-and-restart recovery all
 # must settle as typed statuses, and cache hits must stay bit-identical.
 cargo test -q -p rsr-integration --test serve_robustness
-# The functional-core equivalence suite, by name: the superblock fast
-# path must retire bit-identical streams to the reference interpreter
-# over randomized programs (page-crossing memory, division edges, halts
-# mid-block).
+# The functional-core equivalence suite, by name: `Cpu::step` (one
+# predecoded slot) and `Cpu::step_n` (whole superblocks) must retire
+# bit-identical streams to the decode-per-instruction interpreter in
+# tests/src/oracle/func.rs, over randomized programs (page-crossing
+# memory, division edges, halts mid-block) and the first 100k
+# instructions of all nine workloads.
 cargo test -q -p rsr-integration --test func_equivalence
 # The detailed-window kernel equivalence suite, by name: the SoA cache,
 # packed gshare, bitset BTB, and inline RAS must stay bit-identical to
@@ -79,6 +81,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 # Hard gate: the core engine and its deps must fail typed, not panic.
 # clippy.toml exempts test code.
 cargo clippy -p rsr-core -- -A warnings -D clippy::unwrap_used -D clippy::expect_used
+# Rustdoc gate: broken or private intra-doc links fail. The vendored
+# proptest stand-in is excluded: its `vec` is both a function and a macro,
+# an ambiguity rustdoc rejects, and it is not this project's code.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --exclude proptest
 
 # Bench-smoke regression guard: recon_ns_per_record is per-record, so the
 # smoke run is comparable to the committed full-scale reference. A >25%
@@ -102,10 +108,11 @@ if ./target/release/rsr bench --scale 0.05 --out target/BENCH_sample.smoke.json;
 
   # Bit-identity cross-check (hard everywhere — determinism, not timing):
   # the smoke run's sampled IPC and record count are pure functions of the
-  # functional core. These pins were produced by the reference
-  # one-instruction-at-a-time interpreter at scale 0.05; any drift means
-  # the superblock fast path, the semantic predecode, or the TLB layer
-  # changed an architectural result. The peak logged bytes are 8 per
+  # functional core. These pins were produced at scale 0.05 by the
+  # one-instruction-at-a-time interpreter that now lives in
+  # tests/src/oracle/func.rs; any drift means the superblock dispatcher,
+  # the semantic predecode, or the TLB layer changed an architectural
+  # result. The peak logged bytes are 8 per
   # record of the largest skip region, so that pin moves only with the
   # record layout.
   smoke_ipc=$(grep -m1 '"est_ipc"' target/BENCH_sample.smoke.json | sed 's/[^0-9.]//g')

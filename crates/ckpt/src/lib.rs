@@ -51,8 +51,8 @@ use std::time::{Duration, Instant};
 use rsr_branch::Predictor;
 use rsr_cache::MemHierarchy;
 use rsr_core::{
-    skip_with, skip_with_smarts_warming, ClusterWindow, MachineConfig, SamplingRegimen, Schedule,
-    SimError, WarmupPolicy,
+    skip_with_smarts_warming, ClusterWindow, MachineConfig, SamplingRegimen, Schedule, SimError,
+    WarmupPolicy,
 };
 use rsr_func::{ArchState, Cpu, PAGE_BYTES};
 use rsr_isa::Program;
@@ -169,7 +169,7 @@ impl LivePointLibrary {
         for &w in schedule.windows() {
             let skip = w.start - pos;
             match policy {
-                WarmupPolicy::None => skip_with(&mut cpu, skip, |_| {})?,
+                WarmupPolicy::None => cpu.step_n(skip, |_| ())?,
                 WarmupPolicy::Smarts { cache: true, bp: true } => {
                     skip_with_smarts_warming(&mut cpu, &mut hier, &mut pred, skip)?
                 }

@@ -461,10 +461,17 @@ fn parse_bench(name: Option<&String>) -> Result<Benchmark, UsageError> {
 
 struct Flags<'a> {
     args: &'a [String],
+    /// Every flag the command looked up, and whether it takes a value.
+    read: Vec<(&'static str, bool)>,
 }
 
-impl Flags<'_> {
-    fn value(&self, flag: &str) -> Option<&str> {
+impl<'a> Flags<'a> {
+    fn new(args: &'a [String]) -> Flags<'a> {
+        Flags { args, read: Vec::new() }
+    }
+
+    fn value(&mut self, flag: &'static str) -> Option<&'a str> {
+        self.read.push((flag, true));
         self.args
             .iter()
             .position(|a| a == flag)
@@ -472,7 +479,11 @@ impl Flags<'_> {
             .map(|s| s.as_str())
     }
 
-    fn parsed<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, UsageError> {
+    fn parsed<T: std::str::FromStr>(
+        &mut self,
+        flag: &'static str,
+        default: T,
+    ) -> Result<T, UsageError> {
         match self.value(flag) {
             None if self.present(flag) => Err(UsageError(format!("missing value for {flag}"))),
             None => Ok(default),
@@ -480,7 +491,10 @@ impl Flags<'_> {
         }
     }
 
-    fn parsed_opt<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, UsageError> {
+    fn parsed_opt<T: std::str::FromStr>(
+        &mut self,
+        flag: &'static str,
+    ) -> Result<Option<T>, UsageError> {
         match self.value(flag) {
             None if self.present(flag) => Err(UsageError(format!("missing value for {flag}"))),
             None => Ok(None),
@@ -490,7 +504,7 @@ impl Flags<'_> {
         }
     }
 
-    fn string(&self, flag: &str, default: &str) -> Result<String, UsageError> {
+    fn string(&mut self, flag: &'static str, default: &str) -> Result<String, UsageError> {
         match self.value(flag) {
             None if self.present(flag) => Err(UsageError(format!("missing value for {flag}"))),
             None => Ok(default.to_string()),
@@ -498,8 +512,33 @@ impl Flags<'_> {
         }
     }
 
-    fn present(&self, flag: &str) -> bool {
+    fn present(&mut self, flag: &'static str) -> bool {
+        self.read.push((flag, false));
         self.args.iter().any(|a| a == flag)
+    }
+
+    /// Rejects every `-`-prefixed argument the command never looked up,
+    /// so a misspelt or unsupported flag fails instead of silently
+    /// running with the default. The token after a value flag is its
+    /// value, whatever it starts with.
+    fn reject_unread(&self) -> Result<(), UsageError> {
+        let mut unknown = Vec::new();
+        let mut args = self.args.iter();
+        while let Some(arg) = args.next() {
+            match self.read.iter().find(|(flag, _)| flag == arg) {
+                Some(&(_, true)) => {
+                    args.next();
+                }
+                Some(_) => {}
+                None if arg.starts_with('-') => unknown.push(arg.as_str()),
+                None => {}
+            }
+        }
+        if unknown.is_empty() {
+            Ok(())
+        } else {
+            Err(UsageError(format!("unknown flag(s) {}\n\n{USAGE}", unknown.join(", "))))
+        }
     }
 }
 
@@ -519,12 +558,12 @@ fn nonzero<T: PartialEq + From<u8>>(value: T, flag: &str) -> Result<T, UsageErro
 /// # Errors
 ///
 /// Returns [`UsageError`] for unknown commands, benchmarks, policies, or
-/// malformed values.
+/// flags, and for malformed values.
 pub fn parse(args: &[String]) -> Result<Command, UsageError> {
     let cmd = args.first().ok_or_else(|| UsageError(USAGE.into()))?;
     let rest = &args[1..];
-    let flags = Flags { args: rest };
-    Ok(match cmd.as_str() {
+    let mut flags = Flags::new(rest);
+    let command = match cmd.as_str() {
         "list" => Command::List,
         "disasm" => {
             Command::Disasm { bench: parse_bench(rest.first())?, head: flags.parsed("--head", 32)? }
@@ -639,7 +678,9 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
         },
         "-h" | "--help" | "help" => return Err(UsageError(USAGE.into())),
         other => return Err(UsageError(format!("unknown command `{other}`\n\n{USAGE}"))),
-    })
+    };
+    flags.reject_unread()?;
+    Ok(command)
 }
 
 #[cfg(test)]
@@ -778,6 +819,82 @@ mod tests {
         assert!(e.0.contains("bad value"));
         let e = parse(&argv("")).unwrap_err();
         assert!(e.0.contains("usage"));
+    }
+
+    #[test]
+    fn unknown_flags_are_usage_errors() {
+        // `--shard-span` is a `submit` flag, not a `sample` one.
+        let e = parse(&argv("sample mcf --shard-span 1")).unwrap_err();
+        assert!(e.0.contains("unknown flag(s) --shard-span"), "got `{e}`");
+        let e = parse(&argv("sample mcf --clsuters 5")).unwrap_err();
+        assert!(e.0.contains("unknown flag(s) --clsuters"), "got `{e}`");
+        // Every unread flag is named.
+        let e = parse(&argv("ckpt gcc -x --seed 3 --replays 2 --y")).unwrap_err();
+        assert!(e.0.contains("unknown flag(s) -x, --seed, --y"), "got `{e}`");
+        // A read flag's value is not a flag, whatever it starts with.
+        match parse(&argv("sweep mcf --out -rows.json")).unwrap() {
+            Command::Sweep { out, .. } => assert_eq!(out.as_deref(), Some("-rows.json")),
+            other => panic!("parsed {other:?}"),
+        }
+        // Job flags are not read when `submit` only asks for stats.
+        assert!(parse(&argv("submit --stats --clusters 5")).is_err());
+    }
+
+    /// Every invocation the usage text shows, each of its flags given a
+    /// value: the synopsis of each command entry (its first line and any
+    /// `[`-led continuation lines, up to the description column), split at
+    /// its ` | ` alternatives.
+    fn usage_invocations() -> Vec<Vec<String>> {
+        let mut invocations: Vec<Vec<String>> = Vec::new();
+        for line in USAGE.lines() {
+            let body = line.trim_start();
+            let indent = line.len() - body.len();
+            if indent == 2 {
+                invocations.push(Vec::new());
+            } else if indent < 2 || !body.starts_with('[') {
+                continue;
+            }
+            let mut in_group = false;
+            for token in body.split_whitespace() {
+                let word = token.trim_matches(['[', ']']);
+                let placeholder = in_group;
+                in_group = token.starts_with("[-") && !token.ends_with(']');
+                let Some(args) = invocations.last_mut() else { break };
+                if placeholder {
+                    // Any number fits every placeholder but a policy's.
+                    args.push(if word == "P" { "r$bp" } else { "7" }.to_string());
+                } else if token == "|" {
+                    invocations.push(Vec::new());
+                } else if word == "<bench>" {
+                    args.push("mcf".to_string());
+                } else if args.is_empty() || word.starts_with('-') {
+                    args.push(word.to_string());
+                } else {
+                    break; // the description column
+                }
+            }
+        }
+        invocations
+    }
+
+    #[test]
+    fn every_flag_in_usage_parses() {
+        let invocations = usage_invocations();
+        let commands: Vec<&str> = invocations.iter().map(|a| a[0].as_str()).collect();
+        assert_eq!(
+            commands,
+            [
+                "list", "disasm", "trace", "run", "sample", "sweep", "bench", "serve", "submit",
+                "submit", "submit", "simpoint", "ckpt"
+            ]
+        );
+        let flags: usize = invocations.iter().flatten().filter(|a| a.starts_with('-')).count();
+        assert_eq!(flags, 60, "flags read from USAGE: {invocations:?}");
+        for args in invocations {
+            if let Err(e) = parse(&args) {
+                panic!("`{}` does not parse: {e}", args.join(" "));
+            }
+        }
     }
 
     #[test]

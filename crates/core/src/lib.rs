@@ -65,8 +65,7 @@ pub use crate::reverse::{
     reconstruct_caches_partitioned, BpReconstructor, ReconStats, ReconTiming,
 };
 pub use crate::sampler::{
-    skip_with, skip_with_smarts_warming, FullOutcome, MachineConfig, PhaseTimes, SampleOutcome,
-    SimError,
+    skip_with_smarts_warming, FullOutcome, MachineConfig, PhaseTimes, SampleOutcome, SimError,
 };
 pub use crate::spec::{ColdSpec, DetailSpec, RunSpec};
 pub use crate::sweep::{SweepConfigOutcome, SweepOutcome, SweepSpec};

@@ -398,7 +398,7 @@ pub(crate) fn check_indexable(schedule: &Schedule) -> Result<(), SimError> {
 /// memory-side index depends on ([`ReconGeometry::mem_key`]).
 pub(crate) type MemKey = (usize, u32, usize, u32, usize, u32);
 
-/// The structure geometry a [`ReconIndex`] was sealed for.
+/// The structure geometry a log's reconstruction index was sealed for.
 ///
 /// Derivable from configuration alone, and stored with the index so
 /// consumers can verify the spans match their structures before trusting
@@ -1030,10 +1030,9 @@ impl SkipLog {
     /// Seals the memory-side spans (L1I / L1D / L2) over the whole log,
     /// into the log's own index: the full seal, which serves every scan
     /// budget, and the `pct = 100` case of [`SkipLog::seal_mem_window`].
-    /// The engines seal into indexes they own instead
-    /// ([`ReconIndex`]). Idempotent for an unchanged log and
-    /// geometry. A truncated region holds no records, so its spans are
-    /// empty.
+    /// The engines seal into indexes they own instead. Idempotent for an
+    /// unchanged log and geometry. A truncated region holds no records, so
+    /// its spans are empty.
     ///
     /// # Panics
     ///
@@ -1170,10 +1169,9 @@ impl SkipLog {
     /// and inference states. No per-entry spans are built — the demand
     /// scan's shared cursor must consume every record it passes to stay
     /// bit-identical to the sequential path, so it could never skip along
-    /// them (see [`ReconIndex`]). [`SkipLog::ghr_at_start`] must already
-    /// hold its final value — every PHT key hashes the running GHR seeded
-    /// from it. Idempotent for an unchanged log, geometry, budget, and
-    /// start GHR.
+    /// them. [`SkipLog::ghr_at_start`] must already hold its final value —
+    /// every PHT key hashes the running GHR seeded from it. Idempotent for
+    /// an unchanged log, geometry, budget, and start GHR.
     ///
     /// # Panics
     ///

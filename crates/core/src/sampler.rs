@@ -44,8 +44,9 @@ pub enum SimError {
     /// Execution faulted (runaway PC) or the program halted before the
     /// schedule completed.
     Exec(ExecError),
-    /// The [`RunSpec`] was inconsistent or incomplete (e.g. no regimen and
-    /// no schedule, or a regimen denser than the sampled-run limit).
+    /// The [`RunSpec`](crate::RunSpec) was inconsistent or incomplete
+    /// (e.g. no regimen and no schedule, or a regimen denser than the
+    /// sampled-run limit).
     Spec(&'static str),
     /// The engine panicked, on the calling thread or on the run's replay
     /// thread; the payload is surfaced, not swallowed.
@@ -53,9 +54,10 @@ pub enum SimError {
         /// The panic payload, downcast from `&str`/`String`.
         message: String,
     },
-    /// The run's [`RunSpec::deadline`] expired before every canonical
-    /// shard completed. Counts are in canonical shards, the stretches
-    /// between the schedule's state cuts (see [`RunSpec::shard_span`]).
+    /// The run's [`RunSpec::deadline`](crate::RunSpec::deadline) expired
+    /// before every canonical shard completed. Counts are in canonical
+    /// shards, the stretches between the schedule's state cuts (see
+    /// [`RunSpec::shard_span`](crate::RunSpec::shard_span)).
     DeadlineExceeded {
         /// Canonical shards fully simulated before the abort: the cuts
         /// the run had passed.
@@ -178,9 +180,10 @@ impl MachineConfig {
 /// Simulation time spent in each phase of a sampled simulation.
 ///
 /// These are per-phase *busy* times. Under the leader/follower pipeline
-/// ([`RunSpec::pipeline_depth`] > 1) the cold phase runs on the capture
-/// thread concurrently with the warm and hot phases, so phases overlap in
-/// wall-clock terms and their sum can exceed [`SampleOutcome::wall`]. See
+/// ([`RunSpec::pipeline_depth`](crate::RunSpec::pipeline_depth) > 1) the
+/// cold phase runs on the capture thread concurrently with the warm and
+/// hot phases, so phases overlap in wall-clock terms and their sum can
+/// exceed [`SampleOutcome::wall`]. See
 /// [`SampleOutcome::overlap_efficiency`] for how much of the busy time was
 /// hidden.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -219,8 +222,9 @@ pub struct SampleOutcome {
     pub phases: PhaseTimes,
     /// Elapsed wall-clock time for the whole run. Smaller than
     /// `phases.total()` whenever the pipeline overlaps the capture with
-    /// the detailed side ([`RunSpec::pipeline_depth`]); a depth-1 run has
-    /// `wall ≈ phases.total()` plus scheduling overhead.
+    /// the detailed side
+    /// ([`RunSpec::pipeline_depth`](crate::RunSpec::pipeline_depth)); a
+    /// depth-1 run has `wall ≈ phases.total()` plus scheduling overhead.
     pub wall: Duration,
     /// Hot (cycle-accurate) instructions simulated.
     pub hot_insts: u64,
@@ -244,8 +248,9 @@ pub struct SampleOutcome {
     /// [`SampleOutcome::recon`], this is operational telemetry — it varies
     /// from run to run.
     pub recon_timing: ReconTiming,
-    /// Clusters whose skip-region log hit [`RunSpec::log_budget_bytes`]
-    /// and were degraded to the paper's no-history (stale-state) fallback:
+    /// Clusters whose skip-region log hit
+    /// [`RunSpec::log_budget_bytes`](crate::RunSpec::log_budget_bytes) and
+    /// were degraded to the paper's no-history (stale-state) fallback:
     /// the log is discarded and no reconstruction runs for that cluster.
     pub clusters_degraded: u64,
 }
@@ -595,18 +600,19 @@ fn follower_window<S: RetireSource + ?Sized>(
 /// positioned at dynamic instruction index `pos` (which must precede or
 /// equal the first window's start).
 ///
-/// This is the sequential engine behind [`RunSpec::run`] at pipeline
-/// depth 1 and for every policy that warms during its skip regions; it
-/// runs once over the whole schedule. Hierarchy and predictor state
-/// carries from window to window and resets to fresh only at the
+/// This is the sequential engine behind [`RunSpec::run`](crate::RunSpec::run)
+/// at pipeline depth 1 and for every policy that warms during its skip
+/// regions; it runs once over the whole schedule. Hierarchy and predictor
+/// state carries from window to window and resets to fresh only at the
 /// canonical cuts [`partition_by_span`] places for `shard_span`; the
 /// deadline is checked before every canonical shard, so a cluster
 /// mid-simulation always finishes first.
 ///
 /// `pool` supplies the skip-region log and carries the log budget
-/// ([`RunSpec::log_budget_bytes`]); a region that exhausts it degrades its
-/// cluster to the paper's no-history fallback (stale state, no
-/// reconstruction), counted in [`SampleOutcome::clusters_degraded`]. The
+/// ([`RunSpec::log_budget_bytes`](crate::RunSpec::log_budget_bytes)); a
+/// region that exhausts it degrades its cluster to the paper's no-history
+/// fallback (stale state, no reconstruction), counted in
+/// [`SampleOutcome::clusters_degraded`]. The
 /// decision depends only on the region's own deterministic record stream,
 /// so degradation never varies with the pipeline depth.
 #[allow(clippy::too_many_arguments)]
@@ -845,7 +851,8 @@ impl<'p> Leader<'p> {
     }
 }
 
-/// The full-trace cycle-accurate baseline behind [`RunSpec::run_full`].
+/// The full-trace cycle-accurate baseline behind
+/// [`RunSpec::run_full`](crate::RunSpec::run_full).
 pub(crate) fn run_full_once(
     program: &Program,
     machine: &MachineConfig,
@@ -857,17 +864,6 @@ pub(crate) fn run_full_once(
     let t = Instant::now();
     let stats = simulate_cluster(&machine.core, &mut cpu, &mut hier, &mut pred, total_insts)?;
     Ok(FullOutcome { stats, wall: t.elapsed() })
-}
-
-/// Functionally skips `n` instructions with a custom per-instruction
-/// action. Exposed for SimPoint-style consumers that fast-forward with or
-/// without warming.
-///
-/// # Errors
-///
-/// Propagates functional-simulation faults.
-pub fn skip_with(cpu: &mut Cpu, n: u64, action: impl FnMut(&Retired)) -> Result<(), ExecError> {
-    cpu.step_n(n, action)
 }
 
 /// SMARTS-style functional warming of both structures while skipping

@@ -1,27 +1,31 @@
 //! The functional simulator core.
 //!
-//! Two execution engines share one architectural state:
+//! One interpreter executes SimRISC over one architectural state. The
+//! text segment is decoded once at load into a semantic table with a
+//! superblock map (see [`Predecoded`]), and every instruction runs
+//! through one of two kernels over that table: `exec_straight` for the
+//! fall-through instructions, `exec_terminator` for the control transfers
+//! and `halt` that end a block. The two entry points differ only in how
+//! much they run per call:
 //!
-//! * [`Cpu::step`] — the *reference* interpreter: fetch, bounds-check,
-//!   and a match over the sparse [`Op`] encoding for every instruction.
-//!   It is the bit-identity oracle the fast path is verified against
-//!   (the `func_equivalence` suite) and the engine the cycle-accurate
-//!   hot phase drives one instruction at a time.
-//! * [`Cpu::step_n`] — the *fast* core behind every functional
-//!   fast-forward: a superblock dispatcher over a predecoded semantic
-//!   table (see [`Predecoded`]). Straight-line runs between block
-//!   terminators execute with the PC bounds check, table indexing, and
-//!   operand extraction hoisted out of the per-instruction path; PC and
-//!   icount are carried in locals and written back per block.
+//! * [`Cpu::step_n`] — every functional fast-forward: a superblock
+//!   dispatcher. Straight-line runs between block terminators execute
+//!   with the PC bounds check, table indexing, and operand extraction
+//!   hoisted out of the per-instruction path; PC and icount are carried
+//!   in locals and written back per block.
+//! * [`Cpu::step`] — one slot per call, for consumers that interleave
+//!   their own work with each instruction (the timing model's live
+//!   clusters, BBV profiling).
 //!
-//! Both produce identical [`Retired`] streams, register files, memory
-//! images, and [`ExecError`]s by construction and by proptest.
+//! Their [`Retired`] streams, register files, memory images, and
+//! [`ExecError`]s are identical by construction; the `func_equivalence`
+//! suite checks both against an independent decode-per-instruction
+//! interpreter kept with the tests.
 
 use std::sync::Arc;
 
 use rsr_isa::{
-    Addr, CtrlKind, DecodeError, Freg, Inst, MemWidth, Op, Program, Reg, SemClass, SemInst,
-    INST_BYTES,
+    Addr, CtrlKind, DecodeError, Freg, Inst, MemWidth, Program, Reg, SemClass, SemInst, INST_BYTES,
 };
 
 use crate::{Memory, PAGE_BYTES};
@@ -202,8 +206,7 @@ struct PreInst {
 ///
 /// Immutable after load (the ISA has no self-modifying-code contract —
 /// stores to text pages change memory, which the I-cache models index,
-/// but never the executed stream, exactly as the reference interpreter's
-/// load-time decode already behaved), so clones share it through an
+/// but never the executed stream), so clones share it through an
 /// `Arc`: a CPU snapshot costs registers + memory pages, not a re-decode.
 #[derive(Debug)]
 struct Predecoded {
@@ -252,13 +255,13 @@ impl Predecoded {
 
 /// The architectural machine: registers, PC, and memory.
 ///
-/// `Cpu` executes the SimRISC ISA in order, one instruction per
-/// [`Cpu::step`], returning a [`Retired`] record that downstream consumers
-/// (the timing model, warm-up loggers) use. It is the paper's "functional
-/// simulator": it always holds correct architectural state regardless of
-/// what the timing model does. Bulk fast-forwarding goes through
-/// [`Cpu::step_n`], which dispatches over the predecoded superblock table
-/// instead of re-decoding per instruction (see the module docs).
+/// `Cpu` executes the SimRISC ISA in order, reporting each instruction
+/// as a [`Retired`] record that downstream consumers (the timing model,
+/// warm-up loggers) use. It is the paper's "functional simulator": it
+/// always holds correct architectural state regardless of what the timing
+/// model does. [`Cpu::step`] retires one instruction and [`Cpu::step_n`]
+/// whole superblocks, both over the table the text segment is decoded
+/// into at load (see the module docs).
 #[derive(Clone, Debug)]
 pub struct Cpu {
     pc: Addr,
@@ -396,13 +399,22 @@ impl Cpu {
         self.iregs[0] = 0;
     }
 
+    /// The predecoded-table index of the instruction at the PC.
+    ///
+    /// # Errors
+    ///
+    /// [`ExecError::Halted`] on a halted machine, [`ExecError::PcOutOfText`]
+    /// when the PC is outside the text segment or misaligned.
     #[inline]
-    fn fetch(&self) -> Result<Inst, ExecError> {
+    fn slot(&self) -> Result<usize, ExecError> {
+        if self.halted {
+            return Err(ExecError::Halted);
+        }
         let pc = self.pc;
         if pc < self.text_base || pc >= self.text_end || !pc.is_multiple_of(INST_BYTES) {
             return Err(ExecError::PcOutOfText { pc });
         }
-        Ok(self.pre.code[((pc - self.text_base) / INST_BYTES) as usize].sem.inst)
+        Ok(((pc - self.text_base) / INST_BYTES) as usize)
     }
 
     /// Executes `n` instructions, handing each [`Retired`] result to
@@ -449,7 +461,7 @@ impl Cpu {
     /// and PC/icount live in locals written back at block granularity.
     /// The boundary is tail-accurate: `step_n(n)` stops at exactly `n`
     /// retired instructions even mid-block, leaving the CPU in precisely
-    /// the state `n` reference [`Cpu::step`] calls would.
+    /// the state `n` [`Cpu::step`] calls would.
     ///
     /// # Errors
     ///
@@ -459,14 +471,8 @@ impl Cpu {
         let pre = Arc::clone(&self.pre);
         let mut remaining = n;
         while remaining > 0 {
-            if self.halted {
-                return Err(ExecError::Halted);
-            }
+            let idx = self.slot()?;
             let pc = self.pc;
-            if pc < self.text_base || pc >= self.text_end || !pc.is_multiple_of(INST_BYTES) {
-                return Err(ExecError::PcOutOfText { pc });
-            }
-            let idx = ((pc - self.text_base) / INST_BYTES) as usize;
             let term = pre.block_end[idx] as usize;
             let straight = (term - idx) as u64;
             let take = straight.min(remaining) as usize;
@@ -489,7 +495,7 @@ impl Cpu {
             // Block terminator, only when the budget still covers it.
             // (`term == code.len()` means the run fell off the end of
             // text; the next loop iteration reports PcOutOfText exactly
-            // as a reference fetch at text_end would.)
+            // as `step` at text_end would.)
             if remaining > 0 && take as u64 == straight && term < pre.code.len() {
                 let r = self.exec_terminator(&pre.code[term]);
                 sink.retire(&r);
@@ -500,10 +506,10 @@ impl Cpu {
     }
 
     /// Executes one non-terminator instruction from the predecoded table
-    /// and returns its memory access, if any. Mirrors the corresponding
-    /// [`Cpu::step`] arms exactly — bit-identical architectural effects,
-    /// including wrapping arithmetic, x0 hardwiring, and division-by-zero
-    /// semantics.
+    /// and returns its memory access, if any. Arithmetic wraps, writes to
+    /// x0 are dropped, and division by zero yields all ones (quotient) or
+    /// the dividend (remainder). PC and icount are the caller's to
+    /// advance.
     #[inline(always)]
     fn exec_straight(&mut self, pi: &PreInst) -> Option<MemAccess> {
         let s = &pi.sem;
@@ -687,12 +693,10 @@ impl Cpu {
     }
 
     /// Executes one block terminator from the predecoded table, updating
-    /// PC, icount, and the halt flag. Terminators never fault (their
-    /// *successor* may be out of text, which the next block-entry check
-    /// reports, exactly as a reference fetch would). Mirrors the
-    /// corresponding [`Cpu::step`] arms exactly, including the
-    /// rs1-before-link-write ordering of `jalr` (so `jalr ra, ra, 0`
-    /// agrees).
+    /// PC, icount, and the halt flag. Terminators never fault: their
+    /// *successor* may be out of text, which the next slot lookup
+    /// reports. `jalr` reads rs1 before it writes the link register, so
+    /// `jalr ra, ra, 0` jumps to the old `ra`.
     #[inline(always)]
     fn exec_terminator(&mut self, pi: &PreInst) -> Retired {
         let s = &pi.sem;
@@ -737,215 +741,29 @@ impl Cpu {
         Retired { seq, pc, next_pc, inst: s.inst, mem: None, branch }
     }
 
-    /// Executes one instruction.
+    /// Executes one instruction: one predecoded slot through the same
+    /// kernels [`Cpu::step_n`] runs a block with.
     ///
     /// # Errors
     ///
     /// Returns [`ExecError::Halted`] if the machine already halted, or
     /// [`ExecError::PcOutOfText`] if the PC escaped the text segment.
     pub fn step(&mut self) -> Result<Retired, ExecError> {
-        if self.halted {
-            return Err(ExecError::Halted);
+        let pi = self.pre.code[self.slot()?];
+        if pi.sem.class.is_terminator() {
+            return Ok(self.exec_terminator(&pi));
         }
-        let pc = self.pc;
-        let inst = self.fetch()?;
-        let mut next_pc = pc + INST_BYTES;
-        let mut mem_access = None;
-        let mut branch = None;
-
-        let rs1 = self.ireg_n(inst.rs1);
-        let rs2 = self.ireg_n(inst.rs2);
-        let imm = inst.imm as i64 as u64;
-
-        use Op::*;
-        match inst.op {
-            Add => self.set_ireg_n(inst.rd, rs1.wrapping_add(rs2)),
-            Sub => self.set_ireg_n(inst.rd, rs1.wrapping_sub(rs2)),
-            Mul => self.set_ireg_n(inst.rd, rs1.wrapping_mul(rs2)),
-            Div => {
-                let v =
-                    if rs2 == 0 { u64::MAX } else { (rs1 as i64).wrapping_div(rs2 as i64) as u64 };
-                self.set_ireg_n(inst.rd, v);
-            }
-            Rem => {
-                let v = if rs2 == 0 { rs1 } else { (rs1 as i64).wrapping_rem(rs2 as i64) as u64 };
-                self.set_ireg_n(inst.rd, v);
-            }
-            And => self.set_ireg_n(inst.rd, rs1 & rs2),
-            Or => self.set_ireg_n(inst.rd, rs1 | rs2),
-            Xor => self.set_ireg_n(inst.rd, rs1 ^ rs2),
-            Sll => self.set_ireg_n(inst.rd, rs1 << (rs2 & 63)),
-            Srl => self.set_ireg_n(inst.rd, rs1 >> (rs2 & 63)),
-            Sra => self.set_ireg_n(inst.rd, ((rs1 as i64) >> (rs2 & 63)) as u64),
-            Slt => self.set_ireg_n(inst.rd, ((rs1 as i64) < (rs2 as i64)) as u64),
-            Sltu => self.set_ireg_n(inst.rd, (rs1 < rs2) as u64),
-            Addi => self.set_ireg_n(inst.rd, rs1.wrapping_add(imm)),
-            Andi => self.set_ireg_n(inst.rd, rs1 & imm),
-            Ori => self.set_ireg_n(inst.rd, rs1 | imm),
-            Xori => self.set_ireg_n(inst.rd, rs1 ^ imm),
-            Slli => self.set_ireg_n(inst.rd, rs1 << (imm & 63)),
-            Srli => self.set_ireg_n(inst.rd, rs1 >> (imm & 63)),
-            Srai => self.set_ireg_n(inst.rd, ((rs1 as i64) >> (imm & 63)) as u64),
-            Slti => self.set_ireg_n(inst.rd, ((rs1 as i64) < imm as i64) as u64),
-            Sltiu => self.set_ireg_n(inst.rd, (rs1 < imm) as u64),
-            Lui => self.set_ireg_n(inst.rd, ((inst.imm as i64) << 12) as u64),
-            Lb | Lbu | Lh | Lhu | Lw | Lwu | Ld | Fld => {
-                let addr = rs1.wrapping_add(imm);
-                let width = match inst.mem_width() {
-                    Some(w) => w,
-                    None => unreachable!("loads have widths"),
-                };
-                mem_access = Some(MemAccess { addr, width, is_store: false });
-                match inst.op {
-                    Lb => {
-                        let v = self.mem.read_u8(addr) as i8 as i64 as u64;
-                        self.set_ireg_n(inst.rd, v);
-                    }
-                    Lbu => {
-                        let v = self.mem.read_u8(addr) as u64;
-                        self.set_ireg_n(inst.rd, v);
-                    }
-                    Lh => {
-                        let v = self.mem.read_u16(addr) as i16 as i64 as u64;
-                        self.set_ireg_n(inst.rd, v);
-                    }
-                    Lhu => {
-                        let v = self.mem.read_u16(addr) as u64;
-                        self.set_ireg_n(inst.rd, v);
-                    }
-                    Lw => {
-                        let v = self.mem.read_u32(addr) as i32 as i64 as u64;
-                        self.set_ireg_n(inst.rd, v);
-                    }
-                    Lwu => {
-                        let v = self.mem.read_u32(addr) as u64;
-                        self.set_ireg_n(inst.rd, v);
-                    }
-                    Ld => {
-                        let v = self.mem.read_u64(addr);
-                        self.set_ireg_n(inst.rd, v);
-                    }
-                    Fld => {
-                        let v = f64::from_bits(self.mem.read_u64(addr));
-                        self.fregs[inst.rd as usize] = v;
-                    }
-                    _ => unreachable!(),
-                }
-            }
-            Sb | Sh | Sw | Sd | Fsd => {
-                let addr = rs1.wrapping_add(imm);
-                let width = match inst.mem_width() {
-                    Some(w) => w,
-                    None => unreachable!("stores have widths"),
-                };
-                mem_access = Some(MemAccess { addr, width, is_store: true });
-                match inst.op {
-                    Sb => self.mem.write_u8(addr, rs2 as u8),
-                    Sh => self.mem.write_u16(addr, rs2 as u16),
-                    Sw => self.mem.write_u32(addr, rs2 as u32),
-                    Sd => self.mem.write_u64(addr, rs2),
-                    Fsd => {
-                        let bits = self.fregs[inst.rs2 as usize].to_bits();
-                        self.mem.write_u64(addr, bits);
-                    }
-                    _ => unreachable!(),
-                }
-            }
-            Fadd | Fsub | Fmul | Fdiv | Fmin | Fmax => {
-                let a = self.fregs[inst.rs1 as usize];
-                let b = self.fregs[inst.rs2 as usize];
-                let v = match inst.op {
-                    Fadd => a + b,
-                    Fsub => a - b,
-                    Fmul => a * b,
-                    Fdiv => a / b,
-                    Fmin => a.min(b),
-                    Fmax => a.max(b),
-                    _ => unreachable!(),
-                };
-                self.fregs[inst.rd as usize] = v;
-            }
-            Fsqrt => {
-                self.fregs[inst.rd as usize] = self.fregs[inst.rs1 as usize].sqrt();
-            }
-            Feq | Flt | Fle => {
-                let a = self.fregs[inst.rs1 as usize];
-                let b = self.fregs[inst.rs2 as usize];
-                let v = match inst.op {
-                    Feq => a == b,
-                    Flt => a < b,
-                    Fle => a <= b,
-                    _ => unreachable!(),
-                };
-                self.set_ireg_n(inst.rd, v as u64);
-            }
-            Fcvtdl => self.fregs[inst.rd as usize] = rs1 as i64 as f64,
-            Fcvtld => {
-                let v = self.fregs[inst.rs1 as usize];
-                self.set_ireg_n(inst.rd, v as i64 as u64);
-            }
-            Fmvdx => self.fregs[inst.rd as usize] = f64::from_bits(rs1),
-            Fmvxd => {
-                let bits = self.fregs[inst.rs1 as usize].to_bits();
-                self.set_ireg_n(inst.rd, bits);
-            }
-            Beq | Bne | Blt | Bge | Bltu | Bgeu => {
-                let taken = match inst.op {
-                    Beq => rs1 == rs2,
-                    Bne => rs1 != rs2,
-                    Blt => (rs1 as i64) < (rs2 as i64),
-                    Bge => (rs1 as i64) >= (rs2 as i64),
-                    Bltu => rs1 < rs2,
-                    Bgeu => rs1 >= rs2,
-                    _ => unreachable!(),
-                };
-                let target = pc.wrapping_add(imm);
-                if taken {
-                    next_pc = target;
-                }
-                branch = Some(BranchRec { kind: CtrlKind::CondBranch, taken, target });
-            }
-            Jal => {
-                let target = pc.wrapping_add(imm);
-                self.set_ireg_n(inst.rd, pc + INST_BYTES);
-                next_pc = target;
-                branch = Some(BranchRec {
-                    kind: match inst.ctrl_kind() {
-                        Some(k) => k,
-                        None => unreachable!("jal is ctrl"),
-                    },
-                    taken: true,
-                    target,
-                });
-            }
-            Jalr => {
-                let target = rs1.wrapping_add(imm) & !1u64;
-                self.set_ireg_n(inst.rd, pc + INST_BYTES);
-                next_pc = target;
-                branch = Some(BranchRec {
-                    kind: match inst.ctrl_kind() {
-                        Some(k) => k,
-                        None => unreachable!("jalr is ctrl"),
-                    },
-                    taken: true,
-                    target,
-                });
-            }
-            Halt => {
-                self.halted = true;
-            }
-            Nop => {}
-        }
-
+        let mem = self.exec_straight(&pi);
+        let (pc, seq) = (self.pc, self.icount);
+        let next_pc = pc + INST_BYTES;
         self.pc = next_pc;
-        let seq = self.icount;
-        self.icount += 1;
-        Ok(Retired { seq, pc, next_pc, inst, mem: mem_access, branch })
+        self.icount = seq + 1;
+        Ok(Retired { seq, pc, next_pc, inst: pi.sem.inst, mem, branch: None })
     }
 
     /// Runs up to `max_insts` instructions or until the program halts.
-    /// Returns the number of instructions retired. Runs on the fast
-    /// [`Cpu::step_n`] core.
+    /// Returns the number of instructions retired. Runs on
+    /// [`Cpu::step_n`].
     ///
     /// # Errors
     ///
@@ -1264,7 +1082,7 @@ mod tests {
         a.finish().unwrap()
     }
 
-    /// Retires up to `n` instructions on the reference interpreter,
+    /// Retires up to `n` instructions one [`Cpu::step`] at a time,
     /// collecting records until halt/fault.
     fn reference_stream(cpu: &mut Cpu, n: u64) -> (Vec<Retired>, Result<(), ExecError>) {
         let mut out = Vec::new();

@@ -6,9 +6,11 @@
 //! the cold/warm phases of sampled simulation.
 //!
 //! * [`Memory`] — sparse, paged, zero-filled 64-bit memory.
-//! * [`Cpu`] — registers + PC + memory; [`Cpu::step`] retires one
-//!   instruction and reports everything downstream consumers need as a
-//!   [`Retired`] record (memory access, branch outcome).
+//! * [`Cpu`] — registers + PC + memory, and one interpreter over the
+//!   text segment decoded at load: [`Cpu::step`] retires one instruction
+//!   and reports everything downstream consumers need as a [`Retired`]
+//!   record (memory access, branch outcome); [`Cpu::step_n`] retires
+//!   whole superblocks through the same kernels.
 //! * [`RetireSource`] — what the timing model reads: the live [`Cpu`], or
 //!   a [`TraceCursor`] replaying a recorded [`RetireTrace`].
 //!

@@ -51,7 +51,7 @@ struct TlbEntry {
 /// simulator catches runaway programs at fetch instead, via the text-segment
 /// bounds and the invalid all-zero instruction word).
 ///
-/// A direct-mapped software TLB ([`TLB_ENTRIES`] entries of
+/// A direct-mapped software TLB (`TLB_ENTRIES` entries of
 /// `(page number, slot)`) short-circuits the `HashMap` page lookup. The
 /// predecessor design kept only the *last* translation, which an
 /// alternating-page access pattern (mcf's pointer chasing walks nodes on

@@ -4,9 +4,10 @@
 //! instruction at a time, in program order, on the correct path only, and
 //! never more than the window it times. So a detailed window does not
 //! need the machine image that produced its instructions, only the
-//! instructions themselves: a [`RetireTrace`] recorded by the functional
-//! pass replays them through a [`TraceCursor`] exactly as [`Cpu::step`]
-//! would have produced them, terminal error included.
+//! instructions themselves: a [`RetireTrace`] recorded through
+//! [`Cpu::step_n`] replays them through a [`TraceCursor`] exactly as
+//! [`Cpu::step`] on the live CPU would have produced them, terminal error
+//! included — the two run the same kernels.
 
 use crate::{Cpu, ExecError, Retired};
 

@@ -17,7 +17,7 @@
 //! or typed by the engine as [`rsr_core::SimError::Panicked`] — is retried
 //! up to [`ServeConfig::max_job_retries`] times with deterministic seed-derived exponential backoff
 //! ([`backoff_delay`]). Per-job deadlines are anchored when a worker
-//! picks the job up — a stalled worker ([`FaultKind::StallJob`]) consumes
+//! picks the job up — a stalled worker ([`rsr_core::FaultKind::StallJob`]) consumes
 //! the budget — and enforced inside the run by the existing
 //! [`rsr_core::SimError::DeadlineExceeded`] machinery. Admission control
 //! sheds load with a typed [`Response::Overloaded`] once queued + running

@@ -4,7 +4,7 @@ use std::time::Instant;
 
 use rsr_branch::Predictor;
 use rsr_cache::MemHierarchy;
-use rsr_core::{skip_with, skip_with_smarts_warming, MachineConfig, PhaseTimes, SimError};
+use rsr_core::{skip_with_smarts_warming, MachineConfig, PhaseTimes, SimError};
 use rsr_func::Cpu;
 use rsr_isa::Program;
 use rsr_timing::simulate_cluster;
@@ -148,7 +148,7 @@ pub fn simulate(
                 .map_err(SimError::Exec)?;
             phases.warm += t.elapsed();
         } else {
-            skip_with(&mut cpu, skip, |_| {}).map_err(SimError::Exec)?;
+            cpu.step_n(skip, |_| ()).map_err(SimError::Exec)?;
             phases.cold += t.elapsed();
         }
         let t = Instant::now();

@@ -1,42 +1,62 @@
-//! Property-based equivalence of the two functional cores.
+//! Equivalence of the functional interpreter with the reference oracle.
 //!
-//! [`Cpu::step`] is the bit-identity reference oracle: one instruction at
-//! a time through the full fetch/decode/execute path. [`Cpu::step_n`] is
-//! the production fast path: superblock dispatch over the predecoded
-//! semantic cache with the flat software TLB underneath. The sampled-
-//! simulation results (est_ipc, the skip logs, every reconstructed
-//! structure) are only trustworthy if the two agree *exactly* — same
-//! retired stream, same architectural state at every boundary, same
-//! memory image, same faults. These properties drive randomized programs
-//! through both and require bit-identity, leaning on the stream shapes
-//! the fast path optimizes: straight-line runs, block terminators of
-//! every kind, page-crossing memory traffic, division edge cases, and
-//! halts landing mid-block.
+//! [`RefCpu`] (`tests/src/oracle/func.rs`) is the bit-identity oracle: it
+//! decodes the program's text word at every fetch and executes it with a
+//! match over the sparse `Op` encoding. The library runs the same
+//! semantics from the table it predecodes at load, through two entry
+//! points: [`Cpu::step`], one slot per call, and [`Cpu::step_n`], whole
+//! superblocks per dispatch with the flat software TLB underneath. The
+//! sampled-simulation results (est_ipc, the skip logs, every
+//! reconstructed structure) are only trustworthy if both agree with the
+//! oracle *exactly* — same retired stream, same architectural state at
+//! every boundary, same memory image, same faults. These properties drive
+//! randomized programs through all three and require bit-identity,
+//! leaning on the stream shapes the fast path optimizes: straight-line
+//! runs, block terminators of every kind, page-crossing memory traffic,
+//! division edge cases, and halts landing mid-block. The nine workloads
+//! add the real programs' pointer chases and call/return shapes.
 
 use proptest::prelude::*;
-use rsr_func::{Cpu, ExecError, Retired, PAGE_BYTES};
+use rsr_func::{ArchState, Cpu, ExecError, Memory, Retired, PAGE_BYTES};
+use rsr_integration::oracle::RefCpu;
+use rsr_integration::tiny;
 use rsr_isa::{Asm, Freg, Program, Reg};
+use rsr_workloads::Benchmark;
 
-/// Runs the reference core for at most `n` instructions, returning the
-/// retired stream and the terminating error, if one fired early.
-fn reference_stream(program: &Program, n: u64) -> (Vec<Retired>, Option<ExecError>, Cpu) {
-    let mut cpu = Cpu::new(program).expect("loads");
+/// Retires at most `n` instructions one at a time through `step`,
+/// returning the retired stream and the terminating error, if one fired
+/// early.
+fn drain<T>(
+    cpu: &mut T,
+    n: u64,
+    step: impl Fn(&mut T) -> Result<Retired, ExecError>,
+) -> (Vec<Retired>, Option<ExecError>) {
     let mut stream = Vec::new();
-    let mut err = None;
     for _ in 0..n {
-        match cpu.step() {
+        match step(cpu) {
             Ok(r) => stream.push(r),
-            Err(e) => {
-                err = Some(e);
-                break;
-            }
+            Err(e) => return (stream, Some(e)),
         }
     }
+    (stream, None)
+}
+
+/// Runs the reference oracle for at most `n` instructions.
+fn reference_stream(program: &Program, n: u64) -> (Vec<Retired>, Option<ExecError>, RefCpu) {
+    let mut cpu = RefCpu::new(program);
+    let (stream, err) = drain(&mut cpu, n, RefCpu::step);
     (stream, err, cpu)
 }
 
-/// Runs the fast core for at most `n` instructions through `step_n`,
-/// returning the same triple.
+/// Runs the library core for at most `n` instructions through `step`.
+fn step_stream(program: &Program, n: u64) -> (Vec<Retired>, Option<ExecError>, Cpu) {
+    let mut cpu = Cpu::new(program).expect("loads");
+    let (stream, err) = drain(&mut cpu, n, Cpu::step);
+    (stream, err, cpu)
+}
+
+/// Runs the library core for at most `n` instructions through one
+/// `step_n`.
 fn fast_stream(program: &Program, n: u64) -> (Vec<Retired>, Option<ExecError>, Cpu) {
     let mut cpu = Cpu::new(program).expect("loads");
     let mut stream = Vec::new();
@@ -49,8 +69,7 @@ fn fast_stream(program: &Program, n: u64) -> (Vec<Retired>, Option<ExecError>, C
 /// but random programs routinely load integer bit patterns into FP
 /// registers, and two cores that both hold the same NaN payload are in
 /// *identical* states. Compare the raw bits instead.
-fn assert_same_arch(a: &Cpu, b: &Cpu) {
-    let (sa, sb) = (a.arch_state(), b.arch_state());
+fn assert_same_arch(sa: &ArchState, sb: &ArchState) {
     assert_eq!(sa.pc, sb.pc, "pc differs");
     assert_eq!(sa.iregs, sb.iregs, "integer registers differ");
     assert_eq!(sa.icount, sb.icount, "icount differs");
@@ -61,23 +80,39 @@ fn assert_same_arch(a: &Cpu, b: &Cpu) {
 }
 
 /// Full-image memory comparison: same resident pages, same bytes.
-fn assert_same_memory(a: &mut Cpu, b: &mut Cpu) {
-    let pa = a.mem().resident_page_nos();
-    let pb = b.mem().resident_page_nos();
+fn assert_same_memory(a: &mut Memory, b: &mut Memory) {
+    let pa = a.resident_page_nos();
+    let pb = b.resident_page_nos();
     assert_eq!(pa, pb, "resident page sets differ");
     for page in pa {
         let addr = page * PAGE_BYTES;
-        let va = a.mem_mut().read_vec(addr, PAGE_BYTES as usize);
-        let vb = b.mem_mut().read_vec(addr, PAGE_BYTES as usize);
+        let va = a.read_vec(addr, PAGE_BYTES as usize);
+        let vb = b.read_vec(addr, PAGE_BYTES as usize);
         assert_eq!(va, vb, "page {page:#x} differs");
     }
+}
+
+/// Requires a library run to match the oracle run: every retired record,
+/// the terminating condition, the architectural state and the memory
+/// image.
+fn assert_matches_reference(
+    (rs, re, rc): &mut (Vec<Retired>, Option<ExecError>, RefCpu),
+    (gs, ge, gc): &mut (Vec<Retired>, Option<ExecError>, Cpu),
+) {
+    assert_eq!(rs.len(), gs.len(), "retired counts differ");
+    for (i, (a, b)) in rs.iter().zip(gs.iter()).enumerate() {
+        assert_eq!(a, b, "retired record {i} differs");
+    }
+    assert_eq!(re, ge, "terminating condition differs");
+    assert_same_arch(&rc.arch_state(), &gc.arch_state());
+    assert_same_memory(rc.mem_mut(), gc.mem_mut());
 }
 
 /// A random but guaranteed-terminating program: a bounded counter loop
 /// whose body mixes ALU ops, division edge cases, page-crossing loads and
 /// stores of every width, floating-point traffic, calls, and forward
-/// branches — all the shapes the superblock walker and the TLB path
-/// handle specially.
+/// branches of every condition — all the shapes the superblock walker and
+/// the TLB path handle specially, over every semantic class.
 fn build_program(ops: &[u8], iters: u64, edge_seed: u64) -> Program {
     let mut a = Asm::new();
     // Two adjacent zero pages; S1 points 16 bytes before their shared
@@ -96,7 +131,7 @@ fn build_program(ops: &[u8], iters: u64, edge_seed: u64) -> Program {
         let r1 = Reg(10 + (op % 8));
         let r2 = Reg(10 + (op / 8 % 8));
         let cross = ((op as i32) % 24) - 4; // offsets straddling the page edge
-        match op % 12 {
+        match op % 14 {
             0 => {
                 a.add(r1, r1, r2);
             }
@@ -124,7 +159,14 @@ fn build_program(ops: &[u8], iters: u64, edge_seed: u64) -> Program {
                 // Forward skip over a store — a conditional terminator
                 // inside what would otherwise be one straight run.
                 let skip = a.new_label(&format!("s{k}"));
-                a.beq(r1, r2, skip);
+                match op / 14 % 6 {
+                    0 => a.beq(r1, r2, skip),
+                    1 => a.bne(r1, r2, skip),
+                    2 => a.blt(r1, r2, skip),
+                    3 => a.bge(r1, r2, skip),
+                    4 => a.bltu(r1, r2, skip),
+                    _ => a.bgeu(r1, r2, skip),
+                };
                 a.sd(r2, 0, Reg::S2);
                 a.bind(skip).unwrap();
             }
@@ -155,9 +197,41 @@ fn build_program(ops: &[u8], iters: u64, edge_seed: u64) -> Program {
                 a.sltu(Reg::T1, r1, r2);
                 a.xori(r1, r2, (op as i32) << 2);
             }
-            _ => {
+            11 => {
                 a.slli(Reg::T1, r1, (op % 63) as i32);
                 a.srli(Reg::T2, r2, (op % 63) as i32);
+            }
+            12 => {
+                a.sub(Reg::T1, r1, r2);
+                a.and(Reg::T2, r1, r2);
+                a.or(Reg::T3, r1, r2);
+                a.xor(r1, Reg::T1, Reg::T3);
+                a.sll(Reg::T4, r2, r1);
+                a.srl(Reg::T5, r2, r1);
+                a.slt(Reg::T6, r1, r2);
+                a.slti(Reg::T1, r2, op as i32 - 128);
+                a.sltiu(Reg::T2, r1, op as i32);
+                a.andi(Reg::T3, r2, -(op as i32));
+                a.ori(r2, r2, op as i32);
+                a.srai(Reg::T4, r1, (op % 63) as i32);
+                a.lui(Reg::T5, op as i32 - 128);
+            }
+            _ => {
+                a.fmv_d_x(Freg::F4, r1);
+                a.fld(Freg::F5, cross, Reg::S1);
+                a.fsub(Freg::F6, Freg::F4, Freg::F5);
+                a.fmul(Freg::F7, Freg::F6, Freg::F4);
+                a.fdiv(Freg::F6, Freg::F7, Freg::F5);
+                a.fsqrt(Freg::F7, Freg::F6);
+                a.fmin(Freg::F6, Freg::F7, Freg::F4);
+                a.fmax(Freg::F7, Freg::F6, Freg::F5);
+                a.feq(Reg::T1, Freg::F7, Freg::F4);
+                a.flt(Reg::T2, Freg::F5, Freg::F6);
+                a.fcvt_l_d(Reg::T3, Freg::F7);
+                a.fmv_x_d(r2, Freg::F6);
+                a.lwu(Reg::T4, cross, Reg::S1);
+                a.lhu(Reg::T5, cross, Reg::S1);
+                a.lb(Reg::T6, cross, Reg::S1);
             }
         }
     }
@@ -183,15 +257,23 @@ proptest! {
     fn step_n_stream_matches_reference((ops, iters, seed) in arb_program()) {
         let program = build_program(&ops, iters, seed);
         let budget = 2_000_000;
-        let (rs, re, mut rc) = reference_stream(&program, budget);
-        let (fs, fe, mut fc) = fast_stream(&program, budget);
-        prop_assert_eq!(rs.len(), fs.len(), "retired counts differ");
-        for (i, (a, b)) in rs.iter().zip(&fs).enumerate() {
-            prop_assert_eq!(a, b, "retired record {} differs", i);
-        }
-        prop_assert_eq!(re, fe, "terminating condition differs");
-        assert_same_arch(&rc, &fc);
-        assert_same_memory(&mut rc, &mut fc);
+        assert_matches_reference(
+            &mut reference_stream(&program, budget),
+            &mut fast_stream(&program, budget),
+        );
+    }
+
+    /// The single-slot entry point retires the same stream as the
+    /// reference core, one instruction per call, and ends in the same
+    /// state.
+    #[test]
+    fn step_stream_matches_reference((ops, iters, seed) in arb_program()) {
+        let program = build_program(&ops, iters, seed);
+        let budget = 2_000_000;
+        assert_matches_reference(
+            &mut reference_stream(&program, budget),
+            &mut step_stream(&program, budget),
+        );
     }
 
     /// Tail accuracy: stopping the fast core at an arbitrary instruction
@@ -211,8 +293,8 @@ proptest! {
         fc.step_n(k, |_| count += 1).expect("within program");
         prop_assert_eq!(rs.len() as u64, k);
         prop_assert_eq!(count, k);
-        assert_same_arch(&rc, &fc);
-        assert_same_memory(&mut rc, &mut fc);
+        assert_same_arch(&rc.arch_state(), &fc.arch_state());
+        assert_same_memory(rc.mem_mut(), fc.mem_mut());
     }
 
     /// Chunked dispatch composes: many random-sized `step_n` calls retire
@@ -235,7 +317,22 @@ proptest! {
         }
         prop_assert_eq!(one, many);
         prop_assert_eq!(oe, err);
-        assert_same_arch(&oc, &cpu);
-        assert_same_memory(&mut oc, &mut cpu);
+        assert_same_arch(&oc.arch_state(), &cpu.arch_state());
+        assert_same_memory(oc.mem_mut(), cpu.mem_mut());
+    }
+}
+
+/// The first 100k instructions of every workload: `step`, `step_n` and
+/// the oracle retire the same stream and leave the same registers and
+/// memory image.
+#[test]
+fn nine_workloads_match_reference() {
+    const N: u64 = 100_000;
+    for bench in Benchmark::ALL {
+        let program = tiny(bench);
+        let mut reference = reference_stream(&program, N);
+        assert_eq!(reference.0.len() as u64, N, "{bench:?} retires {N} instructions");
+        assert_matches_reference(&mut reference, &mut step_stream(&program, N));
+        assert_matches_reference(&mut reference, &mut fast_stream(&program, N));
     }
 }
